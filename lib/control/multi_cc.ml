@@ -1,7 +1,5 @@
 let solve_tracked ?alpha ?(gain = 50.0) ?(slots = 2000) ?stop_tol ?x_init ?sink
-    ?ack_loss ?(price_drain = 0.0) ~on_slot (problem : Problem.t) =
-  if (not (Float.is_finite price_drain)) || price_drain < 0.0 then
-    invalid_arg "Multi_cc.solve: price_drain must be finite and >= 0";
+    ?ack_loss ~on_slot (problem : Problem.t) =
   let alpha = match alpha with Some a -> a | None -> Alpha.fixed 0.02 in
   let n_routes = Problem.n_routes problem in
   let x =
@@ -64,7 +62,7 @@ let solve_tracked ?alpha ?(gain = 50.0) ?(slots = 2000) ?stop_tol ?x_init ?sink
   while !t < slots && !stopped = None do
     let a = Alpha.current alpha in
     let y = Price.airtimes price ~x in
-    Price.step_gamma ~drain:price_drain price ~y ~alpha:a;
+    Price.step_gamma price ~y ~alpha:a;
     let q = Price.route_costs price in
     let flow_rate = Problem.flow_rates problem x in
     (* Control-message loss: a flow whose price/rate report for this
@@ -131,9 +129,7 @@ let solve_tracked ?alpha ?(gain = 50.0) ?(slots = 2000) ?stop_tol ?x_init ?sink
     trace;
   }
 
-let solve ?alpha ?gain ?slots ?stop_tol ?x_init ?sink ?ack_loss ?price_drain
-    problem =
+let solve ?alpha ?gain ?slots ?stop_tol ?x_init ?sink ?ack_loss problem =
   solve_tracked ?alpha ?gain ?slots ?stop_tol ?x_init ?sink ?ack_loss
-    ?price_drain
     ~on_slot:(fun _ _ -> ())
     problem

@@ -24,7 +24,6 @@ val solve :
   ?x_init:float array ->
   ?sink:Obs.Trace.sink ->
   ?ack_loss:(slot:int -> flow:int -> bool) ->
-  ?price_drain:float ->
   Problem.t ->
   Cc_result.t
 (** Run for [slots] iterations (default 2000) from [x_init] (default
@@ -62,20 +61,7 @@ val solve :
     delivery. The update resumes on the next delivered report; with
     any loss pattern of density < 1 the iteration still converges to
     the same fixed point (the fixed-point equations are unchanged),
-    only slower.
-
-    [price_drain] (default 0, the paper's exact update) leaks every
-    dual by that amount per slot before the positive projection:
-    [γ_l ← [γ_l + α (y_l - (1-δ)) - price_drain]+]. Without it a
-    stale price on a failed route decays only at α·(1-δ) per step —
-    with the engine's defaults (α = 0.02, δ = 0.05, 100 ms control
-    period) roughly 0.03/s of simulated time, the hysteresis that
-    made full-severance recovery take tens of seconds before the
-    recovery subsystem existed. A small positive drain bounds that
-    tail at the cost of a slight steady-state price bias, so it is
-    off by default; the self-healing path in [lib/recovery] resets
-    stale prices outright instead. Raises [Invalid_argument] when
-    negative or non-finite. *)
+    only slower. *)
 
 val solve_tracked :
   ?alpha:Alpha.t ->
@@ -85,7 +71,6 @@ val solve_tracked :
   ?x_init:float array ->
   ?sink:Obs.Trace.sink ->
   ?ack_loss:(slot:int -> flow:int -> bool) ->
-  ?price_drain:float ->
   on_slot:(int -> float array -> unit) ->
   Problem.t ->
   Cc_result.t

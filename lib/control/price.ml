@@ -106,12 +106,11 @@ let airtimes t ~x =
     t.priced;
   y
 
-let step_gamma ?(drain = 0.0) t ~y ~alpha =
+let step_gamma t ~y ~alpha =
   let target = 1.0 -. t.problem.Problem.delta in
   Array.iter
     (fun i ->
       let upd = t.gamma.(i) +. (alpha *. (y.(i) -. target)) in
-      let upd = if drain > 0.0 then upd -. drain else upd in
       t.gamma.(i) <- Float.max 0.0 upd)
     t.priced
 

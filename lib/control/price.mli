@@ -23,13 +23,9 @@ val airtimes : t -> x:float array -> float array
 (** [y_l] for every link under route rates [x]: equation (7) plus the
     problem's external airtime. *)
 
-val step_gamma : ?drain:float -> t -> y:float array -> alpha:float -> unit
+val step_gamma : t -> y:float array -> alpha:float -> unit
 (** Equation (8) with the margin of (3):
-    [γ_l ← [γ_l + α (y_l - (1 - δ)) - drain]+].
-    [drain] (default 0, i.e. the paper's exact update) is an optional
-    per-step leak that bounds how long a stale price lingers after
-    its link's load disappears — without it γ decays only at α·(1-δ)
-    per step once y_l drops to zero. *)
+    [γ_l ← [γ_l + α (y_l - (1 - δ))]+]. *)
 
 val route_costs : t -> float array
 (** [q_r] for every route under the current [γ]: equation (9). *)

@@ -27,8 +27,7 @@ type allocation = {
   cc : Cc_result.t;
 }
 
-let allocate ?n ?(delta = 0.0) ?(slots = 3000) ?utility ?price_drain net ~flows
-    =
+let allocate ?n ?(delta = 0.0) ?(slots = 3000) ?utility net ~flows =
   let plans =
     Array.of_list (List.map (fun (src, dst) -> plan ?n net ~src ~dst) flows)
   in
@@ -42,7 +41,7 @@ let allocate ?n ?(delta = 0.0) ?(slots = 3000) ?utility ?price_drain net ~flows
          (fun p -> List.map snd p.combination.Multipath.paths)
          (Array.to_list plans))
   in
-  let cc = Multi_cc.solve ~x_init ~slots ?price_drain problem in
+  let cc = Multi_cc.solve ~x_init ~slots problem in
   (* Slice the flat rate vector back into per-flow arrays. *)
   let route_rates = Array.make (Array.length plans) [||] in
   let idx = ref 0 in

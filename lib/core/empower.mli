@@ -59,18 +59,13 @@ val allocate :
   ?delta:float ->
   ?slots:int ->
   ?utility:Utility.t ->
-  ?price_drain:float ->
   network ->
   flows:(int * int) list ->
   allocation
 (** Routing then congestion control: plan each flow, run the
     multipath controller (Section 4.3) on the selected routes starting
     from the routing-estimated rates, and report the allocation.
-    Flows without connectivity get rate 0 and an empty plan.
-    [price_drain] is forwarded to {!Multi_cc.solve}: a per-slot dual
-    leak bounding stale-price hysteresis (default 0 — the paper's
-    exact update). The packet engine exposes the same knob per second
-    of simulated time as [Engine.config.price_drain]. *)
+    Flows without connectivity get rate 0 and an empty plan. *)
 
 val simulate :
   ?config:Engine.config ->

@@ -69,39 +69,16 @@ let run ?trace ?flight ?intensity ?(recovery = false) ?(duration = 20.0) ~seed
     if recovery then { config with Engine.recovery = Some Recovery.default }
     else config
   in
-  let reg = Obs.Metrics.create () in
-  let recorder =
-    Obs.Recorder.create ~domain_of:(Domain.domain net.Empower.dom) reg
+  (* The private recorder computes the recovery metrics. *)
+  let result, reg =
+    Runner.with_recorder ?trace ~domain_of:(Domain.domain net.Empower.dom)
+      ~duration (fun sink ->
+        Engine.run ~config ~trace:sink ?flight
+          ~link_events:compiled.Fault.link_events
+          ~loss_events:compiled.Fault.loss_events
+          ~ctrl_events:compiled.Fault.ctrl_events master net.Empower.g
+          net.Empower.dom ~flows:[ flow ] ~duration)
   in
-  (* The private recorder computes the recovery metrics; a caller's
-     sink and the process-global registry (--metrics) still see every
-     event. *)
-  let global =
-    match Obs.Runtime.metrics () with
-    | Some greg ->
-      Some (Obs.Recorder.create ~domain_of:(Domain.domain net.Empower.dom) greg)
-    | None -> None
-  in
-  let sink =
-    let s = Obs.Recorder.sink recorder in
-    let s =
-      match global with
-      | Some r -> Obs.Trace.tee s (Obs.Recorder.sink r)
-      | None -> s
-    in
-    match trace with Some user -> Obs.Trace.tee s user | None -> s
-  in
-  let result =
-    Engine.run ~config ~trace:sink ?flight
-      ~link_events:compiled.Fault.link_events
-      ~loss_events:compiled.Fault.loss_events
-      ~ctrl_events:compiled.Fault.ctrl_events master net.Empower.g
-      net.Empower.dom ~flows:[ flow ] ~duration
-  in
-  Obs.Recorder.flush recorder ~now:duration;
-  (match global with
-  | Some r -> Obs.Recorder.flush r ~now:duration
-  | None -> ());
   let gauge name = Obs.Metrics.Gauge.value (Obs.Metrics.gauge reg name) in
   let counter name = Obs.Metrics.Counter.value (Obs.Metrics.counter reg name) in
   let flows =

@@ -30,3 +30,16 @@ val goodput_stats :
   Engine.flow_result -> last_seconds:int -> duration:float -> float * float
 (** Mean and standard deviation of the per-second goodput over the
     final [last_seconds] of the run. *)
+
+val with_recorder :
+  ?trace:Obs.Trace.sink ->
+  domain_of:(int -> int list) ->
+  duration:float ->
+  (Obs.Trace.sink -> 'a) ->
+  'a * Obs.Metrics.t
+(** [with_recorder ?trace ~domain_of ~duration run] calls [run sink]
+    with a sink that feeds a private {!Obs.Recorder}, the recorder of
+    the process-global registry when one is installed ([--metrics])
+    and [trace], each applying its own sampling. Both recorders are
+    flushed at [duration]; the private registry is returned beside
+    [run]'s result. *)

@@ -391,36 +391,15 @@ let run ?trace ?flight spec =
   in
   ignore (result_b : Engine.result);
   Obs.Recorder.flush rec_b ~now:spec.duration;
-  (* Churn run: private recorder computes the scorecard; the
-     process-global registry (--metrics) and the caller's sinks still
-     see every event. *)
-  let reg = Obs.Metrics.create () in
-  let recorder = Obs.Recorder.create ~domain_of reg in
-  let global =
-    match Obs.Runtime.metrics () with
-    | Some greg -> Some (Obs.Recorder.create ~domain_of greg)
-    | None -> None
+  (* Churn run: the private recorder computes the scorecard. *)
+  let result, reg =
+    Runner.with_recorder ?trace ~domain_of ~duration:spec.duration (fun sink ->
+        Engine.run ~config ~trace:sink ?flight
+          ~link_events:compiled.Fault.link_events
+          ~loss_events:compiled.Fault.loss_events
+          ~ctrl_events:compiled.Fault.ctrl_events m_churn net.Empower.g dom
+          ~flows:flow_specs ~duration:spec.duration)
   in
-  let sink =
-    let s = Obs.Recorder.sink recorder in
-    let s =
-      match global with
-      | Some r -> Obs.Trace.tee s (Obs.Recorder.sink r)
-      | None -> s
-    in
-    match trace with Some user -> Obs.Trace.tee s user | None -> s
-  in
-  let result =
-    Engine.run ~config ~trace:sink ?flight
-      ~link_events:compiled.Fault.link_events
-      ~loss_events:compiled.Fault.loss_events
-      ~ctrl_events:compiled.Fault.ctrl_events m_churn net.Empower.g dom
-      ~flows:flow_specs ~duration:spec.duration
-  in
-  Obs.Recorder.flush recorder ~now:spec.duration;
-  (match global with
-  | Some r -> Obs.Recorder.flush r ~now:spec.duration
-  | None -> ());
   let gauge name = Obs.Metrics.Gauge.value (Obs.Metrics.gauge reg name) in
   let counter name = Obs.Metrics.Counter.value (Obs.Metrics.counter reg name) in
   (* Per-flow baselines and churn-run bins, by flow index. *)

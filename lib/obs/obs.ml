@@ -656,7 +656,10 @@ end
    columns — no event record is built and nothing grows — so the ring
    can stay attached to every run. Only the two array-carrying
    control-plane kinds ([Rate_update], [Ack], a few per control
-   period) box an event into the [boxed] column. *)
+   period) box an event into the [boxed] column. The ring is also the
+   engine's only emission point: each stored row is offered to the
+   attached trace sink, which gets an event record rebuilt from the
+   row only for the offers its sampling accepts. *)
 module Flight = struct
   let default_capacity = 65536
   let default_dump_path = "empower-flight-dump.jsonl"
@@ -674,7 +677,8 @@ module Flight = struct
     f2 : float array;
     boxed : Trace.event option array;
     mutable next : int;   (* next write slot *)
-    mutable total : int;  (* events ever offered *)
+    mutable total : int;  (* events ever written *)
+    mutable sink : Trace.sink option;  (* offered every stored row *)
     dump_path : string;
   }
 
@@ -695,12 +699,14 @@ module Flight = struct
       boxed = Array.make capacity None;
       next = 0;
       total = 0;
+      sink = None;
       dump_path;
     }
 
   let capacity t = t.cap
   let recorded t = t.total
   let dump_path t = t.dump_path
+  let set_sink t s = t.sink <- s
 
   let clear t =
     t.next <- 0;
@@ -741,6 +747,79 @@ module Flight = struct
     | 3 -> Trace.Backlog_cleared
     | _ -> Trace.Fault_injected
 
+  (* Only written rows are ever decoded, and a [k_rate]/[k_ack] row
+     always carries its boxed event. *)
+  let event_of_row t i =
+    let t_s = t.time.(i) in
+    match t.tag.(i) with
+    | 0 ->
+      Trace.Enqueue
+        {
+          t = t_s;
+          link = t.i1.(i);
+          flow = t.i2.(i);
+          seq = t.i3.(i);
+          bytes = t.i4.(i);
+          qlen = t.i5.(i);
+        }
+    | 1 ->
+      Trace.Mac_grant
+        {
+          t = t_s;
+          link = t.i1.(i);
+          flow = t.i2.(i);
+          seq = t.i3.(i);
+          collided = t.i4.(i) <> 0;
+          airtime = t.f1.(i);
+        }
+    | 2 -> Trace.Dequeue { t = t_s; link = t.i1.(i); flow = t.i2.(i); seq = t.i3.(i) }
+    | 3 ->
+      Trace.Collision { t = t_s; link = t.i1.(i); flow = t.i2.(i); seq = t.i3.(i) }
+    | 4 ->
+      Trace.Drop
+        {
+          t = t_s;
+          link = (if t.i1.(i) < 0 then None else Some t.i1.(i));
+          flow = t.i2.(i);
+          seq = t.i3.(i);
+          reason = reason_of_code t.i4.(i);
+        }
+    | 5 ->
+      Trace.Delivery
+        {
+          t = t_s;
+          flow = t.i1.(i);
+          seq = t.i2.(i);
+          bytes = t.i3.(i);
+          delay = t.f1.(i);
+        }
+    | 6 ->
+      Trace.Price_update
+        { t = t_s; link = t.i1.(i); gamma = t.f1.(i); price = t.f2.(i) }
+    | 9 -> Trace.Link_event { t = t_s; link = t.i1.(i); capacity = t.f1.(i) }
+    | 10 -> Trace.Loss_event { t = t_s; link = t.i1.(i); prob = t.f1.(i) }
+    | 11 -> Trace.Ctrl_event { t = t_s; drop = t.f1.(i); delay = t.f2.(i) }
+    | 12 ->
+      Trace.Route_dead
+        { t = t_s; flow = t.i1.(i); route = t.i2.(i); detect_s = t.f1.(i) }
+    | 13 ->
+      Trace.Route_probe
+        { t = t_s; flow = t.i1.(i); route = t.i2.(i); attempt = t.i3.(i) }
+    | 14 ->
+      Trace.Route_restored
+        { t = t_s; flow = t.i1.(i); route = t.i2.(i); down_s = t.f1.(i) }
+    | 15 -> Trace.Price_reset { t = t_s; link = t.i1.(i) }
+    | 16 ->
+      Trace.Ecn_mark
+        {
+          t = t_s;
+          link = t.i1.(i);
+          flow = t.i2.(i);
+          seq = t.i3.(i);
+          occ = t.i4.(i);
+        }
+    | _ (* k_rate, k_ack *) -> Option.get t.boxed.(i)
+
   let slot t tag time =
     let i = t.next in
     t.next <- (if i + 1 = t.cap then 0 else i + 1);
@@ -750,13 +829,21 @@ module Flight = struct
     if t.boxed.(i) != None then t.boxed.(i) <- None;
     i
 
+  (* One [accept] per stored row, so the sink samples exactly as if the
+     events were offered to it directly. *)
+  let offer t i =
+    match t.sink with
+    | Some s when Trace.accept s -> Trace.push s (event_of_row t i)
+    | _ -> ()
+
   let enqueue t ~t_s ~link ~flow ~seq ~bytes ~qlen =
     let i = slot t k_enqueue t_s in
     t.i1.(i) <- link;
     t.i2.(i) <- flow;
     t.i3.(i) <- seq;
     t.i4.(i) <- bytes;
-    t.i5.(i) <- qlen
+    t.i5.(i) <- qlen;
+    offer t i
 
   let grant t ~t_s ~link ~flow ~seq ~collided ~airtime =
     let i = slot t k_grant t_s in
@@ -764,87 +851,102 @@ module Flight = struct
     t.i2.(i) <- flow;
     t.i3.(i) <- seq;
     t.i4.(i) <- (if collided then 1 else 0);
-    t.f1.(i) <- airtime
+    t.f1.(i) <- airtime;
+    offer t i
 
   let dequeue t ~t_s ~link ~flow ~seq =
     let i = slot t k_dequeue t_s in
     t.i1.(i) <- link;
     t.i2.(i) <- flow;
-    t.i3.(i) <- seq
+    t.i3.(i) <- seq;
+    offer t i
 
   let collision t ~t_s ~link ~flow ~seq =
     let i = slot t k_collision t_s in
     t.i1.(i) <- link;
     t.i2.(i) <- flow;
-    t.i3.(i) <- seq
+    t.i3.(i) <- seq;
+    offer t i
 
   let drop t ~t_s ~link ~flow ~seq ~reason =
     let i = slot t k_drop t_s in
     t.i1.(i) <- (match link with Some l -> l | None -> -1);
     t.i2.(i) <- flow;
     t.i3.(i) <- seq;
-    t.i4.(i) <- reason_code reason
+    t.i4.(i) <- reason_code reason;
+    offer t i
 
   let delivery t ~t_s ~flow ~seq ~bytes ~delay =
     let i = slot t k_delivery t_s in
     t.i1.(i) <- flow;
     t.i2.(i) <- seq;
     t.i3.(i) <- bytes;
-    t.f1.(i) <- delay
+    t.f1.(i) <- delay;
+    offer t i
 
   let price t ~t_s ~link ~gamma ~price =
     let i = slot t k_price t_s in
     t.i1.(i) <- link;
     t.f1.(i) <- gamma;
-    t.f2.(i) <- price
+    t.f2.(i) <- price;
+    offer t i
 
   let link_event t ~t_s ~link ~capacity =
     let i = slot t k_link t_s in
     t.i1.(i) <- link;
-    t.f1.(i) <- capacity
+    t.f1.(i) <- capacity;
+    offer t i
 
   let loss_event t ~t_s ~link ~prob =
     let i = slot t k_loss t_s in
     t.i1.(i) <- link;
-    t.f1.(i) <- prob
+    t.f1.(i) <- prob;
+    offer t i
 
   let ctrl_event t ~t_s ~drop ~delay =
     let i = slot t k_ctrl t_s in
     t.f1.(i) <- drop;
-    t.f2.(i) <- delay
+    t.f2.(i) <- delay;
+    offer t i
 
   let route_dead t ~t_s ~flow ~route ~detect_s =
     let i = slot t k_route_dead t_s in
     t.i1.(i) <- flow;
     t.i2.(i) <- route;
-    t.f1.(i) <- detect_s
+    t.f1.(i) <- detect_s;
+    offer t i
 
   let route_probe t ~t_s ~flow ~route ~attempt =
     let i = slot t k_route_probe t_s in
     t.i1.(i) <- flow;
     t.i2.(i) <- route;
-    t.i3.(i) <- attempt
+    t.i3.(i) <- attempt;
+    offer t i
 
   let route_restored t ~t_s ~flow ~route ~down_s =
     let i = slot t k_route_restored t_s in
     t.i1.(i) <- flow;
     t.i2.(i) <- route;
-    t.f1.(i) <- down_s
+    t.f1.(i) <- down_s;
+    offer t i
 
   let price_reset t ~t_s ~link =
     let i = slot t k_price_reset t_s in
-    t.i1.(i) <- link
+    t.i1.(i) <- link;
+    offer t i
 
   let ecn_mark t ~t_s ~link ~flow ~seq ~occ =
     let i = slot t k_ecn_mark t_s in
     t.i1.(i) <- link;
     t.i2.(i) <- flow;
     t.i3.(i) <- seq;
-    t.i4.(i) <- occ
+    t.i4.(i) <- occ;
+    offer t i
 
   let boxed_event t tag ev =
     let i = slot t tag (Trace.time ev) in
-    t.boxed.(i) <- Some ev
+    t.boxed.(i) <- Some ev;
+    offer t i
 
   let event t ev =
     match ev with
@@ -877,95 +979,6 @@ module Flight = struct
     | Trace.Ecn_mark { t = t_s; link; flow; seq; occ } ->
       ecn_mark t ~t_s ~link ~flow ~seq ~occ
 
-  let sink t = Trace.of_fn (event t)
-
-  let event_of_row t i =
-    let t_s = t.time.(i) in
-    match t.tag.(i) with
-    | 0 ->
-      Some
-        (Trace.Enqueue
-           {
-             t = t_s;
-             link = t.i1.(i);
-             flow = t.i2.(i);
-             seq = t.i3.(i);
-             bytes = t.i4.(i);
-             qlen = t.i5.(i);
-           })
-    | 1 ->
-      Some
-        (Trace.Mac_grant
-           {
-             t = t_s;
-             link = t.i1.(i);
-             flow = t.i2.(i);
-             seq = t.i3.(i);
-             collided = t.i4.(i) <> 0;
-             airtime = t.f1.(i);
-           })
-    | 2 ->
-      Some
-        (Trace.Dequeue
-           { t = t_s; link = t.i1.(i); flow = t.i2.(i); seq = t.i3.(i) })
-    | 3 ->
-      Some
-        (Trace.Collision
-           { t = t_s; link = t.i1.(i); flow = t.i2.(i); seq = t.i3.(i) })
-    | 4 ->
-      Some
-        (Trace.Drop
-           {
-             t = t_s;
-             link = (if t.i1.(i) < 0 then None else Some t.i1.(i));
-             flow = t.i2.(i);
-             seq = t.i3.(i);
-             reason = reason_of_code t.i4.(i);
-           })
-    | 5 ->
-      Some
-        (Trace.Delivery
-           {
-             t = t_s;
-             flow = t.i1.(i);
-             seq = t.i2.(i);
-             bytes = t.i3.(i);
-             delay = t.f1.(i);
-           })
-    | 6 ->
-      Some
-        (Trace.Price_update
-           { t = t_s; link = t.i1.(i); gamma = t.f1.(i); price = t.f2.(i) })
-    | 7 | 8 -> t.boxed.(i)
-    | 9 ->
-      Some (Trace.Link_event { t = t_s; link = t.i1.(i); capacity = t.f1.(i) })
-    | 10 -> Some (Trace.Loss_event { t = t_s; link = t.i1.(i); prob = t.f1.(i) })
-    | 11 -> Some (Trace.Ctrl_event { t = t_s; drop = t.f1.(i); delay = t.f2.(i) })
-    | 12 ->
-      Some
-        (Trace.Route_dead
-           { t = t_s; flow = t.i1.(i); route = t.i2.(i); detect_s = t.f1.(i) })
-    | 13 ->
-      Some
-        (Trace.Route_probe
-           { t = t_s; flow = t.i1.(i); route = t.i2.(i); attempt = t.i3.(i) })
-    | 14 ->
-      Some
-        (Trace.Route_restored
-           { t = t_s; flow = t.i1.(i); route = t.i2.(i); down_s = t.f1.(i) })
-    | 15 -> Some (Trace.Price_reset { t = t_s; link = t.i1.(i) })
-    | 16 ->
-      Some
-        (Trace.Ecn_mark
-           {
-             t = t_s;
-             link = t.i1.(i);
-             flow = t.i2.(i);
-             seq = t.i3.(i);
-             occ = t.i4.(i);
-           })
-    | _ -> None
-
   let fold_oldest_first t f acc =
     let len = if t.total < t.cap then t.total else t.cap in
     let first = if t.total < t.cap then 0 else t.next in
@@ -973,9 +986,7 @@ module Flight = struct
     for k = 0 to len - 1 do
       let i = first + k in
       let i = if i >= t.cap then i - t.cap else i in
-      match event_of_row t i with
-      | Some ev -> acc := f !acc ev
-      | None -> ()
+      acc := f !acc (event_of_row t i)
     done;
     !acc
 

@@ -247,7 +247,8 @@ module Trace : sig
 end
 
 (** Always-on flight recorder: the last [capacity] trace events in a
-    pre-allocated struct-of-arrays ring.
+    pre-allocated struct-of-arrays ring, and the engine's only
+    emission point.
 
     Recording a datapath event stores its tag, time and scalar fields
     into fixed [int array] / [float array] columns — no event record
@@ -255,13 +256,19 @@ end
     leave attached to every run (see [flight_overhead_pct] in
     BENCH_sim.json; the only boxed writes are the two array-carrying
     control-plane kinds, {!Trace.Rate_update} and {!Trace.Ack}, a few
-    per control period). {!Engine.run} accepts a recorder via
-    [?flight] or creates one itself when the [EMPOWER_FLIGHT]
-    environment variable is set, and dumps the ring to JSONL
-    automatically when an invariant trips or any exception escapes
-    the event loop; [empower_eval chaos --flight] does the same when a
-    chaos run regresses. Dumps decode strictly with {!Trace.decode}
-    and replay with {!Summary.of_file}. *)
+    per control period). Every writer, after storing its row, offers
+    it to the sink attached with {!set_sink}: the sink's
+    {!Trace.accept} runs once per row, and the event record is
+    rebuilt from the row only when the sink takes it. The ring thus
+    records every event whatever the sink's sampling, and its
+    contents are the tail of what an unsampled sink received.
+
+    {!Engine.run} accepts a recorder via [?flight] or creates one
+    itself when the [EMPOWER_FLIGHT] environment variable is set, and
+    dumps the ring to JSONL automatically when an invariant trips or
+    any exception escapes the event loop; [empower_eval chaos
+    --flight] does the same when a chaos run regresses. Dumps decode
+    strictly with {!Trace.decode} and replay with {!Summary.of_file}. *)
 module Flight : sig
   type t
 
@@ -277,18 +284,25 @@ module Flight : sig
   val capacity : t -> int
 
   val recorded : t -> int
-  (** Events ever offered; the ring retains the last
+  (** Events ever written; the ring retains the last
       [min recorded capacity]. *)
 
   val dump_path : t -> string
 
   val clear : t -> unit
 
-  val event : t -> Trace.event -> unit
-  (** Record one already-built event (generic path). *)
+  val set_sink : t -> Trace.sink option -> unit
+  (** Attach ([Some s]) or detach ([None]) the sink that every later
+      write is offered to. A fresh ring has none; {!Engine.run}
+      attaches its trace sink for the duration of the run. *)
 
-  (** Flat per-kind recorders — scalar stores only, used by the engine
-      so the skipped event record is never allocated. *)
+  val event : t -> Trace.event -> unit
+  (** Record one already-built event (generic path; the engine's path
+      for the two array-carrying kinds). *)
+
+  (** Flat per-kind writers — scalar stores only, used by the engine
+      so no event record is allocated unless an attached sink takes
+      the row. *)
 
   val enqueue :
     t -> t_s:float -> link:int -> flow:int -> seq:int -> bytes:int -> qlen:int -> unit
@@ -326,10 +340,6 @@ module Flight : sig
 
   val ecn_mark :
     t -> t_s:float -> link:int -> flow:int -> seq:int -> occ:int -> unit
-
-  val sink : t -> Trace.sink
-  (** The recorder as an ordinary (unsampled) sink, for harnesses that
-      already hold constructed events. *)
 
   val events : t -> Trace.event list
   (** Ring contents, oldest first (decoded back into event records —

@@ -22,18 +22,12 @@ type buffers = {
 
 type config = {
   frame_bytes : int;
-  queue_limit : int;
   delta : float;
-  gamma_alpha : float;
-  cc_gain : float;
   enable_cc : bool;
-  adaptive_alpha : bool;
   delay_equalize : bool;
-  estimate_capacities : bool;
   control_period : float;
   collision_prob : float;
   route_reclaim : bool;
-  price_drain : float;
   recovery : Recovery.config option;
   buffers : buffers option;
 }
@@ -41,21 +35,19 @@ type config = {
 let default_config =
   {
     frame_bytes = 12000;
-    queue_limit = 100;
     delta = 0.0;
-    gamma_alpha = 0.02;
-    cc_gain = 50.0;
     enable_cc = true;
-    adaptive_alpha = true;
     delay_equalize = false;
-    estimate_capacities = true;
     control_period = 0.1;
     collision_prob = 0.12;
     route_reclaim = false;
-    price_drain = 0.0;
     recovery = None;
     buffers = None;
   }
+
+let queue_limit = 100
+let gamma_alpha = 0.02
+let cc_gain = 50.0
 
 type flow_result = {
   received_bytes : int;
@@ -159,9 +151,10 @@ type flow_state = {
   injected_window : float array;
   dead_acks : int array;
   (* self-healing (config.recovery, UDP only): the route-death
-     detector, the reclaim-probe attempt counters, and the
-     routing-estimated rates restored when a dead route heals *)
-  detector : Recovery.Detector.t option;
+     detector with the run's backoff policy and jitter stream, the
+     reclaim-probe attempt counters, and the routing-estimated rates
+     restored when a dead route heals *)
+  healing : (Recovery.Detector.t * Recovery.config * Rng.t) option;
   reclaim_attempt : int array;
   (* Probe-chain generation per route: bumped on every route death so
      probes scheduled by an earlier outage become stale no-ops instead
@@ -196,8 +189,7 @@ let run ?(config = default_config) ?invariants ?trace ?flight ?prof
   (* Observability: an explicit sink wins; otherwise a process-global
      metrics registry (--metrics / EMPOWER_METRICS) attaches a
      recorder. Sinks only observe — they consume no randomness and
-     mutate no engine state, so results are identical either way; with
-     no sink every emission site is a single branch on [trace_on]. *)
+     mutate no engine state, so results are identical either way. *)
   let recorder =
     match trace with
     | Some _ -> None
@@ -212,13 +204,6 @@ let run ?(config = default_config) ?invariants ?trace ?flight ?prof
     | None, Some r -> Some (Obs.Recorder.sink r)
     | None, None -> None
   in
-  let trace_on = Option.is_some trace in
-  (* Hot emission sites use the two-step [accept]/[push] protocol on
-     this sink so a sampled sink ([Trace.sampled]) skips even the
-     construction of the event record for discarded offers; [emit]
-     stays for cold (per-control-tick or rarer) sites. *)
-  let sink = match trace with Some s -> s | None -> Obs.Trace.of_fn ignore in
-  let emit ev = if trace_on then Obs.Trace.emit sink ev in
   (* Flight recorder: explicit argument, or ambient via EMPOWER_FLIGHT
      (the always-on crash recorder). Like a sink it only observes —
      no randomness, no engine state — so results are bit-identical
@@ -230,6 +215,11 @@ let run ?(config = default_config) ?invariants ?trace ?flight ?prof
     | None -> if Obs.Flight.env_enabled () then Some (Obs.Flight.of_env ()) else None
   in
   let fl_on = Option.is_some flight in
+  (* One observation stream: every emission site writes its event once,
+     into the ring, and the ring offers each row to the sink (a
+     one-slot ring stands in when only a sink is given). With neither,
+     every site is a single never-taken branch on [obs_on]. *)
+  let obs_on = fl_on || Option.is_some trace in
   let fl =
     match flight with Some f -> f | None -> Obs.Flight.create ~capacity:1 ()
   in
@@ -325,16 +315,12 @@ let run ?(config = default_config) ?invariants ?trace ?flight ?prof
   (* Recovery randomness (backoff jitter) lives on its own stream,
      split off only when recovery is enabled — a run with recovery off
      consumes exactly the historical draw sequence. *)
-  let rec_rng =
-    match config.recovery with Some _ -> Some (Rng.split rng) | None -> None
+  let recovery =
+    match config.recovery with Some rc -> Some (rc, Rng.split rng) | None -> None
   in
   let d_est l =
-    if config.estimate_capacities then begin
-      let e = Estimator.estimate links.(l).estimator in
-      if e <= 0.01 then 100.0 else 1.0 /. e
-    end
-    else if cap l <= 0.0 then infinity
-    else 1.0 /. cap l
+    let e = Estimator.estimate links.(l).estimator in
+    if e <= 0.01 then 100.0 else 1.0 /. e
   in
   let gamma = Array.make n_links 0.0 in
   (* Only links on some flow's route ever carry data-plane traffic;
@@ -509,11 +495,9 @@ let run ?(config = default_config) ?invariants ?trace ?flight ?prof
       x = Array.of_list spec.init_rates;
       x_bar = Array.of_list spec.init_rates;
       alpha =
-        (if config.adaptive_alpha then
-           Alpha.create
-             ~single_path:(Array.length routes <= 1)
-             ~longest_route_hops:longest
-         else Alpha.fixed 0.02);
+        Alpha.create
+          ~single_path:(Array.length routes <= 1)
+          ~longest_route_hops:longest;
       next_seq = 0;
       active = false;
       inject_scheduled = false;
@@ -531,15 +515,17 @@ let run ?(config = default_config) ?invariants ?trace ?flight ?prof
       src_dropped = 0;
       injected_window = Array.make n_routes 0.0;
       dead_acks = Array.make n_routes 0;
-      detector =
+      healing =
         (* The reclaim probes recovery injects would corrupt TCP's
            reordering and ack machinery, so TCP flows keep the legacy
            probe-floor path (route_reclaim). *)
-        (match (config.recovery, spec.transport) with
-        | Some rc, Udp when Array.length routes > 0 ->
+        (match (recovery, spec.transport) with
+        | Some (rc, rrng), Udp when Array.length routes > 0 ->
           Some
-            (Recovery.Detector.create rc ~n_routes:(Array.length routes)
-               ~now:spec.start_time)
+            ( Recovery.Detector.create rc ~n_routes:(Array.length routes)
+                ~now:spec.start_time,
+              rc,
+              rrng )
         | _ -> None);
       reclaim_attempt = Array.make n_routes 0;
       reclaim_gen = Array.make n_routes 0;
@@ -624,9 +610,9 @@ let run ?(config = default_config) ?invariants ?trace ?flight ?prof
       (* With a shared byte pool the per-queue frame bound is pool
          capacity in frames, not the (bypassed) legacy limit. *)
       match config.buffers with
-      | None -> config.queue_limit
+      | None -> queue_limit
       | Some b ->
-        max config.queue_limit ((b.pool_bytes / max 1 config.frame_bytes) + 1)
+        max queue_limit ((b.pool_bytes / max 1 config.frame_bytes) + 1)
     in
     Invariants.configure t ~n_links ~queue_limit:inv_queue_limit
       ~frame_bytes:config.frame_bytes ~control_period:config.control_period;
@@ -669,13 +655,26 @@ let run ?(config = default_config) ?invariants ?trace ?flight ?prof
   let inv_deliver f =
     match inv with Some t -> Invariants.on_deliver t ~now:now.(0) ~flow:f | None -> ()
   in
-  let inv_drop ~link ~reason f =
+  let inv_collision l f =
     match inv with
-    | Some t -> Invariants.on_drop t ~now:now.(0) ~flow:f ~link ~reason
+    | Some t ->
+      Invariants.on_drop t ~now:now.(0) ~flow:f ~link:(Some l) ~reason:`Collision
     | None -> ()
   in
   (* Split per event kind so the polymorphic-variant payload is only
-     constructed when a checker is attached. *)
+     constructed when a checker is attached. A frame leaving the
+     network undelivered on link [l] feeds the checker's ledger and the
+     observation stream in one call. *)
+  let drop_frame l (p : packet) reason =
+    (match inv with
+    | Some t ->
+      Invariants.on_drop t ~now:now.(0) ~flow:p.flow ~link:(Some l)
+        ~reason:(`Drop reason)
+    | None -> ());
+    if obs_on then
+      Obs.Flight.drop fl ~t_s:now.(0) ~link:(Some l) ~flow:p.flow ~seq:p.seq
+        ~reason
+  in
   let inv_release_deliver f seq =
     match inv with
     | Some t -> Invariants.on_release t ~now:now.(0) ~flow:f (`Deliver seq)
@@ -761,20 +760,7 @@ let run ?(config = default_config) ?invariants ?trace ?flight ?prof
         st.on_air <- None;
         air_clear l;
         incr queue_drops;
-        inv_drop ~link:(Some l) ~reason:Invariants.Link_down pkt.flow;
-        if fl_on then
-          Obs.Flight.drop fl ~t_s:now.(0) ~link:(Some l) ~flow:pkt.flow
-            ~seq:pkt.seq ~reason:Obs.Trace.Link_down;
-        if trace_on && Obs.Trace.accept sink then
-          Obs.Trace.push sink
-            (Obs.Trace.Drop
-               {
-                 t = now.(0);
-                 link = Some l;
-                 flow = pkt.flow;
-                 seq = pkt.seq;
-                 reason = Obs.Trace.Link_down;
-               });
+        drop_frame l pkt Obs.Trace.Link_down;
         try_start l
       end
       else begin
@@ -782,20 +768,9 @@ let run ?(config = default_config) ?invariants ?trace ?flight ?prof
            a cross-module call with a float argument boxes the
            argument and the result on every grant. *)
         let airtime = float_of_int pkt.bytes /. (cap_l *. 1e6 /. 8.0) in
-        if fl_on then
+        if obs_on then
           Obs.Flight.grant fl ~t_s:now.(0) ~link:l ~flow:pkt.flow
             ~seq:pkt.seq ~collided:st.air_collided ~airtime;
-        if trace_on && Obs.Trace.accept sink then
-          Obs.Trace.push sink
-            (Obs.Trace.Mac_grant
-               {
-                 t = now.(0);
-                 link = l;
-                 flow = pkt.flow;
-                 seq = pkt.seq;
-                 collided = st.air_collided;
-                 airtime;
-               });
         schedule airtime (Arena.tx_end l)
       end
     end
@@ -855,25 +830,12 @@ let run ?(config = default_config) ?invariants ?trace ?flight ?prof
     st.had_traffic <- true;
     let admitted =
       match config.buffers with
-      | None -> Fifo.length st.queue < config.queue_limit
+      | None -> Fifo.length st.queue < queue_limit
       | Some b -> buf_admit b l pkt.bytes
     in
     if not admitted then begin
       incr queue_drops;
-      inv_drop ~link:(Some l) ~reason:Invariants.Queue_overflow pkt.flow;
-      if fl_on then
-        Obs.Flight.drop fl ~t_s:now.(0) ~link:(Some l) ~flow:pkt.flow
-          ~seq:pkt.seq ~reason:Obs.Trace.Queue_overflow;
-      if trace_on && Obs.Trace.accept sink then
-        Obs.Trace.push sink
-          (Obs.Trace.Drop
-             {
-               t = now.(0);
-               link = Some l;
-               flow = pkt.flow;
-               seq = pkt.seq;
-               reason = Obs.Trace.Queue_overflow;
-             })
+      drop_frame l pkt Obs.Trace.Queue_overflow
     end
     else begin
       (if buf_on then begin
@@ -887,19 +849,9 @@ let run ?(config = default_config) ?invariants ?trace ?flight ?prof
            if not pkt.ce then begin
              pkt.ce <- true;
              incr ecn_marks;
-             if fl_on then
+             if obs_on then
                Obs.Flight.ecn_mark fl ~t_s:now.(0) ~link:l ~flow:pkt.flow
-                 ~seq:pkt.seq ~occ:port_occ.(l);
-             if trace_on && Obs.Trace.accept sink then
-               Obs.Trace.push sink
-                 (Obs.Trace.Ecn_mark
-                    {
-                      t = now.(0);
-                      link = l;
-                      flow = pkt.flow;
-                      seq = pkt.seq;
-                      occ = port_occ.(l);
-                    })
+                 ~seq:pkt.seq ~occ:port_occ.(l)
            end
          | _ -> ()
        end);
@@ -908,21 +860,10 @@ let run ?(config = default_config) ?invariants ?trace ?flight ?prof
          wire format's q_r ceiling). *)
       pkt.qr <- Float.min Header.qr_max (pkt.qr +. link_price l);
       Fifo.push st.queue pkt;
-      if fl_on then
+      if obs_on then
         Obs.Flight.enqueue fl ~t_s:now.(0) ~link:l ~flow:pkt.flow
           ~seq:pkt.seq ~bytes:pkt.bytes
           ~qlen:(Fifo.length st.queue);
-      if trace_on && Obs.Trace.accept sink then
-        Obs.Trace.push sink
-          (Obs.Trace.Enqueue
-             {
-               t = now.(0);
-               link = l;
-               flow = pkt.flow;
-               seq = pkt.seq;
-               bytes = pkt.bytes;
-               qlen = Fifo.length st.queue;
-             });
       try_start l
     end
   in
@@ -1073,7 +1014,6 @@ let run ?(config = default_config) ?invariants ?trace ?flight ?prof
         (tokens.(f.id) +. (rate *. 1e6 /. 8.0 *. (now.(0) -. tokens_at.(f.id))));
     tokens_at.(f.id) <- now.(0)
   in
-  let debug = Sys.getenv_opt "ENGINE_DEBUG" <> None in
   let arm_rto f =
     match f.tcp with
     | None -> ()
@@ -1128,10 +1068,6 @@ let run ?(config = default_config) ?invariants ?trace ?flight ?prof
             if config.enable_cc then
               tokens.(f.id) <- tokens.(f.id) -. float_of_int config.frame_bytes;
             inject_frame f ~bytes:config.frame_bytes ~seq;
-            if debug then
-              Printf.eprintf "%.3f tcp send seq=%d cwnd=%.1f una=%d inflight=%d rate=%.2f tokens=%.0f\n"
-                now.(0) seq (Tcp.cwnd tcp) (Tcp.snd_una tcp) (Tcp.in_flight tcp)
-                (total_rate f) tokens.(f.id);
             tcp_try_send f
         end
       end);
@@ -1225,19 +1161,9 @@ let run ?(config = default_config) ?invariants ?trace ?flight ?prof
        quantiles within 0.5% relative error, bounded memory. *)
     let delay = now.(0) -. pkt.sent_at in
     Obs.Metrics.Histogram.observe f.delay_hist delay;
-    if fl_on then
+    if obs_on then
       Obs.Flight.delivery fl ~t_s:now.(0) ~flow:f.id
         ~seq:pkt.seq ~bytes:pkt.bytes ~delay;
-    if trace_on && Obs.Trace.accept sink then
-      Obs.Trace.push sink
-        (Obs.Trace.Delivery
-           {
-             t = now.(0);
-             flow = f.id;
-             seq = pkt.seq;
-             bytes = pkt.bytes;
-             delay;
-           });
     Ack.on_packet ~ce:pkt.ce f.collector ~route:pkt.route_idx
       ~qr:pkt.qr ~seq:pkt.seq ~bytes:pkt.bytes;
     flush_bins_upto f now.(0);
@@ -1279,14 +1205,10 @@ let run ?(config = default_config) ?invariants ?trace ?flight ?prof
       st.on_air <- None;
       air_clear l;
       st.air_collided <- false;
-      inv_drop ~link:(Some l) ~reason:Invariants.Collision pkt.flow;
-      if fl_on then
+      inv_collision l pkt.flow;
+      if obs_on then
         Obs.Flight.collision fl ~t_s:now.(0) ~link:l ~flow:pkt.flow
           ~seq:pkt.seq;
-      if trace_on && Obs.Trace.accept sink then
-        Obs.Trace.push sink
-          (Obs.Trace.Collision
-             { t = now.(0); link = l; flow = pkt.flow; seq = pkt.seq });
       try_start_domain l
     | Some pkt when st.air_faulted ->
       (* Fault-injected loss: airtime spent, frame lost. Not a queue
@@ -1294,53 +1216,19 @@ let run ?(config = default_config) ?invariants ?trace ?flight ?prof
       st.on_air <- None;
       air_clear l;
       st.air_faulted <- false;
-      inv_drop ~link:(Some l) ~reason:Invariants.Fault_injected pkt.flow;
-      if fl_on then
-        Obs.Flight.drop fl ~t_s:now.(0) ~link:(Some l) ~flow:pkt.flow
-          ~seq:pkt.seq ~reason:Obs.Trace.Fault_injected;
-      if trace_on && Obs.Trace.accept sink then
-        Obs.Trace.push sink
-          (Obs.Trace.Drop
-             {
-               t = now.(0);
-               link = Some l;
-               flow = pkt.flow;
-               seq = pkt.seq;
-               reason = Obs.Trace.Fault_injected;
-             });
+      drop_frame l pkt Obs.Trace.Fault_injected;
       try_start_domain l
     | Some pkt ->
       st.on_air <- None;
       air_clear l;
-      if fl_on then
+      if obs_on then
         Obs.Flight.dequeue fl ~t_s:now.(0) ~link:l ~flow:pkt.flow
           ~seq:pkt.seq;
-      if trace_on && Obs.Trace.accept sink then
-        Obs.Trace.push sink
-          (Obs.Trace.Dequeue
-             { t = now.(0); link = l; flow = pkt.flow; seq = pkt.seq });
-      let f = flow_states.(pkt.flow) in
-      let drop_misroute () =
-        inv_drop ~link:(Some l) ~reason:Invariants.Misroute pkt.flow;
-        if fl_on then
-          Obs.Flight.drop fl ~t_s:now.(0) ~link:(Some l) ~flow:pkt.flow
-            ~seq:pkt.seq ~reason:Obs.Trace.Misroute;
-        if trace_on && Obs.Trace.accept sink then
-          Obs.Trace.push sink
-            (Obs.Trace.Drop
-               {
-                 t = now.(0);
-                 link = Some l;
-                 flow = pkt.flow;
-                 seq = pkt.seq;
-                 reason = Obs.Trace.Misroute;
-               })
-      in
       (* The layer-2.5 source-route decision, pre-resolved at
          bootstrap into the plan array. *)
       let act = plans.(pkt.flow).(pkt.route_idx).(pkt.hop) in
-      if act = plan_deliver then deliver_to_destination f pkt
-      else if act = plan_misroute then drop_misroute ()
+      if act = plan_deliver then deliver_to_destination flow_states.(pkt.flow) pkt
+      else if act = plan_misroute then drop_frame l pkt Obs.Trace.Misroute
       else begin
         pkt.hop <- pkt.hop + 1;
         enqueue_on_link act pkt
@@ -1358,10 +1246,8 @@ let run ?(config = default_config) ?invariants ?trace ?flight ?prof
      schedule. A later ack on the route restores its initial rate. *)
   let on_route_dead f i ~since det rc rrng =
     let detect_s = now.(0) -. since in
-    if fl_on then
+    if obs_on then
       Obs.Flight.route_dead fl ~t_s:now.(0) ~flow:f.id ~route:i ~detect_s;
-    if trace_on then
-      emit (Obs.Trace.Route_dead { t = now.(0); flow = f.id; route = i; detect_s });
     let dead_mass = f.x.(i) in
     f.x.(i) <- 0.0;
     f.x_bar.(i) <- 0.0;
@@ -1369,8 +1255,7 @@ let run ?(config = default_config) ?invariants ?trace ?flight ?prof
       (fun l ->
         if caps.(l) <= 0.0 && gamma.(l) > 0.0 then begin
           gamma.(l) <- 0.0;
-          if fl_on then Obs.Flight.price_reset fl ~t_s:now.(0) ~link:l;
-          if trace_on then emit (Obs.Trace.Price_reset { t = now.(0); link = l })
+          if obs_on then Obs.Flight.price_reset fl ~t_s:now.(0) ~link:l
         end)
       f.route_links.(i);
     let surv, _flood =
@@ -1405,13 +1290,9 @@ let run ?(config = default_config) ?invariants ?trace ?flight ?prof
       (Arena.reclaim_probe ~flow:f.id ~route:i ~gen:f.reclaim_gen.(i))
   in
   let on_route_restored f i ~down_for =
-    if fl_on then
+    if obs_on then
       Obs.Flight.route_restored fl ~t_s:now.(0) ~flow:f.id ~route:i
         ~down_s:down_for;
-    if trace_on then
-      emit
-        (Obs.Trace.Route_restored
-           { t = now.(0); flow = f.id; route = i; down_s = down_for });
     (* The γ accumulated around the route while it was down is stale:
        idle estimators under-report capacity, so the reclaim probes
        themselves register as huge airtime demand and spike the duals
@@ -1428,9 +1309,7 @@ let run ?(config = default_config) ?invariants ?trace ?flight ?prof
           (fun l' ->
             if gamma.(l') > 0.0 then begin
               gamma.(l') <- 0.0;
-              if fl_on then Obs.Flight.price_reset fl ~t_s:now.(0) ~link:l';
-              if trace_on then
-                emit (Obs.Trace.Price_reset { t = now.(0); link = l' })
+              if obs_on then Obs.Flight.price_reset fl ~t_s:now.(0) ~link:l'
             end)
           (Domain.domain dom l))
       f.route_links.(i);
@@ -1439,16 +1318,24 @@ let run ?(config = default_config) ?invariants ?trace ?flight ?prof
     f.x_bar.(i) <- restore;
     f.reclaim_attempt.(i) <- 0
   in
+  (* The §4.3 proximal rate update of route [i] from the q_r its ACK
+     reported. It floors at the probe rate: a route priced out of use
+     must still carry occasional packets, or its q_r would never
+     refresh and the route could never be reclaimed when conditions
+     improve (e.g. the Figure 9 contender leaving). *)
+  let proximal_update f i ~a ~u' ~qr =
+    let inner = Float.max 0.0 (f.x_bar.(i) +. (cc_gain *. (u' -. qr))) in
+    f.x.(i) <- Float.max probe_rate (((1.0 -. a) *. f.x.(i)) +. (a *. inner))
+  in
   let cc_update f (ack : Ack.t) =
     if config.enable_cc && Array.length f.routes > 0 then begin
       let a = Alpha.current f.alpha in
-      let xf = total_rate f in
-      let u' = 1.0 /. (1.0 +. xf) in
+      let u' = Utility.proportional_fair.Utility.u' (total_rate f) in
       List.iter
         (fun (r : Ack.route_report) ->
           let i = r.Ack.route in
-          match (f.detector, config.recovery, rec_rng) with
-          | Some det, Some rc, Some rrng -> (
+          match f.healing with
+          | Some (det, rc, rrng) -> (
             let injected = f.injected_window.(i) in
             f.injected_window.(i) <- 0.0;
             match
@@ -1462,13 +1349,8 @@ let run ?(config = default_config) ?invariants ?trace ?flight ?prof
               on_route_restored f i ~down_for
             | Recovery.Detector.Still_down -> () (* rate held at zero *)
             | Recovery.Detector.Alive | Recovery.Detector.Suspect _ ->
-              let inner =
-                Float.max 0.0
-                  (f.x_bar.(i) +. (config.cc_gain *. (u' -. r.Ack.qr)))
-              in
-              f.x.(i) <-
-                Float.max probe_rate (((1.0 -. a) *. f.x.(i)) +. (a *. inner)))
-          | _ ->
+              proximal_update f i ~a ~u' ~qr:r.Ack.qr)
+          | None ->
             (* Failure detection (Section 6.1: link failures are caught
                within hundreds of ms): a route we keep feeding that
                returns no bytes for several ACK periods is treated as
@@ -1490,37 +1372,16 @@ let run ?(config = default_config) ?invariants ?trace ?flight ?prof
               f.x.(i) <- Float.max floor_r (f.x.(i) *. 0.5);
               f.x_bar.(i) <- Float.max floor_r (f.x_bar.(i) *. 0.5)
             end
-            else begin
-              let inner =
-                Float.max 0.0
-                  (f.x_bar.(i) +. (config.cc_gain *. (u' -. r.Ack.qr)))
-              in
-              (* Keep a small probe rate on every configured route: a
-                 route priced out of use must still carry occasional
-                 packets, or its q_r would never refresh and the route
-                 could never be reclaimed when conditions improve
-                 (e.g. the Figure 9 contender leaving). *)
-              f.x.(i) <-
-                Float.max probe_rate (((1.0 -. a) *. f.x.(i)) +. (a *. inner))
-            end)
+            else proximal_update f i ~a ~u' ~qr:r.Ack.qr)
         ack.Ack.reports;
       for i = 0 to Array.length f.x - 1 do
         f.x_bar.(i) <- ((1.0 -. a) *. f.x_bar.(i)) +. (a *. f.x.(i))
       done;
       Alpha.observe f.alpha (total_rate f);
-      (* Boxed kind: construct the event once and share it between the
-         flight ring and the sink; run [accept] exactly once per offer. *)
-      if fl_on || trace_on then begin
-        let keep = trace_on && Obs.Trace.accept sink in
-        if fl_on || keep then begin
-          let ev =
-            Obs.Trace.Rate_update
-              { t = now.(0); flow = f.id; rates = Array.copy f.x }
-          in
-          if fl_on then Obs.Flight.event fl ev;
-          if keep then Obs.Trace.push sink ev
-        end
-      end;
+      if obs_on then
+        Obs.Flight.event fl
+          (Obs.Trace.Rate_update
+             { t = now.(0); flow = f.id; rates = Array.copy f.x });
       (match inv with
       | Some t -> Invariants.on_rate t ~flow:f.id ~rate:(total_rate f)
       | None -> ());
@@ -1552,70 +1413,47 @@ let run ?(config = default_config) ?invariants ?trace ?flight ?prof
           done;
           facc.(0)
         in
-        let upd = gamma.(l) +. (config.gamma_alpha *. (y -. (1.0 -. config.delta))) in
-        (* Optional dual leak (per second of simulated time): bounds
-           how long a stale price outlives its load. Off by default —
-           the guard keeps the historical update bit-identical. *)
-        let upd =
-          if config.price_drain > 0.0 then
-            upd -. (config.price_drain *. config.control_period)
-          else upd
-        in
+        let upd = gamma.(l) +. (gamma_alpha *. (y -. (1.0 -. config.delta))) in
         gamma.(l) <- Float.max 0.0 upd)
       priced_links;
-    if fl_on || trace_on then
+    if obs_on then
       List.iter
         (fun l ->
-          if fl_on then
-            Obs.Flight.price fl ~t_s:now.(0) ~link:l ~gamma:gamma.(l)
-              ~price:(link_price l);
-          if trace_on && Obs.Trace.accept sink then
-            Obs.Trace.push sink
-              (Obs.Trace.Price_update
-                 { t = now.(0); link = l; gamma = gamma.(l); price = link_price l }))
+          Obs.Flight.price fl ~t_s:now.(0) ~link:l ~gamma:gamma.(l)
+            ~price:(link_price l))
         priced_links;
     (* 2. Capacity estimation (only carriers are ever priced or
        transmitted on, so only they need tracking). *)
-    if config.estimate_capacities then
-      List.iter
-        (fun l ->
-          let st = links.(l) in
-          Estimator.set_mode st.estimator
-            (if st.had_traffic then Estimator.Active_traffic else Estimator.Probing);
-          st.had_traffic <- false;
-          Estimator.observe st.estimator ~now:now.(0) ~true_capacity:(cap l))
-        carrier_links;
+    List.iter
+      (fun l ->
+        let st = links.(l) in
+        Estimator.set_mode st.estimator
+          (if st.had_traffic then Estimator.Active_traffic else Estimator.Probing);
+        st.had_traffic <- false;
+        Estimator.observe st.estimator ~now:now.(0) ~true_capacity:(cap l))
+      carrier_links;
     (* 3. Destination ACK emission + trace recording. *)
     Array.iter
       (fun f ->
         if f.active then begin
           let ack = Ack.emit f.collector ~now:now.(0) in
-          (* Boxed kind: construct once, share between flight ring and
-             sink; run [accept] exactly once per offer. *)
-          if fl_on || trace_on then begin
-            let keep = trace_on && Obs.Trace.accept sink in
-            if fl_on || keep then begin
-              let ev =
-                Obs.Trace.Ack
-                  {
-                    t = now.(0);
-                    flow = f.id;
-                    qr =
-                      Array.of_list
-                        (List.map
-                           (fun (r : Ack.route_report) -> r.Ack.qr)
-                           ack.Ack.reports);
-                    bytes =
-                      Array.of_list
-                        (List.map
-                           (fun (r : Ack.route_report) -> r.Ack.bytes)
-                           ack.Ack.reports);
-                  }
-              in
-              if fl_on then Obs.Flight.event fl ev;
-              if keep then Obs.Trace.push sink ev
-            end
-          end;
+          if obs_on then
+            Obs.Flight.event fl
+              (Obs.Trace.Ack
+                 {
+                   t = now.(0);
+                   flow = f.id;
+                   qr =
+                     Array.of_list
+                       (List.map
+                          (fun (r : Ack.route_report) -> r.Ack.qr)
+                          ack.Ack.reports);
+                   bytes =
+                     Array.of_list
+                       (List.map
+                          (fun (r : Ack.route_report) -> r.Ack.bytes)
+                          ack.Ack.reports);
+                 });
           (* Control-plane faults: the report may be dropped (that
              window's q_r observations are simply gone, as on a real
              lossy reverse path) or delayed. The draw happens only
@@ -1652,10 +1490,8 @@ let run ?(config = default_config) ?invariants ?trace ?flight ?prof
       in
       let was_dead = caps.(l) <= 0.0 in
       caps.(l) <- Float.max 0.0 c;
-      if fl_on then
+      if obs_on then
         Obs.Flight.link_event fl ~t_s:now.(0) ~link:l ~capacity:caps.(l);
-      if trace_on then
-        emit (Obs.Trace.Link_event { t = now.(0); link = l; capacity = caps.(l) });
       (* A dead link drops its backlog; a healthier one may start. *)
       if caps.(l) <= 0.0 then begin
         let st = links.(l) in
@@ -1665,20 +1501,7 @@ let run ?(config = default_config) ?invariants ?trace ?flight ?prof
         Fifo.iter
           (fun p ->
             if buf_on then buf_release l p.bytes;
-            inv_drop ~link:(Some l) ~reason:Invariants.Backlog_cleared p.flow;
-            if fl_on then
-              Obs.Flight.drop fl ~t_s:now.(0) ~link:(Some l) ~flow:p.flow
-                ~seq:p.seq ~reason:Obs.Trace.Backlog_cleared;
-            if trace_on && Obs.Trace.accept sink then
-              Obs.Trace.push sink
-                (Obs.Trace.Drop
-                   {
-                     t = now.(0);
-                     link = Some l;
-                     flow = p.flow;
-                     seq = p.seq;
-                     reason = Obs.Trace.Backlog_cleared;
-                   }))
+            drop_frame l p Obs.Trace.Backlog_cleared)
           st.queue;
         Fifo.clear st.queue
       end
@@ -1699,9 +1522,7 @@ let run ?(config = default_config) ?invariants ?trace ?flight ?prof
             (fun l' ->
               if gamma.(l') > 0.0 then begin
                 gamma.(l') <- 0.0;
-                if fl_on then Obs.Flight.price_reset fl ~t_s:now.(0) ~link:l';
-                if trace_on then
-                  emit (Obs.Trace.Price_reset { t = now.(0); link = l' })
+                if obs_on then Obs.Flight.price_reset fl ~t_s:now.(0) ~link:l'
               end)
             (Domain.domain dom l);
           (* The capacity estimate is just as stale as the price: it
@@ -1711,8 +1532,7 @@ let run ?(config = default_config) ?invariants ?trace ?flight ?prof
              control periods. Restart it from a fresh observation —
              the draw comes from the estimator's own per-link rng
              stream, so no other link's sequence shifts. *)
-          if config.estimate_capacities then
-            Estimator.reset links.(l).estimator ~now:now.(0) ~capacity:caps.(l)
+          Estimator.reset links.(l).estimator ~now:now.(0) ~capacity:caps.(l)
         | _ -> ());
         try_start l
       end
@@ -1725,9 +1545,7 @@ let run ?(config = default_config) ?invariants ?trace ?flight ?prof
         p
       in
       loss.(l) <- p;
-      if fl_on then Obs.Flight.loss_event fl ~t_s:now.(0) ~link:l ~prob:p;
-      if trace_on then
-        emit (Obs.Trace.Loss_event { t = now.(0); link = l; prob = p })
+      if obs_on then Obs.Flight.loss_event fl ~t_s:now.(0) ~link:l ~prob:p
     | 12 (* Ctrl_change *) ->
       let p, d =
         let slot = Arena.slot4 code in
@@ -1737,9 +1555,7 @@ let run ?(config = default_config) ?invariants ?trace ?flight ?prof
       in
       ctrl_drop.(0) <- p;
       ctrl_delay.(0) <- d;
-      if fl_on then Obs.Flight.ctrl_event fl ~t_s:now.(0) ~drop:p ~delay:d;
-      if trace_on then
-        emit (Obs.Trace.Ctrl_event { t = now.(0); drop = p; delay = d })
+      if obs_on then Obs.Flight.ctrl_event fl ~t_s:now.(0) ~drop:p ~delay:d
     | 1 (* Inject *) -> (
       let f = flow_states.(Arena.flow_wide code) in
       match f.spec.transport with
@@ -1794,8 +1610,8 @@ let run ?(config = default_config) ?invariants ?trace ?flight ?prof
       let fid = Arena.flow code in
       let i = Arena.probe_route code and gen = Arena.probe_gen code in
       let f = flow_states.(fid) in
-      match (f.detector, config.recovery, rec_rng) with
-      | Some det, Some rc, Some rrng
+      match f.healing with
+      | Some (det, rc, rrng)
         when f.active && gen = f.reclaim_gen.(i)
              && Recovery.Detector.dead det i ->
         (* One frame down the dead route; its delivery (and the ack
@@ -1805,13 +1621,9 @@ let run ?(config = default_config) ?invariants ?trace ?flight ?prof
           ~seq:(f.next_seq land 0xFFFFFFFF);
         f.next_seq <- f.next_seq + 1;
         f.sent_bytes <- f.sent_bytes + config.frame_bytes;
-        if fl_on then
+        if obs_on then
           Obs.Flight.route_probe fl ~t_s:now.(0) ~flow:fid ~route:i
             ~attempt:f.reclaim_attempt.(i);
-        if trace_on then
-          emit
-            (Obs.Trace.Route_probe
-               { t = now.(0); flow = fid; route = i; attempt = f.reclaim_attempt.(i) });
         f.reclaim_attempt.(i) <- f.reclaim_attempt.(i) + 1;
         schedule
           (Recovery.Backoff.delay rc rrng ~attempt:f.reclaim_attempt.(i))
@@ -1940,18 +1752,24 @@ let run ?(config = default_config) ?invariants ?trace ?flight ?prof
   in
   let loop () = match prof with None -> loop () | Some p -> loop_prof p in
   let wall_start = Sys.time () in
-  (* A flight-enabled run that dies dumps the ring before re-raising:
+  (* The sink is attached for the event loop only: a caller's ring
+     reused by a later run must not feed this run's sink. A
+     flight-enabled run that dies dumps the ring before re-raising:
      every escaped exception — invariant violations included — becomes
      a replayable JSONL artifact. *)
-  (try loop ()
-   with e when fl_on ->
-     let bt = Printexc.get_raw_backtrace () in
-     (match Obs.Flight.dump fl with
-     | Ok (path, n) ->
-       Printf.eprintf "[flight] %s: dumped last %d events to %s\n%!"
-         (Printexc.to_string e) n path
-     | Error msg -> Printf.eprintf "[flight] dump failed: %s\n%!" msg);
-     Printexc.raise_with_backtrace e bt);
+  Obs.Flight.set_sink fl trace;
+  Fun.protect
+    ~finally:(fun () -> Obs.Flight.set_sink fl None)
+    (fun () ->
+      try loop ()
+      with e when fl_on ->
+        let bt = Printexc.get_raw_backtrace () in
+        (match Obs.Flight.dump fl with
+        | Ok (path, n) ->
+          Printf.eprintf "[flight] %s: dumped last %d events to %s\n%!"
+            (Printexc.to_string e) n path
+        | Error msg -> Printf.eprintf "[flight] dump failed: %s\n%!" msg);
+        Printexc.raise_with_backtrace e bt);
   let wall_s = Sys.time () -. wall_start in
   now.(0) <- duration;
   (match recorder with

@@ -29,10 +29,11 @@
     window and the estimated capacities, exchanges the per-technology
     aggregates with its interference neighborhood (the paper's
     broadcast packets; modeled as instantaneous overhearing), and
-    updates the dual variables γ_l. Sources apply the proximal
-    multipath update on each ACK. Link capacities are known only
-    through {!Estimator}s (precise under traffic, coarser when
-    probing).
+    updates the dual variables γ_l (step 0.02). Sources apply the
+    proximal multipath update on each ACK (gain 50, proportional-fair
+    utility, step size from the Section 6.1 {!Alpha} heuristic). Link
+    capacities, and hence prices, are known only through
+    {!Estimator}s (precise under traffic, coarser when probing).
 
     {b Transports.} UDP (rate-driven by the controller, or fixed
     rates without CC) and the Reno TCP of {!Tcp} (window-driven, with
@@ -86,14 +87,9 @@ type buffers = {
 
 type config = {
   frame_bytes : int;        (** aggregate frame payload (default 12000) *)
-  queue_limit : int;        (** per-link queue capacity, frames (default 100) *)
   delta : float;            (** constraint margin δ (default 0) *)
-  gamma_alpha : float;      (** dual step size (default 0.02) *)
-  cc_gain : float;          (** proximal gain (default 50) *)
   enable_cc : bool;         (** false: inject at [init_rates] forever *)
-  adaptive_alpha : bool;    (** use the Section 6.1 α heuristic *)
   delay_equalize : bool;    (** destination-side delay equalization *)
-  estimate_capacities : bool; (** true: prices use Estimator output *)
   control_period : float;   (** controller/ACK period (default 0.1 s) *)
   collision_prob : float;
       (** CSMA/CA contention losses: a transmission starting while [m]
@@ -113,16 +109,6 @@ type config = {
           failed route stays abandoned even after repair). Ignored on
           UDP flows when [recovery] is set (the detector-driven probes
           replace the fixed floor). *)
-  price_drain : float;
-      (** Per-second dual leak applied at every control tick before
-          the positive projection:
-          [γ_l ← [γ_l + α (y_l - (1-δ)) - price_drain·T]+]. Without
-          it a stale price decays only at α·(1-δ) per tick — about
-          0.03/s with the defaults, the hysteresis that dominated
-          full-severance recovery before the recovery subsystem.
-          Default 0 (the paper's exact update, bit-identical to the
-          historical behaviour); {!Multi_cc.solve} exposes the same
-          knob per slot as [price_drain]. *)
   recovery : Recovery.config option;
       (** Self-healing control plane (default [None] — no behaviour
           or randomness change whatsoever). When set, each UDP flow
@@ -144,10 +130,10 @@ type config = {
           sequence, and equal seeds stay bit-identical with it on. *)
   buffers : buffers option;
       (** Finite per-node shared buffers (default [None] — the legacy
-          per-queue [queue_limit] frame check, byte-identical to the
+          per-queue {!queue_limit} frame check, byte-identical to the
           historical behaviour). When set, admission to a node's MAC
           queues is arbitrated in {e bytes} against the node's shared
-          pool under [policy], {e replacing} the [queue_limit] frame
+          pool under [policy], {e replacing} the {!queue_limit} frame
           check; rejected frames count as queue drops exactly like
           legacy overflows. Admission and ECN marking are pure
           functions of buffer occupancy and consume {e no} randomness,
@@ -155,6 +141,10 @@ type config = {
 }
 
 val default_config : config
+
+val queue_limit : int
+(** Per-link queue capacity in frames (100) while [config.buffers] is
+    unset. *)
 
 type flow_result = {
   received_bytes : int;
@@ -200,7 +190,7 @@ type result = {
   duration : float;
   queue_drops : int;
       (** total MAC queue overflows — buffer-admission rejections when
-          [config.buffers] is set, [queue_limit] overflows otherwise,
+          [config.buffers] is set, {!queue_limit} overflows otherwise,
           plus backlogs flushed by link deaths in both modes *)
   ecn_marks : int;          (** frames CE-marked on admission (0 without
                                 an [ecn_threshold_bytes]) *)
@@ -277,30 +267,33 @@ val run :
     one, so a whole experiment binary can be audited without code
     changes. Expect a 2-4x slowdown with checking on.
 
-    {b Tracing.} Passing [~trace:sink] streams every datapath and
-    control-plane event of the run into the {!Obs.Trace.sink} (frame
-    enqueue/grant/dequeue/collision/drop/delivery, price and rate
-    updates, ACK emissions, link capacity changes). A sink only
-    observes: it consumes no randomness and mutates no engine state,
-    so results are bit-identical with and without one, and with no
-    sink each emission site is a single never-taken branch (no event
-    values are allocated). Without an explicit sink, an installed
+    {b Observation.} Passing [~trace:sink] streams every datapath
+    and control-plane event of the run (frame
+    enqueue/grant/dequeue/collision/drop/delivery, ECN marks, price
+    and rate updates, ACK emissions, link, loss and control-plane
+    fault changes, route deaths, probes and restores) into the
+    {!Obs.Trace.sink}; passing [~flight:ring] (or setting the
+    [EMPOWER_FLIGHT] environment variable — see {!Obs.Flight.of_env})
+    records them into a pre-allocated fixed-capacity ring with no
+    per-event allocation. Each event is written once, into the ring
+    (a one-slot stand-in when only a sink is given), which offers
+    every row to the sink for the duration of the run: the ring sees
+    every event, the sink sees the subset its sampling
+    ({!Obs.Trace.sampled}) accepts, with one {!Obs.Trace.accept} per
+    event and, except for the two array-carrying kinds (rate updates
+    and ACKs), the event record built only for accepted offers; a
+    ring dump is therefore the tail of an unsampled sink's trace.
+    Sinks and rings only observe: they consume no randomness and
+    mutate no engine state, so results are bit-identical with and
+    without them, and with neither each emission site is a single
+    never-taken branch. Without an explicit sink, an installed
     {!Obs.Runtime} metrics registry (the harness's [--metrics] flag,
     or the [EMPOWER_METRICS] environment variable) attaches an
-    {!Obs.Recorder} for the duration of the run. A sampled sink
-    ({!Obs.Trace.sampled}) is honoured cheaply: the engine asks
-    {!Obs.Trace.accept} before constructing an event record, so
-    sampled-out offers cost one branch and one counter decrement.
-
-    {b Flight recorder.} Passing [~flight:ring] (or setting the
-    [EMPOWER_FLIGHT] environment variable — see {!Obs.Flight.of_env})
-    records every trace event into a pre-allocated fixed-capacity
-    ring with no per-event allocation. Like a sink it only observes,
-    so results stay bit-identical. If any exception escapes the event
-    loop — an {!Invariants.Violation} included — the ring is dumped
-    to JSONL ({!Obs.Flight.dump}) before the exception is re-raised
-    with its original backtrace, making every mid-run failure a
-    replayable artifact.
+    {!Obs.Recorder} for the duration of the run. If any exception
+    escapes the event loop — an {!Invariants.Violation} included — a
+    caller's or ambient ring is dumped to JSONL ({!Obs.Flight.dump})
+    before the exception is re-raised with its original backtrace,
+    making every mid-run failure a replayable artifact.
 
     {b Profiling.} Passing [~prof:p] brackets every handled event
     with {!Obs.Prof.enter}/{!Obs.Prof.leave}, attributing wall time

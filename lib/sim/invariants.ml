@@ -1,19 +1,3 @@
-type reason =
-  | Queue_overflow
-  | Link_down
-  | Collision
-  | Misroute
-  | Backlog_cleared
-  | Fault_injected
-
-let reason_name = function
-  | Queue_overflow -> "queue-overflow"
-  | Link_down -> "link-down"
-  | Collision -> "collision"
-  | Misroute -> "misroute"
-  | Backlog_cleared -> "backlog-cleared"
-  | Fault_injected -> "fault-injected"
-
 type violation = {
   time : float;
   rule : string;
@@ -153,7 +137,10 @@ let on_drop t ~now ~flow ~link ~reason =
   if a.delivered + a.dropped > a.injected then
     report t ~time:now ~rule:"flow-conservation" ?link ~flow
       (Printf.sprintf "drop (%s): delivered %d + dropped %d exceeds injected %d"
-         (reason_name reason) a.delivered a.dropped a.injected)
+         (match reason with
+         | `Drop r -> Obs.Trace.drop_reason_name r
+         | `Collision -> "collision")
+         a.delivered a.dropped a.injected)
 
 let on_release t ~now ~flow ev =
   let a = t.flows.(flow) in

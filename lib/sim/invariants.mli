@@ -24,16 +24,6 @@
     carrying a structured report; with [~mode:`Collect] violations
     accumulate instead and are read back with {!violations}. *)
 
-type reason =
-  | Queue_overflow   (** arriving frame hit a full FIFO *)
-  | Link_down        (** head-of-line frame on a zero-capacity link *)
-  | Collision        (** CSMA collision consumed the frame *)
-  | Misroute         (** no next hop matched the source route *)
-  | Backlog_cleared  (** link failure flushed its queue *)
-  | Fault_injected   (** a fault plan's loss window consumed the frame *)
-
-val reason_name : reason -> string
-
 type violation = {
   time : float;          (** simulation time of the failing check *)
   rule : string;         (** e.g. ["frame-conservation"] *)
@@ -100,8 +90,15 @@ val on_probe : t -> now:float -> flow:int -> unit
 val on_deliver : t -> now:float -> flow:int -> unit
 (** A frame reached its destination node. *)
 
-val on_drop : t -> now:float -> flow:int -> link:int option -> reason:reason -> unit
-(** A frame left the network without being delivered. *)
+val on_drop :
+  t ->
+  now:float ->
+  flow:int ->
+  link:int option ->
+  reason:[ `Drop of Obs.Trace.drop_reason | `Collision ] ->
+  unit
+(** A frame left the network without being delivered, in the trace's
+    vocabulary: a [drop] event with its reason, or a [collision]. *)
 
 val on_release : t -> now:float -> flow:int -> [ `Deliver of int | `Lost of int ] -> unit
 (** The reorder buffer released sequence [seq] (delivered in order,

@@ -653,7 +653,7 @@ let prop_huge_pool_matches_legacy =
            every field the new counters excepted. *)
         let n_links = Array.length (Multigraph.links c.Prop_gen.g) in
         let pool_bytes =
-          (n_links + 1) * Engine.default_config.Engine.queue_limit * fb * 8
+          (n_links + 1) * Engine.queue_limit * fb * 8
         in
         let run config =
           Engine.strip_perf

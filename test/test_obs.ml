@@ -572,7 +572,7 @@ let test_flight_invariant_dump () =
             incr seen;
             if !seen = 200 then
               Invariants.on_drop inv ~now:(Obs.Trace.time ev) ~flow:0
-                ~link:None ~reason:Invariants.Misroute)
+                ~link:None ~reason:(`Drop Obs.Trace.Misroute))
       in
       (match
          Engine.run ~invariants:inv ~trace:sabotage ~flight:fl (Rng.create 7)
@@ -580,6 +580,10 @@ let test_flight_invariant_dump () =
        with
       | _ -> Alcotest.fail "sabotaged run must raise Violation"
       | exception Invariants.Violation _ -> ());
+      let seen_at_raise = !seen in
+      Obs.Flight.event fl (Obs.Trace.Price_reset { t = 0.0; link = 0 });
+      Alcotest.(check int) "sink detached on the exception path" seen_at_raise
+        !seen;
       match Obs.Summary.read_file path with
       | Error m -> Alcotest.failf "flight dump not strictly replayable: %s" m
       | Ok evs ->
@@ -587,6 +591,100 @@ let test_flight_invariant_dump () =
         let s = Obs.Summary.of_events ~duration:3.0 evs in
         Alcotest.(check int) "replay folds every dumped line"
           (List.length evs) s.Obs.Summary.events)
+
+(* ---------- one observation stream ---------- *)
+
+(* The engine writes each event once, into the flight ring, which
+   offers every row to the run's sink. These pin that contract: the
+   bytes of the reference traces and of a forced flight dump, the ring
+   as the tail of the sink's stream, sampling applied to the sink
+   only, and no leak from a reused ring into an earlier run's sink. *)
+
+let md5_of_file write =
+  let path = Filename.temp_file "empower_stream" ".jsonl" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      write path;
+      Digest.to_hex (Digest.file path))
+
+let trace_md5 name =
+  md5_of_file (fun path ->
+      let sc =
+        match Tracing.find name with
+        | Some sc -> sc
+        | None -> Alcotest.failf "trace scenario %s missing" name
+      in
+      let oc = open_out path in
+      Fun.protect
+        ~finally:(fun () -> close_out oc)
+        (fun () -> ignore (sc.Tracing.exec ~trace:(Obs.Trace.to_channel oc) ())))
+
+let test_stream_trace_digests () =
+  (* Digests of [empower_eval trace mini|failure] output. *)
+  Alcotest.(check string) "mini trace" "f5638e9c39764c45d4c5196d48b165b9"
+    (trace_md5 "mini");
+  Alcotest.(check string) "failure trace" "77297c248ab42027f8973a26d3503bad"
+    (trace_md5 "failure")
+
+let test_stream_flight_digest () =
+  (* The forced dump of [empower_eval chaos --sever --no-recovery
+     --seed 13 --flight F]: the flow never recovers, the default ring
+     wraps, and its last 65536 events are dumped. *)
+  let digest =
+    md5_of_file (fun path ->
+        let ring = Obs.Flight.create ~dump_path:path () in
+        ignore
+          (Chaos.run ~flight:ring ~intensity:Fault.Gen.Severing ~recovery:false
+             ~seed:13 ());
+        match Obs.Flight.dump ring with
+        | Ok (_, n) -> Alcotest.(check int) "full ring dumped" 65536 n
+        | Error m -> Alcotest.failf "dump: %s" m)
+  in
+  Alcotest.(check string) "severance flight dump" "af90350132c5451184db28b25695cc97"
+    digest
+
+let stream_run ?trace ?flight () =
+  let g, dom = small_net () in
+  let flows = [ saturated_flow g dom ~src:0 ~dst:2 ] in
+  ignore (Engine.run ?trace ?flight (Rng.create 7) g dom ~flows ~duration:2.0)
+
+let test_stream_ring_is_tail () =
+  let cap = 1000 in
+  let ring = Obs.Flight.create ~capacity:cap () in
+  let sink, got = Obs.Trace.collector () in
+  stream_run ~trace:sink ~flight:ring ();
+  let all = got () in
+  Alcotest.(check bool) "run wraps the ring" true (List.length all > cap);
+  Alcotest.(check int) "ring recorded every event" (List.length all)
+    (Obs.Flight.recorded ring);
+  if Obs.Flight.events ring <> last_n cap all then
+    Alcotest.fail "ring is not the tail of the sink's stream"
+
+let test_stream_sampling_sink_only () =
+  let n =
+    let sink, count = Obs.Trace.counter () in
+    stream_run ~trace:sink ();
+    count ()
+  in
+  let ring = Obs.Flight.create () in
+  let sink, count = Obs.Trace.counter () in
+  stream_run ~trace:(Obs.Trace.sampled ~every:16 sink) ~flight:ring ();
+  Alcotest.(check int) "ring records the unsampled count" n
+    (Obs.Flight.recorded ring);
+  Alcotest.(check int) "sink sees ceil (n/16)" ((n + 15) / 16) (count ())
+
+let test_stream_reused_ring_detached () =
+  let ring = Obs.Flight.create ~capacity:64 () in
+  let sink, count = Obs.Trace.counter () in
+  stream_run ~trace:sink ~flight:ring ();
+  let first = count () and recorded = Obs.Flight.recorded ring in
+  Obs.Flight.event ring (Obs.Trace.Price_reset { t = 0.0; link = 0 });
+  Alcotest.(check int) "sink detached when the run ended" first (count ());
+  stream_run ~flight:ring ();
+  Alcotest.(check bool) "second run wrote to the ring" true
+    (Obs.Flight.recorded ring > recorded + 1);
+  Alcotest.(check int) "first run's sink saw nothing more" first (count ())
 
 (* ---------- Metrics.merge histogram accuracy ---------- *)
 
@@ -663,6 +761,19 @@ let () =
             test_flight_wraparound;
           Alcotest.test_case "invariant violation dumps the ring" `Quick
             test_flight_invariant_dump;
+        ] );
+      ( "stream",
+        [
+          Alcotest.test_case "reference trace digests" `Slow
+            test_stream_trace_digests;
+          Alcotest.test_case "forced flight dump digest" `Slow
+            test_stream_flight_digest;
+          Alcotest.test_case "ring is the tail of the sink" `Quick
+            test_stream_ring_is_tail;
+          Alcotest.test_case "sampling applies to the sink only" `Quick
+            test_stream_sampling_sink_only;
+          Alcotest.test_case "reused ring feeds no earlier sink" `Quick
+            test_stream_reused_ring_detached;
         ] );
       ( "trace codec",
         [
