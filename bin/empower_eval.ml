@@ -292,6 +292,31 @@ let trace_cmd =
           it (strict schema decode + replay cross-check against the engine).")
     Term.(const run $ scenario_arg $ out_arg)
 
+(* ---------- diff ---------- *)
+
+let diff_cmd =
+  let file_arg n docv =
+    Arg.(required & pos n (some string) None & info [] ~docv ~doc:"JSONL file.")
+  in
+  let run a b =
+    match Obs.Diff.files a b with
+    | Error e ->
+      Printf.eprintf "diff: %s\n" e;
+      exit 2
+    | Ok None -> Printf.printf "%s and %s are identical\n" a b
+    | Ok (Some d) ->
+      Obs.Diff.print ~a ~b d;
+      exit 1
+  in
+  Cmd.v
+    (Cmd.info "diff"
+       ~doc:
+         "Find the first differing event of two JSONL traces or flight dumps: \
+          print its index, both lines and up to three shared lines before it. \
+          Exits 0 when the files are identical, 1 when they differ, 2 when one \
+          cannot be read.")
+    Term.(const run $ file_arg 0 "A" $ file_arg 1 "B")
+
 (* ---------- profile ---------- *)
 
 let profile_cmd =
@@ -855,7 +880,7 @@ let main =
     [
       fig4_cmd; fig5_cmd; fig6_cmd; fig7_cmd; convergence_cmd; fig9_cmd;
       fig10_cmd; fig11_cmd; table1_cmd; fig12_cmd; fig13_cmd; ablations_cmd;
-      metrics_cmd; mptcp_cmd; mac_cmd; trace_cmd; profile_cmd; report_cmd;
+      metrics_cmd; mptcp_cmd; mac_cmd; trace_cmd; diff_cmd; profile_cmd; report_cmd;
       chaos_cmd; scenario_cmd; loadsweep_cmd; buffers_cmd;
       all_cmd;
     ]

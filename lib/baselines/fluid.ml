@@ -32,7 +32,7 @@ let compute ?(iterations = 50) g dom ~offered =
     List.iter
       (fun l ->
         let load =
-          List.fold_left (fun acc l' -> acc +. demand.(l')) 0.0 (Domain.domain dom l)
+          Array.fold_left (fun acc l' -> acc +. demand.(l')) 0.0 (Domain.domain dom l)
         in
         scale.(l) <- (if load > 1.0 then 1.0 /. load else 1.0))
       active_links

@@ -55,7 +55,7 @@ let build ?(delta = 0.0) model g dom ~flows =
   let add_airtime_row link_set =
     let row = Array.make n_vars 0.0 in
     let nonzero = ref false in
-    List.iter
+    Array.iter
       (fun l ->
         let pos = pos_of_link.(l) in
         if pos >= 0 then begin
@@ -69,7 +69,8 @@ let build ?(delta = 0.0) model g dom ~flows =
     if !nonzero then rows := (row, Simplex.Le, budget) :: !rows
   in
   (match model with
-  | Exact -> List.iter add_airtime_row (Domain.graph_cliques dom)
+  | Exact ->
+    List.iter (fun c -> add_airtime_row (Array.of_list c)) (Domain.graph_cliques dom)
   | Conservative ->
     Array.iter (fun l -> add_airtime_row (Domain.domain dom l)) usable);
   { t0 with rows = List.rev !rows }

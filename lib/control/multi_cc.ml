@@ -35,7 +35,7 @@ let solve_tracked ?alpha ?(gain = 50.0) ?(slots = 2000) ?stop_tol ?x_init ?sink
       List.iter
         (fun l ->
           let g_sum =
-            List.fold_left
+            Array.fold_left
               (fun acc i -> acc +. gamma.(i))
               0.0
               (Domain.domain problem.Problem.dom l)

@@ -39,7 +39,7 @@ let create (problem : Problem.t) =
      feeds route prices. *)
   let is_priced = Array.make n_links false in
   Array.iter
-    (fun l -> List.iter (fun i -> is_priced.(i) <- true) (Domain.domain dom l))
+    (fun l -> Array.iter (fun i -> is_priced.(i) <- true) (Domain.domain dom l))
     carriers;
   let priced =
     Array.of_list (List.filter (fun l -> is_priced.(l)) (List.init n_links Fun.id))
@@ -58,20 +58,12 @@ let create (problem : Problem.t) =
   in
   let priced_carriers =
     Array.map
-      (fun i ->
-        Domain.domain dom i
-        |> List.filter_map (fun l ->
-               if carrier_pos.(l) >= 0 then Some carrier_pos.(l) else None)
-        |> Array.of_list)
+      (fun i -> Array.map (fun l -> carrier_pos.(l)) (Domain.restrict dom is_carrier i))
       priced
   in
   let route_domains =
     Array.map
-      (fun l ->
-        Domain.domain dom l
-        |> List.filter_map (fun i ->
-               if priced_pos.(i) >= 0 then Some priced_pos.(i) else None)
-        |> Array.of_list)
+      (fun l -> Array.map (fun i -> priced_pos.(i)) (Domain.restrict dom is_priced l))
       carriers
   in
   {

@@ -75,7 +75,7 @@ let feasible ?(slack = 1e-9) t x =
   let demand = Array.init n_links (airtime_demand t x) in
   let ok = ref true in
   for l = 0 to n_links - 1 do
-    let y = List.fold_left (fun acc l' -> acc +. demand.(l')) 0.0 (Domain.domain t.dom l) in
+    let y = Array.fold_left (fun acc l' -> acc +. demand.(l')) 0.0 (Domain.domain t.dom l) in
     if y > 1.0 -. t.delta +. slack then ok := false
   done;
   !ok

@@ -33,7 +33,7 @@ val goodput_stats :
 
 val with_recorder :
   ?trace:Obs.Trace.sink ->
-  domain_of:(int -> int list) ->
+  domain_of:(int -> int array) ->
   duration:float ->
   (Obs.Trace.sink -> 'a) ->
   'a * Obs.Metrics.t

@@ -45,10 +45,18 @@ val single_domain_per_tech : Multigraph.t -> t
     e.g. Figure 3's "all links using the same medium interfere"). *)
 
 val interferes : t -> int -> int -> bool
-(** [interferes t l l'] — symmetric; [interferes t l l = true]. *)
+(** [interferes t l l'] — symmetric; [interferes t l l = true]. One
+    bit test. *)
 
-val domain : t -> int -> int list
-(** I_l: the sorted ids of links interfering with [l] (includes [l]). *)
+val domain : t -> int -> int array
+(** I_l: the sorted ids of links interfering with [l] (includes [l]).
+    The array is the structure's own, shared by every caller; treat it
+    as read-only. *)
+
+val restrict : t -> bool array -> int -> int array
+(** [restrict t mem l] is I_l ∩ \{i | [mem.(i)]\}, in domain
+    (ascending) order — the per-run views of a domain that keep only
+    the links a computation can touch. The result is a fresh array. *)
 
 val num_links : t -> int
 (** Number of links covered. *)

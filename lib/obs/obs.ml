@@ -1454,7 +1454,7 @@ module Recorder = struct
   type t = {
     reg : Metrics.t;
     window : float;
-    domain_of : (int -> int list) option;
+    domain_of : (int -> int array) option;
     mutable window_start : float;
     link_air : (int, float ref) Hashtbl.t;    (* airtime in current window *)
     link_qlen : (int, int ref) Hashtbl.t;     (* last observed queue length *)
@@ -1513,7 +1513,7 @@ module Recorder = struct
         match r.domain_of with
         | None -> ()
         | Some dom ->
-          let busy = List.fold_left (fun acc m -> acc +. air m) 0.0 (dom l) in
+          let busy = Array.fold_left (fun acc m -> acc +. air m) 0.0 (dom l) in
           Metrics.Series.add
             (Metrics.series r.reg (Printf.sprintf "domain.%d.busy" l))
             w_end
@@ -1997,6 +1997,60 @@ module Summary = struct
          outage %.3f s), %d probes, %d price resets\n"
         r.route_deaths r.max_detect_s r.route_restores r.max_down_s
         r.route_probes r.price_resets
+end
+
+module Diff = struct
+  type t = {
+    index : int;
+    context : string list;
+    a : string option;
+    b : string option;
+  }
+
+  (* One line with its terminator, so a missing final newline is a
+     difference too: [input_line] consumed the newline iff the channel
+     advanced past the line's bytes. *)
+  let next_line ic =
+    let start = pos_in ic in
+    match input_line ic with
+    | exception End_of_file -> None
+    | line -> Some (if pos_in ic > start + String.length line then line ^ "\n" else line)
+
+  let context = 3
+
+  let channels ica icb =
+    let shared = Queue.create () in
+    let rec go index =
+      match (next_line ica, next_line icb) with
+      | None, None -> None
+      | a, b when a = b ->
+        Queue.push (Option.get a) shared;
+        if Queue.length shared > context then ignore (Queue.pop shared);
+        go (index + 1)
+      | a, b -> Some { index; context = List.of_seq (Queue.to_seq shared); a; b }
+    in
+    go 0
+
+  let files a b =
+    try
+      Ok
+        (In_channel.with_open_bin a (fun ica ->
+             In_channel.with_open_bin b (fun icb -> channels ica icb)))
+    with Sys_error e -> Error e
+
+  let print ~a ~b d =
+    let p fmt = Printf.printf fmt in
+    let show = function
+      | None -> "<end of file>"
+      | Some l ->
+        if String.ends_with ~suffix:"\n" l then String.sub l 0 (String.length l - 1)
+        else l ^ " <no final newline>"
+    in
+    p "%s and %s differ at event %d (line %d)\n" a b d.index (d.index + 1);
+    let first = d.index - List.length d.context in
+    List.iteri (fun i l -> p "  %6d  %s\n" (first + i + 1) (show (Some l))) d.context;
+    p "- %6d  %s\n" (d.index + 1) (show d.a);
+    p "+ %6d  %s\n" (d.index + 1) (show d.b)
 end
 
 module Runtime = struct

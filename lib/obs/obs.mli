@@ -572,7 +572,7 @@ end
 module Recorder : sig
   type t
 
-  val create : ?window:float -> ?domain_of:(int -> int list) -> Metrics.t -> t
+  val create : ?window:float -> ?domain_of:(int -> int array) -> Metrics.t -> t
   (** [window] (default 1 s) sets the time-series bucketing;
       [domain_of l] lists the links of I_l (including [l]) and
       enables the per-domain busy metric. *)
@@ -636,6 +636,29 @@ module Summary : sig
   val flow_stats : t -> int -> flow_stats option
 
   val print : ?out:out_channel -> t -> unit
+end
+
+(** The first divergence of two JSONL files (traces, flight dumps),
+    line by line — one line per event. *)
+module Diff : sig
+  type t = {
+    index : int;            (** 0-based index of the first differing line *)
+    context : string list;  (** the shared lines just before it, oldest first *)
+    a : string option;      (** that line of the first file; [None] past its end *)
+    b : string option;      (** that line of the second file *)
+  }
+  (** Lines keep their ["\n"] terminator, so a missing final newline
+      is a difference too. *)
+
+  val files : string -> string -> (t option, string) result
+  (** Read both files to the first differing line, keeping up to
+      three shared lines before it: [Ok None] when the files are
+      byte-identical, [Error] when one cannot be opened. *)
+
+  val print : a:string -> b:string -> t -> unit
+  (** The divergence, on stdout, as a unified-diff-style excerpt: the
+      index, the shared context lines, then the first file's line ([-])
+      and the second's ([+]). Line numbers are 1-based. *)
 end
 
 (** Ambient metrics registry, for instrumenting code that is too deep

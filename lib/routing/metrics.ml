@@ -20,9 +20,9 @@ let link_weight t g dom l =
   else begin
     match t with
     | Empower_csc | Optimal_csc | Ett -> d
-    | Iru -> d *. float_of_int (List.length (Domain.domain dom l))
+    | Iru -> d *. float_of_int (Array.length (Domain.domain dom l))
     | Catt ->
-      List.fold_left
+      Array.fold_left
         (fun acc l' ->
           if Multigraph.usable g l' then acc +. Multigraph.d g l' else acc)
         0.0 (Domain.domain dom l)

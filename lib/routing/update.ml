@@ -27,7 +27,7 @@ let update g dom path =
   let caps = Multigraph.capacities g in
   let touched = Hashtbl.create 32 in
   List.iter
-    (fun l -> List.iter (fun l' -> Hashtbl.replace touched l' ()) (Domain.domain dom l))
+    (fun l -> Array.iter (fun l' -> Hashtbl.replace touched l' ()) (Domain.domain dom l))
     path.Paths.links;
   Hashtbl.iter (fun l () -> caps.(l) <- caps.(l) *. idle_fraction g dom path l) touched;
   Multigraph.with_capacities g caps

@@ -334,19 +334,15 @@ let run ?(config = default_config) ?invariants ?trace ?flight ?prof
         (fun p -> List.iter (fun l -> is_carrier.(l) <- true) p.Paths.links)
         spec.routes)
     flows;
-  let carrier_links =
-    List.filter (fun l -> is_carrier.(l)) (List.init n_links Fun.id)
+  let links_where mem =
+    Array.of_list (List.filter (fun l -> mem.(l)) (List.init n_links Fun.id))
   in
+  let carrier_links = links_where is_carrier in
   let is_priced = Array.make n_links false in
-  List.iter
-    (fun l -> List.iter (fun i -> is_priced.(i) <- true) (Domain.domain dom l))
+  Array.iter
+    (fun l -> Array.iter (fun i -> is_priced.(i) <- true) (Domain.domain dom l))
     carrier_links;
-  let priced_links =
-    List.filter (fun l -> is_priced.(l)) (List.init n_links Fun.id)
-  in
-  (* Interference domains as arrays: the list versions forced either a
-     fold closure or a boxed float accumulator on every walk. *)
-  let dom_arr = Array.init n_links (fun l -> Array.of_list (Domain.domain dom l)) in
+  let priced_links = links_where is_priced in
   (* Scratch cells for float accumulation on the per-frame paths. A
      float accumulator threaded through a local recursive function is
      boxed on every iteration (the generic calling convention applies
@@ -355,14 +351,35 @@ let run ?(config = default_config) ?invariants ?trace ?flight ?prof
      route-pick walk. *)
   let facc = [| 0.0; 0.0 |] in
   (* Congestion price of link l: d_l * sum of gamma over I_l. Runs on
-     every enqueue. *)
+     every enqueue, so the sum over I_l is cached per link and walked
+     again only after γ changed. γ is written at four points — the
+     tick's dual update, and through [reset_price] the route-death
+     reset, the route-restore reset and link revival — and each bumps
+     [gamma_epoch]; a cached sum is valid while its stamp in [gsum_at]
+     equals the epoch. The walk is the same left-to-right fold over
+     the whole I_l, so the cached value is bit-identical to a fresh
+     one. *)
+  let gsum = Array.make (max 1 n_links) 0.0 in
+  let gsum_at = Array.make (max 1 n_links) (-1) in
+  let gamma_epoch = ref 0 in
   let link_price l =
-    let d = dom_arr.(l) in
-    facc.(0) <- 0.0;
-    for i = 0 to Array.length d - 1 do
-      facc.(0) <- facc.(0) +. gamma.(d.(i))
-    done;
-    d_est l *. facc.(0)
+    if gsum_at.(l) <> !gamma_epoch then begin
+      let d = Domain.domain dom l in
+      gsum.(l) <- 0.0;
+      for i = 0 to Array.length d - 1 do
+        gsum.(l) <- gsum.(l) +. gamma.(d.(i))
+      done;
+      gsum_at.(l) <- !gamma_epoch
+    end;
+    d_est l *. gsum.(l)
+  in
+  (* The self-healing paths' stale-price reset of one link's dual. *)
+  let reset_price l =
+    if gamma.(l) > 0.0 then begin
+      gamma.(l) <- 0.0;
+      incr gamma_epoch;
+      if obs_on then Obs.Flight.price_reset fl ~t_s:now.(0) ~link:l
+    end
   in
 
   (* Per-node egress map: interface hash -> outgoing link id toward
@@ -697,22 +714,47 @@ let run ?(config = default_config) ?invariants ?trace ?flight ?prof
   in
 
   (* --- MAC --- *)
+  (* Per-run views of the interference domains. The MAC only ever
+     looks at links that can hold a frame: M, every route's first link
+     plus every link of the forwarding plans (which follow the codec
+     walk, so they can leave [route_links]). The tick's demand fold
+     only needs the carriers. So every walk over I_l on the engine's
+     hot paths is a walk over the view [dom_view.(l)] = I_l ∩ (M ∪
+     carriers), in domain order — a few links instead of hundreds on
+     the testbed. The members each side does not need change nothing:
+     a carrier outside M never has a queue or a frame on the air, and
+     demand off the carriers is exactly +0.0, which leaves a sum that
+     is >= +0.0 bit-identical. Links that are neither priced nor in M
+     get an empty view; nothing walks it. *)
+  let in_view = Array.copy is_carrier in
+  Array.iteri
+    (fun fi f ->
+      Array.iteri
+        (fun ri links ->
+          in_view.(links.(0)) <- true;
+          Array.iter (fun a -> if a >= 0 then in_view.(a) <- true) plans.(fi).(ri))
+        f.route_links)
+    flow_states;
+  let dom_view =
+    Array.init n_links (fun l ->
+        if is_priced.(l) || in_view.(l) then Domain.restrict dom in_view l else [||])
+  in
   (* O(1) domain-idle test: [air_busy.(l)] counts how many links of
      I_l are on the air right now, maintained at the four on_air
-     transitions. Sound because the interference matrix is symmetric
-     by construction (Domain.create): a grant on [g] bumps exactly the
-     links whose domains contain [g]. Replaces an O(|I_l|) scan per
-     [try_start] — which made the grant fan-out after a Tx_end
-     quadratic in the domain size. *)
+     transitions by an O(|view|) walk. Sound because the relation is
+     symmetric by construction (Domain.create) and every link on the
+     air is in M: a grant on [g] bumps exactly the links of M ∪
+     carriers whose domains contain [g], and [domain_free] is only
+     asked about links of M (a link with a backlog). *)
   let air_busy = Array.make (max 1 n_links) 0 in
   let air_set l =
-    let d = dom_arr.(l) in
+    let d = dom_view.(l) in
     for i = 0 to Array.length d - 1 do
       air_busy.(d.(i)) <- air_busy.(d.(i)) + 1
     done
   in
   let air_clear l =
-    let d = dom_arr.(l) in
+    let d = dom_view.(l) in
     for i = 0 to Array.length d - 1 do
       air_busy.(d.(i)) <- air_busy.(d.(i)) - 1
     done
@@ -735,7 +777,8 @@ let run ?(config = default_config) ?invariants ?trace ?flight ?prof
          stay short and collisions stay rare; blasting without CC
          keeps every contender backlogged and pays the full price. *)
       (if config.collision_prob > 0.0 then begin
-         let d = dom_arr.(l) in
+         (* Only links of M can be backlogged. *)
+         let d = dom_view.(l) in
          let contenders = ref 0 in
          for i = 0 to Array.length d - 1 do
            let l' = d.(i) in
@@ -776,22 +819,24 @@ let run ?(config = default_config) ?invariants ?trace ?flight ?prof
     end
   in
   (* Candidate scratch for [try_start_domain], sized to the largest
-     interference domain: the filter/sort used to allocate two lists
-     and a comparator closure per Tx_end — the single biggest
-     steady-state allocation site. [try_start] never re-enters
-     [try_start_domain], so one buffer suffices. *)
+     view: the filter/sort used to allocate two lists and a
+     comparator closure per Tx_end — the single biggest steady-state
+     allocation site. [try_start] never re-enters [try_start_domain],
+     so one buffer suffices. *)
   let tsd_scratch =
     Array.make
-      (max 1 (Array.fold_left (fun m d -> max m (Array.length d)) 0 dom_arr))
+      (max 1 (Array.fold_left (fun m d -> max m (Array.length d)) 0 dom_view))
       0
   in
   let try_start_domain l =
     (* Serve backlogged links of the freed domain,
        least-recently-served first (CSMA fairness). Insertion sort on
        (last_service, id) — a total order, so the result is exactly
-       what the old List.sort produced; domains are small (a handful
-       of links), where insertion sort is also the fastest choice. *)
-    let d = dom_arr.(l) in
+       what the old List.sort produced. The candidates come from the
+       view of I_l: a Tx_end costs O(|view|) plus the sort of the
+       backlogged ones, a handful of links even when I_l holds
+       hundreds, where insertion sort is also the fastest choice. *)
+    let d = dom_view.(l) in
     let n = Array.length d in
     let m = ref 0 in
     for i = 0 to n - 1 do
@@ -1251,13 +1296,7 @@ let run ?(config = default_config) ?invariants ?trace ?flight ?prof
     let dead_mass = f.x.(i) in
     f.x.(i) <- 0.0;
     f.x_bar.(i) <- 0.0;
-    Array.iter
-      (fun l ->
-        if caps.(l) <= 0.0 && gamma.(l) > 0.0 then begin
-          gamma.(l) <- 0.0;
-          if obs_on then Obs.Flight.price_reset fl ~t_s:now.(0) ~link:l
-        end)
-      f.route_links.(i);
+    Array.iter (fun l -> if caps.(l) <= 0.0 then reset_price l) f.route_links.(i);
     let surv, _flood =
       Recovery.survivors g ~caps ~src:f.spec.src
         ~routes:(Array.to_list f.routes)
@@ -1303,16 +1342,7 @@ let run ?(config = default_config) ?invariants ?trace ?flight ?prof
        post-restore traffic sustains indefinitely. Pricing restarts
        from live measurements (it re-learns within a few 100 ms
        ticks if the congestion is real). *)
-    Array.iter
-      (fun l ->
-        List.iter
-          (fun l' ->
-            if gamma.(l') > 0.0 then begin
-              gamma.(l') <- 0.0;
-              if obs_on then Obs.Flight.price_reset fl ~t_s:now.(0) ~link:l'
-            end)
-          (Domain.domain dom l))
-      f.route_links.(i);
+    Array.iter (fun l -> Array.iter reset_price (Domain.domain dom l)) f.route_links.(i);
     let restore = Float.max probe_rate f.init_x.(i) in
     f.x.(i) <- restore;
     f.x_bar.(i) <- restore;
@@ -1396,17 +1426,19 @@ let run ?(config = default_config) ?invariants ?trace ?flight ?prof
   let demand = Array.make (max 1 n_links) 0.0 in
   let handle_control_tick () =
     (* 1. Demand measurement and dual update (carrier/priced sets
-       only; everything else has zero demand and zero gamma). *)
-    List.iter
+       only; everything else has zero demand and zero gamma). Each
+       price's demand sum walks the view of I_l, which holds every
+       carrier of I_l. *)
+    Array.iter
       (fun l ->
         let bits = window_bits.(l) in
         window_bits.(l) <- 0.0;
         demand.(l) <- bits /. 1e6 *. d_est l /. config.control_period)
       carrier_links;
-    List.iter
+    Array.iter
       (fun l ->
         let y =
-          let d = dom_arr.(l) in
+          let d = dom_view.(l) in
           facc.(0) <- 0.0;
           for i = 0 to Array.length d - 1 do
             facc.(0) <- facc.(0) +. demand.(d.(i))
@@ -1416,15 +1448,16 @@ let run ?(config = default_config) ?invariants ?trace ?flight ?prof
         let upd = gamma.(l) +. (gamma_alpha *. (y -. (1.0 -. config.delta))) in
         gamma.(l) <- Float.max 0.0 upd)
       priced_links;
+    incr gamma_epoch;
     if obs_on then
-      List.iter
+      Array.iter
         (fun l ->
           Obs.Flight.price fl ~t_s:now.(0) ~link:l ~gamma:gamma.(l)
             ~price:(link_price l))
         priced_links;
     (* 2. Capacity estimation (only carriers are ever priced or
        transmitted on, so only they need tracking). *)
-    List.iter
+    Array.iter
       (fun l ->
         let st = links.(l) in
         Estimator.set_mode st.estimator
@@ -1518,13 +1551,7 @@ let run ?(config = default_config) ?invariants ?trace ?flight ?prof
            their γ (was_dead is false). *)
         (match config.recovery with
         | Some _ when was_dead ->
-          List.iter
-            (fun l' ->
-              if gamma.(l') > 0.0 then begin
-                gamma.(l') <- 0.0;
-                if obs_on then Obs.Flight.price_reset fl ~t_s:now.(0) ~link:l'
-              end)
-            (Domain.domain dom l);
+          Array.iter reset_price (Domain.domain dom l);
           (* The capacity estimate is just as stale as the price: it
              tracked toward zero while the link was dead (offered
              traffic keeps the fast Active_traffic time constant), so

@@ -28,7 +28,7 @@ type view = {
   queue_len : int -> int;
   on_air_flow : int -> int option;
   iter_queued : int -> (int -> unit) -> unit;
-  domain : int -> int list;
+  domain : int -> int array;
   gamma : int -> float;
   link_src : int -> int;
 }
@@ -189,7 +189,7 @@ let check_step t ~now view =
     | Some _ ->
       incr actual;
       (* Carrier sensing: nothing else of I_l may be transmitting. *)
-      List.iter
+      Array.iter
         (fun l' ->
           if l' <> l && view.on_air_flow l' <> None then
             report t ~time:now ~rule:"medium-occupancy" ~link:l

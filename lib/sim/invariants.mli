@@ -55,7 +55,7 @@ type view = {
   queue_len : int -> int;
   on_air_flow : int -> int option;  (** flow of the frame on the air *)
   iter_queued : int -> (int -> unit) -> unit;
-  domain : int -> int list;         (** interference domain, incl. self *)
+  domain : int -> int array;        (** interference domain, incl. self *)
   gamma : int -> float;             (** dual variable of the link *)
   link_src : int -> int;            (** transmitting node of a link *)
 }

@@ -89,7 +89,7 @@ let max_domain_utilization g dom offered =
   let util = ref 0.0 in
   for l = 0 to m - 1 do
     let y =
-      List.fold_left
+      Array.fold_left
         (fun a l' -> a +. (traffic.(l') /. Multigraph.capacity g l'))
         0.0 (Domain.domain dom l)
     in

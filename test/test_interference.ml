@@ -21,8 +21,8 @@ let test_domain_contents () =
       ~edges:[ (0, 1, 0, 15.0); (1, 2, 0, 30.0); (0, 1, 1, 10.0) ]
   in
   let dom = Domain.single_domain_per_tech g in
-  Alcotest.(check (list int)) "wifi domain" [ 0; 1; 2; 3 ] (Domain.domain dom 0);
-  Alcotest.(check (list int)) "plc domain" [ 4; 5 ] (Domain.domain dom 4)
+  Alcotest.(check (array int)) "wifi domain" [| 0; 1; 2; 3 |] (Domain.domain dom 0);
+  Alcotest.(check (array int)) "plc domain" [| 4; 5 |] (Domain.domain dom 4)
 
 let test_standard_same_node_interferes () =
   (* Two WiFi links sharing a node interfere regardless of distance
@@ -150,6 +150,81 @@ let test_graph_cliques_cover_domains () =
     cliques;
   Alcotest.(check bool) "all links covered" true (Array.for_all Fun.id covered)
 
+(* ---------- storage ---------- *)
+
+(* Each I_l is one sorted array and the pairwise relation a bitset;
+   the two must describe the same symmetric relation. *)
+
+let draw name generate seed =
+  let inst = generate (Rng.create seed) in
+  let g = Builder.graph inst Builder.Hybrid in
+  (name, g, Domain.of_instance inst Builder.Hybrid g)
+
+let check_storage (name, g, dom) =
+  let n = Multigraph.num_links g in
+  Alcotest.(check int) (name ^ ": covers all links") n (Domain.num_links dom);
+  for l = 0 to n - 1 do
+    let d = Domain.domain dom l in
+    for i = 1 to Array.length d - 1 do
+      if d.(i - 1) >= d.(i) then Alcotest.failf "%s: I_%d is not sorted" name l
+    done;
+    if not (Array.mem l d) then Alcotest.failf "%s: I_%d misses %d" name l l;
+    let peer = (Multigraph.link g l).Multigraph.peer in
+    if not (Array.mem peer d) then
+      Alcotest.failf "%s: I_%d misses its peer %d" name l peer;
+    Array.iter
+      (fun l' ->
+        if not (Domain.interferes dom l' l) then
+          Alcotest.failf "%s: %d is in I_%d but not the reverse" name l' l)
+      d;
+    if Array.to_list d <> List.filter (Domain.interferes dom l) (List.init n Fun.id)
+    then Alcotest.failf "%s: I_%d differs from the pairwise relation" name l
+  done
+
+let test_storage_testbed () =
+  let ((_, g, _) as t) = draw "testbed" Testbed.generate 4242 in
+  Alcotest.(check int) "testbed links" 616 (Multigraph.num_links g);
+  check_storage t
+
+let test_storage_residential () = check_storage (draw "residential" Residential.generate 5)
+
+let test_storage_enterprise () = check_storage (draw "enterprise" Enterprise.generate 3)
+
+let test_restrict () =
+  (* I_l ∩ S in domain order; all of I_l when S covers it. *)
+  let _, g, dom = draw "testbed" Testbed.generate 4242 in
+  let n = Multigraph.num_links g in
+  let mem = Array.init n (fun l -> l mod 3 = 0) in
+  let all = Array.make n true in
+  for l = 0 to n - 1 do
+    let d = Domain.domain dom l in
+    let expected = List.filter (fun i -> mem.(i)) (Array.to_list d) in
+    Alcotest.(check (list int))
+      (Printf.sprintf "I_%d restricted" l)
+      expected
+      (Array.to_list (Domain.restrict dom mem l));
+    Alcotest.(check (array int))
+      (Printf.sprintf "I_%d covered" l)
+      d (Domain.restrict dom all l)
+  done
+
+let clique_digest cliques =
+  Digest.to_hex
+    (Digest.string
+       (String.concat ";"
+          (List.map (fun c -> String.concat "," (List.map string_of_int c)) cliques)))
+
+let test_graph_cliques_pinned () =
+  (* Counts and digests recorded from the matrix-backed implementation
+     the bitset replaced. *)
+  let pin (name, _, dom) count digest =
+    let cliques = Domain.graph_cliques dom in
+    Alcotest.(check int) (name ^ " clique count") count (List.length cliques);
+    Alcotest.(check string) (name ^ " clique digest") digest (clique_digest cliques)
+  in
+  pin (draw "residential" Residential.generate 5) 2 "5a11818712ae16e157326a2efbbaebc4";
+  pin (draw "enterprise" Enterprise.generate 3) 10 "1b1591f0ef8f048b13219957d6fb9a74"
+
 let prop_interference_symmetric =
   QCheck.Test.make ~name:"interference is symmetric" ~count:30
     QCheck.(int_bound 100000)
@@ -176,9 +251,11 @@ let prop_domains_sorted_and_reflexive =
       let ok = ref true in
       for l = 0 to Multigraph.num_links g - 1 do
         let d = Domain.domain dom l in
-        if not (List.mem l d) then ok := false;
-        if not (List.mem (Multigraph.link g l).Multigraph.peer d) then ok := false;
-        if List.sort compare d <> d then ok := false
+        if not (Array.mem l d) then ok := false;
+        if not (Array.mem (Multigraph.link g l).Multigraph.peer d) then ok := false;
+        let sorted = Array.copy d in
+        Array.sort compare sorted;
+        if sorted <> d then ok := false
       done;
       !ok)
 
@@ -203,6 +280,14 @@ let () =
           Alcotest.test_case "isolated" `Quick test_cliques_isolated;
           Alcotest.test_case "two components" `Quick test_cliques_two_components;
           Alcotest.test_case "cover domains" `Quick test_graph_cliques_cover_domains;
+          Alcotest.test_case "pinned draws" `Quick test_graph_cliques_pinned;
+        ] );
+      ( "storage",
+        [
+          Alcotest.test_case "testbed" `Quick test_storage_testbed;
+          Alcotest.test_case "residential" `Quick test_storage_residential;
+          Alcotest.test_case "enterprise" `Quick test_storage_enterprise;
+          Alcotest.test_case "restrict" `Quick test_restrict;
         ] );
       ( "properties",
         [

@@ -387,6 +387,42 @@ let test_of_file_ok () =
         | None -> Alcotest.fail "flow 0 missing from summary")
       | Error m -> Alcotest.failf "valid trace rejected: %s" m)
 
+let test_diff_first_divergence () =
+  (* Obs.Diff (empower_eval diff): the first differing line with its
+     shared context; None only for byte-identical files. *)
+  let with_bytes s body =
+    let path = Filename.temp_file "empower_diff" ".jsonl" in
+    Fun.protect
+      ~finally:(fun () -> Sys.remove path)
+      (fun () ->
+        Out_channel.with_open_bin path (fun oc -> output_string oc s);
+        body path)
+  in
+  let diff a b =
+    with_bytes a (fun pa ->
+        with_bytes b (fun pb ->
+            match Obs.Diff.files pa pb with
+            | Ok d -> d
+            | Error m -> Alcotest.failf "diff: %s" m))
+  in
+  let lines = "a\nb\nc\nd\ne\n" in
+  Alcotest.(check bool) "identical" true (diff lines lines = None);
+  (match diff lines "a\nb\nc\nd\nX\n" with
+  | Some d ->
+    Alcotest.(check int) "index" 4 d.Obs.Diff.index;
+    Alcotest.(check (list string)) "context" [ "b\n"; "c\n"; "d\n" ] d.Obs.Diff.context;
+    Alcotest.(check (option string)) "a" (Some "e\n") d.Obs.Diff.a;
+    Alcotest.(check (option string)) "b" (Some "X\n") d.Obs.Diff.b
+  | None -> Alcotest.fail "a changed line went unnoticed");
+  (match diff lines "a\nb\n" with
+  | Some d ->
+    Alcotest.(check int) "short file index" 2 d.Obs.Diff.index;
+    Alcotest.(check (option string)) "past the end" None d.Obs.Diff.b
+  | None -> Alcotest.fail "a truncated file went unnoticed");
+  match diff lines "a\nb\nc\nd\ne" with
+  | Some d -> Alcotest.(check int) "missing final newline" 4 d.Obs.Diff.index
+  | None -> Alcotest.fail "a missing final newline went unnoticed"
+
 let test_of_file_strict () =
   let expect_error ~needle lines =
     with_temp_trace lines (fun path ->
@@ -621,11 +657,62 @@ let trace_md5 name =
         (fun () -> ignore (sc.Tracing.exec ~trace:(Obs.Trace.to_channel oc) ())))
 
 let test_stream_trace_digests () =
-  (* Digests of [empower_eval trace mini|failure] output. *)
+  (* Digests of [empower_eval trace mini|failure|tcp] output. *)
   Alcotest.(check string) "mini trace" "f5638e9c39764c45d4c5196d48b165b9"
     (trace_md5 "mini");
   Alcotest.(check string) "failure trace" "77297c248ab42027f8973a26d3503bad"
-    (trace_md5 "failure")
+    (trace_md5 "failure");
+  Alcotest.(check string) "tcp trace" "8134ef74f3b1327a4d3547246b34229b"
+    (trace_md5 "tcp")
+
+(* Testbed-scale pins. Every control tick writes one Price_update row
+   per priced link (616 on the testbed) carrying d_l Σ_{i∈I_l} γ_i, so
+   these digests check the engine's restricted MAC walks, its
+   restricted demand fold and its cached Σγ byte for byte. *)
+
+let traced_to path run =
+  let oc = open_out path in
+  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> run (Obs.Trace.to_channel oc))
+
+let test_stream_testbed_concurrent () =
+  (* Three concurrent saturated UDP flows on the testbed, CC on,
+     delta = 0.05, default collision probability: overlapping
+     interference domains and cross-flow contenders. *)
+  let digest =
+    md5_of_file (fun path ->
+        traced_to path (fun sink ->
+            let net =
+              Runner.network (Testbed.generate (Rng.create 4242)) Schemes.Empower
+            in
+            let flow (src, dst) =
+              let routes, rates = Runner.routes_and_rates net Schemes.Empower ~src ~dst in
+              if routes = [] then Alcotest.failf "no route %d -> %d" src dst;
+              Runner.flow_spec ~src ~dst (routes, rates)
+            in
+            let flows = List.map flow [ (0, 12); (3, 17); (8, 21) ] in
+            let config = { Engine.default_config with Engine.delta = 0.05 } in
+            ignore
+              (Engine.run ~config ~trace:sink (Rng.create 5) net.Empower.g
+                 net.Empower.dom ~flows ~duration:2.0)))
+  in
+  Alcotest.(check string) "three-flow testbed trace" "d837045c89eac53c4f6bf6b36824aa3e"
+    digest
+
+let test_stream_recovery_resets () =
+  (* Self-healing chaos runs reset γ mid-period, which must invalidate
+     every cached Σγ it feeds. Under [Severing] the whole flow is down
+     when its γ resets; under [Heavy] the surviving routes keep
+     stamping prices across the resets, so a stale Σγ changes the
+     trace. *)
+  let chaos intensity =
+    md5_of_file (fun path ->
+        traced_to path (fun sink ->
+            ignore (Chaos.run ~trace:sink ~intensity ~recovery:true ~seed:13 ())))
+  in
+  Alcotest.(check string) "severing recovery trace" "7b95cdad64914026d1c6a21da70acd62"
+    (chaos Fault.Gen.Severing);
+  Alcotest.(check string) "heavy recovery trace" "75fa9213fe2b13fb3abe432fbc57e41e"
+    (chaos Fault.Gen.Heavy)
 
 let test_stream_flight_digest () =
   (* The forced dump of [empower_eval chaos --sever --no-recovery
@@ -768,6 +855,10 @@ let () =
             test_stream_trace_digests;
           Alcotest.test_case "forced flight dump digest" `Slow
             test_stream_flight_digest;
+          Alcotest.test_case "three concurrent testbed flows digest" `Slow
+            test_stream_testbed_concurrent;
+          Alcotest.test_case "recovery price-reset digests" `Slow
+            test_stream_recovery_resets;
           Alcotest.test_case "ring is the tail of the sink" `Quick
             test_stream_ring_is_tail;
           Alcotest.test_case "sampling applies to the sink only" `Quick
@@ -807,5 +898,6 @@ let () =
           Alcotest.test_case "valid trace accepted" `Quick test_of_file_ok;
           Alcotest.test_case "strict rejection with line numbers" `Quick
             test_of_file_strict;
+          Alcotest.test_case "first divergence" `Quick test_diff_first_divergence;
         ] );
     ]

@@ -620,6 +620,74 @@ let test_full_loss_window () =
   check_float ~eps:0.5 "starved inside the window" 0.0 (mean_window series 2.5 4.0);
   Alcotest.(check bool) "resumes after the window" true (mean_window series 5.0 8.0 > 6.0)
 
+let test_plan_off_route_mac () =
+  (* An interface-hash collision sends the codec walk off the declared
+     route S->v->u->D: at v the egress lookup for u's hash finds the
+     later link v->w, whose receiver carries the same hash, and w
+     forwards to D. Links v->w and w->D hold frames only through the
+     forwarding plan, never through a route, and the MAC must still
+     sense them. S->v is on a second medium, so frames reach v at any
+     time, and a second flow D->u keeps the first medium busy: with
+     the invariant checker's medium-occupancy rule (which walks the
+     whole domain) no two first-medium links may ever be on the air
+     together. *)
+  let seen = Hashtbl.create 1024 in
+  let rec collide n =
+    let h = Route_codec.iface_hash ~node:n ~tech:0 in
+    match Hashtbl.find_opt seen h with
+    | Some m -> (m, n)
+    | None ->
+      Hashtbl.add seen h n;
+      collide (n + 1)
+  in
+  let u, w = collide 3 in
+  let s = 0 and v = 1 and d = 2 in
+  let g =
+    Multigraph.create ~n_nodes:(w + 1) ~n_techs:2
+      ~edges:
+        [
+          (s, v, 1, 20.0); (v, u, 0, 20.0); (u, d, 0, 20.0);
+          (v, w, 0, 20.0); (w, d, 0, 20.0);
+        ]
+  in
+  let dom = Domain.single_domain_per_tech g in
+  let v_to_w = 6 and w_to_d = 8 and d_to_u = 5 in
+  let flow =
+    {
+      (one_link_flow g ~rate:12.0) with
+      Engine.dst = d;
+      routes = [ Paths.of_links g [ 0; 2; 4 ] ];
+    }
+  in
+  let cross =
+    {
+      (one_link_flow g ~rate:12.0) with
+      Engine.src = d;
+      dst = u;
+      routes = [ Paths.of_links g [ d_to_u ] ];
+    }
+  in
+  let config = { Engine.default_config with enable_cc = false } in
+  let inv = Invariants.create ~mode:`Collect () in
+  let sink, got = Obs.Trace.collector () in
+  let res =
+    Engine.run ~config ~invariants:inv ~trace:sink (Rng.create 41) g dom
+      ~flows:[ flow; cross ] ~duration:3.0
+  in
+  Alcotest.(check (list string)) "no invariant violations" []
+    (List.map Invariants.describe (Invariants.violations inv));
+  let granted l =
+    List.exists
+      (function Obs.Trace.Mac_grant { link; _ } -> link = l | _ -> false)
+      (got ())
+  in
+  Alcotest.(check bool) "frames leave the route at v" true
+    (granted v_to_w && granted w_to_d);
+  Alcotest.(check bool) "route links past v stay idle" false (granted 2 || granted 4);
+  Alcotest.(check bool) "delivered" true (res.Engine.flows.(0).Engine.received_bytes > 0);
+  Alcotest.(check bool) "cross flow delivered" true
+    (res.Engine.flows.(1).Engine.received_bytes > 0)
+
 let count_drops events reason =
   List.length
     (List.filter
@@ -940,7 +1008,7 @@ let quiet_view =
     queue_len = (fun _ -> 0);
     on_air_flow = (fun _ -> None);
     iter_queued = (fun _ _ -> ());
-    domain = (fun _ -> [ 0; 1 ]);
+    domain = (fun _ -> [| 0; 1 |]);
     gamma = (fun _ -> 0.0);
     link_src = (fun _ -> 0);
   }
@@ -1014,6 +1082,8 @@ let () =
             test_queue_drops_under_overload;
           Alcotest.test_case "collisions under contention" `Quick
             test_collisions_under_contention;
+          Alcotest.test_case "forwarding plan off the route" `Quick
+            test_plan_off_route_mac;
         ] );
       ( "datapath",
         [
