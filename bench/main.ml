@@ -5,7 +5,9 @@
    - kernels      Bechamel micro-benchmarks of the kernels every
                   experiment leans on (one Test.make per kernel): the
                   multipath exploration tree, CSC Dijkstra, Yen, the
-                  congestion controller, the LP-based optimal baseline,
+                  congestion controller, testbed-scale set-up (the
+                  exploration tree and a 3-flow Empower.allocate on the
+                  22-node testbed), the LP-based optimal baseline,
                   the fluid MAC, the packet engine and the 20-byte
                   header codec.
    - sim          wall-clock engine throughput on a pinned scenario,
@@ -51,6 +53,18 @@ let bench_dijkstra () =
 let bench_yen () =
   let g, _ = Lazy.force residential_case in
   ignore (Yen.k_shortest g ~src:0 ~dst:9 ~k:5)
+
+(* Testbed-scale set-up: the 616-link testbed shows the routing and
+   controller costs that the ~100-link residential draws hide. *)
+let bench_multipath_testbed () =
+  let g, dom = Lazy.force testbed_case in
+  ignore (Multipath.find g dom ~src:0 ~dst:12)
+
+let bench_allocate_testbed () =
+  let g, dom = Lazy.force testbed_case in
+  ignore
+    (Empower.allocate ~delta:0.05 { Empower.g; dom }
+       ~flows:[ (0, 12); (3, 17); (8, 21) ])
 
 let bench_cc () =
   let g, dom = Lazy.force residential_case in
@@ -100,6 +114,10 @@ let kernel_tests =
     Test.make ~name:"CSC dijkstra" (Staged.stage bench_dijkstra);
     Test.make ~name:"yen 5-shortest" (Staged.stage bench_yen);
     Test.make ~name:"multipath CC (500 slots)" (Staged.stage bench_cc);
+    Test.make ~name:"multipath exploration tree (testbed 0->12)"
+      (Staged.stage bench_multipath_testbed);
+    Test.make ~name:"allocate 3 flows (testbed, delta 0.05)"
+      (Staged.stage bench_allocate_testbed);
     Test.make ~name:"LP optimal baseline" (Staged.stage bench_lp);
     Test.make ~name:"fluid MAC goodput" (Staged.stage bench_fluid);
     Test.make ~name:"packet engine (2 s sim)" (Staged.stage bench_engine);

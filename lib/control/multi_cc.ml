@@ -1,5 +1,5 @@
-let solve_tracked ?alpha ?(gain = 50.0) ?(slots = 2000) ?stop_tol ?x_init ?sink
-    ?ack_loss ~on_slot (problem : Problem.t) =
+let solve_tracked ?alpha ?(gain = 50.0) ?(slots = 2000) ?stop_tol ?x_init ?ack_loss
+    ~on_slot (problem : Problem.t) =
   let alpha = match alpha with Some a -> a | None -> Alpha.fixed 0.02 in
   let n_routes = Problem.n_routes problem in
   let x =
@@ -12,57 +12,13 @@ let solve_tracked ?alpha ?(gain = 50.0) ?(slots = 2000) ?stop_tol ?x_init ?sink
   in
   let x_bar = Array.copy x in
   let price = Price.create problem in
-  (* Convergence tracing: per-slot Price_update for every link some
-     route traverses (γ_l and the full congestion price) and
-     Rate_update per flow, with the slot index as the timestamp. *)
-  let carrier_links =
-    match sink with
-    | None -> []
-    | Some _ ->
-      let n_links = Multigraph.num_links problem.Problem.g in
-      let seen = Array.make n_links false in
-      Array.iter
-        (fun (p : Paths.t) -> List.iter (fun l -> seen.(l) <- true) p.Paths.links)
-        problem.Problem.routes;
-      List.filter (fun l -> seen.(l)) (List.init n_links Fun.id)
-  in
-  let emit_slot slot x =
-    match sink with
-    | None -> ()
-    | Some s ->
-      let t_s = float_of_int slot in
-      let gamma = Price.gamma price in
-      List.iter
-        (fun l ->
-          let g_sum =
-            Array.fold_left
-              (fun acc i -> acc +. gamma.(i))
-              0.0
-              (Domain.domain problem.Problem.dom l)
-          in
-          Obs.Trace.emit s
-            (Obs.Trace.Price_update
-               {
-                 t = t_s;
-                 link = l;
-                 gamma = gamma.(l);
-                 price = problem.Problem.d.(l) *. g_sum;
-               }))
-        carrier_links;
-      Array.iteri
-        (fun f route_ids ->
-          let rates = Array.of_list (List.map (fun r -> x.(r)) route_ids) in
-          Obs.Trace.emit s (Obs.Trace.Rate_update { t = t_s; flow = f; rates }))
-        problem.Problem.flow_routes
-  in
   let trace = Array.make slots [||] in
   let u' = problem.Problem.utility.Utility.u' in
   let stopped = ref None in
   let t = ref 0 in
   while !t < slots && !stopped = None do
     let a = Alpha.current alpha in
-    let y = Price.airtimes price ~x in
-    Price.step_gamma price ~y ~alpha:a;
+    Price.step price ~x ~alpha:a;
     let q = Price.route_costs price in
     let flow_rate = Problem.flow_rates problem x in
     (* Control-message loss: a flow whose price/rate report for this
@@ -98,7 +54,6 @@ let solve_tracked ?alpha ?(gain = 50.0) ?(slots = 2000) ?stop_tol ?x_init ?sink
     let flow_rates = Problem.flow_rates problem x in
     trace.(!t) <- flow_rates;
     Alpha.observe alpha (Array.fold_left ( +. ) 0.0 flow_rates);
-    emit_slot !t x;
     on_slot !t x;
     (* Optional early stop: no flow rate moved by more than the
        tolerance over the last 200 slots. *)
@@ -129,7 +84,7 @@ let solve_tracked ?alpha ?(gain = 50.0) ?(slots = 2000) ?stop_tol ?x_init ?sink
     trace;
   }
 
-let solve ?alpha ?gain ?slots ?stop_tol ?x_init ?sink ?ack_loss problem =
-  solve_tracked ?alpha ?gain ?slots ?stop_tol ?x_init ?sink ?ack_loss
+let solve ?alpha ?gain ?slots ?stop_tol ?x_init ?ack_loss problem =
+  solve_tracked ?alpha ?gain ?slots ?stop_tol ?x_init ?ack_loss
     ~on_slot:(fun _ _ -> ())
     problem

@@ -22,7 +22,6 @@ val solve :
   ?slots:int ->
   ?stop_tol:float ->
   ?x_init:float array ->
-  ?sink:Obs.Trace.sink ->
   ?ack_loss:(slot:int -> flow:int -> bool) ->
   Problem.t ->
   Cc_result.t
@@ -48,12 +47,6 @@ val solve :
     pass those rates as [x_init]; the controller then only fine-tunes
     toward the utility optimum and resolves inter-flow contention.
 
-    [sink] streams the controller's convergence into an
-    {!Obs.Trace.sink}: one [Price_update] per slot for every link some
-    route traverses (γ_l plus the full congestion price
-    [d_l Σ_{i∈I_l} γ_i]) and one [Rate_update] per flow (its per-route
-    rates), with the slot index as the event timestamp.
-
     [ack_loss] models control-plane message loss: when
     [ack_loss ~slot ~flow] is true, flow [flow]'s report for that slot
     is treated as lost — its rates and proximal anchors hold still
@@ -69,7 +62,6 @@ val solve_tracked :
   ?slots:int ->
   ?stop_tol:float ->
   ?x_init:float array ->
-  ?sink:Obs.Trace.sink ->
   ?ack_loss:(slot:int -> flow:int -> bool) ->
   on_slot:(int -> float array -> unit) ->
   Problem.t ->

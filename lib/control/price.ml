@@ -3,25 +3,40 @@
    interference domains contain them (their γ enters the route
    prices). Restricting the per-slot loops to those sets makes the
    controller's cost independent of the total network size — on the
-   22-node testbed graph this is a ~50x saving. *)
+   22-node testbed graph this is a ~50x saving.
+
+   The priced links further fall into airtime classes: links whose
+   I_i ∩ carriers is the same sequence of carriers. Eq. (7) sums the
+   same demands in the same order for every member of a class, and (8)
+   starts every member at γ = 0, so their y_i and γ_i are bit-identical
+   at every slot. The state therefore keeps one y and one γ per class
+   (2-3 classes cover the testbed's 616 priced links) and expands them
+   per link only on request. *)
 
 type t = {
   problem : Problem.t;
-  gamma : float array;          (* full-size; only relevant entries move *)
   carriers : int array;         (* links with possible demand *)
   on_link : int array array;    (* carrier position -> route ids *)
-  priced : int array;           (* links whose gamma can become nonzero *)
-  priced_carriers : int array array;
-      (* per priced position: carrier positions within its domain *)
-  route_domains : int array array;
-      (* per carrier position: positions (in [priced]) of I_l *)
-  n_links : int;
+  demand : float array;         (* per carrier position: d_l Σ x_r + ext *)
+  link_class : int array;       (* per link: its class, -1 if not priced *)
+  class_carriers : int array array;
+      (* per class: carrier positions of I_i ∩ carriers, in domain order *)
+  y : float array;              (* per class: eq. (7) *)
+  gamma : float array;          (* per class: eq. (8) *)
+  carrier_classes : int array array;
+      (* per carrier position: the class of each i ∈ I_l, in domain order *)
+  link_price : float array;     (* per carrier position: d_l Σ_{i∈I_l} γ_i *)
+  route_hops : int array array; (* per route: carrier positions of its links *)
+  q : float array;              (* per route: eq. (9) *)
 }
 
 let create (problem : Problem.t) =
   let g = problem.Problem.g in
   let dom = problem.Problem.dom in
   let n_links = Multigraph.num_links g in
+  let members mem =
+    Array.of_list (List.filter (fun l -> mem.(l)) (List.init n_links Fun.id))
+  in
   let is_carrier = Array.make n_links false in
   Array.iter
     (fun p -> List.iter (fun l -> is_carrier.(l) <- true) p.Paths.links)
@@ -29,10 +44,7 @@ let create (problem : Problem.t) =
   Array.iteri
     (fun l ext -> if ext > 0.0 then is_carrier.(l) <- true)
     problem.Problem.external_airtime;
-  let carriers =
-    Array.of_list
-      (List.filter (fun l -> is_carrier.(l)) (List.init n_links Fun.id))
-  in
+  let carriers = members is_carrier in
   let carrier_pos = Array.make n_links (-1) in
   Array.iteri (fun pos l -> carrier_pos.(l) <- pos) carriers;
   (* Links whose domain touches a carrier: their gamma can rise and
@@ -41,11 +53,7 @@ let create (problem : Problem.t) =
   Array.iter
     (fun l -> Array.iter (fun i -> is_priced.(i) <- true) (Domain.domain dom l))
     carriers;
-  let priced =
-    Array.of_list (List.filter (fun l -> is_priced.(l)) (List.init n_links Fun.id))
-  in
-  let priced_pos = Array.make n_links (-1) in
-  Array.iteri (fun pos l -> priced_pos.(l) <- pos) priced;
+  let priced = members is_priced in
   let on_link =
     Array.map
       (fun l ->
@@ -56,70 +64,112 @@ let create (problem : Problem.t) =
         Array.of_list (List.rev !rs))
       carriers
   in
-  let priced_carriers =
-    Array.map
-      (fun i -> Array.map (fun l -> carrier_pos.(l)) (Domain.restrict dom is_carrier i))
-      priced
-  in
-  let route_domains =
-    Array.map
-      (fun l -> Array.map (fun i -> priced_pos.(i)) (Domain.restrict dom is_priced l))
-      carriers
-  in
-  {
-    problem;
-    gamma = Array.make n_links 0.0;
-    carriers;
-    on_link;
-    priced;
-    priced_carriers;
-    route_domains;
-    n_links;
-  }
-
-let gamma t = t.gamma
-
-let airtimes t ~x =
-  let p = t.problem in
-  let n_carriers = Array.length t.carriers in
-  let demand = Array.make n_carriers 0.0 in
-  for c = 0 to n_carriers - 1 do
-    let l = t.carriers.(c) in
-    let traffic = ref 0.0 in
-    Array.iter (fun r -> traffic := !traffic +. x.(r)) t.on_link.(c);
-    demand.(c) <- (p.Problem.d.(l) *. !traffic) +. p.Problem.external_airtime.(l)
-  done;
-  let y = Array.make t.n_links 0.0 in
-  Array.iteri
-    (fun pos i ->
-      let acc = ref 0.0 in
-      Array.iter (fun c -> acc := !acc +. demand.(c)) t.priced_carriers.(pos);
-      y.(i) <- !acc)
-    t.priced;
-  y
-
-let step_gamma t ~y ~alpha =
-  let target = 1.0 -. t.problem.Problem.delta in
+  (* Class ids in order of first appearance along [priced]. *)
+  let class_ids = Hashtbl.create 8 in
+  let classes = ref [] in
+  let link_class = Array.make n_links (-1) in
   Array.iter
     (fun i ->
-      let upd = t.gamma.(i) +. (alpha *. (y.(i) -. target)) in
-      t.gamma.(i) <- Float.max 0.0 upd)
-    t.priced
+      let key =
+        Array.map (fun l -> carrier_pos.(l)) (Domain.restrict dom is_carrier i)
+      in
+      let k =
+        match Hashtbl.find_opt class_ids key with
+        | Some k -> k
+        | None ->
+          let k = Hashtbl.length class_ids in
+          Hashtbl.add class_ids key k;
+          classes := key :: !classes;
+          k
+      in
+      link_class.(i) <- k)
+    priced;
+  let class_carriers = Array.of_list (List.rev !classes) in
+  let n_classes = Array.length class_carriers in
+  (* Every link of a carrier's domain is priced. *)
+  let carrier_classes =
+    Array.map
+      (fun l -> Array.map (fun i -> link_class.(i)) (Domain.domain dom l))
+      carriers
+  in
+  let route_hops =
+    Array.map
+      (fun p -> Array.of_list (List.map (fun l -> carrier_pos.(l)) p.Paths.links))
+      problem.Problem.routes
+  in
+  let n_carriers = Array.length carriers in
+  {
+    problem;
+    carriers;
+    on_link;
+    demand = Array.make n_carriers 0.0;
+    link_class;
+    class_carriers;
+    y = Array.make n_classes 0.0;
+    gamma = Array.make n_classes 0.0;
+    carrier_classes;
+    link_price = Array.make n_carriers 0.0;
+    route_hops;
+    q = Array.make (Array.length route_hops) 0.0;
+  }
+
+(* Per-link view of a per-class array; 0 off the priced links. *)
+let expand t per_class =
+  Array.map (fun k -> if k < 0 then 0.0 else per_class.(k)) t.link_class
+
+let gamma t = expand t t.gamma
+
+(* Equation (7) into [t.y]. *)
+let fill_airtimes t x =
+  let d = t.problem.Problem.d and ext = t.problem.Problem.external_airtime in
+  for c = 0 to Array.length t.carriers - 1 do
+    let l = t.carriers.(c) and routes = t.on_link.(c) in
+    let traffic = ref 0.0 in
+    for j = 0 to Array.length routes - 1 do
+      traffic := !traffic +. x.(routes.(j))
+    done;
+    t.demand.(c) <- (d.(l) *. !traffic) +. ext.(l)
+  done;
+  for k = 0 to Array.length t.y - 1 do
+    let cs = t.class_carriers.(k) in
+    let acc = ref 0.0 in
+    for j = 0 to Array.length cs - 1 do
+      acc := !acc +. t.demand.(cs.(j))
+    done;
+    t.y.(k) <- !acc
+  done
+
+let airtimes t ~x =
+  fill_airtimes t x;
+  expand t t.y
+
+let step t ~x ~alpha =
+  fill_airtimes t x;
+  let target = 1.0 -. t.problem.Problem.delta in
+  for k = 0 to Array.length t.gamma - 1 do
+    t.gamma.(k) <- Float.max 0.0 (t.gamma.(k) +. (alpha *. (t.y.(k) -. target)))
+  done
 
 let route_costs t =
-  let p = t.problem in
+  let d = t.problem.Problem.d in
   (* Per-carrier price d_l * Σ_{i ∈ I_l} γ_i, then summed along routes. *)
-  let link_price = Array.make t.n_links 0.0 in
-  Array.iteri
-    (fun c l ->
-      let acc = ref 0.0 in
-      Array.iter (fun pos -> acc := !acc +. t.gamma.(t.priced.(pos))) t.route_domains.(c);
-      link_price.(l) <- p.Problem.d.(l) *. !acc)
-    t.carriers;
-  Array.map
-    (fun path ->
-      List.fold_left (fun acc l -> acc +. link_price.(l)) 0.0 path.Paths.links)
-    p.Problem.routes
+  for c = 0 to Array.length t.carriers - 1 do
+    let ks = t.carrier_classes.(c) in
+    let acc = ref 0.0 in
+    for j = 0 to Array.length ks - 1 do
+      acc := !acc +. t.gamma.(ks.(j))
+    done;
+    t.link_price.(c) <- d.(t.carriers.(c)) *. !acc
+  done;
+  for r = 0 to Array.length t.q - 1 do
+    let hops = t.route_hops.(r) in
+    let acc = ref 0.0 in
+    for j = 0 to Array.length hops - 1 do
+      acc := !acc +. t.link_price.(hops.(j))
+    done;
+    t.q.(r) <- !acc
+  done;
+  t.q
 
 let routes_on_link t l =
   let res = ref [] in

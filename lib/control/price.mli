@@ -6,29 +6,46 @@
     stamp the running route cost into the layer-2.5 header so the
     destination learns [q_r]. This module is the centralized
     simulation of exactly that arithmetic, with incidence structures
-    precomputed once per problem. *)
+    precomputed once per problem.
+
+    {b Airtime classes.} Only links that can carry traffic (route
+    links and links with external airtime, the {e carriers}) have
+    demand, and only links whose domain holds a carrier (the {e priced}
+    links) can get a nonzero [γ]. Priced links [i] with the same
+    [I_i ∩ carriers] form one class: (7) sums the same demands in the
+    same domain order for each of them and (8) starts each at [γ = 0],
+    so their [y_i] and [γ_i] are bit-identical at every slot. The
+    state holds one [y] and one [γ] per class, which is what makes a
+    slot cheap; per-link arrays are built only by {!gamma} and
+    {!airtimes}. *)
 
 type t
-(** Price state ([γ_l] per link) plus the cached route/link incidence
-    for one {!Problem.t}. *)
+(** Price state ([γ] per airtime class) plus the cached route/link
+    incidence for one {!Problem.t}. *)
 
 val create : Problem.t -> t
 (** Fresh state with [γ = 0]. *)
 
 val gamma : t -> float array
-(** Current dual variables (returned by reference; treat as
-    read-only). *)
+(** Current dual variables, expanded to one entry per link of the
+    graph (0 for links outside the priced set). A fresh array on every
+    call. *)
 
 val airtimes : t -> x:float array -> float array
 (** [y_l] for every link under route rates [x]: equation (7) plus the
-    problem's external airtime. *)
+    problem's external airtime, expanded to one entry per link (a
+    fresh array). Leaves [γ] unchanged. *)
 
-val step_gamma : t -> y:float array -> alpha:float -> unit
-(** Equation (8) with the margin of (3):
-    [γ_l ← [γ_l + α (y_l - (1 - δ))]+]. *)
+val step : t -> x:float array -> alpha:float -> unit
+(** One dual update under route rates [x]: [y] by equation (7), then
+    equation (8) with the margin of (3),
+    [γ_l ← [γ_l + α (y_l - (1 - δ))]+], once per airtime class. *)
 
 val route_costs : t -> float array
-(** [q_r] for every route under the current [γ]: equation (9). *)
+(** [q_r] for every route under the current [γ]: equation (9),
+    [q_r = Σ_{l∈r} d_l Σ_{i∈I_l} γ_i] with each inner sum taken in
+    domain order. The array is the state's own and is overwritten by
+    the next call; copy it to keep it. *)
 
 val routes_on_link : t -> int -> int list
 (** Route ids traversing a link (cached incidence; for tests). *)

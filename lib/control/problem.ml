@@ -68,7 +68,10 @@ let airtime_demand t x l =
   Array.iteri
     (fun r p -> if Paths.mem_link p l then traffic := !traffic +. x.(r))
     t.routes;
-  (t.d.(l) *. !traffic) +. t.external_airtime.(l)
+  (* An idle link adds no demand, even at d_l = infinity (a dead link),
+     where d_l * 0 would be nan. *)
+  let routed = if !traffic = 0.0 then 0.0 else t.d.(l) *. !traffic in
+  routed +. t.external_airtime.(l)
 
 let feasible ?(slack = 1e-9) t x =
   let n_links = Multigraph.num_links t.g in
@@ -76,6 +79,6 @@ let feasible ?(slack = 1e-9) t x =
   let ok = ref true in
   for l = 0 to n_links - 1 do
     let y = Array.fold_left (fun acc l' -> acc +. demand.(l')) 0.0 (Domain.domain t.dom l) in
-    if y > 1.0 -. t.delta +. slack then ok := false
+    if Float.is_nan y || y > 1.0 -. t.delta +. slack then ok := false
   done;
   !ok

@@ -51,9 +51,12 @@ val flow_rates : t -> float array -> float array
 
 val airtime_demand : t -> float array -> int -> float
 (** The airtime demand [d_l · Σ_{r: l ∈ r} x_r] of link [l] under
-    route rates [x], plus the link's external airtime. *)
+    route rates [x], plus the link's external airtime. A link no route
+    uses contributes exactly its external airtime, also when
+    [d_l = infinity]. *)
 
 val feasible : ?slack:float -> t -> float array -> bool
 (** Whether rates [x] satisfy the conservative interference
     constraint (3): [Σ_{l' ∈ I_l} demand(l') <= 1 - delta + slack]
-    for every link [l] (default [slack = 1e-9]). *)
+    for every link [l] (default [slack = 1e-9]). A nan sum counts as
+    a violation. *)

@@ -12,8 +12,7 @@ let solve ?alpha ?(slots = 2000) ?(x_cap = 1000.0) (problem : Problem.t) =
   let u'_inv = problem.Problem.utility.Utility.u'_inv in
   for t = 0 to slots - 1 do
     let a = Alpha.current alpha in
-    let y = Price.airtimes price ~x in
-    Price.step_gamma price ~y ~alpha:a;
+    Price.step price ~x ~alpha:a;
     let q = Price.route_costs price in
     for r = 0 to n_routes - 1 do
       x.(r) <- Float.min x_cap (u'_inv q.(r))

@@ -33,32 +33,46 @@ let shortest_path ?(csc = true) ?(constraints = no_constraints) ?init_tech g ~sr
   let prev = Array.make n_states (-1) in
   (* via.(s) is the link taken to reach state s and prev.(s) the state
      it was reached from; -1 at the source. *)
+  (* w_ns(u) depends on the graph only: compute it at most once per
+     node and search (nan = not computed yet; wns is never nan). *)
+  let wns_memo = Array.make (Multigraph.n_nodes g) nan in
+  let wns_at u =
+    let w = wns_memo.(u) in
+    if Float.is_nan w then begin
+      let w = wns g u in
+      wns_memo.(u) <- w;
+      w
+    end
+    else w
+  in
+  (* The queue holds state ids; ties pop in push order either way. *)
   let queue = Pqueue.create () in
   let init_in = match init_tech with None -> -1 | Some t -> t in
   let s0 = state_id ~k src init_in in
   dist.(s0) <- 0.0;
-  Pqueue.push queue 0.0 (src, init_in);
-  let best_dst = ref None in
-  let rec run () =
-    match Pqueue.pop queue with
-    | None -> ()
-    | Some (cost, (u, in_tech)) ->
-      let su = state_id ~k u in_tech in
-      if cost > dist.(su) then run ()
-      else if u = dst then best_dst := Some (u, in_tech)
-      else begin
-        let relax l =
+  Pqueue.push queue 0.0 s0;
+  let best_dst = ref (-1) in
+  while !best_dst < 0 && not (Pqueue.is_empty queue) do
+    let cost = Pqueue.top_prio queue and su = Pqueue.top queue in
+    Pqueue.drop queue;
+    let u = su / (k + 1) and in_tech = (su mod (k + 1)) - 1 in
+    if cost > dist.(su) then ()
+    else if u = dst then best_dst := su
+    else
+      List.iter
+        (fun l ->
           let lk = Multigraph.link g l in
           if
             Multigraph.usable g l
             && (not (constraints.banned_links l))
             && not (constraints.banned_nodes lk.Multigraph.dst)
           then begin
-            let in_t = if in_tech < 0 then None else Some in_tech in
-            let step =
-              Multigraph.d g l
-              +. csc_cost g ~enabled:csc ~in_tech:in_t ~out_tech:lk.Multigraph.tech u
+            (* The CSC of [csc_cost]: w_ns(u) when the path keeps its
+               technology through u, else 0. *)
+            let sw =
+              if csc && in_tech = lk.Multigraph.tech then wns_at u else 0.0
             in
+            let step = Multigraph.d g l +. sw in
             if Float.is_finite step then begin
               let nd = cost +. step in
               let sv = state_id ~k lk.Multigraph.dst lk.Multigraph.tech in
@@ -66,28 +80,23 @@ let shortest_path ?(csc = true) ?(constraints = no_constraints) ?init_tech g ~sr
                 dist.(sv) <- nd;
                 via.(sv) <- l;
                 prev.(sv) <- su;
-                Pqueue.push queue nd (lk.Multigraph.dst, lk.Multigraph.tech)
+                Pqueue.push queue nd sv
               end
             end
-          end
-        in
-        List.iter relax (Multigraph.out_links g u);
-        run ()
-      end
-  in
-  run ();
-  match !best_dst with
-  | None -> None
-  | Some (u, in_tech) ->
+          end)
+        (Multigraph.out_links g u)
+  done;
+  if !best_dst < 0 then None
+  else begin
     (* Walk the recorded predecessor states back to the source. *)
     let rec back s acc =
       let l = via.(s) in
       if l < 0 then acc else back prev.(s) (l :: acc)
     in
-    let s_final = state_id ~k u in_tech in
-    let links = back s_final [] in
+    let links = back !best_dst [] in
     let path = Paths.of_links g links in
-    Some (path, dist.(s_final))
+    Some (path, dist.(!best_dst))
+  end
 
 let path_cost ?(csc = true) ?init_tech g path =
   let rec go in_tech links acc =

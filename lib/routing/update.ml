@@ -15,19 +15,31 @@ let path_rate g dom path =
     (fun acc l -> Float.min acc (rate_on_link g dom path l))
     infinity path.Paths.links
 
-let idle_fraction g dom path l =
-  let r = path_rate g dom path in
-  if r <= 0.0 then 1.0
+(* r(l,P) given R(P) = [rate]. *)
+let idle_fraction_at g dom path ~rate l =
+  if rate <= 0.0 then 1.0
   else begin
-    let consumed = r *. domain_path_weight g dom path l in
+    let consumed = rate *. domain_path_weight g dom path l in
     Float.max 0.0 (Float.min 1.0 (1.0 -. consumed))
   end
 
+let idle_fraction g dom path l =
+  idle_fraction_at g dom path ~rate:(path_rate g dom path) l
+
 let update g dom path =
   let caps = Multigraph.capacities g in
-  let touched = Hashtbl.create 32 in
+  let rate = path_rate g dom path in
+  (* Each link of ∪_{l ∈ P} I_l is scaled once, from the original
+     capacities, so the visiting order does not matter. *)
+  let touched = Array.make (Array.length caps) false in
   List.iter
-    (fun l -> Array.iter (fun l' -> Hashtbl.replace touched l' ()) (Domain.domain dom l))
+    (fun l ->
+      Array.iter
+        (fun l' ->
+          if not touched.(l') then begin
+            touched.(l') <- true;
+            caps.(l') <- caps.(l') *. idle_fraction_at g dom path ~rate l'
+          end)
+        (Domain.domain dom l))
     path.Paths.links;
-  Hashtbl.iter (fun l () -> caps.(l) <- caps.(l) *. idle_fraction g dom path l) touched;
   Multigraph.with_capacities g caps

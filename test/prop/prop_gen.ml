@@ -113,6 +113,49 @@ let saturated_flow_of_case c =
           stop_time = None;
         } )
 
+(* Price cases: 1-3 flows routed on a random case, with external
+   airtime on about a third of the links no route uses (external-only
+   carriers), a random margin delta, a fixed dual step and fresh
+   random route rates for every slot. *)
+type price_case = {
+  problem : Problem.t;
+  alpha : float;
+  slot_rates : float array array;  (** per slot, per route *)
+}
+
+let price_case_of_seed ~slots seed =
+  let c = case_of_seed seed in
+  let rng = Rng.create (0x6A09E667 + seed) in
+  let n = Multigraph.n_nodes c.g in
+  let pair () =
+    let src = Rng.int rng n in
+    (src, (src + 1 + Rng.int rng (n - 1)) mod n)
+  in
+  let pairs = (c.src, c.dst) :: List.init (Rng.int rng 3) (fun _ -> pair ()) in
+  let flows =
+    List.map
+      (fun (src, dst) -> Multipath.routes (Multipath.find c.g c.dom ~src ~dst))
+      pairs
+  in
+  let n_links = Multigraph.num_links c.g in
+  let on_route = Array.make n_links false in
+  List.iter
+    (List.iter (fun p -> List.iter (fun l -> on_route.(l) <- true) p.Paths.links))
+    flows;
+  let external_airtime =
+    Array.init n_links (fun l ->
+        if (not on_route.(l)) && Rng.float rng < 0.3 then Rng.uniform rng 0.02 0.4
+        else 0.0)
+  in
+  let delta = if Rng.bool rng then 0.0 else Rng.uniform rng 0.05 0.3 in
+  let problem = Problem.make ~delta ~external_airtime c.g c.dom ~flows in
+  let alpha = Rng.uniform rng 0.01 0.5 in
+  let slot_rates =
+    Array.init slots (fun _ ->
+        Array.init (Problem.n_routes problem) (fun _ -> Rng.uniform rng 0.0 30.0))
+  in
+  { problem; alpha; slot_rates }
+
 (* Lemma 1 cases: k disjoint saturated links sharing one collision
    domain; the closed form predicts each delivers (Σ_l d_l)^-1. *)
 type lemma1_case = {

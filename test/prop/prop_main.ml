@@ -218,6 +218,113 @@ let prop_allocation_deterministic =
         QCheck.Test.fail_reportf "seed %d: cc_result not reproducible" seed;
       true)
 
+(* ---------- oracle 5b: class-grouped duals = per-link duals ---------- *)
+
+(* Price keeps one y and one γ per airtime class (priced links with the
+   same I_i ∩ carriers). The reference below recomputes eqs. (7)-(9)
+   per link, as the controller did before the grouping: y_i over
+   I_i ∩ carriers in domain order, γ_i ← [γ_i + α (y_i - (1-δ))]+, and
+   q_r = Σ_{l∈r} d_l Σ_{i∈I_l} γ_i. Every value must agree to the bit. *)
+
+let carriers (p : Problem.t) =
+  Array.init (Multigraph.num_links p.Problem.g) (fun l ->
+      p.Problem.external_airtime.(l) > 0.0
+      || Array.exists (fun r -> Paths.mem_link r l) p.Problem.routes)
+
+let reference_airtimes (p : Problem.t) carrier x =
+  let n_links = Array.length carrier in
+  let demand =
+    Array.init n_links (fun l ->
+        if not carrier.(l) then 0.0
+        else begin
+          let traffic = ref 0.0 in
+          Array.iteri
+            (fun r route -> if Paths.mem_link route l then traffic := !traffic +. x.(r))
+            p.Problem.routes;
+          (p.Problem.d.(l) *. !traffic) +. p.Problem.external_airtime.(l)
+        end)
+  in
+  Array.init n_links (fun i ->
+      Array.fold_left
+        (fun acc l -> if carrier.(l) then acc +. demand.(l) else acc)
+        0.0
+        (Domain.domain p.Problem.dom i))
+
+let reference_route_costs (p : Problem.t) gamma =
+  Array.map
+    (fun route ->
+      List.fold_left
+        (fun acc l ->
+          let g_sum =
+            Array.fold_left
+              (fun s i -> s +. gamma.(i))
+              0.0
+              (Domain.domain p.Problem.dom l)
+          in
+          acc +. (p.Problem.d.(l) *. g_sum))
+        0.0 route.Paths.links)
+    p.Problem.routes
+
+let prop_price_classes_bit_identical =
+  QCheck.Test.make ~count:150
+    ~name:"class-grouped prices = per-link eqs. (7)-(9), bit for bit" seed_gen
+    (fun seed ->
+      let pc = Prop_gen.price_case_of_seed ~slots:30 seed in
+      let p = pc.Prop_gen.problem and alpha = pc.Prop_gen.alpha in
+      let carrier = carriers p in
+      let target = 1.0 -. p.Problem.delta in
+      let gamma = Array.make (Array.length carrier) 0.0 in
+      let price = Price.create p in
+      let same what slot expected got =
+        Array.iteri
+          (fun i e ->
+            if Int64.bits_of_float e <> Int64.bits_of_float got.(i) then
+              QCheck.Test.fail_reportf "seed %d slot %d: %s.(%d) = %h, per-link %h"
+                seed slot what i got.(i) e)
+          expected
+      in
+      Array.iteri
+        (fun slot x ->
+          let y = reference_airtimes p carrier x in
+          same "y" slot y (Price.airtimes price ~x);
+          Array.iteri
+            (fun i yi ->
+              gamma.(i) <- Float.max 0.0 (gamma.(i) +. (alpha *. (yi -. target))))
+            y;
+          Price.step price ~x ~alpha;
+          same "gamma" slot gamma (Price.gamma price);
+          same "q" slot (reference_route_costs p gamma) (Price.route_costs price))
+        pc.Prop_gen.slot_rates;
+      true)
+
+let prop_price_cases_cover_classes =
+  (* The testbed has 2-3 classes; make sure the generator reaches
+     richer groupings and external-only carriers. *)
+  QCheck.Test.make ~count:1
+    ~name:"price cases reach 3+ airtime classes and external-only carriers"
+    QCheck.unit
+    (fun () ->
+      let stats =
+        List.init 150 (fun seed ->
+            let p = (Prop_gen.price_case_of_seed ~slots:0 seed).Prop_gen.problem in
+            let carrier = carriers p in
+            let classes = Hashtbl.create 8 in
+            Array.iteri
+              (fun i _ ->
+                let key =
+                  List.filter (fun l -> carrier.(l))
+                    (Array.to_list (Domain.domain p.Problem.dom i))
+                in
+                if key <> [] then Hashtbl.replace classes key ())
+              carrier;
+            (* External airtime only ever lands on links no route uses. *)
+            let external_only =
+              Array.exists (fun e -> e > 0.0) p.Problem.external_airtime
+            in
+            (Hashtbl.length classes, external_only))
+      in
+      List.exists (fun (k, _) -> k >= 3) stats && List.exists snd stats)
+
 (* ---------- oracle 6: fault injection (chaos) ---------- *)
 
 let chaos_config = { Engine.default_config with Engine.route_reclaim = true }
@@ -683,6 +790,8 @@ let () =
       prop_lemma1_closed_form;
       prop_engine_deterministic;
       prop_allocation_deterministic;
+      prop_price_classes_bit_identical;
+      prop_price_cases_cover_classes;
       prop_invariants_hold_under_chaos;
       prop_chaos_deterministic;
       prop_goodput_recovers_after_faults;

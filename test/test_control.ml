@@ -105,7 +105,19 @@ let test_feasibility () =
     (Problem.feasible ~slack:1e-6 p [| 10.0; 20.0 /. 3.0 |]);
   Alcotest.(check bool) "above optimum infeasible" false
     (Problem.feasible p [| 10.0; 8.0 |]);
-  Alcotest.(check bool) "zero feasible" true (Problem.feasible p [| 0.0; 0.0 |])
+  Alcotest.(check bool) "zero feasible" true (Problem.feasible p [| 0.0; 0.0 |]);
+  (* An idle zero-capacity link in the domain adds no demand (not
+     infinity * 0 = nan), so a 10x overload of its neighbour is caught. *)
+  let g =
+    Multigraph.create ~n_nodes:3 ~n_techs:1 ~edges:[ (0, 1, 0, 10.0); (1, 2, 0, 0.0) ]
+  in
+  let p =
+    Problem.make g (Domain.single_domain_per_tech g) ~flows:[ [ Paths.of_links g [ 0 ] ] ]
+  in
+  Alcotest.(check (float 0.0)) "idle dead link demand" 0.0
+    (Problem.airtime_demand p [| 100.0 |] 2);
+  Alcotest.(check bool) "overload next to a dead link infeasible" false
+    (Problem.feasible p [| 100.0 |])
 
 let test_price_airtimes () =
   let g, dom = fig1 () in
@@ -124,12 +136,12 @@ let test_price_gamma_updates () =
   let g, dom = fig1 () in
   let p = Problem.make g dom ~flows:[ fig1_routes g ] in
   let price = Price.create p in
-  let n = Multigraph.num_links g in
-  (* Overloaded airtime raises gamma; underloaded decays to zero. *)
-  Price.step_gamma price ~y:(Array.make n 2.0) ~alpha:0.1;
+  (* Overloaded airtime raises gamma; underloaded decays to zero.
+     x = (20, 40/3) gives y = 2 on every link of fig1. *)
+  Price.step price ~x:[| 20.0; 40.0 /. 3.0 |] ~alpha:0.1;
   Alcotest.(check bool) "gamma rose" true ((Price.gamma price).(0) > 0.0);
   for _ = 1 to 100 do
-    Price.step_gamma price ~y:(Array.make n 0.0) ~alpha:0.1
+    Price.step price ~x:[| 0.0; 0.0 |] ~alpha:0.1
   done;
   check_float "gamma decayed to 0" 0.0 (Price.gamma price).(0)
 
@@ -137,9 +149,9 @@ let test_price_route_costs () =
   let g, dom = fig1 () in
   let p = Problem.make g dom ~flows:[ fig1_routes g ] in
   let price = Price.create p in
-  let n = Multigraph.num_links g in
-  Price.step_gamma price ~y:(Array.make n 2.0) ~alpha:1.0;
-  (* All gammas = 1 now. q_r = sum over hops of d_l * |I_l|. *)
+  (* x = (20, 40/3) gives y = 2 on every link: all gammas = 1 now. *)
+  Price.step price ~x:[| 20.0; 40.0 /. 3.0 |] ~alpha:1.0;
+  (* q_r = sum over hops of d_l * |I_l|. *)
   let q = Price.route_costs price in
   (* Route 1: plc hop d=1/10, |I|=2 -> 0.2 ; wifi hop d=1/30, |I|=4 ->
      4/30. *)

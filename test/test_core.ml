@@ -75,6 +75,88 @@ let test_flow_specs_skip_unreachable () =
   Alcotest.(check int) "no specs" 0
     (List.length (Empower.flow_specs_of_allocation alloc))
 
+(* --- Set-up pins --- *)
+
+(* Digests recorded before routing and the controller were optimized
+   (class-grouped duals, memoized switching cost, single-pass
+   update()). Set-up must stay bit-identical: every float of every
+   plan, route rate and controller trace goes into the digest. *)
+
+let md5_marshal v =
+  Digest.to_hex (Digest.string (Marshal.to_string v [ Marshal.No_sharing ]))
+
+let testbed_net =
+  lazy (Empower.of_instance (Testbed.generate (Rng.create 4242)) Builder.Hybrid)
+
+let test_allocate_testbed_pinned () =
+  let net = Lazy.force testbed_net in
+  let pin flows digest =
+    let alloc = Empower.allocate ~delta:0.05 net ~flows in
+    let name =
+      String.concat " " (List.map (fun (s, d) -> Printf.sprintf "%d->%d" s d) flows)
+    in
+    Alcotest.(check string) ("allocation " ^ name) digest (md5_marshal alloc)
+  in
+  pin [ (0, 12) ] "d743bee6fba5e0cb115ebe1cede425e3";
+  pin [ (5, 17) ] "c55321d824cc93ab2f231ca23c52f369";
+  pin [ (3, 17); (8, 21) ] "82e4032a3dce6db6e4d0f266c365396f";
+  pin [ (14, 4); (1, 9) ] "d6946488f82164fa8f3943f1b0f08196";
+  pin [ (0, 12); (3, 17); (8, 21) ] "0c15b198e6a3309c8da09147037dc514";
+  pin [ (2, 19); (11, 6); (20, 7) ] "8782570f2abc3ee108202dea4a5fb5c8"
+
+let test_evaluate_pinned () =
+  let noisy =
+    { Schemes.default_options with Schemes.delta = 0.05; estimate_noise = 0.1 }
+  in
+  let pin name inst ?opts ~seed scheme flows digest =
+    let rates = Schemes.evaluate ?opts (Rng.create seed) inst scheme ~flows in
+    Alcotest.(check string) name digest (md5_marshal rates)
+  in
+  List.iter
+    (fun (seed, d_emp, d_mw, d_noisy) ->
+      let inst = Residential.generate (Rng.create seed) in
+      let tag = Printf.sprintf "residential %d" seed in
+      pin (tag ^ " empower") inst ~seed Schemes.Empower [ (0, 9); (3, 6) ] d_emp;
+      pin (tag ^ " mp-wifi") inst ~seed Schemes.Mp_wifi [ (0, 9) ] d_mw;
+      pin (tag ^ " noisy") inst ~opts:noisy ~seed Schemes.Empower [ (1, 8) ] d_noisy)
+    [
+      ( 1,
+        "97819c20410b99e5a5923aa4bcad5ef8",
+        "f4af6d094b8c699b28be6813ee3fb979",
+        "d59722421b0f4a166161047164e22229" );
+      ( 7,
+        "7083bde7ddfc71afe6396333e3ca16eb",
+        "e9064aa8d63c0fabcfae925b653f98fa",
+        "c4b7eb560cb842e433c3cbf0ac69fd02" );
+    ];
+  List.iter
+    (fun (seed, d_emp, d_mw) ->
+      let inst = Enterprise.generate (Rng.create seed) in
+      let tag = Printf.sprintf "enterprise %d" seed in
+      pin (tag ^ " empower") inst ~seed Schemes.Empower
+        [ (0, 15); (4, 12); (7, 19) ]
+        d_emp;
+      pin (tag ^ " mp-mwifi") inst ~seed Schemes.Mp_mwifi [ (2, 11) ] d_mw)
+    [
+      (3, "d1a31915e77a71b0ca17af1aece62e23", "f98bcc258f2c91ccf1c00bc0c11583ec");
+      (11, "b60754b9fb04965ea83b9502742f04a4", "feec69c05dc3dc296f7428f7ab7889e3");
+    ]
+
+let test_single_cc_testbed_pinned () =
+  (* The single-path controller on the primary routes of three
+     concurrent testbed flows, trace included. *)
+  let net = Lazy.force testbed_net in
+  let g = net.Empower.g and dom = net.Empower.dom in
+  let primary (src, dst) =
+    match Dijkstra.shortest_path g ~src ~dst with
+    | Some (p, _) -> [ p ]
+    | None -> Alcotest.failf "no route %d -> %d" src dst
+  in
+  let flows = List.map primary [ (0, 12); (3, 17); (8, 21) ] in
+  let res = Single_cc.solve (Problem.make ~delta:0.05 g dom ~flows) in
+  Alcotest.(check string) "single-path controller" "a969d9a5cec6a9ce919fb85110edd7a7"
+    (md5_marshal res)
+
 (* --- Workload --- *)
 
 let test_workload_describe () =
@@ -125,6 +207,14 @@ let () =
           Alcotest.test_case "specs + simulate" `Quick test_flow_specs_and_simulate;
           Alcotest.test_case "specs skip unreachable" `Quick
             test_flow_specs_skip_unreachable;
+        ] );
+      ( "set-up pins",
+        [
+          Alcotest.test_case "allocate testbed pinned" `Quick
+            test_allocate_testbed_pinned;
+          Alcotest.test_case "evaluate pinned" `Quick test_evaluate_pinned;
+          Alcotest.test_case "single-path controller pinned" `Quick
+            test_single_cc_testbed_pinned;
         ] );
       ( "workload",
         [
