@@ -8,8 +8,9 @@
                   congestion controller, testbed-scale set-up (the
                   exploration tree and a 3-flow Empower.allocate on the
                   22-node testbed), the LP-based optimal baseline,
-                  the fluid MAC, the packet engine and the 20-byte
-                  header codec.
+                  the fluid MAC, the packet engine (bare and with a
+                  flight ring armed), the testbed's interference
+                  structure and the 20-byte header codec.
    - sim          wall-clock engine throughput on a pinned scenario,
                   written to BENCH_sim.json: events/s and allocation
                   per event, trace overhead, chaos/severance runs, and
@@ -35,12 +36,15 @@ let residential_case =
      let dom = Domain.of_instance inst Builder.Hybrid g in
      (g, dom))
 
-let testbed_case =
+let testbed_instance =
   lazy
     (let inst = Testbed.generate (Rng.create 4242) in
-     let g = Builder.graph inst Builder.Hybrid in
-     let dom = Domain.of_instance inst Builder.Hybrid g in
-     (g, dom))
+     (inst, Builder.graph inst Builder.Hybrid))
+
+let testbed_case =
+  lazy
+    (let inst, g = Lazy.force testbed_instance in
+     (g, Domain.of_instance inst Builder.Hybrid g))
 
 let bench_multipath () =
   let g, dom = Lazy.force residential_case in
@@ -83,7 +87,7 @@ let bench_fluid () =
   let offered = List.map (fun p -> (p, Update.path_rate g dom p)) routes in
   ignore (Fluid.goodput g dom ~offered)
 
-let bench_engine () =
+let bench_engine_with ?flight () =
   let g, dom = Lazy.force testbed_case in
   let comb = Multipath.find g dom ~src:0 ~dst:12 in
   match Multipath.routes comb with
@@ -102,7 +106,22 @@ let bench_engine () =
         stop_time = None;
       }
     in
-    ignore (Engine.run (Rng.create 1) g dom ~flows:[ spec ] ~duration:2.0)
+    ignore (Engine.run ?flight (Rng.create 1) g dom ~flows:[ spec ] ~duration:2.0)
+
+let bench_engine () = bench_engine_with ()
+
+(* The same run with a flight ring armed: every 100 ms tick writes one
+   price row per priced link (616 on the testbed), each carrying
+   d_l Σ_{i∈I_l} γ_i. One ring serves every run. *)
+let flight_ring = lazy (Obs.Flight.create ())
+
+let bench_engine_flight () = bench_engine_with ~flight:(Lazy.force flight_ring) ()
+
+(* Building the testbed's interference structure: the pairwise bits,
+   the twin classes and one domain array per class. *)
+let bench_domain_testbed () =
+  let inst, g = Lazy.force testbed_instance in
+  ignore (Domain.of_instance inst Builder.Hybrid g)
 
 let bench_header () =
   let h = Header.make ~seq:123456 ~qr:0.125 ~route:[| 0x1a2b; 0x3c4d; 0x5e6f |] in
@@ -121,6 +140,9 @@ let kernel_tests =
     Test.make ~name:"LP optimal baseline" (Staged.stage bench_lp);
     Test.make ~name:"fluid MAC goodput" (Staged.stage bench_fluid);
     Test.make ~name:"packet engine (2 s sim)" (Staged.stage bench_engine);
+    Test.make ~name:"packet engine, flight ring armed (testbed 0->12, 2 s)"
+      (Staged.stage bench_engine_flight);
+    Test.make ~name:"Domain.of_instance (testbed)" (Staged.stage bench_domain_testbed);
     Test.make ~name:"header encode+decode" (Staged.stage bench_header);
   ]
 

@@ -11,7 +11,12 @@
    starts every member at γ = 0, so their y_i and γ_i are bit-identical
    at every slot. The state therefore keeps one y and one γ per class
    (2-3 classes cover the testbed's 616 priced links) and expands them
-   per link only on request. *)
+   per link only on request.
+
+   Both the class key of a priced link and a carrier's Σ_{i∈I_l} γ_i
+   depend on the link only through I_l, so they are computed once per
+   twin class ([Domain.twin]): carriers under one PLC panel, or in one
+   carrier-sense neighbourhood, share one key and one Σγ fold. *)
 
 type t = {
   problem : Problem.t;
@@ -23,9 +28,10 @@ type t = {
       (* per class: carrier positions of I_i ∩ carriers, in domain order *)
   y : float array;              (* per class: eq. (7) *)
   gamma : float array;          (* per class: eq. (8) *)
-  carrier_classes : int array array;
-      (* per carrier position: the class of each i ∈ I_l, in domain order *)
-  link_price : float array;     (* per carrier position: d_l Σ_{i∈I_l} γ_i *)
+  carrier_twin : int array;     (* per carrier position: its twin among carriers *)
+  twin_classes : int array array;
+      (* per carrier twin: the class of each i ∈ I_l, in domain order *)
+  twin_gsum : float array;      (* per carrier twin: Σ_{i∈I_l} γ_i *)
   route_hops : int array array; (* per route: carrier positions of its links *)
   q : float array;              (* per route: eq. (9) *)
 }
@@ -64,34 +70,49 @@ let create (problem : Problem.t) =
         Array.of_list (List.rev !rs))
       carriers
   in
-  (* Class ids in order of first appearance along [priced]. *)
+  (* Class ids in order of first appearance along [priced]. A class
+     key depends on i only through I_i, so it is built once per twin
+     class and looked up by the first priced member of the twin. *)
   let class_ids = Hashtbl.create 8 in
   let classes = ref [] in
+  let twin_class = Array.make (Domain.n_twins dom) (-1) in
   let link_class = Array.make n_links (-1) in
   Array.iter
     (fun i ->
-      let key =
-        Array.map (fun l -> carrier_pos.(l)) (Domain.restrict dom is_carrier i)
-      in
-      let k =
-        match Hashtbl.find_opt class_ids key with
-        | Some k -> k
-        | None ->
-          let k = Hashtbl.length class_ids in
-          Hashtbl.add class_ids key k;
-          classes := key :: !classes;
-          k
-      in
-      link_class.(i) <- k)
+      let tw = Domain.twin dom i in
+      if twin_class.(tw) < 0 then begin
+        let key =
+          Array.map (fun l -> carrier_pos.(l)) (Domain.restrict dom is_carrier i)
+        in
+        twin_class.(tw) <-
+          (match Hashtbl.find_opt class_ids key with
+          | Some k -> k
+          | None ->
+            let k = Hashtbl.length class_ids in
+            Hashtbl.add class_ids key k;
+            classes := key :: !classes;
+            k)
+      end;
+      link_class.(i) <- twin_class.(tw))
     priced;
   let class_carriers = Array.of_list (List.rev !classes) in
   let n_classes = Array.length class_carriers in
-  (* Every link of a carrier's domain is priced. *)
-  let carrier_classes =
-    Array.map
-      (fun l -> Array.map (fun i -> link_class.(i)) (Domain.domain dom l))
-      carriers
-  in
+  (* The carriers' twin classes, numbered in carrier order, each with
+     the class of every i ∈ I_l (all priced) in domain order. *)
+  let carrier_twin = Array.make (Array.length carriers) 0 in
+  let twin_pos = Array.make (Domain.n_twins dom) (-1) in
+  let twins = ref [] and n_twins = ref 0 in
+  Array.iteri
+    (fun c l ->
+      let tw = Domain.twin dom l in
+      if twin_pos.(tw) < 0 then begin
+        twin_pos.(tw) <- !n_twins;
+        incr n_twins;
+        twins := Array.map (fun i -> link_class.(i)) (Domain.domain dom l) :: !twins
+      end;
+      carrier_twin.(c) <- twin_pos.(tw))
+    carriers;
+  let twin_classes = Array.of_list (List.rev !twins) in
   let route_hops =
     Array.map
       (fun p -> Array.of_list (List.map (fun l -> carrier_pos.(l)) p.Paths.links))
@@ -107,8 +128,9 @@ let create (problem : Problem.t) =
     class_carriers;
     y = Array.make n_classes 0.0;
     gamma = Array.make n_classes 0.0;
-    carrier_classes;
-    link_price = Array.make n_carriers 0.0;
+    carrier_twin;
+    twin_classes;
+    twin_gsum = Array.make (Array.length twin_classes) 0.0;
     route_hops;
     q = Array.make (Array.length route_hops) 0.0;
   }
@@ -152,20 +174,22 @@ let step t ~x ~alpha =
 
 let route_costs t =
   let d = t.problem.Problem.d in
-  (* Per-carrier price d_l * Σ_{i ∈ I_l} γ_i, then summed along routes. *)
-  for c = 0 to Array.length t.carriers - 1 do
-    let ks = t.carrier_classes.(c) in
+  (* Σ_{i ∈ I_l} γ_i once per twin class of the carriers, then the
+     per-hop prices d_l Σγ summed along routes. *)
+  for k = 0 to Array.length t.twin_classes - 1 do
+    let ks = t.twin_classes.(k) in
     let acc = ref 0.0 in
     for j = 0 to Array.length ks - 1 do
       acc := !acc +. t.gamma.(ks.(j))
     done;
-    t.link_price.(c) <- d.(t.carriers.(c)) *. !acc
+    t.twin_gsum.(k) <- !acc
   done;
   for r = 0 to Array.length t.q - 1 do
     let hops = t.route_hops.(r) in
     let acc = ref 0.0 in
     for j = 0 to Array.length hops - 1 do
-      acc := !acc +. t.link_price.(hops.(j))
+      let c = hops.(j) in
+      acc := !acc +. (d.(t.carriers.(c)) *. t.twin_gsum.(t.carrier_twin.(c)))
     done;
     t.q.(r) <- !acc
   done;

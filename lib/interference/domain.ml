@@ -1,11 +1,15 @@
-(* The pairwise relation is one bit per ordered pair, row-major; each
-   I_l is one sorted int array, built once from its row and handed out
-   by reference. On the 22-node testbed (616 links, 353 per I_l on
-   average) the bits take 47 KB and the arrays 217,552 words. *)
+(* The pairwise relation is one bit per ordered pair, row-major. Links
+   whose rows are identical have the same I_l and form one twin class
+   (carrier sense and one collision domain per PLC panel make most
+   links twins); each class's I_l is one sorted int array, built once
+   from a member's row and handed out by reference to every member.
+   On the 22-node testbed (616 links, 353 per I_l on average, 4 twin
+   classes) the bits take 47 KB and the class arrays 988 words. *)
 type t = {
   n : int;
   bits : Bytes.t;             (* symmetric pairwise interference *)
-  domains : int array array;  (* I_l, sorted, includes l *)
+  twin : int array;           (* per link: its twin class *)
+  domains : int array array;  (* per twin class: I_l, sorted, includes l *)
 }
 
 let bit_set bits k =
@@ -14,22 +18,55 @@ let bit_set bits k =
 
 let bit_get bits k = Bytes.get_uint8 bits (k lsr 3) land (1 lsl (k land 7)) <> 0
 
-let build_domains n bits =
-  Array.init n (fun l ->
-      let row = l * n in
-      let size = ref 0 in
-      for l' = 0 to n - 1 do
-        if bit_get bits (row + l') then incr size
-      done;
-      let d = Array.make !size 0 in
-      let k = ref 0 in
-      for l' = 0 to n - 1 do
-        if bit_get bits (row + l') then begin
-          d.(!k) <- l';
-          incr k
-        end
-      done;
-      d)
+let row_array n bits l =
+  let row = l * n in
+  let size = ref 0 in
+  for l' = 0 to n - 1 do
+    if bit_get bits (row + l') then incr size
+  done;
+  let d = Array.make !size 0 in
+  let k = ref 0 in
+  for l' = 0 to n - 1 do
+    if bit_get bits (row + l') then begin
+      d.(!k) <- l';
+      incr k
+    end
+  done;
+  d
+
+let rows_equal n bits a b =
+  let ra = a * n and rb = b * n in
+  let i = ref 0 in
+  while !i < n && bit_get bits (ra + !i) = bit_get bits (rb + !i) do
+    incr i
+  done;
+  !i = n
+
+(* Twin classes numbered in order of their lowest link: hash each row,
+   then compare it with the first member of every class that hashed
+   the same. *)
+let build n bits =
+  let twin = Array.make n 0 in
+  let first = Array.make n 0 in
+  let n_classes = ref 0 in
+  let by_hash = Hashtbl.create 16 in
+  for l = 0 to n - 1 do
+    let row = l * n in
+    let h = ref 0 in
+    for l' = 0 to n - 1 do
+      if bit_get bits (row + l') then h := (!h * 31) + l' + 1
+    done;
+    let candidates = Option.value ~default:[] (Hashtbl.find_opt by_hash !h) in
+    match List.find_opt (fun k -> rows_equal n bits first.(k) l) candidates with
+    | Some k -> twin.(l) <- k
+    | None ->
+      let k = !n_classes in
+      incr n_classes;
+      first.(k) <- l;
+      Hashtbl.replace by_hash !h (k :: candidates);
+      twin.(l) <- k
+  done;
+  { n; bits; twin; domains = Array.init !n_classes (fun k -> row_array n bits first.(k)) }
 
 let create g ~interferes =
   let n = Multigraph.num_links g in
@@ -45,7 +82,7 @@ let create g ~interferes =
       end
     done
   done;
-  { n; bits; domains = build_domains n bits }
+  build n bits
 
 let endpoint_distance positions (a : Multigraph.link) (b : Multigraph.link) =
   let dist u v = Geometry.distance positions.(u) positions.(v) in
@@ -89,10 +126,14 @@ let interferes t l l' =
   if l < 0 || l >= t.n || l' < 0 || l' >= t.n then invalid_arg "Domain.interferes";
   bit_get t.bits ((l * t.n) + l')
 
-let domain t l = t.domains.(l)
+let domain t l = t.domains.(t.twin.(l))
+
+let twin t l = t.twin.(l)
+
+let n_twins t = Array.length t.domains
 
 let restrict t mem l =
-  let d = t.domains.(l) in
+  let d = domain t l in
   let size = ref 0 in
   for i = 0 to Array.length d - 1 do
     if mem.(d.(i)) then incr size
@@ -111,6 +152,6 @@ let num_links t = t.n
 
 let graph_cliques t =
   let neighbors v =
-    Array.fold_right (fun u acc -> if u <> v then u :: acc else acc) t.domains.(v) []
+    Array.fold_right (fun u acc -> if u <> v then u :: acc else acc) (domain t v) []
   in
   Clique.bron_kerbosch ~n:t.n ~neighbors

@@ -50,8 +50,21 @@ val interferes : t -> int -> int -> bool
 
 val domain : t -> int -> int array
 (** I_l: the sorted ids of links interfering with [l] (includes [l]).
-    The array is the structure's own, shared by every caller; treat it
-    as read-only. *)
+    The array is the structure's own, shared by every caller and by
+    every twin of [l] ({!twin}); treat it as read-only. *)
+
+val twin : t -> int -> int
+(** [twin t l] is the twin class of [l]: [twin t l = twin t l'] exactly
+    when I_l = I_l', and then [domain t l == domain t l'] (one array
+    per class). Classes are numbered [0 .. n_twins t - 1] in order of
+    their lowest link. Any computation that depends on a link only
+    through I_l — a sum over I_l, a restriction of it — can be done
+    once per class: on the 22-node testbed the 616 links fall into 4
+    classes, and under {!single_domain_per_tech} there is one class per
+    technology in use. *)
+
+val n_twins : t -> int
+(** Number of twin classes, i.e. of distinct I_l. *)
 
 val restrict : t -> bool array -> int -> int array
 (** [restrict t mem l] is I_l ∩ \{i | [mem.(i)]\}, in domain

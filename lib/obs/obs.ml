@@ -1460,7 +1460,7 @@ module Recorder = struct
     link_qlen : (int, int ref) Hashtbl.t;     (* last observed queue length *)
     flow_bits : (int, float ref) Hashtbl.t;   (* delivered bits in window *)
     flow_rates : (int, float array) Hashtbl.t;
-    gamma_prev : (int, float) Hashtbl.t;
+    mutable gamma_prev : float array;         (* per link: last γ, 0 before any *)
     mutable tick_t : float;                   (* time of current price tick *)
     mutable tick_delta : float;               (* max |Δγ| within that tick *)
     events : Metrics.Counter.t;
@@ -1471,6 +1471,13 @@ module Recorder = struct
     mutable fault_last : float;
     flow_argmax : (int, int) Hashtbl.t;
     flows_seen : (int, unit) Hashtbl.t;
+    (* Instruments updated on every grant, collision, price row or
+       delivery: looked up by name on first use and then kept, so the
+       registry holds exactly what a lookup per event would create. *)
+    gamma_max : Metrics.Gauge.t Lazy.t;
+    grants : Metrics.Counter.t Lazy.t;
+    collisions : Metrics.Counter.t Lazy.t;
+    delay_hist : (int, Metrics.Histogram.t) Hashtbl.t;  (* per flow *)
   }
 
   let create ?(window = 1.0) ?domain_of reg =
@@ -1484,7 +1491,7 @@ module Recorder = struct
       link_qlen = Hashtbl.create 32;
       flow_bits = Hashtbl.create 8;
       flow_rates = Hashtbl.create 8;
-      gamma_prev = Hashtbl.create 32;
+      gamma_prev = [||];
       tick_t = -1.0;
       tick_delta = 0.0;
       events = Metrics.counter reg "trace.events";
@@ -1492,6 +1499,10 @@ module Recorder = struct
       fault_last = neg_infinity;
       flow_argmax = Hashtbl.create 8;
       flows_seen = Hashtbl.create 8;
+      gamma_max = lazy (Metrics.gauge reg "ctrl.gamma_max");
+      grants = lazy (Metrics.counter reg "mac.grants");
+      collisions = lazy (Metrics.counter reg "mac.collisions");
+      delay_hist = Hashtbl.create 8;
     }
 
   let sorted_keys tbl = Hashtbl.fold (fun k _ acc -> k :: acc) tbl [] |> List.sort compare
@@ -1571,7 +1582,7 @@ module Recorder = struct
       | Some c -> c := qlen
       | None -> Hashtbl.add r.link_qlen link (ref qlen))
     | Trace.Mac_grant { link; collided; airtime; _ } ->
-      Metrics.Counter.incr (Metrics.counter r.reg "mac.grants");
+      Metrics.Counter.incr (Lazy.force r.grants);
       acc_float r.link_air link airtime;
       (match Hashtbl.find_opt r.link_qlen link with
       | Some c -> if !c > 0 then c := !c - 1
@@ -1579,16 +1590,22 @@ module Recorder = struct
       if collided then ()
     | Trace.Dequeue _ -> ()
     | Trace.Collision { link; _ } ->
-      Metrics.Counter.incr (Metrics.counter r.reg "mac.collisions");
+      Metrics.Counter.incr (Lazy.force r.collisions);
       Metrics.Counter.incr
         (Metrics.counter r.reg (Printf.sprintf "link.%d.collisions" link))
     | Trace.Drop { reason; _ } ->
       Metrics.Counter.incr
         (Metrics.counter r.reg ("drops." ^ Trace.drop_reason_name reason))
     | Trace.Delivery { flow; bytes; delay; _ } ->
-      Metrics.Histogram.observe
-        (Metrics.histogram r.reg (Printf.sprintf "flow.%d.delay" flow))
-        delay;
+      let h =
+        match Hashtbl.find r.delay_hist flow with
+        | h -> h
+        | exception Not_found ->
+          let h = Metrics.histogram r.reg (Printf.sprintf "flow.%d.delay" flow) in
+          Hashtbl.add r.delay_hist flow h;
+          h
+      in
+      Metrics.Histogram.observe h delay;
       Hashtbl.replace r.flows_seen flow ();
       acc_float r.flow_bits flow (8.0 *. float_of_int bytes)
     | Trace.Price_update { t; link; gamma; _ } ->
@@ -1596,13 +1613,16 @@ module Recorder = struct
         flush_tick r;
         r.tick_t <- t
       end;
-      let prev =
-        match Hashtbl.find_opt r.gamma_prev link with Some g -> g | None -> 0.0
-      in
-      let d = Float.abs (gamma -. prev) in
+      let n = Array.length r.gamma_prev in
+      if link >= n then begin
+        let grown = Array.make (max (link + 1) (2 * n)) 0.0 in
+        Array.blit r.gamma_prev 0 grown 0 n;
+        r.gamma_prev <- grown
+      end;
+      let d = Float.abs (gamma -. r.gamma_prev.(link)) in
       if d > r.tick_delta then r.tick_delta <- d;
-      Hashtbl.replace r.gamma_prev link gamma;
-      let gm = Metrics.gauge r.reg "ctrl.gamma_max" in
+      r.gamma_prev.(link) <- gamma;
+      let gm = Lazy.force r.gamma_max in
       if gamma > Metrics.Gauge.value gm then Metrics.Gauge.set gm gamma
     | Trace.Rate_update { t; flow; rates } ->
       let total = Array.fold_left ( +. ) 0.0 rates in

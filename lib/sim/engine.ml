@@ -351,27 +351,31 @@ let run ?(config = default_config) ?invariants ?trace ?flight ?prof
      route-pick walk. *)
   let facc = [| 0.0; 0.0 |] in
   (* Congestion price of link l: d_l * sum of gamma over I_l. Runs on
-     every enqueue, so the sum over I_l is cached per link and walked
-     again only after γ changed. γ is written at four points — the
-     tick's dual update, and through [reset_price] the route-death
-     reset, the route-restore reset and link revival — and each bumps
-     [gamma_epoch]; a cached sum is valid while its stamp in [gsum_at]
-     equals the epoch. The walk is the same left-to-right fold over
-     the whole I_l, so the cached value is bit-identical to a fresh
-     one. *)
-  let gsum = Array.make (max 1 n_links) 0.0 in
-  let gsum_at = Array.make (max 1 n_links) (-1) in
+     every enqueue and for every priced link at each tick, so the sum
+     over I_l is cached per twin class (links with the same I_l share
+     one sum: 4 classes for the testbed's 616 links) and walked again
+     only after γ changed. γ is written at four points — the tick's
+     dual update, and through [reset_price] the route-death reset, the
+     route-restore reset and link revival — and each bumps
+     [gamma_epoch]; a cached sum is valid while its class's stamp in
+     [gsum_at] equals the epoch. The walk is the same left-to-right
+     fold over the same I_l array, so the cached value is bit-identical
+     to a fresh one. *)
+  let n_twins = Domain.n_twins dom in
+  let gsum = Array.make (max 1 n_twins) 0.0 in
+  let gsum_at = Array.make (max 1 n_twins) (-1) in
   let gamma_epoch = ref 0 in
   let link_price l =
-    if gsum_at.(l) <> !gamma_epoch then begin
+    let k = Domain.twin dom l in
+    if gsum_at.(k) <> !gamma_epoch then begin
       let d = Domain.domain dom l in
-      gsum.(l) <- 0.0;
+      gsum.(k) <- 0.0;
       for i = 0 to Array.length d - 1 do
-        gsum.(l) <- gsum.(l) +. gamma.(d.(i))
+        gsum.(k) <- gsum.(k) +. gamma.(d.(i))
       done;
-      gsum_at.(l) <- !gamma_epoch
+      gsum_at.(k) <- !gamma_epoch
     end;
-    d_est l *. gsum.(l)
+    d_est l *. gsum.(k)
   in
   (* The self-healing paths' stale-price reset of one link's dual. *)
   let reset_price l =
@@ -724,8 +728,10 @@ let run ?(config = default_config) ?invariants ?trace ?flight ?prof
      the testbed. The members each side does not need change nothing:
      a carrier outside M never has a queue or a frame on the air, and
      demand off the carriers is exactly +0.0, which leaves a sum that
-     is >= +0.0 bit-identical. Links that are neither priced nor in M
-     get an empty view; nothing walks it. *)
+     is >= +0.0 bit-identical. A view depends on l only through I_l, so
+     it is built once per twin class and shared by the class's members.
+     Links that are neither priced nor in M get an empty view; nothing
+     walks it. *)
   let in_view = Array.copy is_carrier in
   Array.iteri
     (fun fi f ->
@@ -735,9 +741,19 @@ let run ?(config = default_config) ?invariants ?trace ?flight ?prof
           Array.iter (fun a -> if a >= 0 then in_view.(a) <- true) plans.(fi).(ri))
         f.route_links)
     flow_states;
+  let twin_view = Array.make n_twins None in
   let dom_view =
     Array.init n_links (fun l ->
-        if is_priced.(l) || in_view.(l) then Domain.restrict dom in_view l else [||])
+        if is_priced.(l) || in_view.(l) then begin
+          let k = Domain.twin dom l in
+          match twin_view.(k) with
+          | Some v -> v
+          | None ->
+            let v = Domain.restrict dom in_view l in
+            twin_view.(k) <- Some v;
+            v
+        end
+        else [||])
   in
   (* O(1) domain-idle test: [air_busy.(l)] counts how many links of
      I_l are on the air right now, maintained at the four on_air

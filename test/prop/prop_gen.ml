@@ -113,10 +113,34 @@ let saturated_flow_of_case c =
           stop_time = None;
         } )
 
-(* Price cases: 1-3 flows routed on a random case, with external
-   airtime on about a third of the links no route uses (external-only
-   carriers), a random margin delta, a fixed dual step and fresh
-   random route rates for every slot. *)
+(* Panel interference, the PLC model of Domain.standard: each node
+   sits under one of 1-3 panels per technology, an edge under its
+   lower endpoint's panel, and same-technology links interfere when
+   their edges share a panel. Every panel's links are twins (one I_l),
+   so routes cross several hops of one twin class. *)
+let panel_domain rng g =
+  let n = Multigraph.n_nodes g in
+  let panels = Array.make_matrix (Multigraph.n_techs g) n 0 in
+  Array.iter
+    (fun row ->
+      let k = 1 + Rng.int rng 3 in
+      for v = 0 to n - 1 do
+        row.(v) <- Rng.int rng k
+      done)
+    panels;
+  let links = Multigraph.links g in
+  let panel l =
+    let lk = links.(l) in
+    panels.(lk.Multigraph.tech).(min lk.Multigraph.src lk.Multigraph.dst)
+  in
+  Domain.create g ~interferes:(fun a b ->
+      links.(a).Multigraph.tech = links.(b).Multigraph.tech && panel a = panel b)
+
+(* Price cases: 1-3 flows routed on a random case (under panel
+   interference one time in three), with external airtime on about a
+   third of the links no route uses (external-only carriers), a random
+   margin delta, a fixed dual step and fresh random route rates for
+   every slot. *)
 type price_case = {
   problem : Problem.t;
   alpha : float;
@@ -126,6 +150,7 @@ type price_case = {
 let price_case_of_seed ~slots seed =
   let c = case_of_seed seed in
   let rng = Rng.create (0x6A09E667 + seed) in
+  let dom = if Rng.int rng 3 = 0 then panel_domain rng c.g else c.dom in
   let n = Multigraph.n_nodes c.g in
   let pair () =
     let src = Rng.int rng n in
@@ -134,7 +159,7 @@ let price_case_of_seed ~slots seed =
   let pairs = (c.src, c.dst) :: List.init (Rng.int rng 3) (fun _ -> pair ()) in
   let flows =
     List.map
-      (fun (src, dst) -> Multipath.routes (Multipath.find c.g c.dom ~src ~dst))
+      (fun (src, dst) -> Multipath.routes (Multipath.find c.g dom ~src ~dst))
       pairs
   in
   let n_links = Multigraph.num_links c.g in
@@ -148,7 +173,7 @@ let price_case_of_seed ~slots seed =
         else 0.0)
   in
   let delta = if Rng.bool rng then 0.0 else Rng.uniform rng 0.05 0.3 in
-  let problem = Problem.make ~delta ~external_airtime c.g c.dom ~flows in
+  let problem = Problem.make ~delta ~external_airtime c.g dom ~flows in
   let alpha = Rng.uniform rng 0.01 0.5 in
   let slot_rates =
     Array.init slots (fun _ ->

@@ -325,6 +325,44 @@ let prop_price_cases_cover_classes =
       in
       List.exists (fun (k, _) -> k >= 3) stats && List.exists snd stats)
 
+let prop_price_cases_share_twins =
+  (* Price computes a carrier's Σγ once per twin class (Domain.twin).
+     Make sure the bit-for-bit property sees a technology whose
+     carriers fall into 2+ twin classes, one of them holding 2+
+     carriers, together with a route that has two hops in one class
+     (two hops under one PLC panel). Under single_domain_per_tech a
+     technology is one class, and the random predicate rarely makes
+     twins. *)
+  QCheck.Test.make ~count:1
+    ~name:"price cases put 2+ carriers and 2 route hops in one twin class"
+    QCheck.unit
+    (fun () ->
+      List.exists
+        (fun seed ->
+          let p = (Prop_gen.price_case_of_seed ~slots:0 seed).Prop_gen.problem in
+          let g = p.Problem.g and dom = p.Problem.dom in
+          let carrier = carriers p in
+          let tech l = (Multigraph.link g l).Multigraph.tech in
+          let split_tech k =
+            let per_twin = Array.make (Domain.n_twins dom) 0 in
+            Array.iteri
+              (fun l c ->
+                if c && tech l = k then begin
+                  let tw = Domain.twin dom l in
+                  per_twin.(tw) <- per_twin.(tw) + 1
+                end)
+              carrier;
+            Array.exists (fun n -> n >= 2) per_twin
+            && Array.fold_left (fun m n -> if n > 0 then m + 1 else m) 0 per_twin >= 2
+          in
+          let twin_hops (r : Paths.t) =
+            let tw = List.map (Domain.twin dom) r.Paths.links in
+            List.length (List.sort_uniq compare tw) < List.length tw
+          in
+          List.exists split_tech (List.init (Multigraph.n_techs g) Fun.id)
+          && Array.exists twin_hops p.Problem.routes)
+        (List.init 150 Fun.id))
+
 (* ---------- oracle 6: fault injection (chaos) ---------- *)
 
 let chaos_config = { Engine.default_config with Engine.route_reclaim = true }
@@ -792,6 +830,7 @@ let () =
       prop_allocation_deterministic;
       prop_price_classes_bit_identical;
       prop_price_cases_cover_classes;
+      prop_price_cases_share_twins;
       prop_invariants_hold_under_chaos;
       prop_chaos_deterministic;
       prop_goodput_recovers_after_faults;

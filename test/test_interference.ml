@@ -208,6 +208,62 @@ let test_restrict () =
       d (Domain.restrict dom all l)
   done
 
+(* Twin classes: links with the same I_l share one class and one
+   array. *)
+
+let check_twins (name, g, dom) =
+  let n = Multigraph.num_links g in
+  for l = 0 to n - 1 do
+    for l' = 0 to n - 1 do
+      let same_twin = Domain.twin dom l = Domain.twin dom l' in
+      if same_twin <> (Domain.domain dom l = Domain.domain dom l') then
+        Alcotest.failf "%s: twin %d = twin %d is %b, I_%d = I_%d is not" name l l'
+          same_twin l l';
+      if same_twin && Domain.domain dom l != Domain.domain dom l' then
+        Alcotest.failf "%s: twins %d and %d hold two arrays" name l l'
+    done
+  done;
+  let distinct = List.sort_uniq compare (List.init n (Domain.domain dom)) in
+  Alcotest.(check int) (name ^ ": one class per distinct I_l") (List.length distinct)
+    (Domain.n_twins dom)
+
+let twin_sizes dom n =
+  let sizes = Array.make (Domain.n_twins dom) 0 in
+  for l = 0 to n - 1 do
+    let k = Domain.twin dom l in
+    sizes.(k) <- sizes.(k) + 1
+  done;
+  List.sort (fun a b -> compare b a) (Array.to_list sizes)
+
+let test_twins_testbed () =
+  let ((_, g, dom) as t) = draw "testbed" Testbed.generate 4242 in
+  check_twins t;
+  Alcotest.(check int) "testbed classes" 4 (Domain.n_twins dom);
+  Alcotest.(check (list int)) "testbed class sizes" [ 426; 182; 6; 2 ]
+    (twin_sizes dom (Multigraph.num_links g))
+
+let test_twins_draws () =
+  check_twins (draw "residential" Residential.generate 5);
+  check_twins (draw "enterprise" Enterprise.generate 3)
+
+let test_twins_single_domain_per_tech () =
+  (* One class per technology: every link of a technology has the
+     whole technology as its domain. *)
+  let inst = Testbed.generate (Rng.create 4242) in
+  let g = Builder.graph inst Builder.Hybrid in
+  let dom = Domain.single_domain_per_tech g in
+  check_twins ("testbed per tech", g, dom);
+  let tech l = (Multigraph.link g l).Multigraph.tech in
+  let n = Multigraph.num_links g in
+  let techs = List.sort_uniq compare (List.init n tech) in
+  Alcotest.(check int) "one class per technology" (List.length techs) (Domain.n_twins dom);
+  for l = 0 to n - 1 do
+    for l' = 0 to n - 1 do
+      if (Domain.twin dom l = Domain.twin dom l') <> (tech l = tech l') then
+        Alcotest.failf "links %d and %d: twin classes disagree with technologies" l l'
+    done
+  done
+
 let clique_digest cliques =
   Digest.to_hex
     (Digest.string
@@ -288,6 +344,9 @@ let () =
           Alcotest.test_case "residential" `Quick test_storage_residential;
           Alcotest.test_case "enterprise" `Quick test_storage_enterprise;
           Alcotest.test_case "restrict" `Quick test_restrict;
+          Alcotest.test_case "twins testbed" `Quick test_twins_testbed;
+          Alcotest.test_case "twins draws" `Quick test_twins_draws;
+          Alcotest.test_case "twins per tech" `Quick test_twins_single_domain_per_tech;
         ] );
       ( "properties",
         [

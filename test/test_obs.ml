@@ -714,6 +714,65 @@ let test_stream_recovery_resets () =
   Alcotest.(check string) "heavy recovery trace" "75fa9213fe2b13fb3abe432fbc57e41e"
     (chaos Fault.Gen.Heavy)
 
+let test_stream_twin_reset () =
+  (* A route death resets γ on the failed link alone: its twins (links
+     with the same I_l) keep their γ, and every later price must see
+     the class's Σγ recomputed. Testbed flow 3->17, CC on, recovery
+     on: routes 3->14->17 and 3->9->17, every PLC hop under one panel
+     (one twin class). 3->9 fails at 3 s and returns at 4.5 s, while
+     the surviving route's PLC hop 3->14 keeps stamping the class's
+     Σγ into its frames. *)
+  let net = Runner.network (Testbed.generate (Rng.create 4242)) Schemes.Empower in
+  let g = net.Empower.g and dom = net.Empower.dom in
+  let routes, rates = Runner.routes_and_rates net Schemes.Empower ~src:3 ~dst:17 in
+  let survivor, l =
+    match routes with
+    | [ a; b ] -> (a, List.hd b.Paths.links)
+    | _ -> Alcotest.fail "expected two routes 3 -> 17"
+  in
+  if not (List.exists (fun l' -> Domain.twin dom l' = Domain.twin dom l) survivor.Paths.links)
+  then Alcotest.fail "the surviving route has no twin of the failed link";
+  let config = { Engine.default_config with Engine.recovery = Some Recovery.default } in
+  let collect, events = Obs.Trace.collector () in
+  let digest =
+    md5_of_file (fun path ->
+        traced_to path (fun sink ->
+            ignore
+              (Engine.run ~config ~trace:(Obs.Trace.tee sink collect)
+                 ~link_events:[ (3.0, l, 0.0); (4.5, l, Multigraph.capacity g l) ]
+                 (Rng.create 2) g dom
+                 ~flows:[ Runner.flow_spec ~src:3 ~dst:17 (routes, rates) ]
+                 ~duration:6.0)))
+  in
+  (* The run does what it claims: a reset of a link whose class has
+     other members with γ > 0 at that moment, and price rows after. *)
+  let gamma = Hashtbl.create 64 in
+  let mixed = ref None in
+  List.iter
+    (function
+      | Obs.Trace.Price_update { link; gamma = v; _ } -> Hashtbl.replace gamma link v
+      | Obs.Trace.Price_reset { t; link } ->
+        let twin_priced =
+          Hashtbl.fold
+            (fun l' v acc ->
+              acc || (l' <> link && v > 0.0 && Domain.twin dom l' = Domain.twin dom link))
+            gamma false
+        in
+        if twin_priced && !mixed = None then mixed := Some t
+      | _ -> ())
+    (events ());
+  (match !mixed with
+  | None -> Alcotest.fail "no γ reset on one member of a priced twin class"
+  | Some t ->
+    if
+      not
+        (List.exists
+           (function Obs.Trace.Price_update { t = t'; _ } -> t' > t | _ -> false)
+           (events ()))
+    then Alcotest.fail "no price row after the reset");
+  Alcotest.(check string) "twin-class reset trace" "e6e382a2ffcf33cbe9d4ab49b5f3ade2"
+    digest
+
 let test_stream_flight_digest () =
   (* The forced dump of [empower_eval chaos --sever --no-recovery
      --seed 13 --flight F]: the flow never recovers, the default ring
@@ -859,6 +918,8 @@ let () =
             test_stream_testbed_concurrent;
           Alcotest.test_case "recovery price-reset digests" `Slow
             test_stream_recovery_resets;
+          Alcotest.test_case "reset within a twin class digest" `Slow
+            test_stream_twin_reset;
           Alcotest.test_case "ring is the tail of the sink" `Quick
             test_stream_ring_is_tail;
           Alcotest.test_case "sampling applies to the sink only" `Quick
