@@ -9,8 +9,10 @@
                   exploration tree and a 3-flow Empower.allocate on the
                   22-node testbed), the LP-based optimal baseline,
                   the fluid MAC, the packet engine (bare and with a
-                  flight ring armed), the testbed's interference
-                  structure and the 20-byte header codec.
+                  flight ring armed), one churn scenario end to end
+                  (Scenario.run flapping-churn, ring armed), the
+                  testbed's interference structure and the 20-byte
+                  header codec.
    - sim          wall-clock engine throughput on a pinned scenario,
                   written to BENCH_sim.json: events/s and allocation
                   per event, trace overhead, chaos/severance runs, and
@@ -117,6 +119,18 @@ let flight_ring = lazy (Obs.Flight.create ())
 
 let bench_engine_flight () = bench_engine_with ~flight:(Lazy.force flight_ring) ()
 
+(* One churn scenario end to end, as perfbench's churn-catalog runs
+   each spec: the fault-free twin run, then the churn run with a flight
+   ring armed. Run from the repository root (reads scenarios/). *)
+let flapping_churn =
+  lazy
+    (match Scenario.load (Filename.concat "scenarios" "flapping-churn.json") with
+    | Ok spec -> spec
+    | Error e -> failwith e)
+
+let bench_scenario_flight () =
+  ignore (Scenario.run ~flight:(Lazy.force flight_ring) (Lazy.force flapping_churn))
+
 (* Building the testbed's interference structure: the pairwise bits,
    the twin classes and one domain array per class. *)
 let bench_domain_testbed () =
@@ -142,6 +156,8 @@ let kernel_tests =
     Test.make ~name:"packet engine (2 s sim)" (Staged.stage bench_engine);
     Test.make ~name:"packet engine, flight ring armed (testbed 0->12, 2 s)"
       (Staged.stage bench_engine_flight);
+    Test.make ~name:"Scenario.run flapping-churn, flight ring armed"
+      (Staged.stage bench_scenario_flight);
     Test.make ~name:"Domain.of_instance (testbed)" (Staged.stage bench_domain_testbed);
     Test.make ~name:"header encode+decode" (Staged.stage bench_header);
   ]

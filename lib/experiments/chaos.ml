@@ -43,6 +43,10 @@ let plan ?intensity ?clear_by (net : Empower.network) ~seed ~duration =
     (Rng.split (Rng.create seed))
     net.Empower.g ~duration
 
+let kinds =
+  [ "delivery"; "rate"; "link"; "loss"; "ctrl"; "route_dead"; "route_probe";
+    "route_restored" ]
+
 let run ?trace ?flight ?intensity ?(recovery = false) ?(duration = 20.0) ~seed
     () =
   let net = network () in
@@ -69,10 +73,12 @@ let run ?trace ?flight ?intensity ?(recovery = false) ?(duration = 20.0) ~seed
     if recovery then { config with Engine.recovery = Some Recovery.default }
     else config
   in
-  (* The private recorder computes the recovery metrics. *)
+  (* The private recorder computes the recovery metrics: goodput bins
+     from deliveries, reroutes from rate updates, the fault span and
+     detection latencies from fault and recovery rows. *)
   let result, reg =
-    Runner.with_recorder ?trace ~domain_of:(Domain.domain net.Empower.dom)
-      ~duration (fun sink ->
+    Runner.with_recorder ?trace ~kinds
+      ~domain_of:(Domain.domain net.Empower.dom) ~duration (fun sink ->
         Engine.run ~config ~trace:sink ?flight
           ~link_events:compiled.Fault.link_events
           ~loss_events:compiled.Fault.loss_events

@@ -30,9 +30,10 @@ let goodput_stats (fr : Engine.flow_result) ~last_seconds ~duration =
   in
   (Stats.mean xs, Stats.stddev xs)
 
-(* The private recorder computes the run's metrics; a caller's sink and
-   the process-global registry (--metrics) still see every event. *)
-let with_recorder ?trace ~domain_of ~duration run =
+(* The private recorder reads only the kinds its caller reads back; a
+   caller's sink and the process-global registry (--metrics) still see
+   every event. *)
+let with_recorder ?trace ~kinds ~domain_of ~duration run =
   let reg = Obs.Metrics.create () in
   let recorder = Obs.Recorder.create ~domain_of reg in
   let global =
@@ -41,7 +42,7 @@ let with_recorder ?trace ~domain_of ~duration run =
     | None -> None
   in
   let sink =
-    let s = Obs.Recorder.sink recorder in
+    let s = Obs.Recorder.sink ~kinds recorder in
     let s =
       match global with
       | Some r -> Obs.Trace.tee s (Obs.Recorder.sink r)

@@ -302,11 +302,19 @@ let instance spec =
   | Residential -> Residential.generate rng
   | Enterprise -> Enterprise.generate rng
 
-let bins_of reg fid =
-  List.filter
-    (fun (t, _) -> t > warmup)
-    (Obs.Metrics.Series.points
-       (Obs.Metrics.series reg (Printf.sprintf "flow.%d.goodput" fid)))
+(* The churn run's private recorder reads the rows behind the
+   scorecard's counters: reroutes (rate updates), the fault span (link,
+   loss and control-plane changes) and the recovery rows. Goodput bins
+   come from the engine itself. *)
+let kinds =
+  [ "rate"; "link"; "loss"; "ctrl"; "route_dead"; "route_probe"; "route_restored" ]
+
+(* The engine's whole-second bins, without the seconds in which the
+   flow delivered nothing: the series a recorder writes. *)
+let series (fr : Engine.flow_result) =
+  List.filter (fun (_, v) -> v <> 0.0) fr.Engine.goodput_series
+
+let measured pts = List.filter (fun (t, _) -> t > warmup) pts
 
 let run ?trace ?flight spec =
   let inst0 = instance spec in
@@ -382,18 +390,16 @@ let run ?trace ?flight spec =
   in
   let dom = net.Empower.dom in
   let domain_of = Domain.domain dom in
-  (* Fault-free baseline: internal recorder only, no fault schedules. *)
-  let reg_b = Obs.Metrics.create () in
-  let rec_b = Obs.Recorder.create ~domain_of reg_b in
+  (* Fault-free baseline: unobserved, no fault schedules. *)
   let result_b =
-    Engine.run ~config ~trace:(Obs.Recorder.sink rec_b) m_base net.Empower.g
-      dom ~flows:flow_specs ~duration:spec.duration
+    Engine.run ~config ~trace:Obs.Trace.none m_base net.Empower.g dom
+      ~flows:flow_specs ~duration:spec.duration
   in
-  ignore (result_b : Engine.result);
-  Obs.Recorder.flush rec_b ~now:spec.duration;
-  (* Churn run: the private recorder computes the scorecard. *)
+  (* Churn run: the private recorder computes the scorecard's
+     counters. *)
   let result, reg =
-    Runner.with_recorder ?trace ~domain_of ~duration:spec.duration (fun sink ->
+    Runner.with_recorder ?trace ~kinds ~domain_of ~duration:spec.duration
+      (fun sink ->
         Engine.run ~config ~trace:sink ?flight
           ~link_events:compiled.Fault.link_events
           ~loss_events:compiled.Fault.loss_events
@@ -402,26 +408,32 @@ let run ?trace ?flight spec =
   in
   let gauge name = Obs.Metrics.Gauge.value (Obs.Metrics.gauge reg name) in
   let counter name = Obs.Metrics.Counter.value (Obs.Metrics.counter reg name) in
-  (* Per-flow baselines and churn-run bins, by flow index. *)
+  let fault_span =
+    if counter "fault.events" > 0 then
+      Some (gauge "fault.first_s", gauge "fault.last_s")
+    else None
+  in
+  (* Per-flow baselines, churn-run series and measured bins, by flow
+     index. *)
   let per_flow =
-    Array.of_list
-      (List.mapi
-         (fun fid _ ->
-           let base_bins = bins_of reg_b fid in
-           let baseline =
-             match base_bins with
-             | [] -> 0.0
-             | _ ->
-                 List.fold_left (fun acc (_, v) -> acc +. v) 0.0 base_bins
-                 /. float_of_int (List.length base_bins)
-           in
-           (baseline, bins_of reg fid))
-         spec.flows)
+    Array.mapi
+      (fun fid (fr : Engine.flow_result) ->
+        let base_bins = measured (series result_b.Engine.flows.(fid)) in
+        let baseline =
+          match base_bins with
+          | [] -> 0.0
+          | _ ->
+              List.fold_left (fun acc (_, v) -> acc +. v) 0.0 base_bins
+              /. float_of_int (List.length base_bins)
+        in
+        let pts = series fr in
+        (baseline, pts, measured pts))
+      result.Engine.flows
   in
   let flows =
     List.mapi
       (fun fid (src, dst) ->
-        let baseline, bins = per_flow.(fid) in
+        let baseline, pts, bins = per_flow.(fid) in
         let n_bins = List.length bins in
         let thr = spec.slo.availability_frac *. baseline in
         let n_ok =
@@ -433,6 +445,11 @@ let run ?trace ?flight spec =
         in
         let fr = result.Engine.flows.(fid) in
         let m name = Printf.sprintf "flow.%d.%s" fid name in
+        let dip =
+          Option.bind fault_span (fun (fault_first, fault_last) ->
+              Obs.Recorder.degradation ~fault_first ~fault_last pts)
+        in
+        let dip_field f = match dip with Some d -> f d | None -> 0.0 in
         {
           flow = fid;
           src;
@@ -447,9 +464,9 @@ let run ?trace ?flight spec =
           route_restores = counter (m "route_restores");
           outage_s = gauge (m "fault.outage_s");
           detect_s = gauge (m "fault.detect_s");
-          dip_depth = gauge (m "fault.dip_depth");
-          dip_area = gauge (m "fault.dip_area");
-          recovery_s = gauge (m "fault.recovery_s");
+          dip_depth = dip_field (fun d -> d.Obs.Recorder.dip_depth);
+          dip_area = dip_field (fun d -> d.Obs.Recorder.dip_area);
+          recovery_s = dip_field (fun d -> d.Obs.Recorder.recovery_s);
         })
       spec.flows
   in
@@ -462,7 +479,7 @@ let run ?trace ?flight spec =
         let at = Fault.start_time a and clear = Fault.end_time a in
         let dip = ref 0.0 and recover = ref 0.0 and never = ref false in
         Array.iter
-          (fun (baseline, bins) ->
+          (fun (baseline, _, bins) ->
             let win =
               List.filter (fun (t, _) -> t >= at && t <= clear +. 1.0) bins
             in

@@ -6,11 +6,12 @@
     device classes ({!Device}), a set of flows, a churn plan —
     either embedded explicitly or drawn from {!Fault.Gen} — the
     recovery switch and an SLO. {!run} executes the scenario twice
-    with identical engine seeding — once fault-free, once under
-    churn — and folds the {!Obs} record of the churn run into a
-    {!scorecard}: per-flow availability against the fault-free
-    baseline, time below SLO, recovery counters and a per-churn-event
-    dip/recovery table. Scenario files live under [scenarios/] and
+    with identical engine seeding — once fault-free and unobserved,
+    once under churn — and folds the engine's goodput bins of both
+    runs and the {!Obs} record of the churn run's control, fault and
+    recovery rows into a {!scorecard}: per-flow availability against
+    the fault-free baseline, time below SLO, recovery counters and a
+    per-churn-event dip/recovery table. Scenario files live under [scenarios/] and
     are exercised by [empower_eval scenario].
 
     {2 Determinism}
@@ -25,10 +26,12 @@
 
     {2 Scorecard metric definitions}
 
-    With [W] the recorder's 1 s goodput bins of the churn run whose
-    bin-end time is in the measure window [(warmup, duration]]
-    (warmup = 2 s), and [B] the per-flow mean of the fault-free
-    run's bins over the same window:
+    Bins are the engine's whole-second goodput bins
+    ([Engine.flow_result.goodput_series]) in which the flow delivered
+    something. With [W] the churn run's bins whose bin-end time is in
+    the measure window [(warmup, duration]] (warmup = 2 s), and [B]
+    the per-flow mean of the fault-free run's bins over the same
+    window:
 
     - {e availability}: fraction of bins in [W] with goodput
       [>= slo.availability_frac *. B];
@@ -107,6 +110,9 @@ type flow_score = {
   outage_s : float;
   detect_s : float;  (** worst detection latency; 0 when none *)
   dip_depth : float;
+      (** this and the next two: {!Obs.Recorder.degradation} of all
+          the churn run's bins against the span of its fault boundary
+          events; 0 when the plan injected none *)
   dip_area : float;
   recovery_s : float;  (** vs the last fault boundary; -1 = never *)
 }

@@ -387,6 +387,27 @@ module Trace = struct
       "rate"; "ack"; "link"; "loss"; "ctrl"; "route_dead"; "route_probe";
       "route_restored"; "price_reset"; "mark" ]
 
+  (* A kind's index in [kinds]: its bit in a sink's read mask and its
+     tag in a flight ring row. *)
+  let tag = function
+    | Enqueue _ -> 0
+    | Mac_grant _ -> 1
+    | Dequeue _ -> 2
+    | Collision _ -> 3
+    | Drop _ -> 4
+    | Delivery _ -> 5
+    | Price_update _ -> 6
+    | Rate_update _ -> 7
+    | Ack _ -> 8
+    | Link_event _ -> 9
+    | Loss_event _ -> 10
+    | Ctrl_event _ -> 11
+    | Route_dead _ -> 12
+    | Route_probe _ -> 13
+    | Route_restored _ -> 14
+    | Price_reset _ -> 15
+    | Ecn_mark _ -> 16
+
   let to_json ev =
     let base fields = Json.Obj (("ev", Json.String (kind ev)) :: fields) in
     let f x = Json.Float x and i x = Json.Int x in
@@ -596,18 +617,39 @@ module Trace = struct
         Ok (Ecn_mark { t; link; flow; seq; occ })
       | k -> Error (Printf.sprintf "unknown event kind %S" k))
 
-  (* A sink carries its own deterministic sampling state: [every] = 1
-     delivers everything, [sampled] multiplies periods. The
-     [accept]/[push] split exists so hot emitters can skip even
-     constructing the event record for offers the sink will discard;
-     [emit] is the fused convenience for cold paths. *)
+  (* A sink carries the set of kinds it reads, as a bit mask over
+     [tag], and its own deterministic sampling state: [every] = 1
+     delivers every offer it reads, [sampled] multiplies periods. An
+     offer of a kind outside the mask is skipped before sampling sees
+     it. The [accept]/[push] split exists so hot emitters can skip
+     even constructing the event record for offers the sink will
+     discard; [emit] is the fused convenience for cold paths. *)
   type sink = {
+    reads : int;
     every : int;
     mutable countdown : int;  (* 0 => the next offer is delivered *)
     push_fn : event -> unit;
   }
 
-  let of_fn f = { every = 1; countdown = 0; push_fn = f }
+  let all_kinds = (1 lsl List.length kinds) - 1
+
+  let mask_of_kinds names =
+    List.fold_left
+      (fun m name ->
+        let rec index i = function
+          | [] -> invalid_arg ("Obs.Trace: unknown event kind " ^ name)
+          | k :: rest -> if k = name then i else index (i + 1) rest
+        in
+        m lor (1 lsl index 0 kinds))
+      0 names
+
+  let of_fn ?kinds f =
+    let reads = match kinds with None -> all_kinds | Some ks -> mask_of_kinds ks in
+    { reads; every = 1; countdown = 0; push_fn = f }
+
+  let none = { reads = 0; every = 1; countdown = 0; push_fn = ignore }
+  let reads s = List.filteri (fun i _ -> s.reads land (1 lsl i) <> 0) kinds
+  let reads_tag s k = s.reads land (1 lsl k) <> 0
 
   let accept s =
     s.every = 1
@@ -622,32 +664,37 @@ module Trace = struct
     end
 
   let push s ev = s.push_fn ev
-  let emit s ev = if accept s then s.push_fn ev
+  let emit s ev = if reads_tag s (tag ev) && accept s then s.push_fn ev
 
   let sampled ~every s =
     if every < 1 then invalid_arg "Obs.Trace.sampled: every must be >= 1";
-    { every = every * s.every; countdown = 0; push_fn = s.push_fn }
+    { s with every = every * s.every; countdown = 0 }
 
   let sample_period s = s.every
 
   let tee a b =
-    { every = 1; countdown = 0; push_fn = (fun ev -> emit a ev; emit b ev) }
+    {
+      reads = a.reads lor b.reads;
+      every = 1;
+      countdown = 0;
+      push_fn = (fun ev -> emit a ev; emit b ev);
+    }
 
-  let to_channel oc =
+  let to_channel ?kinds oc =
     let buf = Buffer.create 256 in
-    of_fn (fun ev ->
+    of_fn ?kinds (fun ev ->
         Buffer.clear buf;
         Json.to_buffer buf (to_json ev);
         Buffer.add_char buf '\n';
         Buffer.output_buffer oc buf)
 
-  let collector () =
+  let collector ?kinds () =
     let acc = ref [] in
-    (of_fn (fun ev -> acc := ev :: !acc), fun () -> List.rev !acc)
+    (of_fn ?kinds (fun ev -> acc := ev :: !acc), fun () -> List.rev !acc)
 
-  let counter () =
+  let counter ?kinds () =
     let n = ref 0 in
-    (of_fn (fun _ -> incr n), fun () -> !n)
+    (of_fn ?kinds (fun _ -> incr n), fun () -> !n)
 end
 
 (* Always-on crash recorder: the last [capacity] events in a
@@ -714,7 +761,7 @@ module Flight = struct
     Array.fill t.tag 0 t.cap (-1);
     Array.fill t.boxed 0 t.cap None
 
-  (* Tags follow the order of [Trace.kinds]. *)
+  (* Tags follow the order of [Trace.kinds] ([Trace.tag]). *)
   let k_enqueue = 0
   let k_grant = 1
   let k_dequeue = 2
@@ -829,11 +876,13 @@ module Flight = struct
     if t.boxed.(i) != None then t.boxed.(i) <- None;
     i
 
-  (* One [accept] per stored row, so the sink samples exactly as if the
-     events were offered to it directly. *)
+  (* The row's tag is tested against the kinds the sink reads before
+     anything else, and each read row costs one [accept], so the sink
+     samples exactly as if the events were offered to it directly. *)
   let offer t i =
     match t.sink with
-    | Some s when Trace.accept s -> Trace.push s (event_of_row t i)
+    | Some s when Trace.reads_tag s t.tag.(i) && Trace.accept s ->
+      Trace.push s (event_of_row t i)
     | _ -> ()
 
   let enqueue t ~t_s ~link ~flow ~seq ~bytes ~qlen =
@@ -1700,15 +1749,57 @@ module Recorder = struct
       Metrics.Counter.incr
         (Metrics.counter r.reg (Printf.sprintf "link.%d.marks" link))
 
-  let sink r = Trace.of_fn (on_event r)
+  let sink ?kinds r = Trace.of_fn ?kinds (on_event r)
 
-  (* Recovery metrics, computed once the goodput series are complete:
-     per flow, the depth and area of the goodput dip relative to a
-     baseline (mean of pre-fault windows, or of the last three
-     windows when the first fault hits before the first window
-     closes), and the time after the last fault boundary until
-     goodput is back within 90% of that baseline (-1 = never). *)
-  let degradation r =
+  type dip = { dip_depth : float; dip_area : float; recovery_s : float }
+
+  (* One flow's recovery metrics from its goodput series: the depth
+     and area of the goodput dip relative to a baseline (mean of the
+     points stamped at or before the first fault, or of the last three
+     points when the first fault hits before the first point), and the
+     time after the last fault boundary until goodput is back within
+     90% of that baseline (-1 = never). *)
+  let degradation ?(window = 1.0) ~fault_first ~fault_last pts =
+    let pre = List.filter (fun (t, _) -> t <= fault_first) pts in
+    let mean = function
+      | [] -> 0.0
+      | l ->
+        List.fold_left (fun a (_, v) -> a +. v) 0.0 l
+        /. float_of_int (List.length l)
+    in
+    let baseline =
+      match pre with
+      | _ :: _ -> mean pre
+      | [] ->
+        let n = List.length pts in
+        mean (List.filteri (fun i _ -> i >= n - 3) pts)
+    in
+    if baseline > 0.0 then begin
+      let post = List.filter (fun (t, _) -> t > fault_first) pts in
+      let dip_depth =
+        List.fold_left (fun a (_, v) -> Float.max a (baseline -. v)) 0.0 post
+      in
+      let dip_area =
+        List.fold_left
+          (fun a (_, v) -> a +. (Float.max 0.0 (baseline -. v) *. window))
+          0.0 post
+      in
+      let recovery_s =
+        let rec find = function
+          | [] -> -1.0
+          | (t, v) :: rest ->
+            if t >= fault_last && v >= 0.9 *. baseline then
+              Float.max 0.0 (t -. fault_last)
+            else find rest
+        in
+        find post
+      in
+      Some { dip_depth = Float.max 0.0 dip_depth; dip_area; recovery_s }
+    end
+    else None
+
+  (* Computed once the goodput series are complete. *)
+  let flush_degradation r =
     if r.fault_last > neg_infinity then begin
       Metrics.Gauge.set (Metrics.gauge r.reg "fault.first_s") r.fault_first;
       Metrics.Gauge.set (Metrics.gauge r.reg "fault.last_s") r.fault_last;
@@ -1718,51 +1809,20 @@ module Recorder = struct
             Metrics.Series.points
               (Metrics.series r.reg (Printf.sprintf "flow.%d.goodput" f))
           in
-          let pre = List.filter (fun (t, _) -> t <= r.fault_first) pts in
-          let mean = function
-            | [] -> 0.0
-            | l ->
-              List.fold_left (fun a (_, v) -> a +. v) 0.0 l
-              /. float_of_int (List.length l)
-          in
-          let baseline =
-            match pre with
-            | _ :: _ -> mean pre
-            | [] ->
-              let n = List.length pts in
-              mean (List.filteri (fun i _ -> i >= n - 3) pts)
-          in
-          if baseline > 0.0 then begin
-            let post = List.filter (fun (t, _) -> t > r.fault_first) pts in
-            let dip_depth =
-              List.fold_left
-                (fun a (_, v) -> Float.max a (baseline -. v))
-                0.0 post
-            in
-            let dip_area =
-              List.fold_left
-                (fun a (_, v) -> a +. (Float.max 0.0 (baseline -. v) *. r.window))
-                0.0 post
-            in
-            let recovery =
-              let rec find = function
-                | [] -> -1.0
-                | (t, v) :: rest ->
-                  if t >= r.fault_last && v >= 0.9 *. baseline then
-                    Float.max 0.0 (t -. r.fault_last)
-                  else find rest
-              in
-              find post
-            in
+          match
+            degradation ~window:r.window ~fault_first:r.fault_first
+              ~fault_last:r.fault_last pts
+          with
+          | None -> ()
+          | Some d ->
             let set name v =
               Metrics.Gauge.set
                 (Metrics.gauge r.reg (Printf.sprintf "flow.%d.fault.%s" f name))
                 v
             in
-            set "dip_depth" (Float.max 0.0 dip_depth);
-            set "dip_area" dip_area;
-            set "recovery_s" recovery
-          end)
+            set "dip_depth" d.dip_depth;
+            set "dip_area" d.dip_area;
+            set "recovery_s" d.recovery_s)
         (sorted_keys r.flows_seen)
     end
 
@@ -1795,7 +1855,7 @@ module Recorder = struct
       end
     end;
     flush_tick r;
-    degradation r
+    flush_degradation r
 end
 
 module Summary = struct

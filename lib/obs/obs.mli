@@ -185,20 +185,40 @@ module Trace : sig
       mistyped field is an [Error]. [decode (encode e) = Ok e]. *)
 
   (** A consumer of events. Emission never fails upward: sinks are
-      observation only. Every sink carries a deterministic sampling
-      period (1 unless built by {!sampled}). *)
+      observation only. Every sink names the event kinds it reads (all
+      of them unless built with [?kinds]) and carries a deterministic
+      sampling period (1 unless built by {!sampled}). An offer of a
+      kind the sink does not read is skipped before sampling sees it:
+      the sink neither receives it nor counts it. *)
   type sink
 
+  val of_fn : ?kinds:string list -> (event -> unit) -> sink
+  (** A sink that calls the function on every event it takes.
+      [kinds] (default: every kind) names the ["ev"] tags it reads,
+      drawn from {!kinds}; any other name raises [Invalid_argument].
+      The builders below take the same argument. *)
+
+  val none : sink
+  (** Reads no kind. Passed to [Engine.run], it leaves the run
+      unobserved, as passing no sink does, and still keeps the ambient
+      metrics recorder ({!Runtime}) off, as every explicit sink
+      does. *)
+
+  val reads : sink -> string list
+  (** The kinds the sink reads, in {!kinds} order: [[]] for {!none},
+      {!kinds} for a sink built without [?kinds]. *)
+
   val emit : sink -> event -> unit
-  (** Offer one event: delivered iff the sink's sampling accepts it
-      (always, for an unsampled sink). *)
+  (** Offer one event: delivered iff the sink reads its kind and the
+      sink's sampling accepts it (always, for an unsampled sink). *)
 
   val accept : sink -> bool
-  (** Advance the sink's sampling decision by one offer and return
-      whether that offer would be delivered. Hot emitters use
-      [if accept s then push s ev] so the event record itself is never
-      built for discarded offers; [emit s ev] is equivalent to
-      [if accept s then push s ev]. Each offer must use exactly one
+  (** Advance the sink's sampling decision by one offer of a kind it
+      reads and return whether that offer would be delivered. Hot
+      emitters that know the sink reads the kind use
+      [if accept s then push s ev], so the event record itself is
+      never built for discarded offers; [emit s ev] checks the kind
+      first and is otherwise the same. Each offer must use exactly one
       [accept] (or one [emit]) — mixing both for the same event
       double-advances the sampler. *)
 
@@ -210,10 +230,13 @@ module Trace : sig
       to [s] and discards the rest — systematic 1-in-[every] sampling
       driven by a plain counter, so it is deterministic, consumes no
       randomness, and composes multiplicatively
-      ([sampled ~every:a (sampled ~every:b s)] keeps 1 in [a*b]).
+      ([sampled ~every:a (sampled ~every:b s)] keeps 1 in [a*b]). Only
+      offers of kinds [s] reads are counted, so a sink restricted to a
+      few kinds samples among those kinds alone.
 
       {b Accuracy contract.} Counts scale by the period: a counter fed
-      through the sink sees [ceil (offered / every)] events exactly.
+      through the sink sees [ceil (offered / every)] events exactly,
+      [offered] counting the offers of kinds it reads.
       Distribution statistics (delay / FCT quantiles replayed by
       {!Summary}) are the exact order statistics of the 1-in-[every]
       systematic subsample; because the engine interleaves event kinds
@@ -229,20 +252,19 @@ module Trace : sig
   val sample_period : sink -> int
   (** The effective period ([1] for unsampled sinks). *)
 
-  val of_fn : (event -> unit) -> sink
-
   val tee : sink -> sink -> sink
-  (** Both sinks see every offer, left first, each applying its own
-      sampling. *)
+  (** Reads the kinds either side reads. Each offer goes to both
+      sinks, left first, and each side takes only the kinds it reads,
+      applying its own sampling to those. *)
 
-  val to_channel : out_channel -> sink
+  val to_channel : ?kinds:string list -> out_channel -> sink
   (** Writes one JSONL line per event. The caller owns the channel
       (flush/close). *)
 
-  val collector : unit -> sink * (unit -> event list)
+  val collector : ?kinds:string list -> unit -> sink * (unit -> event list)
   (** In-memory sink; the closure returns events oldest-first. *)
 
-  val counter : unit -> sink * (unit -> int)
+  val counter : ?kinds:string list -> unit -> sink * (unit -> int)
   (** Cheapest possible sink — used to measure tracing overhead. *)
 end
 
@@ -577,10 +599,36 @@ module Recorder : sig
       [domain_of l] lists the links of I_l (including [l]) and
       enables the per-domain busy metric. *)
 
-  val sink : t -> Trace.sink
+  val sink : ?kinds:string list -> t -> Trace.sink
+  (** The recorder's sink, reading [kinds] (default: every kind; see
+      {!Trace.of_fn}). Metrics fed only by kinds it does not read stay
+      absent from the registry. *)
 
   val flush : t -> now:float -> unit
   (** Close the final partial window at end of run. *)
+
+  type dip = {
+    dip_depth : float;  (** Mbit/s below the baseline at the worst point, >= 0 *)
+    dip_area : float;  (** Mbit/s·s of goodput lost to the dip *)
+    recovery_s : float;  (** after the last fault boundary; -1 = never *)
+  }
+
+  val degradation :
+    ?window:float ->
+    fault_first:float ->
+    fault_last:float ->
+    (float * float) list ->
+    dip option
+  (** The fault metrics {!flush} writes for each flow, from a goodput
+      series of [(bin end time, Mbit/s)] points in time order and the
+      span of the fault boundary events. The baseline is the mean of
+      the points stamped at or before [fault_first], or of the last
+      three points when there are none. Over the points after
+      [fault_first]: [dip_depth] is the largest shortfall below the
+      baseline, [dip_area] sums the shortfalls times [window]
+      (default 1 s), and [recovery_s] is the time from [fault_last] to
+      the first point at or after it that is back to 90% of the
+      baseline. [None] when the baseline is not positive. *)
 end
 
 (** Replay a trace and recompute what the engine reported — the

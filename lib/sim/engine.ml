@@ -217,9 +217,13 @@ let run ?(config = default_config) ?invariants ?trace ?flight ?prof
   let fl_on = Option.is_some flight in
   (* One observation stream: every emission site writes its event once,
      into the ring, and the ring offers each row to the sink (a
-     one-slot ring stands in when only a sink is given). With neither,
-     every site is a single never-taken branch on [obs_on]. *)
-  let obs_on = fl_on || Option.is_some trace in
+     one-slot ring stands in when only a sink is given). With neither
+     a ring nor a sink that reads some kind, every site is a single
+     never-taken branch on [obs_on]. *)
+  let obs_on =
+    fl_on
+    || match trace with Some s -> Obs.Trace.reads s <> [] | None -> false
+  in
   let fl =
     match flight with Some f -> f | None -> Obs.Flight.create ~capacity:1 ()
   in

@@ -278,15 +278,17 @@ val run :
     per-event allocation. Each event is written once, into the ring
     (a one-slot stand-in when only a sink is given), which offers
     every row to the sink for the duration of the run: the ring sees
-    every event, the sink sees the subset its sampling
-    ({!Obs.Trace.sampled}) accepts, with one {!Obs.Trace.accept} per
-    event and, except for the two array-carrying kinds (rate updates
-    and ACKs), the event record built only for accepted offers; a
-    ring dump is therefore the tail of an unsampled sink's trace.
-    Sinks and rings only observe: they consume no randomness and
-    mutate no engine state, so results are bit-identical with and
-    without them, and with neither each emission site is a single
-    never-taken branch. Without an explicit sink, an installed
+    every event, the sink sees the rows of the kinds it reads
+    ({!Obs.Trace.reads}) that its sampling ({!Obs.Trace.sampled})
+    accepts, with one {!Obs.Trace.accept} per row it reads and, except
+    for the two array-carrying kinds (rate updates and ACKs), the
+    event record built only for accepted offers; a ring dump is
+    therefore the tail of an unsampled full sink's trace. Sinks and
+    rings only observe: they consume no randomness and mutate no
+    engine state, so results are bit-identical with and without them.
+    With no ring and no sink that reads some kind ({!Obs.Trace.none}
+    reads none), each emission site is a single never-taken
+    branch. Without an explicit sink ([none] is one), an installed
     {!Obs.Runtime} metrics registry (the harness's [--metrics] flag,
     or the [EMPOWER_METRICS] environment variable) attaches an
     {!Obs.Recorder} for the duration of the run. If any exception

@@ -819,6 +819,102 @@ let prop_huge_pool_matches_legacy =
           true
         end)
 
+(* ---------- oracle 10: goodput bins from the engine ---------- *)
+
+(* Scenario.run scores its flows from the engine's whole-second goodput
+   bins ([flow_result.goodput_series]) where a recorder used to bin the
+   trace's deliveries. The recorder writes no point for a second in
+   which a flow delivers nothing; apart from those empty seconds the
+   two series agree bit for bit at whole-second durations. Seeded
+   testbed runs, 1-2 flows, a Fault.Gen plan of every non-churn
+   intensity (Severing crashes a flow's destination, so whole seconds
+   go empty), recovery on for odd seeds. *)
+
+let testbed_net =
+  lazy (Runner.network (Testbed.generate (Rng.create 4242)) Schemes.Empower)
+
+let binned_case seed =
+  let net = Lazy.force testbed_net in
+  let g = net.Empower.g in
+  let rng = Rng.create seed in
+  let n = Multigraph.n_nodes g in
+  let flows =
+    List.init
+      (1 + Rng.int rng 2)
+      (fun _ ->
+        let src = Rng.int rng n in
+        let dst = (src + 1 + Rng.int rng (n - 1)) mod n in
+        let routes, rates = Runner.routes_and_rates net Schemes.Empower ~src ~dst in
+        Runner.flow_spec ~src ~dst (routes, rates))
+    |> List.filter (fun (f : Engine.flow_spec) -> f.Engine.routes <> [])
+  in
+  let intensity =
+    [| Fault.Gen.Light; Fault.Gen.Moderate; Fault.Gen.Heavy; Fault.Gen.Severing |].(seed mod 4)
+  in
+  let victim =
+    match flows with f :: _ -> Some f.Engine.dst | [] -> None
+  in
+  let duration = float_of_int (5 + Rng.int rng 4) in
+  let plan = Fault.Gen.plan ~intensity ?victim (Rng.split rng) g ~duration in
+  let compiled = Fault.compile g plan in
+  let config =
+    if seed mod 2 = 1 then recovery_config else chaos_config
+  in
+  let reg = Obs.Metrics.create () in
+  let recorder = Obs.Recorder.create reg in
+  let res =
+    Engine.run ~config ~trace:(Obs.Recorder.sink recorder)
+      ~link_events:compiled.Fault.link_events
+      ~loss_events:compiled.Fault.loss_events
+      ~ctrl_events:compiled.Fault.ctrl_events rng g net.Empower.dom ~flows
+      ~duration
+  in
+  Obs.Recorder.flush recorder ~now:duration;
+  Array.mapi
+    (fun fid (fr : Engine.flow_result) ->
+      ( fr.Engine.goodput_series,
+        Obs.Metrics.Series.points
+          (Obs.Metrics.series reg (Printf.sprintf "flow.%d.goodput" fid)) ))
+    res.Engine.flows
+
+let same_bits (t, v) (t', v') =
+  Int64.equal (Int64.bits_of_float t) (Int64.bits_of_float t')
+  && Int64.equal (Int64.bits_of_float v) (Int64.bits_of_float v')
+
+let prop_engine_bins_match_recorder =
+  QCheck.Test.make ~count:40
+    ~name:"engine goodput bins minus empty seconds = recorder series, bit for bit"
+    seed_gen (fun seed ->
+      Array.iteri
+        (fun fid (engine, recorded) ->
+          let nonzero = List.filter (fun (_, v) -> v <> 0.0) engine in
+          if
+            not
+              (List.length nonzero = List.length recorded
+              && List.for_all2 same_bits nonzero recorded)
+          then
+            QCheck.Test.fail_reportf
+              "seed %d flow %d: engine bins (%d, %d non-empty) differ from the \
+               recorder's %d points"
+              seed fid (List.length engine) (List.length nonzero)
+              (List.length recorded))
+        (binned_case seed);
+      true)
+
+let prop_binned_cases_have_empty_seconds =
+  (* The property above must see the bins it discards: a severing case
+     whose flow delivers nothing for a whole second. *)
+  QCheck.Test.make ~count:1
+    ~name:"binned cases include seconds in which a flow delivers nothing"
+    QCheck.unit
+    (fun () ->
+      List.exists
+        (fun seed ->
+          Array.exists
+            (fun (engine, _) -> List.exists (fun (_, v) -> v = 0.0) engine)
+            (binned_case seed))
+        (List.init 10 (fun k -> (4 * k) + 3)))
+
 let () =
   let tests =
     [
@@ -843,6 +939,8 @@ let () =
       prop_no_marks_below_threshold;
       prop_buffered_deterministic;
       prop_huge_pool_matches_legacy;
+      prop_engine_bins_match_recorder;
+      prop_binned_cases_have_empty_seconds;
     ]
   in
   (* Fixed generation seed: CI failures reproduce exactly; individual

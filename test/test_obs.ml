@@ -714,6 +714,32 @@ let test_stream_recovery_resets () =
   Alcotest.(check string) "heavy recovery trace" "75fa9213fe2b13fb3abe432fbc57e41e"
     (chaos Fault.Gen.Heavy)
 
+let twin_reset_net =
+  lazy (Runner.network (Testbed.generate (Rng.create 4242)) Schemes.Empower)
+
+(* Testbed flow 3->17 on two routes; the first link of the second
+   route, [l], fails at 3 s and returns at 4.5 s. *)
+let twin_reset_routes () =
+  let routes, _ =
+    Runner.routes_and_rates (Lazy.force twin_reset_net) Schemes.Empower ~src:3 ~dst:17
+  in
+  match routes with
+  | [ a; b ] -> (a, List.hd b.Paths.links)
+  | _ -> Alcotest.fail "expected two routes 3 -> 17"
+
+let twin_reset_run ?flight trace =
+  let net = Lazy.force twin_reset_net in
+  let g = net.Empower.g in
+  let routes, rates = Runner.routes_and_rates net Schemes.Empower ~src:3 ~dst:17 in
+  let _, l = twin_reset_routes () in
+  let config = { Engine.default_config with Engine.recovery = Some Recovery.default } in
+  ignore
+    (Engine.run ~config ~trace ?flight
+       ~link_events:[ (3.0, l, 0.0); (4.5, l, Multigraph.capacity g l) ]
+       (Rng.create 2) g net.Empower.dom
+       ~flows:[ Runner.flow_spec ~src:3 ~dst:17 (routes, rates) ]
+       ~duration:6.0)
+
 let test_stream_twin_reset () =
   (* A route death resets γ on the failed link alone: its twins (links
      with the same I_l) keep their γ, and every later price must see
@@ -722,27 +748,14 @@ let test_stream_twin_reset () =
      (one twin class). 3->9 fails at 3 s and returns at 4.5 s, while
      the surviving route's PLC hop 3->14 keeps stamping the class's
      Σγ into its frames. *)
-  let net = Runner.network (Testbed.generate (Rng.create 4242)) Schemes.Empower in
-  let g = net.Empower.g and dom = net.Empower.dom in
-  let routes, rates = Runner.routes_and_rates net Schemes.Empower ~src:3 ~dst:17 in
-  let survivor, l =
-    match routes with
-    | [ a; b ] -> (a, List.hd b.Paths.links)
-    | _ -> Alcotest.fail "expected two routes 3 -> 17"
-  in
+  let dom = (Lazy.force twin_reset_net).Empower.dom in
+  let survivor, l = twin_reset_routes () in
   if not (List.exists (fun l' -> Domain.twin dom l' = Domain.twin dom l) survivor.Paths.links)
   then Alcotest.fail "the surviving route has no twin of the failed link";
-  let config = { Engine.default_config with Engine.recovery = Some Recovery.default } in
   let collect, events = Obs.Trace.collector () in
   let digest =
     md5_of_file (fun path ->
-        traced_to path (fun sink ->
-            ignore
-              (Engine.run ~config ~trace:(Obs.Trace.tee sink collect)
-                 ~link_events:[ (3.0, l, 0.0); (4.5, l, Multigraph.capacity g l) ]
-                 (Rng.create 2) g dom
-                 ~flows:[ Runner.flow_spec ~src:3 ~dst:17 (routes, rates) ]
-                 ~duration:6.0)))
+        traced_to path (fun sink -> twin_reset_run (Obs.Trace.tee sink collect)))
   in
   (* The run does what it claims: a reset of a link whose class has
      other members with γ > 0 at that moment, and price rows after. *)
@@ -831,6 +844,84 @@ let test_stream_reused_ring_detached () =
   Alcotest.(check bool) "second run wrote to the ring" true
     (Obs.Flight.recorded ring > recorded + 1);
   Alcotest.(check int) "first run's sink saw nothing more" first (count ())
+
+(* ---------- sinks that read some kinds ---------- *)
+
+let kinds_of evs = List.map Obs.Trace.kind evs
+let only wanted evs = List.filter (fun ev -> List.mem (Obs.Trace.kind ev) wanted) evs
+
+let test_kinds_names () =
+  Alcotest.(check (list string)) "none reads nothing" [] (Obs.Trace.reads Obs.Trace.none);
+  let full, _ = Obs.Trace.collector () in
+  Alcotest.(check (list string)) "default reads every kind" Obs.Trace.kinds
+    (Obs.Trace.reads full);
+  let part, _ = Obs.Trace.collector ~kinds:[ "route_restored"; "route_dead" ] () in
+  Alcotest.(check (list string)) "reads in schema order" [ "route_dead"; "route_restored" ]
+    (Obs.Trace.reads part);
+  match Obs.Trace.counter ~kinds:[ "delivery"; "warp" ] () with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "an unknown kind name must be rejected"
+
+let test_kinds_ring_subsequence () =
+  (* A ring offers a restricted sink exactly the rows of its kinds: the
+     subsequence of what a full collector gets from the same run. *)
+  let wanted = [ "route_dead"; "route_restored" ] in
+  let full, all = Obs.Trace.collector () in
+  twin_reset_run ~flight:(Obs.Flight.create ()) full;
+  let part, got = Obs.Trace.collector ~kinds:wanted () in
+  twin_reset_run ~flight:(Obs.Flight.create ()) part;
+  let expect = only wanted (all ()) in
+  Alcotest.(check (list string)) "the run declares a route dead and restores it" wanted
+    (List.sort_uniq compare (kinds_of expect));
+  if got () <> expect then Alcotest.fail "restricted sink is not the filtered stream"
+
+let test_kinds_tee () =
+  (* Each side of a tee takes its own kinds, from a ring or from emit. *)
+  let wanted = [ "delivery"; "link"; "ctrl" ] in
+  let check_tee name offer =
+    let part, got = Obs.Trace.collector ~kinds:wanted () in
+    let full, all = Obs.Trace.collector () in
+    offer (Obs.Trace.tee part full);
+    if all () <> all_event_variants then Alcotest.failf "%s: full side lost events" name;
+    if got () <> only wanted all_event_variants then
+      Alcotest.failf "%s: restricted side took other kinds" name
+  in
+  check_tee "emit" (fun s -> List.iter (Obs.Trace.emit s) all_event_variants);
+  check_tee "ring" (fun s ->
+      let fl = Obs.Flight.create () in
+      Obs.Flight.set_sink fl (Some s);
+      List.iter (Obs.Flight.event fl) all_event_variants)
+
+let test_kinds_sampling () =
+  (* Sampling counts only the offers a sink reads: 1 in 3 deliveries,
+     whatever else is interleaved. *)
+  let part, got = Obs.Trace.collector ~kinds:[ "delivery" ] () in
+  let s = Obs.Trace.sampled ~every:3 part in
+  for i = 1 to 10 do
+    Obs.Trace.emit s (Obs.Trace.Price_reset { t = float_of_int i; link = i });
+    Obs.Trace.emit s
+      (Obs.Trace.Delivery { t = float_of_int i; flow = 0; seq = i; bytes = 1500; delay = 0.0 });
+    Obs.Trace.emit s (Obs.Trace.Link_event { t = float_of_int i; link = i; capacity = 1.0 })
+  done;
+  Alcotest.(check (list int)) "deliveries 1,4,7,10 kept" [ 1; 4; 7; 10 ]
+    (List.map (function Obs.Trace.Delivery { seq; _ } -> seq | _ -> -1) (got ()))
+
+let test_kinds_none_unobserved () =
+  (* Obs.Trace.none leaves a run unobserved, and as an explicit sink it
+     keeps the ambient --metrics recorder off. *)
+  let g, dom = small_net () in
+  let flows = [ saturated_flow g dom ~src:0 ~dst:2 ] in
+  let run ?trace () =
+    Engine.strip_perf (Engine.run ?trace (Rng.create 7) g dom ~flows ~duration:3.0)
+  in
+  Obs.Runtime.clear ();
+  let base = run () in
+  let reg = Obs.Runtime.install_metrics () in
+  Fun.protect ~finally:Obs.Runtime.clear (fun () ->
+      if run ~trace:Obs.Trace.none () <> base then
+        Alcotest.fail "a run with Obs.Trace.none differs from an unobserved run";
+      Alcotest.(check (list string)) "--metrics registry stays empty" []
+        (Obs.Metrics.names reg))
 
 (* ---------- Metrics.merge histogram accuracy ---------- *)
 
@@ -926,6 +1017,17 @@ let () =
             test_stream_sampling_sink_only;
           Alcotest.test_case "reused ring feeds no earlier sink" `Quick
             test_stream_reused_ring_detached;
+        ] );
+      ( "kinds",
+        [
+          Alcotest.test_case "names, none and the default" `Quick test_kinds_names;
+          Alcotest.test_case "ring feeds a restricted sink its subsequence" `Slow
+            test_kinds_ring_subsequence;
+          Alcotest.test_case "tee gives each side its own kinds" `Quick test_kinds_tee;
+          Alcotest.test_case "sampling counts only read kinds" `Quick
+            test_kinds_sampling;
+          Alcotest.test_case "none leaves the run and --metrics unobserved" `Quick
+            test_kinds_none_unobserved;
         ] );
       ( "trace codec",
         [

@@ -120,6 +120,22 @@ let test_run_all_jobs_identical () =
   Alcotest.(check (list string))
     "run_all is bit-identical for any job count" (render 1) (render 3)
 
+(* ---------- --metrics ---------- *)
+
+(* The process-global registry (--metrics) after one scenario run. Its
+   digest was taken when both engine runs fed full recorders: the
+   fault-free twin stays invisible to the registry, and the churn run
+   stays fully visible. *)
+let test_metrics_registry () =
+  let spec = load_spec (Filename.concat scenarios_dir "flapping-churn.json") in
+  Obs.Runtime.clear ();
+  let reg = Obs.Runtime.install_metrics () in
+  Fun.protect ~finally:Obs.Runtime.clear (fun () ->
+      ignore (Scenario.run spec);
+      Alcotest.(check string)
+        "--metrics registry digest" "a76afd7d7b3ecc2183626b6bcb8c1f07"
+        (Digest.to_hex (Digest.string (Obs.Json.to_string (Obs.Metrics.to_json reg)))))
+
 (* ---------- strict decoding ---------- *)
 
 let parse s =
@@ -231,6 +247,7 @@ let () =
           ("bit reproducible", `Slow, test_bit_reproducible);
           ("run_all jobs identical", `Slow, test_run_all_jobs_identical);
         ] );
+      ("metrics", [ ("--metrics registry pin", `Slow, test_metrics_registry) ]);
       ( "decode",
         [
           ("base document", `Quick, test_decode_ok);
