@@ -309,11 +309,9 @@ let instance spec =
 let kinds =
   [ "rate"; "link"; "loss"; "ctrl"; "route_dead"; "route_probe"; "route_restored" ]
 
-(* The engine's whole-second bins, without the seconds in which the
-   flow delivered nothing: the series a recorder writes. *)
-let series (fr : Engine.flow_result) =
-  List.filter (fun (_, v) -> v <> 0.0) fr.Engine.goodput_series
-
+(* The engine's whole-second bins inside the measure window. A second
+   in which a flow delivers nothing is a 0 Mbit/s bin: an outage
+   counts against availability. *)
 let measured pts = List.filter (fun (t, _) -> t > warmup) pts
 
 let run ?trace ?flight spec =
@@ -418,7 +416,7 @@ let run ?trace ?flight spec =
   let per_flow =
     Array.mapi
       (fun fid (fr : Engine.flow_result) ->
-        let base_bins = measured (series result_b.Engine.flows.(fid)) in
+        let base_bins = measured result_b.Engine.flows.(fid).Engine.goodput_series in
         let baseline =
           match base_bins with
           | [] -> 0.0
@@ -426,7 +424,7 @@ let run ?trace ?flight spec =
               List.fold_left (fun acc (_, v) -> acc +. v) 0.0 base_bins
               /. float_of_int (List.length base_bins)
         in
-        let pts = series fr in
+        let pts = fr.Engine.goodput_series in
         (baseline, pts, measured pts))
       result.Engine.flows
   in

@@ -27,8 +27,11 @@
     {2 Scorecard metric definitions}
 
     Bins are the engine's whole-second goodput bins
-    ([Engine.flow_result.goodput_series]) in which the flow delivered
-    something. With [W] the churn run's bins whose bin-end time is in
+    ([Engine.flow_result.goodput_series]), one per second of the run:
+    a second in which a flow delivers nothing is a 0 Mbit/s bin, so an
+    outage counts against availability and time below SLO and deepens
+    the dips. A trailing partial second of a fractional [duration] is
+    not a bin. With [W] the churn run's bins whose bin-end time is in
     the measure window [(warmup, duration]] (warmup = 2 s), and [B]
     the per-flow mean of the fault-free run's bins over the same
     window:

@@ -563,7 +563,8 @@ end
       constraint (2) (needs [~domain_of]);
     - ["flow.<f>.delay"] — exact-count streaming histogram of one-way
       delivery delays; ["flow.<f>.goodput"] — delivered Mbit/s per
-      window (series); ["flow.<f>.rate"] — controller total rate at
+      window (series; a window in which the flow delivered nothing
+      has no point); ["flow.<f>.rate"] — controller total rate at
       each update (series); ["flow.<f>.rate_delta"] — absolute rate
       movement per update (series);
     - ["ctrl.price_delta"] — max |Δγ| per control tick (series);

@@ -120,6 +120,24 @@ let test_run_all_jobs_identical () =
   Alcotest.(check (list string))
     "run_all is bit-identical for any job count" (render 1) (render 3)
 
+(* ---------- outage seconds ---------- *)
+
+(* A second in which a flow delivers nothing is a 0 Mbit/s bin. At
+   seed + 4, legacy-mix's flow 1 delivers nothing in 4 whole seconds of
+   its 28 s measure window: 21 of 28 bins meet the SLO, and its worst
+   dip is its whole pre-recovery baseline. Scored without the empty
+   seconds, it would read 21 of 24 bins (0.875), 3 s below SLO and a
+   13.888 Mbit/s dip. *)
+let test_outage_seconds_count () =
+  let spec = load_spec (Filename.concat scenarios_dir "legacy-mix.json") in
+  let sc = Scenario.run { spec with Scenario.seed = spec.Scenario.seed + 4 } in
+  match sc.Scenario.flows with
+  | [ _; f ] ->
+    Alcotest.(check (float 0.0)) "availability" 0.75 f.Scenario.availability;
+    Alcotest.(check (float 0.0)) "seconds below SLO" 7.0 f.Scenario.below_slo_s;
+    Alcotest.(check (float 1e-9)) "dip depth" 15.04 f.Scenario.dip_depth
+  | _ -> Alcotest.fail "legacy-mix runs two flows"
+
 (* ---------- --metrics ---------- *)
 
 (* The process-global registry (--metrics) after one scenario run. Its
@@ -247,6 +265,7 @@ let () =
           ("bit reproducible", `Slow, test_bit_reproducible);
           ("run_all jobs identical", `Slow, test_run_all_jobs_identical);
         ] );
+      ("outage", [ ("empty seconds are 0 Mbit/s bins", `Slow, test_outage_seconds_count) ]);
       ("metrics", [ ("--metrics registry pin", `Slow, test_metrics_registry) ]);
       ( "decode",
         [
