@@ -11,8 +11,8 @@
     runs and the {!Obs} record of the churn run's control, fault and
     recovery rows into a {!scorecard}: per-flow availability against
     the fault-free baseline, time below SLO, recovery counters and a
-    per-churn-event dip/recovery table. Scenario files live under [scenarios/] and
-    are exercised by [empower_eval scenario].
+    per-churn-event dip/recovery table. Scenario files live under
+    [scenarios/] and are exercised by [empower_eval scenario].
 
     {2 Determinism}
 

@@ -636,11 +636,9 @@ module Trace = struct
   let mask_of_kinds names =
     List.fold_left
       (fun m name ->
-        let rec index i = function
-          | [] -> invalid_arg ("Obs.Trace: unknown event kind " ^ name)
-          | k :: rest -> if k = name then i else index (i + 1) rest
-        in
-        m lor (1 lsl index 0 kinds))
+        match List.find_index (String.equal name) kinds with
+        | Some i -> m lor (1 lsl i)
+        | None -> invalid_arg ("Obs.Trace: unknown event kind " ^ name))
       0 names
 
   let of_fn ?kinds f =
@@ -680,9 +678,9 @@ module Trace = struct
       push_fn = (fun ev -> emit a ev; emit b ev);
     }
 
-  let to_channel ?kinds oc =
+  let to_channel oc =
     let buf = Buffer.create 256 in
-    of_fn ?kinds (fun ev ->
+    of_fn (fun ev ->
         Buffer.clear buf;
         Json.to_buffer buf (to_json ev);
         Buffer.add_char buf '\n';
@@ -692,9 +690,9 @@ module Trace = struct
     let acc = ref [] in
     (of_fn ?kinds (fun ev -> acc := ev :: !acc), fun () -> List.rev !acc)
 
-  let counter ?kinds () =
+  let counter () =
     let n = ref 0 in
-    (of_fn ?kinds (fun _ -> incr n), fun () -> !n)
+    (of_fn (fun _ -> incr n), fun () -> !n)
 end
 
 (* Always-on crash recorder: the last [capacity] events in a

@@ -196,7 +196,7 @@ module Trace : sig
   (** A sink that calls the function on every event it takes.
       [kinds] (default: every kind) names the ["ev"] tags it reads,
       drawn from {!kinds}; any other name raises [Invalid_argument].
-      The builders below take the same argument. *)
+      {!collector} and [Recorder.sink] take the same argument. *)
 
   val none : sink
   (** Reads no kind. Passed to [Engine.run], it leaves the run
@@ -257,14 +257,14 @@ module Trace : sig
       sinks, left first, and each side takes only the kinds it reads,
       applying its own sampling to those. *)
 
-  val to_channel : ?kinds:string list -> out_channel -> sink
+  val to_channel : out_channel -> sink
   (** Writes one JSONL line per event. The caller owns the channel
       (flush/close). *)
 
   val collector : ?kinds:string list -> unit -> sink * (unit -> event list)
   (** In-memory sink; the closure returns events oldest-first. *)
 
-  val counter : ?kinds:string list -> unit -> sink * (unit -> int)
+  val counter : unit -> sink * (unit -> int)
   (** Cheapest possible sink — used to measure tracing overhead. *)
 end
 

@@ -858,7 +858,7 @@ let test_kinds_names () =
   let part, _ = Obs.Trace.collector ~kinds:[ "route_restored"; "route_dead" ] () in
   Alcotest.(check (list string)) "reads in schema order" [ "route_dead"; "route_restored" ]
     (Obs.Trace.reads part);
-  match Obs.Trace.counter ~kinds:[ "delivery"; "warp" ] () with
+  match Obs.Trace.collector ~kinds:[ "delivery"; "warp" ] () with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "an unknown kind name must be rejected"
 
