@@ -16,9 +16,9 @@
     - {!Trace} — a typed event record for everything that happens on
       the datapath and control plane, with a JSONL wire format
       ({!Trace.encode} / {!Trace.decode}) whose schema is documented
-      below. [Engine.run ~trace:sink] streams every event into the
-      sink; [empower_eval trace <scenario> --out t.jsonl] does it
-      from the command line.
+      below. [Engine.run ~trace:sink] streams every event of the
+      kinds the sink reads into it; [empower_eval trace <scenario>
+      --out t.jsonl] streams them all from the command line.
     - {!Metrics} — a name-keyed registry of counters, gauges,
       windowed time series and streaming histograms, populated from
       the same events by a {!Recorder}, or directly by harness code.
@@ -279,11 +279,13 @@ end
     BENCH_sim.json; the only boxed writes are the two array-carrying
     control-plane kinds, {!Trace.Rate_update} and {!Trace.Ack}, a few
     per control period). Every writer, after storing its row, offers
-    it to the sink attached with {!set_sink}: the sink's
-    {!Trace.accept} runs once per row, and the event record is
-    rebuilt from the row only when the sink takes it. The ring thus
-    records every event whatever the sink's sampling, and its
-    contents are the tail of what an unsampled sink received.
+    it to the sink attached with {!set_sink}: the row's tag is tested
+    against the kinds the sink reads ({!Trace.reads}) first, the
+    sink's {!Trace.accept} runs once per row of a kind it reads, and
+    the event record is rebuilt from the row only when the sink takes
+    it. The ring thus records every event whatever the sink's kinds
+    and sampling, and its contents are the tail of what an unsampled
+    sink of every kind received.
 
     {!Engine.run} accepts a recorder via [?flight] or creates one
     itself when the [EMPOWER_FLIGHT] environment variable is set, and

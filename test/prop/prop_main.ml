@@ -822,10 +822,10 @@ let prop_huge_pool_matches_legacy =
 (* ---------- oracle 10: goodput bins from the engine ---------- *)
 
 (* Scenario.run scores its flows from the engine's whole-second goodput
-   bins ([flow_result.goodput_series]) where a recorder used to bin the
-   trace's deliveries. The recorder writes no point for a second in
-   which a flow delivers nothing; apart from those empty seconds the
-   two series agree bit for bit at whole-second durations. Seeded
+   bins ([flow_result.goodput_series]). A recorder bins the trace's
+   deliveries too, but writes no point for a second in which a flow
+   delivers nothing; apart from those empty seconds the two series
+   agree bit for bit at whole-second durations. Seeded
    testbed runs, 1-2 flows, a Fault.Gen plan of every non-churn
    intensity (Severing crashes a flow's destination, so whole seconds
    go empty), recovery on for odd seeds. *)
