@@ -5,9 +5,10 @@
    - kernels      Bechamel micro-benchmarks of the kernels every
                   experiment leans on (one Test.make per kernel): the
                   multipath exploration tree, CSC Dijkstra, Yen, the
-                  congestion controller, testbed-scale set-up (the
-                  exploration tree and a 3-flow Empower.allocate on the
-                  22-node testbed), the LP-based optimal baseline,
+                  congestion controller, testbed-scale set-up (Yen,
+                  update() on the primary route, the exploration tree
+                  and a 3-flow Empower.allocate on the 22-node
+                  testbed), the LP-based optimal baseline,
                   the fluid MAC, the packet engine (bare and with a
                   flight ring armed), one churn scenario end to end
                   (Scenario.run flapping-churn, ring armed), the
@@ -65,6 +66,23 @@ let bench_yen () =
 let bench_multipath_testbed () =
   let g, dom = Lazy.force testbed_case in
   ignore (Multipath.find g dom ~src:0 ~dst:12)
+
+let bench_yen_testbed () =
+  let g, _ = Lazy.force testbed_case in
+  ignore (Yen.k_shortest g ~src:0 ~dst:12 ~k:5)
+
+(* update() on the 0->12 primary route: the view the exploration tree
+   derives along its first edge. *)
+let testbed_primary =
+  lazy
+    (let g, _ = Lazy.force testbed_case in
+     match Dijkstra.shortest_path g ~src:0 ~dst:12 with
+     | Some (p, _) -> p
+     | None -> failwith "testbed 0->12 unreachable")
+
+let bench_update_testbed () =
+  let g, dom = Lazy.force testbed_case in
+  ignore (Update.update g dom (Lazy.force testbed_primary))
 
 let bench_allocate_testbed () =
   let g, dom = Lazy.force testbed_case in
@@ -149,6 +167,9 @@ let kernel_tests =
     Test.make ~name:"multipath CC (500 slots)" (Staged.stage bench_cc);
     Test.make ~name:"multipath exploration tree (testbed 0->12)"
       (Staged.stage bench_multipath_testbed);
+    Test.make ~name:"yen 5-shortest (testbed 0->12)" (Staged.stage bench_yen_testbed);
+    Test.make ~name:"update() (testbed 0->12, primary route)"
+      (Staged.stage bench_update_testbed);
     Test.make ~name:"allocate 3 flows (testbed, delta 0.05)"
       (Staged.stage bench_allocate_testbed);
     Test.make ~name:"LP optimal baseline" (Staged.stage bench_lp);

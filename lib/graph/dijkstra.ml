@@ -1,14 +1,26 @@
+(* Bans live in stamp arrays: a link (node) is banned while its entry
+   equals the current stamp, so {!reset} lifts every ban at once. *)
 type constraints = {
-  banned_links : int -> bool;
-  banned_nodes : int -> bool;
+  link_stamp : int array;
+  node_stamp : int array;
+  mutable stamp : int;
 }
 
-let no_constraints = { banned_links = (fun _ -> false); banned_nodes = (fun _ -> false) }
+let constraints g =
+  {
+    link_stamp = Array.make (Multigraph.num_links g) 0;
+    node_stamp = Array.make (Multigraph.n_nodes g) 0;
+    stamp = 1;
+  }
 
-let wns g u =
-  List.fold_left
-    (fun acc l -> if Multigraph.usable g l then min acc (Multigraph.d g l) else acc)
-    infinity (Multigraph.out_links g u)
+let reset c = c.stamp <- c.stamp + 1
+let ban_link c l = c.link_stamp.(l) <- c.stamp
+let ban_node c u = c.node_stamp.(u) <- c.stamp
+
+(* Bans nothing: no stamp is ever 0. *)
+let no_constraints = { link_stamp = [||]; node_stamp = [||]; stamp = 0 }
+
+let wns g u = (Multigraph.flat g).Multigraph.min_egress_d.(u)
 
 (* The switching cost charged at node [u] when a path arrives with
    technology [in_tech] and leaves with technology [out_tech]. *)
@@ -28,23 +40,16 @@ let shortest_path ?(csc = true) ?(constraints = no_constraints) ?init_tech g ~sr
   if src = dst then invalid_arg "Dijkstra.shortest_path: src = dst";
   let k = Multigraph.n_techs g in
   let n_states = Multigraph.n_nodes g * (k + 1) in
+  let { Multigraph.out_start; out; dst_of; tech_of; d; min_egress_d } =
+    Multigraph.flat g
+  in
+  let { link_stamp; node_stamp; stamp } = constraints in
+  let bans = stamp > 0 in
   let dist = Array.make n_states infinity in
   let via = Array.make n_states (-1) in
   let prev = Array.make n_states (-1) in
   (* via.(s) is the link taken to reach state s and prev.(s) the state
      it was reached from; -1 at the source. *)
-  (* w_ns(u) depends on the graph only: compute it at most once per
-     node and search (nan = not computed yet; wns is never nan). *)
-  let wns_memo = Array.make (Multigraph.n_nodes g) nan in
-  let wns_at u =
-    let w = wns_memo.(u) in
-    if Float.is_nan w then begin
-      let w = wns g u in
-      wns_memo.(u) <- w;
-      w
-    end
-    else w
-  in
   (* The queue holds state ids; ties pop in push order either way. *)
   let queue = Pqueue.create () in
   let init_in = match init_tech with None -> -1 | Some t -> t in
@@ -59,32 +64,30 @@ let shortest_path ?(csc = true) ?(constraints = no_constraints) ?init_tech g ~sr
     if cost > dist.(su) then ()
     else if u = dst then best_dst := su
     else
-      List.iter
-        (fun l ->
-          let lk = Multigraph.link g l in
-          if
-            Multigraph.usable g l
-            && (not (constraints.banned_links l))
-            && not (constraints.banned_nodes lk.Multigraph.dst)
-          then begin
-            (* The CSC of [csc_cost]: w_ns(u) when the path keeps its
-               technology through u, else 0. *)
-            let sw =
-              if csc && in_tech = lk.Multigraph.tech then wns_at u else 0.0
-            in
-            let step = Multigraph.d g l +. sw in
-            if Float.is_finite step then begin
-              let nd = cost +. step in
-              let sv = state_id ~k lk.Multigraph.dst lk.Multigraph.tech in
-              if nd < dist.(sv) then begin
-                dist.(sv) <- nd;
-                via.(sv) <- l;
-                prev.(sv) <- su;
-                Pqueue.push queue nd sv
-              end
+      (* Out-links in ascending id order, as the queue's ties expect.
+         An unusable link has d_l = infinity and fails the finiteness
+         test, as does a usable one whose d_l overflows. *)
+      for i = out_start.(u) to out_start.(u + 1) - 1 do
+        let l = out.(i) in
+        let v = dst_of.(l) in
+        if not (bans && (link_stamp.(l) = stamp || node_stamp.(v) = stamp)) then begin
+          let t = tech_of.(l) in
+          (* The CSC of [csc_cost]: w_ns(u) when the path keeps its
+             technology through u, else 0. *)
+          let sw = if csc && in_tech = t then min_egress_d.(u) else 0.0 in
+          let step = d.(l) +. sw in
+          if Float.is_finite step then begin
+            let nd = cost +. step in
+            let sv = state_id ~k v t in
+            if nd < dist.(sv) then begin
+              dist.(sv) <- nd;
+              via.(sv) <- l;
+              prev.(sv) <- su;
+              Pqueue.push queue nd sv
             end
-          end)
-        (Multigraph.out_links g u)
+          end
+        end
+      done
   done;
   if !best_dst < 0 then None
   else begin

@@ -13,14 +13,23 @@
     states, which makes the CSC compatible with the algorithm exactly
     as in Yang et al. [44]. *)
 
-type constraints = {
-  banned_links : int -> bool;  (** candidate links to skip entirely *)
-  banned_nodes : int -> bool;  (** nodes that may not be entered *)
-}
-(** Search restrictions used by Yen's algorithm; see {!no_constraints}. *)
+type constraints
+(** Links a search skips and nodes it may not enter (Yen's spur
+    restrictions), marked in stamp arrays sized for one topology and
+    valid for every view of it. Banning is one array write; {!reset}
+    lifts every ban at once. *)
 
-val no_constraints : constraints
-(** Bans nothing. *)
+val constraints : Multigraph.t -> constraints
+(** Fresh restrictions for [g]'s topology; they ban nothing. *)
+
+val reset : constraints -> unit
+(** Lift every ban. *)
+
+val ban_link : constraints -> int -> unit
+(** Skip this link id until the next {!reset}. *)
+
+val ban_node : constraints -> int -> unit
+(** Enter no link into this node until the next {!reset}. *)
 
 val shortest_path :
   ?csc:bool ->
@@ -32,7 +41,9 @@ val shortest_path :
   (Paths.t * float) option
 (** [shortest_path g ~src ~dst] is the minimum-weight usable path and
     its weight, or [None] if [dst] is unreachable over links of
-    strictly positive capacity. [?csc] (default [true]) disables the
+    strictly positive capacity. The search walks the view's flat
+    arrays ({!Multigraph.flat}), relaxing each node's out-links in
+    ascending id order. [?csc] (default [true]) disables the
     channel-switching cost when [false] (the paper sets CSC = 0 for
     single-technology WiFi scenarios). [?init_tech] states that the
     (virtual) hop into [src] used the given technology — used by Yen
@@ -47,4 +58,5 @@ val path_cost : ?csc:bool -> ?init_tech:int -> Multigraph.t -> Paths.t -> float
 val wns : Multigraph.t -> int -> float
 (** [wns g u]: the non-switching cost at node [u], i.e. the minimum
     [d_l] over usable egress links of [u]; [infinity] when [u] has no
-    usable egress link. Exposed for tests and ablations. *)
+    usable egress link. Each view computes it once per node
+    ({!Multigraph.flat}). *)

@@ -7,6 +7,18 @@ type link = {
   edge : int;
 }
 
+type flat = {
+  out_start : int array;
+  out : int array;
+  dst_of : int array;
+  tech_of : int array;
+  d : float array;
+  min_egress_d : float array;
+}
+
+(* Every view of one topology shares [links], the adjacency lists and
+   the structural arrays of [flat]; a view owns [caps] and the
+   [flat.d] and [flat.min_egress_d] derived from them. *)
 type t = {
   n_nodes : int;
   n_techs : int;
@@ -14,11 +26,31 @@ type t = {
   caps : float array;
   out_of : int list array;
   in_of : int list array;
+  flat : flat;
 }
 
 let n_nodes t = t.n_nodes
 let n_techs t = t.n_techs
 let num_links t = Array.length t.links
+
+(* The view of [t]'s structure with capacity vector [caps], which it
+   takes over: d_l once per link, then each node's smallest d_l. The
+   loops keep the floats unboxed. *)
+let view t caps =
+  let d = Array.create_float (Array.length caps) in
+  for l = 0 to Array.length caps - 1 do
+    let c = caps.(l) in
+    d.(l) <- (if c <= 0.0 then infinity else 1.0 /. c)
+  done;
+  let { out_start; out; _ } = t.flat in
+  let min_egress_d = Array.make t.n_nodes infinity in
+  for u = 0 to t.n_nodes - 1 do
+    for i = out_start.(u) to out_start.(u + 1) - 1 do
+      let dl = d.(out.(i)) in
+      if dl < min_egress_d.(u) then min_egress_d.(u) <- dl
+    done
+  done;
+  { t with caps; flat = { t.flat with d; min_egress_d } }
 
 let create ~n_nodes ~n_techs ~edges =
   if n_nodes <= 0 then invalid_arg "Multigraph.create: n_nodes <= 0";
@@ -50,7 +82,21 @@ let create ~n_nodes ~n_techs ~edges =
   (* Keep adjacency lists in increasing link-id order for determinism. *)
   Array.iteri (fun i l -> out_of.(i) <- List.rev l) out_of;
   Array.iteri (fun i l -> in_of.(i) <- List.rev l) in_of;
-  { n_nodes; n_techs; links; caps; out_of; in_of }
+  let out_start = Array.make (n_nodes + 1) 0 in
+  Array.iteri (fun u l -> out_start.(u + 1) <- out_start.(u) + List.length l) out_of;
+  let out = Array.make (2 * n_edges) 0 in
+  Array.iteri (fun u l -> List.iteri (fun i id -> out.(out_start.(u) + i) <- id) l) out_of;
+  let flat =
+    {
+      out_start;
+      out;
+      dst_of = Array.map (fun lk -> lk.dst) links;
+      tech_of = Array.map (fun lk -> lk.tech) links;
+      d = [||];
+      min_egress_d = [||];
+    }
+  in
+  view { n_nodes; n_techs; links; caps; out_of; in_of; flat } caps
 
 let check_id t l =
   if l < 0 || l >= Array.length t.links then
@@ -69,10 +115,12 @@ let capacity t l =
 let capacities t = Array.copy t.caps
 
 let d t l =
-  let c = capacity t l in
-  if c <= 0.0 then infinity else 1.0 /. c
+  check_id t l;
+  t.flat.d.(l)
 
 let usable t l = capacity t l > 0.0
+
+let flat t = t.flat
 
 let out_links t u = t.out_of.(u)
 let in_links t u = t.in_of.(u)
@@ -88,14 +136,19 @@ let with_capacities t caps =
       if not (Float.is_finite c) || c < 0.0 then
         invalid_arg "Multigraph.with_capacities: capacity must be finite and >= 0")
     caps;
-  { t with caps = Array.copy caps }
+  view t (Array.copy caps)
 
-let scale_capacity t l f =
-  check_id t l;
-  if f < 0.0 then invalid_arg "Multigraph.scale_capacity: negative factor";
-  let caps = Array.copy t.caps in
-  caps.(l) <- caps.(l) *. f;
-  { t with caps }
+let scale_capacities t ~group factors =
+  Array.iter
+    (fun f ->
+      if not (f >= 0.0 && f <= 1.0) then
+        invalid_arg "Multigraph.scale_capacities: factor outside [0, 1]")
+    factors;
+  let caps = Array.create_float (Array.length t.caps) in
+  for l = 0 to Array.length caps - 1 do
+    caps.(l) <- t.caps.(l) *. factors.(group l)
+  done;
+  view t caps
 
 let find_links t ~src ~dst =
   List.filter (fun l -> t.links.(l).dst = dst) t.out_of.(src)

@@ -8,7 +8,7 @@
     unusable links, so routing naturally avoids them.
 
     Values of type {!t} are immutable: the routing [update] procedure
-    (Section 3.2) derives new views with {!with_capacities}. *)
+    (Section 3.2) derives new views with {!scale_capacities}. *)
 
 type link = {
   id : int;          (** dense link identifier, [0 .. num_links-1] *)
@@ -58,6 +58,25 @@ val d : t -> int -> float
 val usable : t -> int -> bool
 (** [true] iff the link currently has strictly positive capacity. *)
 
+type flat = private {
+  out_start : int array;
+      (** CSR offsets, [n_nodes + 1] long: the links leaving node [u]
+          are [out.(out_start.(u))] .. [out.(out_start.(u + 1) - 1)] *)
+  out : int array;  (** link ids, ascending within each node *)
+  dst_of : int array;  (** per link: receiving node *)
+  tech_of : int array;  (** per link: technology index *)
+  d : float array;  (** per link: {!d} in this view *)
+  min_egress_d : float array;
+      (** per node: the smallest [d] over its out-links ([infinity]
+          when none is usable) *)
+}
+(** The arrays a shortest-path search walks. [out_start], [out], [dst_of]
+    and [tech_of] are shared by every view of one topology; [d] and
+    [min_egress_d] are filled once when the view is made. *)
+
+val flat : t -> flat
+(** The view's arrays, by reference. Do not mutate. *)
+
 val out_links : t -> int -> int list
 (** Ids of links leaving a node (any technology). *)
 
@@ -72,9 +91,13 @@ val with_capacities : t -> float array -> t
     (the array is copied). Raises [Invalid_argument] on length
     mismatch or negative entries. *)
 
-val scale_capacity : t -> int -> float -> t
-(** [scale_capacity g l f] multiplies link [l]'s capacity by [f >= 0],
-    returning a new view. *)
+val scale_capacities : t -> group:(int -> int) -> float array -> t
+(** [scale_capacities g ~group factors] is the view in which link [l]
+    has capacity [capacity g l *. factors.(group l)]: links fall into
+    groups that share one factor (routing's update() groups them by
+    twin class). Every factor must lie in [\[0, 1\]], so capacities stay
+    finite and non-negative; raises [Invalid_argument] otherwise. The
+    capacity vector is copied once. *)
 
 val find_links : t -> src:int -> dst:int -> int list
 (** All directed links from [src] to [dst] (one per technology edge). *)

@@ -19,57 +19,42 @@ let k_shortest ?(csc = true) g ~src ~dst ~k =
         Pqueue.push candidates c p
       end
     in
+    (* One stamp per spur: every spur search starts from a reset. *)
+    let constraints = Dijkstra.constraints g in
     let expand (prev_path, _) =
       let links = Array.of_list prev_path.Paths.links in
       let nodes = Array.of_list (Paths.nodes g prev_path) in
       for i = 0 to Array.length links - 1 do
         let spur_node = nodes.(i) in
-        let root_links = Array.to_list (Array.sub links 0 i) in
-        (* Links banned at the spur: the i-th hop of every accepted or
-           candidate path sharing this root prefix. *)
-        let banned_links_tbl = Hashtbl.create 8 in
-        let consider p =
-          let pl = p.Paths.links in
-          let rec prefix_match a b =
-            match (a, b) with
-            | [], _ -> true
-            | x :: xs, y :: ys when x = y -> prefix_match xs ys
-            | _ -> false
-          in
-          if prefix_match root_links pl then
-            match List.nth_opt pl i with
-            | Some l -> Hashtbl.replace banned_links_tbl l ()
-            | None -> ()
+        Dijkstra.reset constraints;
+        (* Links banned at the spur: the i-th hop of every accepted
+           path whose first i hops are the root path links.(0 .. i-1). *)
+        let rec ban_ith j = function
+          | [] -> ()
+          | l :: rest ->
+            if j = i then Dijkstra.ban_link constraints l
+            else if l = links.(j) then ban_ith (j + 1) rest
         in
-        List.iter (fun (p, _) -> consider p) !accepted;
+        List.iter (fun (p, _) -> ban_ith 0 p.Paths.links) !accepted;
         (* Nodes of the root path (except the spur node) are banned to
            keep candidates loopless. *)
-        let banned_nodes_tbl = Hashtbl.create 8 in
         for j = 0 to i - 1 do
-          Hashtbl.replace banned_nodes_tbl nodes.(j) ()
+          Dijkstra.ban_node constraints nodes.(j)
         done;
-        let constraints =
-          {
-            Dijkstra.banned_links = Hashtbl.mem banned_links_tbl;
-            banned_nodes = Hashtbl.mem banned_nodes_tbl;
-          }
-        in
         let init_tech =
           if i = 0 then None
           else Some (Multigraph.link g links.(i - 1)).Multigraph.tech
         in
-        let spur =
-          match init_tech with
-          | None -> Dijkstra.shortest_path ~csc ~constraints g ~src:spur_node ~dst
-          | Some t ->
-            Dijkstra.shortest_path ~csc ~constraints ~init_tech:t g ~src:spur_node
-              ~dst
-        in
-        match spur with
+        match
+          Dijkstra.shortest_path ~csc ~constraints ?init_tech g ~src:spur_node ~dst
+        with
         | None -> ()
         | Some (spur_path, _) ->
-          let total_links = root_links @ spur_path.Paths.links in
-          let p = Paths.of_links g total_links in
+          let total_links = ref spur_path.Paths.links in
+          for j = i - 1 downto 0 do
+            total_links := links.(j) :: !total_links
+          done;
+          let p = Paths.of_links g !total_links in
           let cost = Dijkstra.path_cost ~csc g p in
           if Float.is_finite cost then add_candidate (p, cost)
       done

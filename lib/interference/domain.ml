@@ -68,47 +68,79 @@ let build n bits =
   done;
   { n; bits; twin; domains = Array.init !n_classes (fun k -> row_array n bits first.(k)) }
 
-let create g ~interferes =
+(* The relation of every link with itself and its peer, plus each pair
+   [fill] passes to [add]. *)
+let of_pairs g fill =
   let n = Multigraph.num_links g in
   let bits = Bytes.make (((n * n) + 7) / 8) '\000' in
+  let add l l' =
+    bit_set bits ((l * n) + l');
+    bit_set bits ((l' * n) + l)
+  in
   for l = 0 to n - 1 do
-    bit_set bits ((l * n) + l);
-    let peer = (Multigraph.link g l).Multigraph.peer in
-    bit_set bits ((l * n) + peer);
-    for l' = l + 1 to n - 1 do
-      if interferes l l' || interferes l' l then begin
-        bit_set bits ((l * n) + l');
-        bit_set bits ((l' * n) + l)
-      end
-    done
+    add l l;
+    add l (Multigraph.link g l).Multigraph.peer
   done;
+  fill add;
   build n bits
 
-let endpoint_distance positions (a : Multigraph.link) (b : Multigraph.link) =
-  let dist u v = Geometry.distance positions.(u) positions.(v) in
-  let open Multigraph in
-  Float.min
-    (Float.min (dist a.src b.src) (dist a.src b.dst))
-    (Float.min (dist a.dst b.src) (dist a.dst b.dst))
+let create g ~interferes =
+  let n = Multigraph.num_links g in
+  of_pairs g (fun add ->
+      for l = 0 to n - 1 do
+        for l' = l + 1 to n - 1 do
+          if interferes l l' || interferes l' l then add l l'
+        done
+      done)
 
 let standard ?(cs_factor = 1.5) g ~techs ~positions ~panels =
-  let interferes l l' =
-    let a = Multigraph.link g l and b = Multigraph.link g l' in
-    let open Multigraph in
-    if a.tech <> b.tech then false
-    else begin
-      let tech = techs.(a.tech) in
-      if Technology.is_plc tech then
-        (* One collision domain per electrical panel (one coordinator). *)
-        panels.(a.src) = panels.(b.src)
-      else begin
-        let cs_range = cs_factor *. tech.Technology.conn_radius_m in
-        a.src = b.src || a.src = b.dst || a.dst = b.src || a.dst = b.dst
-        || endpoint_distance positions a b <= cs_range
-      end
-    end
+  let n = Multigraph.n_nodes g in
+  (* Per WiFi technology, the node pairs within carrier-sense range
+     (row-major; a node is in range of itself): two links sense each
+     other when any endpoint of one is in range of any endpoint of the
+     other. *)
+  let in_range =
+    Array.map
+      (fun tech ->
+        if Technology.is_plc tech then [||]
+        else begin
+          let cs_range = cs_factor *. tech.Technology.conn_radius_m in
+          Array.init (n * n) (fun i ->
+              let u = i / n and v = i mod n in
+              u = v || Geometry.distance positions.(u) positions.(v) <= cs_range)
+        end)
+      techs
   in
-  create g ~interferes
+  (* Links of different technologies never interfere and the
+     predicate is symmetric, so each same-technology pair is tested
+     once. *)
+  let links = Array.to_list (Multigraph.links g) in
+  of_pairs g (fun add ->
+      Array.iteri
+        (fun k tech ->
+          let same =
+            Array.of_list (List.filter (fun (lk : Multigraph.link) -> lk.tech = k) links)
+          in
+          let interferes =
+            if Technology.is_plc tech then
+              (* One collision domain per electrical panel (one coordinator). *)
+              fun (a : Multigraph.link) (b : Multigraph.link) ->
+              panels.(a.src) = panels.(b.src)
+            else begin
+              let near = in_range.(k) in
+              fun a b ->
+                near.((a.src * n) + b.src)
+                || near.((a.src * n) + b.dst)
+                || near.((a.dst * n) + b.src)
+                || near.((a.dst * n) + b.dst)
+            end
+          in
+          for i = 0 to Array.length same - 1 do
+            for j = i + 1 to Array.length same - 1 do
+              if interferes same.(i) same.(j) then add same.(i).id same.(j).id
+            done
+          done)
+        techs)
 
 let of_instance inst scenario g =
   let nodes = inst.Builder.nodes in

@@ -33,7 +33,10 @@ val standard :
 (** The physical model described above. [cs_factor] (default 1.5)
     scales each WiFi technology's connection radius into its
     carrier-sense radius. [positions] and [panels] are indexed by node
-    id; [techs] by technology index. *)
+    id; [techs] by technology index. Each WiFi technology tabulates
+    the node pairs within its carrier-sense range once (a node is in
+    range of itself), and each same-technology link pair is tested
+    once, with four table reads. *)
 
 val of_instance : Builder.instance -> Builder.scenario -> Multigraph.t -> t
 (** Convenience: {!standard} wired to a topology instance's positions

@@ -23,5 +23,7 @@ val idle_fraction : Multigraph.t -> Domain.t -> Paths.t -> int -> float
 (** [r(l,P)] for any link [l] of the network (clamped to [0, 1]). *)
 
 val update : Multigraph.t -> Domain.t -> Paths.t -> Multigraph.t
-(** [update g dom p] is the capacity-updated view G~. Links outside
-    [∪_{l ∈ P} I_l] are untouched. *)
+(** [update g dom p] is the capacity-updated view G~. [r(l,P)] depends
+    on [l] only through I_l, so it is computed once per twin class
+    ({!Domain.twin}). Links outside [∪_{l ∈ P} I_l] keep their
+    capacity bit for bit. *)

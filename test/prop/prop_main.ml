@@ -175,6 +175,37 @@ let prop_lemma1_closed_form =
 
 (* ---------- oracle 5: determinism ---------- *)
 
+(* A determinism failure re-runs both sides with a JSONL trace sink
+   into temporary files and reports where the traces part
+   ([Obs.Diff]): the first differing event's index, up to three shared
+   lines before it, and both lines. *)
+let first_divergence run_a run_b =
+  let traced run =
+    let file = Filename.temp_file "empower-prop" ".jsonl" in
+    Out_channel.with_open_bin file (fun oc -> run (Obs.Trace.to_channel oc));
+    file
+  in
+  let a = traced run_a in
+  let b = traced run_b in
+  let show = Option.fold ~none:"<end of trace>" ~some:String.trim in
+  let report =
+    match Obs.Diff.files a b with
+    | Error e -> "traces unreadable: " ^ e
+    | Ok None -> "the two JSONL traces are identical"
+    | Ok (Some { Obs.Diff.index; context; a = la; b = lb }) ->
+      let first = index - List.length context in
+      String.concat "\n"
+        ((Printf.sprintf "traces differ at event %d (line %d):" index (index + 1)
+         :: List.mapi (fun i l -> Printf.sprintf "  %6d  %s" (first + i + 1) (String.trim l)) context)
+        @ [
+            Printf.sprintf "- %6d  %s" (index + 1) (show la);
+            Printf.sprintf "+ %6d  %s" (index + 1) (show lb);
+          ])
+  in
+  Sys.remove a;
+  Sys.remove b;
+  report
+
 let prop_engine_deterministic =
   QCheck.Test.make ~count:100
     ~name:"same seed => bit-identical engine results (checker on or off)"
@@ -183,22 +214,26 @@ let prop_engine_deterministic =
       match Prop_gen.saturated_flow_of_case c with
       | None -> true
       | Some (_, flow) ->
-        let run ?invariants () =
+        let run ?invariants ?trace () =
           (* perf carries wall-clock readings, excluded from the
              determinism contract (see Engine.strip_perf). *)
           Engine.strip_perf
-            (Engine.run ?invariants
+            (Engine.run ?invariants ?trace
                (Rng.create (seed + 3))
                c.Prop_gen.g c.Prop_gen.dom ~flows:[ flow ] ~duration:4.0)
         in
+        let traced trace = ignore (run ~trace ()) in
         let a = run () in
         let b = run () in
         let checked = run ~invariants:(Invariants.create ()) () in
         if a <> b then
-          QCheck.Test.fail_reportf "seed %d: two identical runs diverged" seed;
+          QCheck.Test.fail_reportf "seed %d: two identical runs diverged\n%s" seed
+            (first_divergence traced traced);
         if a <> checked then
           QCheck.Test.fail_reportf
-            "seed %d: attaching the invariant checker changed the result" seed;
+            "seed %d: attaching the invariant checker changed the result\n%s" seed
+            (first_divergence traced (fun trace ->
+                 ignore (run ~invariants:(Invariants.create ()) ~trace ())));
         true)
 
 let prop_allocation_deterministic =
@@ -367,9 +402,9 @@ let prop_price_cases_share_twins =
 
 let chaos_config = { Engine.default_config with Engine.route_reclaim = true }
 
-let run_with_plan ?invariants ~config ~engine_seed c flow plan ~duration =
+let run_with_plan ?invariants ?trace ~config ~engine_seed c flow plan ~duration =
   let compiled = Fault.compile c.Prop_gen.g plan in
-  Engine.run ?invariants ~config ~link_events:compiled.Fault.link_events
+  Engine.run ?invariants ?trace ~config ~link_events:compiled.Fault.link_events
     ~loss_events:compiled.Fault.loss_events
     ~ctrl_events:compiled.Fault.ctrl_events
     (Rng.create engine_seed)
@@ -405,15 +440,16 @@ let prop_chaos_deterministic =
       | None -> true
       | Some (_, flow) ->
         let duration = 6.0 in
-        let run () =
+        let run ?trace () =
           let plan = Prop_gen.chaos_plan_of_case c ~duration in
           Engine.strip_perf
-            (run_with_plan ~config:chaos_config ~engine_seed:(seed + 9) c flow
-               plan ~duration)
+            (run_with_plan ?trace ~config:chaos_config ~engine_seed:(seed + 9) c
+               flow plan ~duration)
         in
+        let traced trace = ignore (run ~trace ()) in
         if run () <> run () then
-          QCheck.Test.fail_reportf "seed %d: two identical chaos runs diverged"
-            seed;
+          QCheck.Test.fail_reportf "seed %d: two identical chaos runs diverged\n%s"
+            seed (first_divergence traced traced);
         true)
 
 let prop_goodput_recovers_after_faults =
@@ -522,15 +558,17 @@ let prop_sever_recovery_deterministic =
       | None -> true
       | Some (_, flow) ->
         let duration = 6.0 in
-        let run () =
+        let run ?trace () =
           let plan = Prop_gen.severing_plan_of_case c ~duration in
           Engine.strip_perf
-            (run_with_plan ~config:recovery_config ~engine_seed:(seed + 23) c
-               flow plan ~duration)
+            (run_with_plan ?trace ~config:recovery_config ~engine_seed:(seed + 23)
+               c flow plan ~duration)
         in
+        let traced trace = ignore (run ~trace ()) in
         if run () <> run () then
           QCheck.Test.fail_reportf
-            "seed %d: two identical severing+recovery runs diverged" seed;
+            "seed %d: two identical severing+recovery runs diverged\n%s" seed
+            (first_divergence traced traced);
         true)
 
 let prop_empty_plan_is_identity =
@@ -548,23 +586,26 @@ let prop_empty_plan_is_identity =
           || compiled.Fault.loss_events <> []
           || compiled.Fault.ctrl_events <> []
         then QCheck.Test.fail_reportf "empty plan compiled non-empty";
-        let faulted =
+        let faulted ?trace () =
           Engine.strip_perf
-            (Engine.run ~link_events:compiled.Fault.link_events
+            (Engine.run ?trace ~link_events:compiled.Fault.link_events
                ~loss_events:compiled.Fault.loss_events
                ~ctrl_events:compiled.Fault.ctrl_events
                (Rng.create (seed + 17))
                c.Prop_gen.g c.Prop_gen.dom ~flows:[ flow ] ~duration)
         in
-        let clean =
+        let clean ?trace () =
           Engine.strip_perf
-            (Engine.run
+            (Engine.run ?trace
                (Rng.create (seed + 17))
                c.Prop_gen.g c.Prop_gen.dom ~flows:[ flow ] ~duration)
         in
-        if faulted <> clean then
+        if faulted () <> clean () then
           QCheck.Test.fail_reportf
-            "seed %d: empty fault schedules changed the run" seed;
+            "seed %d: empty fault schedules changed the run\n%s" seed
+            (first_divergence
+               (fun trace -> ignore (faulted ~trace ()))
+               (fun trace -> ignore (clean ~trace ())));
         true)
 
 (* ---------- oracle: the empirical load generator ---------- *)
@@ -768,17 +809,21 @@ let prop_buffered_deterministic =
           buffered_config ~ecn:(2 * fb) ~policy:(policy_of_index pi)
             ~pool_bytes:(4 * fb) ()
         in
-        let run ?invariants () =
+        let run ?invariants ?trace () =
           Engine.strip_perf
-            (Engine.run ?invariants ~config
+            (Engine.run ?invariants ?trace ~config
                (Rng.create (seed + 11))
                c.Prop_gen.g c.Prop_gen.dom ~flows:[ flow ] ~duration:4.0)
         in
+        let traced trace = ignore (run ~trace ()) in
         if run () <> run () then
-          QCheck.Test.fail_reportf "seed %d: buffered runs diverged" seed;
+          QCheck.Test.fail_reportf "seed %d: buffered runs diverged\n%s" seed
+            (first_divergence traced traced);
         if run () <> run ~invariants:(Invariants.create ()) () then
           QCheck.Test.fail_reportf
-            "seed %d: invariant checker changed a buffered run" seed;
+            "seed %d: invariant checker changed a buffered run\n%s" seed
+            (first_divergence traced (fun trace ->
+                 ignore (run ~invariants:(Invariants.create ()) ~trace ())));
         true)
 
 let prop_huge_pool_matches_legacy =
@@ -800,22 +845,24 @@ let prop_huge_pool_matches_legacy =
         let pool_bytes =
           (n_links + 1) * Engine.queue_limit * fb * 8
         in
-        let run config =
+        let run ?trace config =
           Engine.strip_perf
-            (Engine.run ~config
+            (Engine.run ?trace ~config
                (Rng.create (seed + 12))
                c.Prop_gen.g c.Prop_gen.dom ~flows:[ flow ] ~duration:4.0)
         in
+        let pooled = buffered_config ~policy:(policy_of_index pi) ~pool_bytes () in
         let legacy = run Engine.default_config in
-        let buffered =
-          run (buffered_config ~policy:(policy_of_index pi) ~pool_bytes ())
-        in
+        let buffered = run pooled in
         if legacy.Engine.queue_drops <> 0 || buffered.Engine.queue_drops <> 0
         then true (* congested case: drop patterns may legitimately differ *)
         else begin
           if { buffered with Engine.buffer_peak_bytes = 0 } <> legacy then
             QCheck.Test.fail_reportf
-              "seed %d: huge pool diverged from the legacy datapath" seed;
+              "seed %d: huge pool diverged from the legacy datapath\n%s" seed
+              (first_divergence
+                 (fun trace -> ignore (run ~trace Engine.default_config))
+                 (fun trace -> ignore (run ~trace pooled)));
           true
         end)
 
@@ -942,6 +989,7 @@ let () =
       prop_engine_bins_match_recorder;
       prop_binned_cases_have_empty_seconds;
     ]
+    @ Prop_routing.tests
   in
   (* Fixed generation seed: CI failures reproduce exactly; individual
      cases are replayed from the integer each failure report prints. *)

@@ -79,8 +79,10 @@ let test_flow_specs_skip_unreachable () =
 
 (* Digests recorded before routing and the controller were optimized
    (class-grouped duals, memoized switching cost, single-pass
-   update()). Set-up must stay bit-identical: every float of every
-   plan, route rate and controller trace goes into the digest. *)
+   update()); the Multipath.find pins before routing moved to flat
+   arrays (CSR Dijkstra, stamp bans in Yen, per-class update()).
+   Set-up must stay bit-identical: every float of every plan, route
+   rate and controller trace goes into the digest. *)
 
 let md5_marshal v =
   Digest.to_hex (Digest.string (Marshal.to_string v [ Marshal.No_sharing ]))
@@ -141,6 +143,32 @@ let test_evaluate_pinned () =
       (3, "d1a31915e77a71b0ca17af1aece62e23", "f98bcc258f2c91ccf1c00bc0c11583ec");
       (11, "b60754b9fb04965ea83b9502742f04a4", "feec69c05dc3dc296f7428f7ab7889e3");
     ]
+
+let test_multipath_pinned () =
+  (* Multipath.find on 12 seeded pairs per topology; every route, rate
+     and tree statistic goes into the digest. *)
+  let pin name net ~seed digest =
+    let n = Multigraph.n_nodes net.Empower.g in
+    let rng = Rng.create seed in
+    let pairs =
+      List.init 12 (fun _ ->
+          let src = Rng.int rng n in
+          (src, (src + 1 + Rng.int rng (n - 1)) mod n))
+    in
+    let combos =
+      List.map
+        (fun (src, dst) -> Multipath.find net.Empower.g net.Empower.dom ~src ~dst)
+        pairs
+    in
+    Alcotest.(check string) ("multipath " ^ name) digest (md5_marshal combos)
+  in
+  pin "testbed" (Lazy.force testbed_net) ~seed:31 "eb755ea9f354ab97efe7f1552747d214";
+  pin "residential 1"
+    (Empower.of_instance (Residential.generate (Rng.create 1)) Builder.Hybrid)
+    ~seed:32 "56025a8cd0d6a2d4cdd36f08615e31c1";
+  pin "enterprise 3"
+    (Empower.of_instance (Enterprise.generate (Rng.create 3)) Builder.Hybrid)
+    ~seed:33 "04fa8391c0e17905eab396ae1f6a7872"
 
 let test_single_cc_testbed_pinned () =
   (* The single-path controller on the primary routes of three
@@ -213,6 +241,7 @@ let () =
           Alcotest.test_case "allocate testbed pinned" `Quick
             test_allocate_testbed_pinned;
           Alcotest.test_case "evaluate pinned" `Quick test_evaluate_pinned;
+          Alcotest.test_case "multipath pinned" `Quick test_multipath_pinned;
           Alcotest.test_case "single-path controller pinned" `Quick
             test_single_cc_testbed_pinned;
         ] );

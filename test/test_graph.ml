@@ -79,6 +79,25 @@ let test_with_capacities () =
        false
      with Invalid_argument _ -> true)
 
+let test_scale_capacities () =
+  let g = fig1 () in
+  (* Group 0: the WiFi edges (links 0-3), group 1: the PLC edge. *)
+  let group l = (Multigraph.link g l).Multigraph.tech in
+  let g' = Multigraph.scale_capacities g ~group [| 0.5; 1.0 |] in
+  check_float "wifi halved" 7.5 (Multigraph.capacity g' 0);
+  check_float "wifi d" (1.0 /. 7.5) (Multigraph.d g' 0);
+  check_float "plc kept" 10.0 (Multigraph.capacity g' 4);
+  check_float "original untouched" 15.0 (Multigraph.capacity g 0);
+  check_float "wns follows the view" (1.0 /. 15.0) (Dijkstra.wns g' 1);
+  List.iter
+    (fun f ->
+      Alcotest.(check bool) (Printf.sprintf "factor %h rejected" f) true
+        (try
+           ignore (Multigraph.scale_capacities g ~group [| f; 1.0 |]);
+           false
+         with Invalid_argument _ -> true))
+    [ -0.1; 1.5; Float.nan; Float.infinity ]
+
 let test_paths_basics () =
   let g = fig1 () in
   let p = Paths.of_links g [ 4; 2 ] in
@@ -176,15 +195,13 @@ let test_dijkstra_banned () =
     Multigraph.create ~n_nodes:3 ~n_techs:1
       ~edges:[ (0, 1, 0, 10.0); (1, 2, 0, 10.0); (0, 2, 0, 1.0) ]
   in
-  let constraints =
-    { Dijkstra.banned_links = (fun l -> l = 0); banned_nodes = (fun _ -> false) }
-  in
+  let constraints = Dijkstra.constraints g in
+  Dijkstra.ban_link constraints 0;
   (match Dijkstra.shortest_path ~constraints g ~src:0 ~dst:2 with
   | Some (p, _) -> Alcotest.(check int) "detour via direct link" 1 (Paths.hops p)
   | None -> Alcotest.fail "no path");
-  let constraints =
-    { Dijkstra.banned_links = (fun _ -> false); banned_nodes = (fun n -> n = 1) }
-  in
+  Dijkstra.reset constraints;
+  Dijkstra.ban_node constraints 1;
   match Dijkstra.shortest_path ~constraints g ~src:0 ~dst:2 with
   | Some (p, _) -> Alcotest.(check int) "relay banned" 1 (Paths.hops p)
   | None -> Alcotest.fail "no path"
@@ -308,6 +325,7 @@ let () =
           Alcotest.test_case "d metric" `Quick test_d_metric;
           Alcotest.test_case "adjacency" `Quick test_adjacency;
           Alcotest.test_case "with_capacities" `Quick test_with_capacities;
+          Alcotest.test_case "scale_capacities" `Quick test_scale_capacities;
         ] );
       ( "paths",
         [ Alcotest.test_case "basics" `Quick test_paths_basics ] );
