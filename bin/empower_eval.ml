@@ -413,7 +413,8 @@ let chaos_cmd =
     let doc =
       "Disable the self-healing recovery subsystem (with --sever this \
        reproduces the historical behaviour: detection by ack-silence only, \
-       fixed-interval reclaim, stale prices left to drain)."
+       dead routes halved down to the 0.2 Mbit/s probe floor, stale prices \
+       left to drain)."
     in
     Arg.(value & flag & info [ "no-recovery" ] ~doc)
   in

@@ -25,7 +25,7 @@ type report = {
 
 (* Recovery needs reclaimable routes: a fully failed route must keep
    probing after it heals or the goodput would never come back. *)
-let config = { Engine.default_config with Engine.route_reclaim = true }
+let config = { Engine.default_config with Engine.dead_route = Engine.Probe_floor }
 
 (* The scenario flow runs 0 -> 12 on the testbed; severing plans pin
    the victim to the destination so a node crash is guaranteed to take
@@ -70,8 +70,7 @@ let run ?trace ?flight ?intensity ?(recovery = false) ?(duration = 20.0) ~seed
   let plan = Fault.Gen.plan ~intensity ?victim plan_rng net.Empower.g ~duration in
   let compiled = Fault.compile net.Empower.g plan in
   let config =
-    if recovery then { config with Engine.recovery = Some Recovery.default }
-    else config
+    if recovery then { config with Engine.dead_route = Engine.Heal } else config
   in
   (* The private recorder computes the recovery metrics: goodput bins
      from deliveries, reroutes from rate updates, the fault span and

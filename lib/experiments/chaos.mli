@@ -3,8 +3,8 @@
 
     A chaos run draws a fault plan from a seed ({!Fault.Gen}),
     compiles it into the engine's fault schedules and simulates the
-    saturated testbed flow 0->12 under it, with {!Engine.config}'s
-    [route_reclaim] enabled so full failures are recoverable. A
+    saturated testbed flow 0->12 under it, with the [Probe_floor]
+    dead-route policy so full failures are recoverable. A
     private {!Obs.Recorder} folds the run's trace into the
     degradation metrics (goodput dip depth/area, time-to-recover,
     reroute count) that the {!report} carries.
@@ -13,7 +13,7 @@
     pins the {!Fault.Gen} victim to the flow destination (node 12),
     so the single crash window is guaranteed to take down {e every}
     route of the scenario flow. And [~recovery:true] switches the
-    engine config to [recovery = Some Recovery.default], enabling the
+    engine to the [Heal] dead-route policy, enabling the
     self-healing control plane (failure detection, stale-price reset,
     backoff-driven reclaim probes) whose detection latency surfaces
     as {!flow_report.detect_s}.
@@ -53,8 +53,8 @@ type report = {
 
 val config : Engine.config
 (** The chaos engine config: {!Engine.default_config} with
-    [route_reclaim = true] (and [recovery = Some Recovery.default]
-    when {!run} is given [~recovery:true]). *)
+    [dead_route = Probe_floor] ([Heal] when {!run} is given
+    [~recovery:true]). *)
 
 val network : unit -> Empower.network
 (** The scenario's network (testbed draw, seed 4242 — the same one

@@ -382,8 +382,7 @@ let run ?trace ?flight spec =
   let config =
     {
       Engine.default_config with
-      Engine.route_reclaim = true;
-      recovery = (if spec.recovery then Some Recovery.default else None);
+      Engine.dead_route = (if spec.recovery then Engine.Heal else Engine.Probe_floor);
     }
   in
   let dom = net.Empower.dom in

@@ -81,7 +81,9 @@ type spec = {
   devices : Device.spec list;
   flows : (int * int) list;  (** (src, dst) pairs *)
   churn : churn;
-  recovery : bool;  (** run with {!Recovery.default} enabled *)
+  recovery : bool;
+      (** run under the [Heal] dead-route policy ([Probe_floor] when
+          false) *)
   slo : slo;
 }
 

@@ -1,50 +1,22 @@
-type config = {
-  dead_ack_threshold : int;
-  hello_timeout : float;
-  backoff_base : float;
-  backoff_factor : float;
-  backoff_cap : float;
-  backoff_jitter : float;
-}
+let dead_ack_threshold = 3
 
-let default =
-  {
-    dead_ack_threshold = 3;
-    hello_timeout = 1.0;
-    backoff_base = 0.2;
-    backoff_factor = 2.0;
-    backoff_cap = 2.0;
-    backoff_jitter = 0.1;
-  }
+let missed ~injected ~acked ~frame_bytes =
+  acked <= 0.0 && injected > 2.0 *. frame_bytes
 
-let validate c =
-  if c.dead_ack_threshold < 1 then
-    invalid_arg "Recovery.validate: dead_ack_threshold must be >= 1";
-  if (not (Float.is_finite c.hello_timeout)) || c.hello_timeout <= 0.0 then
-    invalid_arg "Recovery.validate: hello_timeout must be positive";
-  if (not (Float.is_finite c.backoff_base)) || c.backoff_base <= 0.0 then
-    invalid_arg "Recovery.validate: backoff_base must be positive";
-  if (not (Float.is_finite c.backoff_factor)) || c.backoff_factor < 1.0 then
-    invalid_arg "Recovery.validate: backoff_factor must be >= 1";
-  if (not (Float.is_finite c.backoff_cap)) || c.backoff_cap < c.backoff_base
-  then invalid_arg "Recovery.validate: backoff_cap must be >= backoff_base";
-  if
-    (not (Float.is_finite c.backoff_jitter))
-    || c.backoff_jitter < 0.0 || c.backoff_jitter >= 1.0
-  then invalid_arg "Recovery.validate: backoff_jitter must be in [0, 1)"
+let hello_timeout = 1.0
 
 module Backoff = struct
-  let delay config rng ~attempt =
+  let base = 0.2
+  let factor = 2.0
+  let cap = 2.0
+  let jitter = 0.1
+
+  let delay rng ~attempt =
     if attempt < 0 then
       invalid_arg "Recovery.Backoff.delay: attempt must be >= 0";
-    let raw =
-      config.backoff_base *. (config.backoff_factor ** float_of_int attempt)
-    in
-    let capped = Float.min config.backoff_cap raw in
-    if config.backoff_jitter > 0.0 then
-      let u = Rng.float rng in
-      capped *. (1.0 +. (config.backoff_jitter *. ((2.0 *. u) -. 1.0)))
-    else capped
+    let capped = Float.min cap (base *. (factor ** float_of_int attempt)) in
+    let u = Rng.float rng in
+    capped *. (1.0 +. (jitter *. ((2.0 *. u) -. 1.0)))
 end
 
 module Detector = struct
@@ -63,49 +35,31 @@ module Detector = struct
     mutable down_since : float;
   }
 
-  type t = { config : config; routes : route array }
+  type t = route array
 
-  let create config ~n_routes ~now =
-    validate config;
+  let create ~n_routes ~now =
     if n_routes < 0 then
       invalid_arg "Recovery.Detector.create: n_routes must be >= 0";
-    {
-      config;
-      routes =
-        Array.init n_routes (fun _ ->
-            {
-              misses = 0;
-              last_ok = now;
-              pending = 0.0;
-              down = false;
-              down_since = 0.0;
-            });
-    }
-
-  let n_routes t = Array.length t.routes
+    Array.init n_routes (fun _ ->
+        { misses = 0; last_ok = now; pending = 0.0; down = false; down_since = 0.0 })
 
   let check t route =
-    if route < 0 || route >= Array.length t.routes then
+    if route < 0 || route >= Array.length t then
       invalid_arg "Recovery.Detector: route out of range"
 
   let dead t route =
     check t route;
-    t.routes.(route).down
-
-  let down_since t route =
-    check t route;
-    let r = t.routes.(route) in
-    if r.down then Some r.down_since else None
+    t.(route).down
 
   let suspicion t route =
     check t route;
-    t.routes.(route).misses
+    t.(route).misses
 
   let observe t ~route ~now ~injected ~acked ~frame_bytes =
     check t route;
     if (not (Float.is_finite injected)) || injected < 0.0 then
       invalid_arg "Recovery.Detector.observe: injected must be >= 0";
-    let r = t.routes.(route) in
+    let r = t.(route) in
     if acked > 0.0 then (
       r.misses <- 0;
       r.pending <- 0.0;
@@ -117,13 +71,11 @@ module Detector = struct
       else Alive)
     else (
       r.pending <- r.pending +. injected;
-      if injected > 2.0 *. frame_bytes then r.misses <- r.misses + 1;
+      if missed ~injected ~acked ~frame_bytes then r.misses <- r.misses + 1;
       if r.down then Still_down
       else
-        let hello_expired =
-          r.pending > 0.0 && now -. r.last_ok > t.config.hello_timeout
-        in
-        if r.misses >= t.config.dead_ack_threshold || hello_expired then (
+        let hello_expired = r.pending > 0.0 && now -. r.last_ok > hello_timeout in
+        if r.misses >= dead_ack_threshold || hello_expired then (
           let since = r.last_ok in
           r.down <- true;
           r.down_since <- now;

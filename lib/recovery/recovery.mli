@@ -4,13 +4,14 @@
     The paper's testbed recovers from node failure in seconds
     (Fig. 12) because EMPoWER nodes detect dead neighbours and re-run
     route selection instead of waiting for the Section 4 dual prices
-    to decay. This module provides the pieces the engine composes
-    when its [recovery] config is set:
+    to decay. This module states the dead-route rule every engine
+    policy shares ({!dead_ack_threshold}, {!missed}) and provides the
+    pieces the engine composes under its [Heal] dead-route policy:
 
-    - a per-route {!Detector} fed by the 100 ms ack stream (k
-      consecutive missed acks, or a hello timeout when traffic is
-      outstanding, mark a route dead; a subsequent ack marks it
-      recovered);
+    - a per-route {!Detector} fed by the 100 ms ack stream
+      ({!dead_ack_threshold} consecutive missed acks, or a
+      {!hello_timeout} when traffic is outstanding, mark a route dead;
+      a subsequent ack marks it recovered);
     - {!Backoff}, the exponential reclaim-probe schedule with a cap
       and deterministic seeded jitter;
     - {!survivors} / {!replan}, route re-discovery by LSDB re-flood:
@@ -23,36 +24,25 @@
     Everything here is deterministic: equal inputs (and equal rng
     states for the jittered backoff) give equal outputs. *)
 
-type config = {
-  dead_ack_threshold : int;
-      (** consecutive ack-report windows with traffic injected but
-          zero bytes acked before a route is declared dead
-          (default 3, i.e. ~300 ms of silence under load) *)
-  hello_timeout : float;
-      (** seconds without any ack while frames are outstanding before
-          a route is declared dead — catches routes driven too slowly
-          for the k-miss rule to fire (default 1.0) *)
-  backoff_base : float;  (** first reclaim-probe delay, seconds (0.2) *)
-  backoff_factor : float;  (** delay multiplier per failed probe (2.0) *)
-  backoff_cap : float;  (** maximum probe delay, seconds (2.0) *)
-  backoff_jitter : float;
-      (** relative jitter on each delay, drawn from the caller's rng;
-          0 disables the draw entirely (default 0.1) *)
-}
+val dead_ack_threshold : int
+(** Consecutive {!missed} ack-report windows before a route is
+    declared dead: 3, i.e. ~300 ms of silence under load. *)
 
-val default : config
+val missed : injected:float -> acked:float -> frame_bytes:float -> bool
+(** The miss test of one ack-report window: more than two frames
+    ([injected > 2 * frame_bytes] bytes) were put on the route and
+    nothing was acked. *)
 
-val validate : config -> unit
-(** Raises [Invalid_argument] on non-positive timeouts, a threshold
-    below 1, a backoff factor below 1, a cap below the base, or
-    jitter outside [0, 1). *)
+val hello_timeout : float
+(** Seconds without any ack while frames are outstanding before the
+    {!Detector} declares a route dead — catches routes driven too
+    slowly for the miss rule to fire: 1.0. *)
 
 module Backoff : sig
-  val delay : config -> Rng.t -> attempt:int -> float
-  (** [delay config rng ~attempt] is
-      [min cap (base * factor^attempt)], multiplied by a uniform
-      jitter in [1 - j, 1 + j]. The rng is consumed only when
-      [backoff_jitter > 0]. Requires [attempt >= 0]. *)
+  val delay : Rng.t -> attempt:int -> float
+  (** [delay rng ~attempt] is [min 2 (0.2 * 2^attempt)] seconds,
+      multiplied by a uniform jitter in [[0.9, 1.1]] (one draw from
+      [rng]). Requires [attempt >= 0]. *)
 end
 
 (** Per-route failure detector over the periodic ack stream. *)
@@ -70,9 +60,8 @@ module Detector : sig
         (** an ack arrived on a dead route; [down_for] is the outage
             length as the detector saw it *)
 
-  val create : config -> n_routes:int -> now:float -> t
-  (** Fresh detector; every route starts [Alive] with [last-ok = now].
-      Validates the config. *)
+  val create : n_routes:int -> now:float -> t
+  (** Fresh detector; every route starts [Alive] with [last-ok = now]. *)
 
   val observe :
     t ->
@@ -84,17 +73,11 @@ module Detector : sig
     verdict
   (** Feed one ack-report window for one route: [injected] bytes were
       put on the route during the window, [acked] bytes were reported
-      delivered. A window with more than two frames injected and
-      nothing acked counts as a miss (the engine's dead-route rule);
-      any positive [acked] clears all suspicion. *)
-
-  val n_routes : t -> int
+      delivered. A {!missed} window counts as a miss; any positive
+      [acked] clears all suspicion. *)
 
   val dead : t -> int -> bool
   (** Is the route currently declared dead? *)
-
-  val down_since : t -> int -> float option
-  (** Declaration time of the current outage, if any. *)
 
   val suspicion : t -> int -> int
   (** Current consecutive-miss count for the route — [0] when

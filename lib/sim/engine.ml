@@ -20,6 +20,8 @@ type buffers = {
   ecn_threshold_bytes : int option;
 }
 
+type dead_route = Abandon | Probe_floor | Heal
+
 type config = {
   frame_bytes : int;
   delta : float;
@@ -27,8 +29,7 @@ type config = {
   delay_equalize : bool;
   control_period : float;
   collision_prob : float;
-  route_reclaim : bool;
-  recovery : Recovery.config option;
+  dead_route : dead_route;
   buffers : buffers option;
 }
 
@@ -40,8 +41,7 @@ let default_config =
     delay_equalize = false;
     control_period = 0.1;
     collision_prob = 0.12;
-    route_reclaim = false;
-    recovery = None;
+    dead_route = Abandon;
     buffers = None;
   }
 
@@ -150,11 +150,10 @@ type flow_state = {
      and how many consecutive ACKs reported nothing back *)
   injected_window : float array;
   dead_acks : int array;
-  (* self-healing (config.recovery, UDP only): the route-death
-     detector with the run's backoff policy and jitter stream, the
+  (* self-healing ([Heal], UDP only): the route-death detector, the
      reclaim-probe attempt counters, and the routing-estimated rates
      restored when a dead route heals *)
-  healing : (Recovery.Detector.t * Recovery.config * Rng.t) option;
+  healing : Recovery.Detector.t option;
   reclaim_attempt : int array;
   (* Probe-chain generation per route: bumped on every route death so
      probes scheduled by an earlier outage become stale no-ops instead
@@ -316,12 +315,11 @@ let run ?(config = default_config) ?invariants ?trace ?flight ?prof
   in
   let last_service = Array.make (max 1 n_links) (-1.0) in
   let window_bits = Array.make (max 1 n_links) 0.0 in
-  (* Recovery randomness (backoff jitter) lives on its own stream,
-     split off only when recovery is enabled — a run with recovery off
-     consumes exactly the historical draw sequence. *)
-  let recovery =
-    match config.recovery with Some rc -> Some (rc, Rng.split rng) | None -> None
-  in
+  (* Backoff jitter lives on its own stream, split off only under
+     [Heal] — a run under the other policies consumes exactly the
+     historical draw sequence (and never draws jitter: no flow heals). *)
+  let heal = config.dead_route = Heal in
+  let jitter = if heal then Rng.split rng else rng in
   let d_est l =
     let e = Estimator.estimate links.(l).estimator in
     if e <= 0.01 then 100.0 else 1.0 /. e
@@ -541,17 +539,14 @@ let run ?(config = default_config) ?invariants ?trace ?flight ?prof
       injected_window = Array.make n_routes 0.0;
       dead_acks = Array.make n_routes 0;
       healing =
-        (* The reclaim probes recovery injects would corrupt TCP's
-           reordering and ack machinery, so TCP flows keep the legacy
-           probe-floor path (route_reclaim). *)
-        (match (recovery, spec.transport) with
-        | Some (rc, rrng), Udp when Array.length routes > 0 ->
-          Some
-            ( Recovery.Detector.create rc ~n_routes:(Array.length routes)
-                ~now:spec.start_time,
-              rc,
-              rrng )
-        | _ -> None);
+        (* The reclaim probes [Heal] injects would corrupt TCP's
+           reordering and ack machinery, so TCP flows keep the
+           probe-floor path. *)
+        (if heal && spec.transport = Udp && Array.length routes > 0 then
+           Some
+             (Recovery.Detector.create ~n_routes:(Array.length routes)
+                ~now:spec.start_time)
+         else None);
       reclaim_attempt = Array.make n_routes 0;
       reclaim_gen = Array.make n_routes 0;
       init_x = Array.of_list spec.init_rates;
@@ -1303,13 +1298,18 @@ let run ?(config = default_config) ?invariants ?trace ?flight ?prof
 
   (* --- controller --- *)
   let probe_rate = 0.2 in
-  (* Self-healing (config.recovery, UDP flows): a route the detector
+  (* The halving path's floor: [Probe_floor] (and [Heal]'s TCP flows)
+     keep a dead route carrying the occasional frame so it is
+     reclaimed once it heals; [Abandon] starves a recovered route
+     forever because its q_r never refreshes. *)
+  let dead_floor = match config.dead_route with Abandon -> 0.0 | Probe_floor | Heal -> probe_rate in
+  (* Self-healing ([Heal], UDP flows): a route the detector
      declares dead has its rate state expired on the spot — the §4
      duals of its unusable links are reset instead of draining, its
      mass is redistributed onto the routes that survive the LSDB
      re-discovery, and reclaim probes are armed on the backoff
      schedule. A later ack on the route restores its initial rate. *)
-  let on_route_dead f i ~since det rc rrng =
+  let on_route_dead f i ~since det =
     let detect_s = now.(0) -. since in
     if obs_on then
       Obs.Flight.route_dead fl ~t_s:now.(0) ~flow:f.id ~route:i ~detect_s;
@@ -1345,7 +1345,7 @@ let run ?(config = default_config) ?invariants ?trace ?flight ?prof
     f.reclaim_attempt.(i) <- 0;
     f.reclaim_gen.(i) <- f.reclaim_gen.(i) + 1;
     schedule
-      (Recovery.Backoff.delay rc rrng ~attempt:0)
+      (Recovery.Backoff.delay jitter ~attempt:0)
       (Arena.reclaim_probe ~flow:f.id ~route:i ~gen:f.reclaim_gen.(i))
   in
   let on_route_restored f i ~down_for =
@@ -1385,7 +1385,7 @@ let run ?(config = default_config) ?invariants ?trace ?flight ?prof
         (fun (r : Ack.route_report) ->
           let i = r.Ack.route in
           match f.healing with
-          | Some (det, rc, rrng) -> (
+          | Some det -> (
             let injected = f.injected_window.(i) in
             f.injected_window.(i) <- 0.0;
             match
@@ -1394,7 +1394,7 @@ let run ?(config = default_config) ?invariants ?trace ?flight ?prof
                 ~frame_bytes:(float_of_int config.frame_bytes)
             with
             | Recovery.Detector.Down { since } ->
-              on_route_dead f i ~since det rc rrng
+              on_route_dead f i ~since det
             | Recovery.Detector.Recovered { down_for } ->
               on_route_restored f i ~down_for
             | Recovery.Detector.Still_down -> () (* rate held at zero *)
@@ -1407,20 +1407,15 @@ let run ?(config = default_config) ?invariants ?trace ?flight ?prof
                broken and backed off multiplicatively; the stale q_r it
                last reported would otherwise keep it attractive. *)
             if
-              f.injected_window.(i) > 2.0 *. float_of_int config.frame_bytes
-              && r.Ack.bytes = 0
+              Recovery.missed ~injected:f.injected_window.(i)
+                ~acked:(float_of_int r.Ack.bytes)
+                ~frame_bytes:(float_of_int config.frame_bytes)
             then f.dead_acks.(i) <- f.dead_acks.(i) + 1
             else if r.Ack.bytes > 0 then f.dead_acks.(i) <- 0;
             f.injected_window.(i) <- 0.0;
-            if f.dead_acks.(i) >= 3 then begin
-              (* With [route_reclaim] the back-off floors at the probe
-                 rate, so a dead route keeps carrying the occasional
-                 frame and is reclaimed once it heals; the historical
-                 behaviour (no floor) starves a recovered route forever
-                 because its q_r never refreshes. *)
-              let floor_r = if config.route_reclaim then probe_rate else 0.0 in
-              f.x.(i) <- Float.max floor_r (f.x.(i) *. 0.5);
-              f.x_bar.(i) <- Float.max floor_r (f.x_bar.(i) *. 0.5)
+            if f.dead_acks.(i) >= Recovery.dead_ack_threshold then begin
+              f.x.(i) <- Float.max dead_floor (f.x.(i) *. 0.5);
+              f.x_bar.(i) <- Float.max dead_floor (f.x_bar.(i) *. 0.5)
             end
             else proximal_update f i ~a ~u' ~qr:r.Ack.qr)
         ack.Ack.reports;
@@ -1569,8 +1564,7 @@ let run ?(config = default_config) ?invariants ?trace ?flight ?prof
            measurements; this also covers outages too short for the
            failure detector to fire. Ramp steps on a live link keep
            their γ (was_dead is false). *)
-        (match config.recovery with
-        | Some _ when was_dead ->
+        if heal && was_dead then begin
           Array.iter reset_price (Domain.domain dom l);
           (* The capacity estimate is just as stale as the price: it
              tracked toward zero while the link was dead (offered
@@ -1580,7 +1574,7 @@ let run ?(config = default_config) ?invariants ?trace ?flight ?prof
              the draw comes from the estimator's own per-link rng
              stream, so no other link's sequence shifts. *)
           Estimator.reset links.(l).estimator ~now:now.(0) ~capacity:caps.(l)
-        | _ -> ());
+        end;
         try_start l
       end
     | 11 (* Loss_change *) ->
@@ -1658,7 +1652,7 @@ let run ?(config = default_config) ?invariants ?trace ?flight ?prof
       let i = Arena.probe_route code and gen = Arena.probe_gen code in
       let f = flow_states.(fid) in
       match f.healing with
-      | Some (det, rc, rrng)
+      | Some det
         when f.active && gen = f.reclaim_gen.(i)
              && Recovery.Detector.dead det i ->
         (* One frame down the dead route; its delivery (and the ack
@@ -1673,7 +1667,7 @@ let run ?(config = default_config) ?invariants ?trace ?flight ?prof
             ~attempt:f.reclaim_attempt.(i);
         f.reclaim_attempt.(i) <- f.reclaim_attempt.(i) + 1;
         schedule
-          (Recovery.Backoff.delay rc rrng ~attempt:f.reclaim_attempt.(i))
+          (Recovery.Backoff.delay jitter ~attempt:f.reclaim_attempt.(i))
           (Arena.reclaim_probe ~flow:fid ~route:i ~gen)
       | _ -> ())
     | _ -> assert false (* no such tag is ever scheduled *)

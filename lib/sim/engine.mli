@@ -85,6 +85,37 @@ type buffers = {
           per ACK window ({!Ack.route_report.marked}) *)
 }
 
+(** How a flow treats a dead route (Section 6.1): one whose ACK
+    windows were {!Recovery.missed} — more than two frames fed,
+    nothing acked — for {!Recovery.dead_ack_threshold} consecutive
+    control periods. *)
+type dead_route =
+  | Abandon
+      (** Halve the route's rates on every such period, down to zero:
+          a fully failed route stays abandoned even after it heals,
+          because its q_r never refreshes. The paper figures and the
+          [trace] scenarios run this (the default). *)
+  | Probe_floor
+      (** Halve as [Abandon], but floor at the 0.2 Mbit/s probe rate,
+          so a dead route keeps carrying the occasional frame and is
+          reclaimed once it heals. *)
+  | Heal
+      (** The self-healing control plane of {!Recovery} on UDP flows:
+          a {!Recovery.Detector} over the ack stream declares the route
+          dead on the spot (the same miss rule, or outstanding frames
+          older than {!Recovery.hello_timeout}). Its rate state is
+          zeroed, the stale γ of its unusable links is reset instead
+          of draining, the lost rate mass moves to the routes that
+          survive an LSDB re-discovery ({!Recovery.survivors}), and
+          reclaim probes run on the {!Recovery.Backoff} schedule. An
+          ack returning on a dead route restores its routing-estimated
+          initial rate, and a link that comes back from the dead
+          restarts its domain's γ and its own capacity estimate. TCP
+          flows get [Probe_floor]: probes would corrupt the TCP
+          reorder/ack machinery. The backoff jitter draws from its own
+          stream (see the seeding contract of {!run}), so equal seeds
+          stay bit-identical. *)
+
 type config = {
   frame_bytes : int;        (** aggregate frame payload (default 12000) *)
   delta : float;            (** constraint margin δ (default 0) *)
@@ -98,36 +129,7 @@ type config = {
           [1 - (1-p)^m]. Default 0.12; 0 disables (the idealized
           Section 5 MAC). This is what makes over-driving the network
           expensive and the δ margin worthwhile. *)
-  route_reclaim : bool;
-      (** When a route returns no bytes for 3 consecutive ACK periods
-          it is treated as dead and backed off multiplicatively. With
-          [route_reclaim] the back-off floors at the 0.2 Mbit/s probe
-          rate, so the route keeps carrying occasional frames and is
-          reclaimed once it heals — required for recovery from full
-          link/node failures, and what the chaos harness uses. Default
-          [false]: the historical behaviour (back-off to zero; a fully
-          failed route stays abandoned even after repair). Ignored on
-          UDP flows when [recovery] is set (the detector-driven probes
-          replace the fixed floor). *)
-  recovery : Recovery.config option;
-      (** Self-healing control plane (default [None] — no behaviour
-          or randomness change whatsoever). When set, each UDP flow
-          runs a {!Recovery.Detector} over its ack stream: a route
-          with [dead_ack_threshold] consecutive loaded-but-silent ack
-          windows, or outstanding frames older than [hello_timeout],
-          is declared dead on the spot — its rate state is zeroed,
-          the stale γ of its unusable links is reset (instead of
-          draining), the lost rate mass moves to the routes that
-          survive an LSDB re-discovery ({!Recovery.survivors}), and
-          reclaim probes are scheduled with exponential backoff, cap
-          and seeded jitter ({!Recovery.Backoff}) — replacing the
-          fixed-interval [route_reclaim] floor. An ack returning on a
-          dead route restores its routing-estimated initial rate.
-          TCP flows keep the legacy paths (probes would corrupt the
-          TCP reorder/ack machinery). Recovery draws randomness only
-          from a dedicated stream split off once at startup, so runs
-          with [recovery = None] consume exactly the historical
-          sequence, and equal seeds stay bit-identical with it on. *)
+  dead_route : dead_route;  (** default [Abandon] *)
   buffers : buffers option;
       (** Finite per-node shared buffers (default [None] — the legacy
           per-queue {!queue_limit} frame check, byte-identical to the
@@ -229,8 +231,8 @@ val run :
     (wall-clock; compare via {!strip_perf}). All randomness flows
     through the given generator, which is consumed in a fixed order —
     one {!Rng.split} per link (in link-id order) for the capacity
-    estimators, then one split for the recovery subsystem's backoff
-    jitter {e only when [config.recovery] is set}, then, per flow in
+    estimators, then one split for the backoff jitter {e only under
+    [dead_route = Heal]}, then, per flow in
     list order, the splits its workload needs (one per
     [Poisson_files] workload for its arrival draws; [Empirical]
     schedules are pre-sampled and consume none), then the per-frame

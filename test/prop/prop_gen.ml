@@ -244,7 +244,7 @@ let chaos_plan_of_case ?intensity ?clear_by c ~duration =
    two regimes: for faults whose overload x duration is small
    (degradations here stay above 70% of capacity and last at most
    ~1.2 s, so the overhang drains well inside the tail window), and —
-   with [Engine.config.recovery] set — for full severances, whose
+   under the [Engine.Heal] dead-route policy — for full severances, whose
    stale prices are reset rather than drained (see
    [severing_plan_of_case] and the severing properties). *)
 let degrading_plan_of_case c ~clear_by =

@@ -400,7 +400,7 @@ let prop_price_cases_share_twins =
 
 (* ---------- oracle 6: fault injection (chaos) ---------- *)
 
-let chaos_config = { Engine.default_config with Engine.route_reclaim = true }
+let chaos_config = { Engine.default_config with Engine.dead_route = Engine.Probe_floor }
 
 let run_with_plan ?invariants ?trace ~config ~engine_seed c flow plan ~duration =
   let compiled = Fault.compile c.Prop_gen.g plan in
@@ -457,9 +457,8 @@ let prop_goodput_recovers_after_faults =
      control faults) with the plain controller: a severed route's
      stale congestion prices would drain over tens of seconds, a
      hysteresis the recovery subsystem exists to bound — the severing
-     case is covered by [prop_severed_goodput_recovers] below with
-     [Engine.config.recovery] set (see Prop_gen
-     [degrading_plan_of_case]). *)
+     case is covered by [prop_severed_goodput_recovers] below under
+     [Engine.Heal] (see Prop_gen [degrading_plan_of_case]). *)
   QCheck.Test.make ~count:40
     ~name:"goodput recovers to ~baseline after a non-severing plan clears"
     seed_gen (fun seed ->
@@ -496,8 +495,7 @@ let prop_goodput_recovers_after_faults =
 
 (* ---------- oracle 7: self-healing recovery (lib/recovery) ---------- *)
 
-let recovery_config =
-  { chaos_config with Engine.recovery = Some Recovery.default }
+let recovery_config = { chaos_config with Engine.dead_route = Engine.Heal }
 
 let prop_severed_goodput_recovers =
   (* The tentpole acceptance bar: a severing plan takes down every

@@ -732,7 +732,7 @@ let twin_reset_run ?flight trace =
   let g = net.Empower.g in
   let routes, rates = Runner.routes_and_rates net Schemes.Empower ~src:3 ~dst:17 in
   let _, l = twin_reset_routes () in
-  let config = { Engine.default_config with Engine.recovery = Some Recovery.default } in
+  let config = { Engine.default_config with Engine.dead_route = Engine.Heal } in
   ignore
     (Engine.run ~config ~trace ?flight
        ~link_events:[ (3.0, l, 0.0); (4.5, l, Multigraph.capacity g l) ]

@@ -866,13 +866,7 @@ let test_flapping_probe_chains () =
     [ Fault.Node_flap { at = 2.0; until = 16.0; node = 2; period = 1.5; duty = 0.4 } ]
   in
   let compiled = Fault.compile g plan in
-  let config =
-    {
-      Engine.default_config with
-      Engine.route_reclaim = true;
-      recovery = Some Recovery.default;
-    }
-  in
+  let config = { Engine.default_config with Engine.dead_route = Engine.Heal } in
   let sink, got = Obs.Trace.collector () in
   ignore
     (Engine.run ~config ~trace:sink
