@@ -5,8 +5,15 @@ type result = {
   convergence_slot : int option;
 }
 
-let run ?(v = 300.0) ?(a_max = 200.0) ?(slots = 20000) ?(window = 200)
-    ?(utility = Utility.proportional_fair) g dom ~flows =
+(* Utility weight V (larger is closer to optimal but slower), the
+   admission cap in Mbps, the smoothing window in slots, and the
+   utility the admission inverts. *)
+let v = 300.0
+let a_max = 200.0
+let window = 200
+let utility = Utility.proportional_fair
+
+let run ?(slots = 20000) g dom ~flows =
   let flows = Array.of_list flows in
   let n_flows = Array.length flows in
   let n_nodes = Multigraph.n_nodes g in

@@ -27,16 +27,8 @@ type result = {
   convergence_slot : int option;
 }
 
-val run :
-  ?v:float ->
-  ?a_max:float ->
-  ?slots:int ->
-  ?window:int ->
-  ?utility:Utility.t ->
-  Multigraph.t ->
-  Domain.t ->
-  flows:(int * int) list ->
-  result
-(** Run the dynamic. Defaults: [v = 300] (utility weight; larger is
-    closer to optimal but slower), [a_max = 200] Mbps admission cap,
-    [slots = 20000], [window = 200] slots of smoothing. *)
+val run : ?slots:int -> Multigraph.t -> Domain.t -> flows:(int * int) list -> result
+(** Run the dynamic for [slots] slots (default 20000) under
+    proportional-fair utility, with utility weight [V = 300] (larger
+    is closer to optimal but slower), a 200 Mbps admission cap and
+    200 slots of smoothing. *)

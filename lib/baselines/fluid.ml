@@ -5,7 +5,9 @@
    their domain load evaluated, which keeps the loop fast on large
    networks. *)
 
-let compute ?(iterations = 50) g dom ~offered =
+let iterations = 50
+
+let compute g dom ~offered =
   let n_links = Multigraph.num_links g in
   let routes = Array.of_list offered in
   let hops = Array.map (fun (p, _) -> Array.of_list p.Paths.links) routes in
@@ -39,14 +41,14 @@ let compute ?(iterations = 50) g dom ~offered =
   done;
   (scale, demand, hops, routes)
 
-let goodput ?iterations g dom ~offered =
-  let scale, _, hops, routes = compute ?iterations g dom ~offered in
+let goodput g dom ~offered =
+  let scale, _, hops, routes = compute g dom ~offered in
   Array.to_list
     (Array.mapi
        (fun r (_, x) ->
          Array.fold_left (fun rate l -> rate *. scale.(l)) (Float.max 0.0 x) hops.(r))
        routes)
 
-let link_airtime ?iterations g dom ~offered =
-  let scale, demand, _, _ = compute ?iterations g dom ~offered in
+let link_airtime g dom ~offered =
+  let scale, demand, _, _ = compute g dom ~offered in
   Array.mapi (fun l dem -> dem *. Float.min 1.0 scale.(l)) demand

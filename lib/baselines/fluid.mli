@@ -14,18 +14,12 @@
     satisfied) it delivers exactly the offered rates. *)
 
 val goodput :
-  ?iterations:int ->
-  Multigraph.t ->
-  Domain.t ->
-  offered:(Paths.t * float) list ->
-  float list
+  Multigraph.t -> Domain.t -> offered:(Paths.t * float) list -> float list
 (** Delivered end-to-end rate of each (route, offered rate) pair, in
-    order. [iterations] (default 50) bounds the fixed-point loop;
-    convergence is typically reached within ~10. Offered rates must be
-    [>= 0]. *)
+    order. The fixed-point loop runs 50 iterations; convergence is
+    typically reached within ~10. Offered rates must be [>= 0]. *)
 
 val link_airtime :
-  ?iterations:int ->
   Multigraph.t ->
   Domain.t ->
   offered:(Paths.t * float) list ->

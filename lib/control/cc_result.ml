@@ -5,7 +5,9 @@ type t = {
   trace : float array array;
 }
 
-let convergence_slot ?(tol = 0.01) t =
+let tol = 0.01
+
+let convergence_slot t =
   let n_slots = Array.length t.trace in
   if n_slots = 0 then None
   else begin

@@ -1,10 +1,14 @@
-let solve ?alpha ?(slots = 2000) ?(x_cap = 1000.0) (problem : Problem.t) =
+(* Bound on the primal iterate: U'^-1 explodes while prices are still
+   zero in the first slots. *)
+let x_cap = 1000.0
+
+let solve ?(slots = 2000) (problem : Problem.t) =
   Array.iter
     (fun routes ->
       if List.length routes > 1 then
         invalid_arg "Single_cc.solve: a flow has several routes")
     problem.Problem.flow_routes;
-  let alpha = match alpha with Some a -> a | None -> Alpha.fixed 0.02 in
+  let alpha = Alpha.fixed 0.02 in
   let n_routes = Problem.n_routes problem in
   let price = Price.create problem in
   let x = Array.make n_routes 0.0 in

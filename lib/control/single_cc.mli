@@ -8,14 +8,9 @@
     heuristically adapted) α to keep tracking network changes, which
     converges to a small neighborhood of the optimum. *)
 
-val solve :
-  ?alpha:Alpha.t ->
-  ?slots:int ->
-  ?x_cap:float ->
-  Problem.t ->
-  Cc_result.t
+val solve : ?slots:int -> Problem.t -> Cc_result.t
 (** Run the controller for [slots] iterations (default 2000) from
-    x = 0, γ = 0. [?alpha] defaults to the fixed paper value 0.02.
-    [x_cap] (default 1000 Mbps) bounds the primal iterate — U'^-1
-    explodes while prices are still zero in the first slots.
-    Requires every flow of the problem to have exactly one route. *)
+    x = 0, γ = 0, with the fixed paper step size α = 0.02. The primal
+    iterate is capped at 1000 Mbps — U'^-1 explodes while prices are
+    still zero in the first slots. Requires every flow of the problem
+    to have exactly one route. *)

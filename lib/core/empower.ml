@@ -7,7 +7,7 @@ let of_instance inst scenario =
   let g = Builder.graph inst scenario in
   { g; dom = Domain.of_instance inst scenario g }
 
-let of_edges ?interference:(_ = `Single_domain_per_tech) ~n_nodes ~n_techs edges =
+let of_edges ~n_nodes ~n_techs edges =
   let g = Multigraph.create ~n_nodes ~n_techs ~edges in
   { g; dom = Domain.single_domain_per_tech g }
 

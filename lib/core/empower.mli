@@ -27,13 +27,8 @@ val of_instance : Builder.instance -> Builder.scenario -> network
     testbed) onto a technology scenario. *)
 
 val of_edges :
-  ?interference:[ `Single_domain_per_tech ] ->
-  n_nodes:int ->
-  n_techs:int ->
-  (int * int * int * float) list ->
-  network
-(** Build directly from edges [(u, v, tech, capacity_mbps)]. The only
-    explicit interference model for hand-built networks is one
+  n_nodes:int -> n_techs:int -> (int * int * int * float) list -> network
+(** Build directly from edges [(u, v, tech, capacity_mbps)], with one
     collision domain per technology (right for home-scale examples);
     geometry-based interference comes via {!of_instance}. *)
 

@@ -8,7 +8,7 @@ let routes_and_rates ?opts (net : Empower.network) scheme ~src ~dst =
   (routes, rates)
 
 let flow_spec ?(workload = Workload.Saturated) ?(transport = Engine.Udp)
-    ?tcp_params ?(start_time = 0.0) ?stop_time ~src ~dst (routes, init_rates) =
+    ?tcp_params ~src ~dst (routes, init_rates) =
   {
     Engine.src;
     dst;
@@ -17,8 +17,8 @@ let flow_spec ?(workload = Workload.Saturated) ?(transport = Engine.Udp)
     workload;
     transport;
     tcp_params;
-    start_time;
-    stop_time;
+    start_time = 0.0;
+    stop_time = None;
   }
 
 let goodput_stats (fr : Engine.flow_result) ~last_seconds ~duration =

@@ -17,13 +17,12 @@ val flow_spec :
   ?workload:Workload.t ->
   ?transport:Engine.transport ->
   ?tcp_params:Tcp.params ->
-  ?start_time:float ->
-  ?stop_time:float ->
   src:int ->
   dst:int ->
   Paths.t list * float list ->
   Engine.flow_spec
-(** Assemble an engine flow spec. [tcp_params] selects the TCP sender
+(** Assemble an engine flow spec that runs for the whole simulation
+    (starts at 0, never stops). [tcp_params] selects the TCP sender
     variant for [Tcp_transport] flows (default Reno). *)
 
 val goodput_stats :

@@ -1498,9 +1498,11 @@ module Metrics = struct
 end
 
 module Recorder = struct
+  (* Time-series bucketing, seconds. *)
+  let window = 1.0
+
   type t = {
     reg : Metrics.t;
-    window : float;
     domain_of : (int -> int array) option;
     mutable window_start : float;
     link_air : (int, float ref) Hashtbl.t;    (* airtime in current window *)
@@ -1527,11 +1529,9 @@ module Recorder = struct
     delay_hist : (int, Metrics.Histogram.t) Hashtbl.t;  (* per flow *)
   }
 
-  let create ?(window = 1.0) ?domain_of reg =
-    if window <= 0.0 then invalid_arg "Recorder.create: window must be positive";
+  let create ?domain_of reg =
     {
       reg;
-      window;
       domain_of;
       window_start = 0.0;
       link_air = Hashtbl.create 32;
@@ -1555,7 +1555,7 @@ module Recorder = struct
   let sorted_keys tbl = Hashtbl.fold (fun k _ acc -> k :: acc) tbl [] |> List.sort compare
 
   let flush_window r =
-    let w_end = r.window_start +. r.window in
+    let w_end = r.window_start +. window in
     (* Per-link airtime utilisation, and I_l busy fraction (the left
        side of constraint (2)) when the interference structure is
        known. *)
@@ -1564,7 +1564,7 @@ module Recorder = struct
     in
     List.iter
       (fun l ->
-        let u = air l /. r.window in
+        let u = air l /. window in
         Metrics.Series.add
           (Metrics.series r.reg (Printf.sprintf "link.%d.util" l))
           w_end u;
@@ -1575,7 +1575,7 @@ module Recorder = struct
           Metrics.Series.add
             (Metrics.series r.reg (Printf.sprintf "domain.%d.busy" l))
             w_end
-            (busy /. r.window))
+            (busy /. window))
       (sorted_keys r.link_air);
     (* Queue occupancy sampled at the window boundary. *)
     List.iter
@@ -1592,14 +1592,14 @@ module Recorder = struct
         Metrics.Series.add
           (Metrics.series r.reg (Printf.sprintf "flow.%d.goodput" f))
           w_end
-          (bits /. 1e6 /. r.window))
+          (bits /. 1e6 /. window))
       (sorted_keys r.flow_bits);
     Hashtbl.reset r.link_air;
     Hashtbl.reset r.flow_bits;
     r.window_start <- w_end
 
   let advance r t =
-    while t >= r.window_start +. r.window do
+    while t >= r.window_start +. window do
       flush_window r
     done
 
@@ -1757,7 +1757,7 @@ module Recorder = struct
      points when the first fault hits before the first point), and the
      time after the last fault boundary until goodput is back within
      90% of that baseline (-1 = never). *)
-  let degradation ?(window = 1.0) ~fault_first ~fault_last pts =
+  let degradation ~fault_first ~fault_last pts =
     let pre = List.filter (fun (t, _) -> t <= fault_first) pts in
     let mean = function
       | [] -> 0.0
@@ -1808,7 +1808,7 @@ module Recorder = struct
               (Metrics.series r.reg (Printf.sprintf "flow.%d.goodput" f))
           in
           match
-            degradation ~window:r.window ~fault_first:r.fault_first
+            degradation ~fault_first:r.fault_first
               ~fault_last:r.fault_last pts
           with
           | None -> ()

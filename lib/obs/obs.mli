@@ -583,8 +583,8 @@ end
       lost to the dip) and ["flow.<f>.fault.recovery_s"] (time after
       the last fault boundary until goodput is back within 90% of the
       baseline; -1 = never recovered);
-    - recovery metrics (populated when the engine runs with
-      [recovery] enabled): ["recovery.route_deaths"] /
+    - recovery metrics (populated when the engine runs under the
+      [Heal] dead-route policy): ["recovery.route_deaths"] /
       ["recovery.probes"] / ["recovery.route_restores"] /
       ["recovery.price_resets"] — event counters;
       ["flow.<f>.fault.detect_s"] — worst detection latency of the
@@ -597,8 +597,8 @@ end
 module Recorder : sig
   type t
 
-  val create : ?window:float -> ?domain_of:(int -> int array) -> Metrics.t -> t
-  (** [window] (default 1 s) sets the time-series bucketing;
+  val create : ?domain_of:(int -> int array) -> Metrics.t -> t
+  (** A recorder bucketing its time series into 1 s windows.
       [domain_of l] lists the links of I_l (including [l]) and
       enables the per-domain busy metric. *)
 
@@ -617,7 +617,6 @@ module Recorder : sig
   }
 
   val degradation :
-    ?window:float ->
     fault_first:float ->
     fault_last:float ->
     (float * float) list ->
@@ -628,8 +627,8 @@ module Recorder : sig
       the points stamped at or before [fault_first], or of the last
       three points when there are none. Over the points after
       [fault_first]: [dip_depth] is the largest shortfall below the
-      baseline, [dip_area] sums the shortfalls times [window]
-      (default 1 s), and [recovery_s] is the time from [fault_last] to
+      baseline, [dip_area] sums the shortfalls times the 1 s window,
+      and [recovery_s] is the time from [fault_last] to
       the first point at or after it that is back to 90% of the
       baseline. [None] when the baseline is not positive. *)
 end

@@ -7,8 +7,10 @@ type combination = {
 
 let routes c = List.map fst c.paths
 
-let find ?(n = 5) ?(csc = true) ?(max_depth = 6) ?(min_rate = 0.1)
-    ?(max_vertices = 2_000) g dom ~src ~dst =
+let min_rate = 0.1
+let max_vertices = 2_000
+
+let find ?(n = 5) ?(csc = true) ?(max_depth = 6) g dom ~src ~dst =
   if n < 1 then invalid_arg "Multipath.find: n < 1";
   if src = dst then invalid_arg "Multipath.find: src = dst";
   let vertices = ref 0 in

@@ -16,9 +16,9 @@
     shallow (depth <= 3 observed); topologies with more localized
     interference can branch much deeper, so the construction is
     bounded by a branch-depth cap ([max_depth], default 6 — the
-    mitigation Section 3.2 itself suggests), a total vertex budget
-    ([max_vertices], default 2000), and by ignoring candidate paths
-    with [R(P) < min_rate] (default 0.1 Mbps). The bounds only trim
+    mitigation Section 3.2 itself suggests), a total vertex budget of
+    2000, and by ignoring candidate paths with [R(P) < 0.1] Mbps. The
+    bounds only trim
     combinations of 7+ simultaneous paths, whose residual capacities
     are negligible. *)
 
@@ -35,8 +35,6 @@ val find :
   ?n:int ->
   ?csc:bool ->
   ?max_depth:int ->
-  ?min_rate:float ->
-  ?max_vertices:int ->
   Multigraph.t ->
   Domain.t ->
   src:int ->
