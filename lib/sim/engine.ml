@@ -137,7 +137,6 @@ type flow_state = {
   mutable inject_scheduled : bool;
   (* workload *)
   files : file_rec array;       (* empty for Saturated *)
-  mutable sent_bytes : int;     (* handed to layer 2.5 by the app *)
   (* receiver *)
   reorder : packet Reorder.t;
   collector : Ack.collector;
@@ -525,7 +524,6 @@ let run ?(config = default_config) ?invariants ?trace ?flight ?prof
       active = false;
       inject_scheduled = false;
       files;
-      sent_bytes = 0;
       reorder =
         Reorder.create
           ~declare_losses:(spec.transport = Udp)
@@ -634,7 +632,7 @@ let run ?(config = default_config) ?invariants ?trace ?flight ?prof
       | Some b ->
         max queue_limit ((b.pool_bytes / max 1 config.frame_bytes) + 1)
     in
-    Invariants.configure t ~n_links ~queue_limit:inv_queue_limit
+    Invariants.configure t ~queue_limit:inv_queue_limit
       ~frame_bytes:config.frame_bytes ~control_period:config.control_period;
     Array.iter
       (fun f ->
@@ -775,7 +773,6 @@ let run ?(config = default_config) ?invariants ?trace ?flight ?prof
     done
   in
   let domain_free l = air_busy.(l) = 0 in
-  let collisions = ref 0 in
   let rec try_start l =
     let st = links.(l) in
     if st.on_air = None && (not (Fifo.is_empty st.queue)) && domain_free l then begin
@@ -802,8 +799,7 @@ let run ?(config = default_config) ?invariants ?trace ?flight ?prof
          done;
          let contenders = !contenders in
          let p_ok = (1.0 -. config.collision_prob) ** float_of_int contenders in
-         st.air_collided <- Rng.float rng > p_ok;
-         if st.air_collided then incr collisions
+         st.air_collided <- Rng.float rng > p_ok
        end
        else st.air_collided <- false);
       (* Injected frame loss (fault plans): drawn after the collision
@@ -1052,8 +1048,7 @@ let run ?(config = default_config) ?invariants ?trace ?flight ?prof
          holds the full file, so MAC losses cost time, not data. *)
       if rate >= 0.05 && f.received_bytes < sendable_bytes f then begin
         inject_frame f ~bytes:config.frame_bytes ~seq:(f.next_seq land 0xFFFFFFFF);
-        f.next_seq <- f.next_seq + 1;
-        f.sent_bytes <- f.sent_bytes + config.frame_bytes
+        f.next_seq <- f.next_seq + 1
       end;
       schedule_inject f
     end
@@ -1661,7 +1656,6 @@ let run ?(config = default_config) ?invariants ?trace ?flight ?prof
         inject_frame ~route:i f ~bytes:config.frame_bytes
           ~seq:(f.next_seq land 0xFFFFFFFF);
         f.next_seq <- f.next_seq + 1;
-        f.sent_bytes <- f.sent_bytes + config.frame_bytes;
         if obs_on then
           Obs.Flight.route_probe fl ~t_s:now.(0) ~flow:fid ~route:i
             ~attempt:f.reclaim_attempt.(i);

@@ -73,7 +73,7 @@ let create ?(mode = `Raise) () =
 
 let env_enabled () = Sys.getenv_opt "EMPOWER_CHECK" <> None
 
-let configure t ~n_links:_ ~queue_limit ~frame_bytes ~control_period =
+let configure t ~queue_limit ~frame_bytes ~control_period =
   t.queue_limit <- queue_limit;
   t.frame_bytes <- frame_bytes;
   t.control_period <- control_period

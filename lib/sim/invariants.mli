@@ -69,8 +69,7 @@ val create : ?mode:[ `Raise | `Collect ] -> unit -> t
 val env_enabled : unit -> bool
 (** [true] iff the [EMPOWER_CHECK] environment variable is set. *)
 
-val configure :
-  t -> n_links:int -> queue_limit:int -> frame_bytes:int -> control_period:float -> unit
+val configure : t -> queue_limit:int -> frame_bytes:int -> control_period:float -> unit
 (** Static simulation parameters; call once before the first hook. *)
 
 val register_flow : t -> flow:int -> pacing:pacing -> rate:float -> unit

@@ -1009,8 +1009,7 @@ let quiet_view =
 
 let fresh_checker () =
   let inv = Invariants.create () in
-  Invariants.configure inv ~n_links:2 ~queue_limit:64 ~frame_bytes:1500
-    ~control_period:0.03;
+  Invariants.configure inv ~queue_limit:64 ~frame_bytes:1500 ~control_period:0.03;
   Invariants.register_flow inv ~flow:0 ~pacing:Invariants.Unpoliced ~rate:10.0;
   inv
 
