@@ -493,6 +493,66 @@ let prop_goodput_recovers_after_faults =
           true
         end)
 
+(* ---------- oracle 6b: γ uniform over Price's airtime classes ---------- *)
+
+(* [Price] keeps one γ per airtime class: priced links with the same
+   I_l ∩ carriers sum the same demands in the same order and start at
+   γ = 0, so their duals stay bit-identical. The engine updates γ per
+   link, and keeps each class uniform as long as nothing resets the γ
+   of one link alone — which only [Heal]'s route-death reset does (that
+   split is pinned by test_obs's twin-reset digest). The first price
+   row whose γ differs from an earlier row of its class in the same
+   tick, as (time, link, γ, class γ). *)
+let first_class_split ~config ~engine_seed c flow plan ~duration =
+  let is_carrier = Array.make (Multigraph.num_links c.Prop_gen.g) false in
+  List.iter
+    (fun p -> List.iter (fun l -> is_carrier.(l) <- true) p.Paths.links)
+    flow.Engine.routes;
+  let class_gamma = Hashtbl.create 16 in
+  let tick = ref neg_infinity and split = ref None in
+  let sink =
+    Obs.Trace.of_fn ~kinds:[ "price" ] (function
+      | Obs.Trace.Price_update { t; link; gamma; _ } ->
+        if t <> !tick then begin
+          Hashtbl.reset class_gamma;
+          tick := t
+        end;
+        let cls = Domain.restrict c.Prop_gen.dom is_carrier link in
+        (match Hashtbl.find_opt class_gamma cls with
+        | None -> Hashtbl.add class_gamma cls gamma
+        | Some g ->
+          if Int64.bits_of_float g <> Int64.bits_of_float gamma && !split = None
+          then split := Some (t, link, gamma, g))
+      | _ -> ())
+  in
+  ignore (run_with_plan ~trace:sink ~config ~engine_seed c flow plan ~duration);
+  !split
+
+let prop_gamma_uniform_over_classes =
+  QCheck.Test.make ~count:60
+    ~name:"engine γ bit-identical over each airtime class (Abandon, Probe_floor)"
+    seed_gen (fun seed ->
+      let c = Prop_gen.case_of_seed seed in
+      match Prop_gen.saturated_flow_of_case c with
+      | None -> true
+      | Some (_, flow) ->
+        let duration = 8.0 in
+        let plan = Prop_gen.chaos_plan_of_case c ~duration in
+        List.iter
+          (fun (policy, config) ->
+            match
+              first_class_split ~config ~engine_seed:(seed + 29) c flow plan
+                ~duration
+            with
+            | None -> ()
+            | Some (t, link, g, g') ->
+              QCheck.Test.fail_reportf
+                "seed %d (%s): at t = %.1f s link %d has γ %h, its airtime \
+                 class %h"
+                seed policy t link g g')
+          [ ("Abandon", Engine.default_config); ("Probe_floor", chaos_config) ];
+        true)
+
 (* ---------- oracle 7: self-healing recovery (lib/recovery) ---------- *)
 
 let recovery_config = { chaos_config with Engine.dead_route = Engine.Heal }
@@ -975,6 +1035,7 @@ let () =
       prop_invariants_hold_under_chaos;
       prop_chaos_deterministic;
       prop_goodput_recovers_after_faults;
+      prop_gamma_uniform_over_classes;
       prop_severed_goodput_recovers;
       prop_sever_recovery_deterministic;
       prop_empty_plan_is_identity;
