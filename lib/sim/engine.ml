@@ -1297,7 +1297,9 @@ let run ?(config = default_config) ?invariants ?trace ?flight ?prof
      keep a dead route carrying the occasional frame so it is
      reclaimed once it heals; [Abandon] starves a recovered route
      forever because its q_r never refreshes. *)
-  let dead_floor = match config.dead_route with Abandon -> 0.0 | Probe_floor | Heal -> probe_rate in
+  let dead_floor =
+    match config.dead_route with Abandon -> 0.0 | Probe_floor | Heal -> probe_rate
+  in
   (* Self-healing ([Heal], UDP flows): a route the detector
      declares dead has its rate state expired on the spot — the §4
      duals of its unusable links are reset instead of draining, its

@@ -178,7 +178,8 @@ let prop_no_leak =
             QCheck.Test.fail_report "dead flag out of sync with verdicts";
           (* While alive, suspicion is strictly below the declaration
              threshold — the detector never sits on a primed trigger. *)
-          if (not !down) && suspicion >= Recovery.dead_ack_threshold then QCheck.Test.fail_report "alive route at or above threshold")
+          if (not !down) && suspicion >= Recovery.dead_ack_threshold then
+            QCheck.Test.fail_report "alive route at or above threshold")
         windows;
       true)
 
