@@ -55,7 +55,6 @@ type flow_result = {
   rate_series : (float * float array) list;
   completions : (float * float) list;
   frames_lost : int;
-  frames_dropped : int;
   final_rates : float array;
   mean_delay : float;
   p95_delay : float;
@@ -144,7 +143,6 @@ type flow_state = {
   mutable received_bytes : int;
   mutable delivered_in_order_bytes : int;
   mutable lost : int;
-  mutable src_dropped : int;
   (* failure detection: bytes injected per route since the last ACK,
      and how many consecutive ACKs reported nothing back *)
   injected_window : float array;
@@ -533,7 +531,6 @@ let run ?(config = default_config) ?invariants ?trace ?flight ?prof
       received_bytes = 0;
       delivered_in_order_bytes = 0;
       lost = 0;
-      src_dropped = 0;
       injected_window = Array.make n_routes 0.0;
       dead_acks = Array.make n_routes 0;
       healing =
@@ -1828,7 +1825,6 @@ let run ?(config = default_config) ?invariants ?trace ?flight ?prof
                      Some (file.started_at, file.done_at -. file.started_at)
                    else None);
           frames_lost = f.lost;
-          frames_dropped = f.src_dropped;
           final_rates = Array.copy f.x;
           mean_delay = Obs.Metrics.Histogram.mean f.delay_hist;
           p95_delay = Obs.Metrics.Histogram.quantile f.delay_hist 0.95;

@@ -37,9 +37,9 @@
 
     {b Transports.} UDP (rate-driven by the controller, or fixed
     rates without CC) and the Reno TCP of {!Tcp} (window-driven, with
-    the controller enforcing its allocation by dropping above-rate
-    segments at the source, and optional destination-side delay
-    equalization). *)
+    the controller enforcing its allocation through a source token
+    bucket that holds above-rate segments until tokens accrue, and
+    optional destination-side delay equalization). *)
 
 type transport =
   | Udp
@@ -164,7 +164,6 @@ type flow_result = {
           zipping with the workload's arrivals recovers per-transfer
           flow-completion times (completion − arrival). *)
   frames_lost : int;        (** declared lost by the reorder buffer *)
-  frames_dropped : int;     (** dropped at source token bucket (TCP over CC) *)
   final_rates : float array; (** controller rates at the end *)
   mean_delay : float;
       (** mean one-way frame delay (s) over {e every} delivery (exact,
