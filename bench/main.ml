@@ -666,47 +666,14 @@ let write_sim_bench () =
 let baseline_file = "BENCH_baseline.json"
 let check_tolerance_pct = 35.0
 
-(* Minimal scan for  "key": <number>  — the snapshot is written by
-   this same file's printf, so no general JSON parser is needed. *)
-let scan_number s key =
-  let needle = Printf.sprintf "\"%s\":" key in
-  let nlen = String.length needle and slen = String.length s in
-  let is_num c =
-    match c with '0' .. '9' | '.' | '-' | '+' | 'e' | 'E' -> true | _ -> false
-  in
-  let rec scan i =
-    if i + nlen > slen then None
-    else if String.sub s i nlen = needle then begin
-      let j = ref (i + nlen) in
-      while !j < slen && (s.[!j] = ' ' || s.[!j] = '\t') do
-        incr j
-      done;
-      let k = ref !j in
-      while !k < slen && is_num s.[!k] do
-        incr k
-      done;
-      float_of_string_opt (String.sub s !j (!k - !j))
-    end
-    else scan (i + 1)
-  in
-  scan 0
-
 let run_sim_check () =
-  let read_file path =
-    let ic = open_in_bin path in
-    let n = in_channel_length ic in
-    let s = really_input_string ic n in
-    close_in ic;
-    s
-  in
   let baseline =
-    match read_file baseline_file with
-    | exception Sys_error _ ->
-      Printf.eprintf "bench check: %s not found — commit a baseline snapshot\n"
-        baseline_file;
+    match Obs.Json.of_file baseline_file with
+    | Error e ->
+      Printf.eprintf "bench check: %s — commit a baseline snapshot\n" e;
       exit 2
-    | s -> (
-      match scan_number s "events_per_s" with
+    | Ok j -> (
+      match Option.bind (Obs.Json.member "events_per_s" j) Obs.Json.to_float_opt with
       | Some v when v > 0.0 -> v
       | Some _ | None ->
         Printf.eprintf "bench check: no events_per_s in %s\n" baseline_file;

@@ -236,6 +236,38 @@ let mac_cmd =
     (Cmd.info "mac" ~doc:"802.11 vs IEEE 1901 CSMA/CA comparison ([40]).")
     Term.(const run $ seed_arg 40 $ json_arg $ metrics_arg $ progress_arg $ jobs_arg)
 
+(* ---------- artifact validation ---------- *)
+
+(* Self-validation of a trace a command just wrote: the file must
+   strict-decode and its replay must reproduce the engine's
+   accounting. [what] names the trace in the failure messages. *)
+let validate_trace ~what (outcome : Tracing.outcome) path =
+  match Obs.Summary.of_file ~duration:outcome.Tracing.duration path with
+  | Error e ->
+    Printf.eprintf "%s validation failed: %s\n" what e;
+    exit 1
+  | Ok summary -> (
+    match Tracing.cross_check outcome summary with
+    | Error e ->
+      Printf.eprintf "%s cross-check failed:\n%s\n" what e;
+      exit 1
+    | Ok () -> summary)
+
+(* Dump a flight ring and strict-validate the dump — a recorder
+   artifact that Obs.Summary cannot replay is a bug. Returns the dump's
+   path and event count. *)
+let dump_flight ring =
+  match Obs.Flight.dump ring with
+  | Error msg ->
+    Printf.eprintf "[flight] dump failed: %s\n" msg;
+    exit 1
+  | Ok (path, n) -> (
+    match Obs.Summary.read_file path with
+    | Error err ->
+      Printf.eprintf "[flight] dump %s failed strict validation: %s\n" path err;
+      exit 1
+    | Ok _ -> (path, n))
+
 (* ---------- trace ---------- *)
 
 let trace_cmd =
@@ -263,27 +295,15 @@ let trace_cmd =
           ~finally:(fun () -> close_out_noerr oc)
           (fun () -> sc.Tracing.exec ~trace:(Obs.Trace.to_channel oc) ())
       in
-      (* Self-validation: strict-decode the file we just wrote and
-         replay it; the replay must reproduce the engine's numbers. *)
-      (match Obs.Summary.of_file ~duration:outcome.Tracing.duration out with
-      | Error e ->
-        Printf.eprintf "trace validation failed: %s\n" e;
-        exit 1
-      | Ok summary -> (
-        match Tracing.cross_check outcome summary with
-        | Error e ->
-          Printf.eprintf "trace cross-check failed:\n%s\n" e;
-          exit 1
-        | Ok () ->
-          Obs.Summary.print summary;
-          let p = outcome.Tracing.result.Engine.perf in
-          Printf.printf
-            "engine: %d events (%.0f events/s, %.3f s wall, peak event-queue \
-             %d)\n"
-            outcome.Tracing.result.Engine.events_processed p.Engine.events_per_s
-            p.Engine.wall_s p.Engine.peak_queue_depth;
-          Printf.printf "%s: %d events -> %s (cross-check OK)\n"
-            sc.Tracing.name summary.Obs.Summary.events out))
+      let summary = validate_trace ~what:"trace" outcome out in
+      Obs.Summary.print summary;
+      let p = outcome.Tracing.result.Engine.perf in
+      Printf.printf
+        "engine: %d events (%.0f events/s, %.3f s wall, peak event-queue %d)\n"
+        outcome.Tracing.result.Engine.events_processed p.Engine.events_per_s
+        p.Engine.wall_s p.Engine.peak_queue_depth;
+      Printf.printf "%s: %d events -> %s (cross-check OK)\n" sc.Tracing.name
+        summary.Obs.Summary.events out
   in
   Cmd.v
     (Cmd.info "trace"
@@ -362,8 +382,9 @@ let report_cmd =
   let file_arg =
     let doc =
       "Artifact to report on: a JSONL trace (trace/chaos --out, or a \
-       flight-recorder dump), a loadsweep figure (loadsweep --json) or a \
-       profile (profile --json). The shape is auto-detected."
+       flight-recorder dump), a loadsweep figure (loadsweep --json), a \
+       profile (profile --json) or a scenario scorecard (scenario --json). \
+       The shape is auto-detected."
     in
     Arg.(required & pos 0 (some string) None & info [] ~docv:"FILE" ~doc)
   in
@@ -468,29 +489,13 @@ let chaos_cmd =
                     Chaos.run ~trace:(Obs.Trace.to_channel oc) ?flight:ring
                       ~intensity ~recovery ~duration ~seed ())
               in
-              (* Same self-validation as `trace`: the file must
-                 strict-decode and its replay must reproduce the
-                 engine's accounting. *)
-              (match Obs.Summary.of_file ~duration path with
-              | Error err ->
-                Printf.eprintf "chaos trace validation failed: %s\n" err;
-                exit 1
-              | Ok summary -> (
-                let outcome =
-                  {
-                    Tracing.scenario = "chaos";
-                    result = report.Chaos.result;
-                    duration;
-                  }
-                in
-                match Tracing.cross_check outcome summary with
-                | Error err ->
-                  Printf.eprintf "chaos trace cross-check failed:\n%s\n" err;
-                  exit 1
-                | Ok () ->
-                  if not json then
-                    Printf.printf "chaos: %d events -> %s (cross-check OK)\n"
-                      summary.Obs.Summary.events path));
+              let outcome =
+                { Tracing.scenario = "chaos"; result = report.Chaos.result; duration }
+              in
+              let summary = validate_trace ~what:"chaos trace" outcome path in
+              if not json then
+                Printf.printf "chaos: %d events -> %s (cross-check OK)\n"
+                  summary.Obs.Summary.events path;
               report
           in
           (match ring with
@@ -503,24 +508,13 @@ let chaos_cmd =
                 (fun (f : Chaos.flow_report) -> f.Chaos.recovery_s < 0.0)
                 report.Chaos.flows
             in
-            if regression then (
-              match Obs.Flight.dump ring with
-              | Error msg ->
-                Printf.eprintf "[flight] dump failed: %s\n" msg;
-                exit 1
-              | Ok (path, n) -> (
-                (* The dump must strict-decode: a recorder artifact
-                   that Obs.Summary cannot replay is a bug. *)
-                match Obs.Summary.read_file path with
-                | Error err ->
-                  Printf.eprintf
-                    "[flight] dump %s failed strict validation: %s\n" path err;
-                  exit 1
-                | Ok _ ->
-                  Printf.eprintf
-                    "[flight] regression (flow never recovered): last %d \
-                     events -> %s\n"
-                    n path))
+            if regression then begin
+              let path, n = dump_flight ring in
+              Printf.eprintf
+                "[flight] regression (flow never recovered): last %d events \
+                 -> %s\n"
+                n path
+            end
             else
               Printf.eprintf
                 "[flight] no regression; ring discarded (%d events recorded)\n"
@@ -612,21 +606,11 @@ let scenario_cmd =
     (match ring with
     | None -> ()
     | Some ring ->
-      if not sc.Scenario.slo_met then (
-        match Obs.Flight.dump ring with
-        | Error msg ->
-          Printf.eprintf "[flight] dump failed: %s\n" msg;
-          exit 1
-        | Ok (path, n) -> (
-          match Obs.Summary.read_file path with
-          | Error err ->
-            Printf.eprintf "[flight] dump %s failed strict validation: %s\n"
-              path err;
-            exit 1
-          | Ok _ ->
-            Printf.eprintf
-              "[flight] %s missed its SLO: last %d events -> %s\n"
-              spec.Scenario.name n path))
+      if not sc.Scenario.slo_met then begin
+        let path, n = dump_flight ring in
+        Printf.eprintf "[flight] %s missed its SLO: last %d events -> %s\n"
+          spec.Scenario.name n path
+      end
       else
         Printf.eprintf
           "[flight] %s met its SLO; ring discarded (%d events recorded)\n"

@@ -250,7 +250,7 @@ let ablation (d : Ablations.data) =
              d.Ablations.points) );
     ]
 
-let loadsweep (d : Loadsweep.data) =
+let loadsweep_point (p : Loadsweep.point) =
   let bucket (b : Loadsweep.bucket) =
     Json.Obj
       [
@@ -263,6 +263,18 @@ let loadsweep (d : Loadsweep.data) =
   in
   Json.Obj
     [
+      ("load", f p.Loadsweep.load);
+      ("offered_load", f p.Loadsweep.offered_load);
+      ("achieved_load", f p.Loadsweep.achieved_load);
+      ("arrivals", i p.Loadsweep.arrivals);
+      ("completed", i p.Loadsweep.completed);
+      ("queue_drops", i p.Loadsweep.queue_drops);
+      ("buckets", Json.List (List.map bucket p.Loadsweep.buckets));
+    ]
+
+let loadsweep (d : Loadsweep.data) =
+  Json.Obj
+    [
       ("figure", s "loadsweep");
       ("seed", i d.Loadsweep.seed);
       ("pairs", i d.Loadsweep.pairs);
@@ -272,22 +284,53 @@ let loadsweep (d : Loadsweep.data) =
       ("capacity_mbps", f d.Loadsweep.capacity_mbps);
       ("pacing", s (Workload.pacing_name d.Loadsweep.pacing));
       ("cdf", s d.Loadsweep.cdf);
-      ( "points",
-        Json.List
-          (List.map
-             (fun (p : Loadsweep.point) ->
-               Json.Obj
-                 [
-                   ("load", f p.Loadsweep.load);
-                   ("offered_load", f p.Loadsweep.offered_load);
-                   ("achieved_load", f p.Loadsweep.achieved_load);
-                   ("arrivals", i p.Loadsweep.arrivals);
-                   ("completed", i p.Loadsweep.completed);
-                   ("queue_drops", i p.Loadsweep.queue_drops);
-                   ("buckets", Json.List (List.map bucket p.Loadsweep.buckets));
-                 ])
-             d.Loadsweep.points) );
+      ("points", Json.List (List.map loadsweep_point d.Loadsweep.points));
     ]
+
+let ( let* ) = Result.bind
+
+let loadsweep_of_json j =
+  let bucket b =
+    let* label = Json.string_field "label" b in
+    let* count = Json.int_field "count" b in
+    let* p50 = Json.float_field "p50" b in
+    let* p95 = Json.float_field "p95" b in
+    let* p99 = Json.float_field "p99" b in
+    Ok { Loadsweep.label; count; p50; p95; p99 }
+  in
+  let point p =
+    let* load = Json.float_field "load" p in
+    let* offered_load = Json.float_field "offered_load" p in
+    let* achieved_load = Json.float_field "achieved_load" p in
+    let* arrivals = Json.int_field "arrivals" p in
+    let* completed = Json.int_field "completed" p in
+    let* queue_drops = Json.int_field "queue_drops" p in
+    let* buckets = Json.list_field "buckets" bucket p in
+    Ok
+      {
+        Loadsweep.load; offered_load; achieved_load; arrivals; completed;
+        queue_drops; buckets; fcts = [];
+      }
+  in
+  let* seed = Json.int_field "seed" j in
+  let* pairs = Json.int_field "pairs" j in
+  let* conns = Json.int_field "conns" j in
+  let* duration = Json.float_field "duration" j in
+  let* drain = Json.float_field "drain" j in
+  let* capacity_mbps = Json.float_field "capacity_mbps" j in
+  let* pacing_s = Json.string_field "pacing" j in
+  let* pacing =
+    match Workload.pacing_of_name pacing_s with
+    | Some p -> Ok p
+    | None -> Error (Printf.sprintf "unknown pacing %S" pacing_s)
+  in
+  let* cdf = Json.string_field "cdf" j in
+  let* points = Json.list_field "points" point j in
+  Ok
+    {
+      Loadsweep.seed; pairs; conns; duration; drain; capacity_mbps; pacing; cdf;
+      points;
+    }
 
 let buffers (d : Buffers.data) =
   let variant (v : Buffers.variant_result) =

@@ -19,6 +19,16 @@ val mptcp : Mptcp_applicability.data -> Obs.Json.t
 val mac_fairness : Mac_fairness.data -> Obs.Json.t
 val ablation : Ablations.data -> Obs.Json.t
 val loadsweep : Loadsweep.data -> Obs.Json.t
+
+val loadsweep_point : Loadsweep.point -> Obs.Json.t
+(** One element of the loadsweep figure's ["points"]: the per-point
+    loads, counts and size buckets; the FCT samples are not written. *)
+
+val loadsweep_of_json : Obs.Json.t -> (Loadsweep.data, string) result
+(** The inverse of {!loadsweep}, with [fcts = []] in every point:
+    [loadsweep (loadsweep_of_json j)] reprints [j] for every document
+    {!loadsweep} wrote. *)
+
 val buffers : Buffers.data -> Obs.Json.t
 
 val print_json : Obs.Json.t -> unit

@@ -40,41 +40,13 @@ type spec = {
 (* ---------------------------------------------------------------- *)
 (* Spec codec                                                        *)
 
-let ( let* ) r f = match r with Ok v -> f v | Error _ as e -> e
-
-let str_field name j =
-  match J.member name j with
-  | Some (J.String s) -> Ok s
-  | Some _ -> Error (Printf.sprintf "field %S: expected string" name)
-  | None -> Error (Printf.sprintf "missing field %S" name)
-
-let int_field name j =
-  match J.member name j with
-  | Some v -> (
-      match J.to_int_opt v with
-      | Some i -> Ok i
-      | None -> Error (Printf.sprintf "field %S: expected integer" name))
-  | None -> Error (Printf.sprintf "missing field %S" name)
-
-let float_field name j =
-  match J.member name j with
-  | Some v -> (
-      match J.to_float_opt v with
-      | Some f -> Ok f
-      | None -> Error (Printf.sprintf "field %S: expected number" name))
-  | None -> Error (Printf.sprintf "missing field %S" name)
-
-let bool_field name j =
-  match J.member name j with
-  | Some (J.Bool b) -> Ok b
-  | Some _ -> Error (Printf.sprintf "field %S: expected bool" name)
-  | None -> Error (Printf.sprintf "missing field %S" name)
+let ( let* ) = Result.bind
 
 let device_of_json j =
   match j with
   | J.Obj _ ->
-      let* node = int_field "node" j in
-      let* cls_s = str_field "class" j in
+      let* node = J.int_field "node" j in
+      let* cls_s = J.string_field "class" j in
       let* cls =
         match Device.cls_of_name cls_s with
         | Some c -> Ok c
@@ -83,41 +55,38 @@ let device_of_json j =
       let* panel =
         match J.member "panel" j with
         | None -> Ok None
-        | Some v -> (
-            match J.to_int_opt v with
-            | Some p -> Ok (Some p)
-            | None -> Error "field \"panel\": expected integer")
+        | Some _ -> Result.map Option.some (J.int_field "panel" j)
       in
       Ok { Device.node; cls; panel }
-  | _ -> Error "device: expected object"
+  | _ -> Error "expected object"
 
 let flow_of_json j =
   match j with
   | J.Obj _ ->
-      let* src = int_field "src" j in
-      let* dst = int_field "dst" j in
+      let* src = J.int_field "src" j in
+      let* dst = J.int_field "dst" j in
       if src < 0 || dst < 0 then Error "flow: negative node id"
       else if src = dst then
         Error (Printf.sprintf "flow %d -> %d: src = dst" src dst)
       else Ok (src, dst)
-  | _ -> Error "flow: expected object"
+  | _ -> Error "expected object"
+
+let intensity_of_json j =
+  let* name = J.string_field "intensity" j in
+  match Fault.Gen.intensity_of_name name with
+  | Some i -> Ok i
+  | None -> Error (Printf.sprintf "unknown intensity %S" name)
 
 let churn_of_json j =
   match j with
   | J.Obj _ -> (
       match (J.member "generate" j, J.member "plan" j) with
       | Some g, None ->
-          let* name = str_field "intensity" g in
-          let* intensity =
-            match Fault.Gen.intensity_of_name name with
-            | Some i -> Ok i
-            | None -> Error (Printf.sprintf "unknown intensity %S" name)
-          in
+          let* intensity = intensity_of_json g in
           let* protect_endpoints =
             match J.member "protect_endpoints" g with
             | None -> Ok true
-            | Some (J.Bool b) -> Ok b
-            | Some _ -> Error "field \"protect_endpoints\": expected bool"
+            | Some _ -> J.bool_field "protect_endpoints" g
           in
           Ok (Generate { intensity; protect_endpoints })
       | None, Some p ->
@@ -127,111 +96,73 @@ let churn_of_json j =
       | None, None -> Error "churn: expected \"generate\" or \"plan\"")
   | _ -> Error "churn: expected object"
 
-let rec decode_list f acc = function
-  | [] -> Ok (List.rev acc)
-  | x :: rest ->
-      let* v = f x in
-      (decode_list [@tailcall]) f (v :: acc) rest
+let frac_ok f = f >= 0.0 && f <= 1.0
 
-let list_field ?default name f j =
-  match J.member name j with
-  | Some (J.List xs) -> decode_list f [] xs
-  | Some _ -> Error (Printf.sprintf "field %S: expected list" name)
-  | None -> (
-      match default with
-      | Some d -> Ok d
-      | None -> Error (Printf.sprintf "missing field %S" name))
-
-let frac_ok f = Float.is_finite f && f >= 0.0 && f <= 1.0
+(* The fields a spec shares with the scorecard of its run, validated
+   alike. The two documents spell the flows and the churn differently,
+   so the caller decodes those. *)
+let spec_fields j ~flows ~churn =
+  let* name = J.string_field "name" j in
+  let* description = J.string_field "description" j in
+  let* seed = J.int_field "seed" j in
+  let* duration = J.float_field "duration" j in
+  let* () =
+    if duration > 0.0 then Ok () else Error "field \"duration\": must be > 0"
+  in
+  let* topo = J.obj_field "topology" j in
+  let* kind_s = J.string_field "kind" topo in
+  let* topology =
+    match topology_kind_of_name kind_s with
+    | Some k -> Ok k
+    | None -> Error (Printf.sprintf "unknown topology kind %S" kind_s)
+  in
+  let* topology_seed = J.int_field "seed" topo in
+  let* devices = J.list_field ~default:[] "devices" device_of_json j in
+  let* () =
+    let nodes = List.map (fun d -> d.Device.node) devices in
+    let sorted = List.sort_uniq compare nodes in
+    if List.length sorted = List.length nodes then Ok ()
+    else Error "devices: duplicate node"
+  in
+  let* () = if flows = [] then Error "field \"flows\": empty" else Ok () in
+  let* recovery = J.bool_field "recovery" j in
+  let* slo_j = J.obj_field "slo" j in
+  let* availability_frac = J.float_field "availability_frac" slo_j in
+  let* min_availability = J.float_field "min_availability" slo_j in
+  let* () =
+    if frac_ok availability_frac && frac_ok min_availability then Ok ()
+    else Error "slo fractions must be in [0,1]"
+  in
+  Ok
+    {
+      name;
+      description;
+      seed;
+      duration;
+      topology;
+      topology_seed;
+      devices;
+      flows;
+      churn;
+      recovery;
+      slo = { availability_frac; min_availability };
+    }
 
 let spec_of_json j =
   match j with
   | J.Obj _ ->
       let* () =
-        match J.member "version" j with
-        | Some (J.Int 1) -> Ok ()
-        | Some _ -> Error "unsupported scenario version"
-        | None -> Error "missing field \"version\""
+        let* version = J.field "version" j in
+        if version = J.Int 1 then Ok () else Error "unsupported scenario version"
       in
-      let* name = str_field "name" j in
-      let* description = str_field "description" j in
-      let* seed = int_field "seed" j in
-      let* duration = float_field "duration" j in
-      let* () =
-        if Float.is_finite duration && duration > 0.0 then Ok ()
-        else Error "field \"duration\": must be > 0"
-      in
-      let* topo =
-        match J.member "topology" j with
-        | Some (J.Obj _ as t) -> Ok t
-        | Some _ -> Error "field \"topology\": expected object"
-        | None -> Error "missing field \"topology\""
-      in
-      let* kind_s = str_field "kind" topo in
-      let* topology =
-        match topology_kind_of_name kind_s with
-        | Some k -> Ok k
-        | None -> Error (Printf.sprintf "unknown topology kind %S" kind_s)
-      in
-      let* topology_seed = int_field "seed" topo in
-      let* devices = list_field ~default:[] "devices" device_of_json j in
-      let* () =
-        let nodes = List.map (fun d -> d.Device.node) devices in
-        let sorted = List.sort_uniq compare nodes in
-        if List.length sorted = List.length nodes then Ok ()
-        else Error "devices: duplicate node"
-      in
-      let* flows = list_field "flows" flow_of_json j in
-      let* () = if flows = [] then Error "field \"flows\": empty" else Ok () in
-      let* churn =
-        match J.member "churn" j with
-        | Some c -> churn_of_json c
-        | None -> Error "missing field \"churn\""
-      in
-      let* recovery = bool_field "recovery" j in
-      let* slo_j =
-        match J.member "slo" j with
-        | Some (J.Obj _ as s) -> Ok s
-        | Some _ -> Error "field \"slo\": expected object"
-        | None -> Error "missing field \"slo\""
-      in
-      let* availability_frac = float_field "availability_frac" slo_j in
-      let* min_availability = float_field "min_availability" slo_j in
-      let* () =
-        if frac_ok availability_frac && frac_ok min_availability then Ok ()
-        else Error "slo fractions must be in [0,1]"
-      in
-      Ok
-        {
-          name;
-          description;
-          seed;
-          duration;
-          topology;
-          topology_seed;
-          devices;
-          flows;
-          churn;
-          recovery;
-          slo = { availability_frac; min_availability };
-        }
+      let* flows = J.list_field "flows" flow_of_json j in
+      let* churn = Result.bind (J.field "churn" j) churn_of_json in
+      spec_fields j ~flows ~churn
   | _ -> Error "scenario: expected object"
 
 let load path =
-  match
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with
-  | exception Sys_error msg -> Error msg
-  | s -> (
-      match J.parse (String.trim s) with
-      | Error msg -> Error (Printf.sprintf "%s: %s" path msg)
-      | Ok j -> (
-          match spec_of_json j with
-          | Error msg -> Error (Printf.sprintf "%s: %s" path msg)
-          | Ok spec -> Ok spec))
+  let* j = J.of_file path in
+  Result.map_error (fun e -> path ^ ": " ^ e) (spec_of_json j)
 
 let catalog dir =
   match Sys.readdir dir with
@@ -528,6 +459,16 @@ let run_all ?jobs specs = Exec.map ?jobs (fun spec -> run spec) specs
 (* ---------------------------------------------------------------- *)
 (* Rendering                                                         *)
 
+let event_score_to_json e =
+  J.Obj
+    [
+      ("op", J.String e.op);
+      ("at", J.Float e.at);
+      ("clear", J.Float e.clear);
+      ("dip_mbps", J.Float e.dip_mbps);
+      ("recover_s", J.Float e.recover_s);
+    ]
+
 let to_json sc =
   let open J in
   let spec = sc.spec in
@@ -606,20 +547,68 @@ let to_json sc =
                    ("recovery_s", Float f.recovery_s);
                  ])
              sc.flows) );
-      ( "events",
-        List
-          (List.map
-             (fun e ->
-               Obj
-                 [
-                   ("op", String e.op);
-                   ("at", Float e.at);
-                   ("clear", Float e.clear);
-                   ("dip_mbps", Float e.dip_mbps);
-                   ("recover_s", Float e.recover_s);
-                 ])
-             sc.events) );
+      ("events", List (List.map event_score_to_json sc.events));
     ]
+
+let flow_score_of_json j =
+  let* flow = J.int_field "flow" j in
+  let* src = J.int_field "src" j in
+  let* dst = J.int_field "dst" j in
+  let* baseline_mbps = J.float_field "baseline_mbps" j in
+  let* goodput_mbps = J.float_field "goodput_mbps" j in
+  let* availability = J.float_field "availability" j in
+  let* below_slo_s = J.float_field "below_slo_s" j in
+  let* reroutes = J.int_field "reroutes" j in
+  let* route_deaths = J.int_field "route_deaths" j in
+  let* route_restores = J.int_field "route_restores" j in
+  let* outage_s = J.float_field "outage_s" j in
+  let* detect_s = J.float_field "detect_s" j in
+  let* dip_depth = J.float_field "dip_depth" j in
+  let* dip_area = J.float_field "dip_area" j in
+  let* recovery_s = J.float_field "recovery_s" j in
+  Ok
+    {
+      flow; src; dst; baseline_mbps; goodput_mbps; availability; below_slo_s;
+      reroutes; route_deaths; route_restores; outage_s; detect_s; dip_depth;
+      dip_area; recovery_s;
+    }
+
+let event_score_of_json j =
+  let* op = J.string_field "op" j in
+  let* at = J.float_field "at" j in
+  let* clear = J.float_field "clear" j in
+  let* dip_mbps = J.float_field "dip_mbps" j in
+  let* recover_s = J.float_field "recover_s" j in
+  Ok { op; at; clear; dip_mbps; recover_s }
+
+(* ["plan_actions"] is the length of ["plan"] and is not read. *)
+let of_json j =
+  let* plan = Result.bind (J.field "plan" j) Fault.of_json in
+  let* flows = J.list_field "flows" flow_score_of_json j in
+  let* churn =
+    let* c = J.obj_field "churn" j in
+    if J.member "explicit" c = Some (J.Bool true) then Ok (Plan plan)
+    else
+      let* intensity = intensity_of_json c in
+      let* protect_endpoints = J.bool_field "protect_endpoints" c in
+      Ok (Generate { intensity; protect_endpoints })
+  in
+  let* spec =
+    spec_fields j ~flows:(List.map (fun f -> (f.src, f.dst)) flows) ~churn
+  in
+  let* slo_met = J.bool_field "slo_met" j in
+  let* min_availability_measured = J.float_field "min_availability" j in
+  let* fault_events = J.int_field "fault_events" j in
+  let* queue_drops = J.int_field "queue_drops" j in
+  let* events_processed = J.int_field "events_processed" j in
+  let* route_deaths = J.int_field "route_deaths" j in
+  let* probes = J.int_field "probes" j in
+  let* events = J.list_field "events" event_score_of_json j in
+  Ok
+    {
+      spec; plan; fault_events; queue_drops; events_processed; route_deaths;
+      probes; flows; events; min_availability_measured; slo_met;
+    }
 
 let print ?(out = stdout) sc =
   let p fmt = Printf.fprintf out fmt in

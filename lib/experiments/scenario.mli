@@ -89,13 +89,15 @@ type spec = {
 
 val spec_of_json : Obs.Json.t -> (spec, string) result
 (** Strict decode of a version-1 scenario document: unknown fields
-    of known objects are ignored, but missing / mistyped fields,
+    of known objects are ignored, but missing / mistyped fields (in
+    the {!Obs.Json.field} vocabulary),
     unknown topology kinds, device classes, intensities and bad
     ranges ([duration <= 0], SLO fractions outside [[0,1]], empty
     [flows]) are [Error]s. *)
 
 val load : string -> (spec, string) result
-(** Read and decode one scenario file. *)
+(** Read and decode one scenario file through {!Obs.Json.of_file};
+    every error names the path. *)
 
 val catalog : string -> ((string * string) list, string) result
 (** [(name, path)] for every [*.json] in a directory, sorted by
@@ -130,6 +132,9 @@ type event_score = {
   recover_s : float;  (** -1 when some flow never recovers *)
 }
 
+val event_score_to_json : event_score -> Obs.Json.t
+(** One element of the scorecard document's ["events"]. *)
+
 type scorecard = {
   spec : spec;
   plan : Fault.plan;  (** the compiled-against plan, normalized *)
@@ -159,6 +164,14 @@ val run_all : ?jobs:int -> spec list -> scorecard list
 
 val to_json : scorecard -> Obs.Json.t
 (** The ["figure": "scenario"] document the golden tests pin
-    byte-for-byte and [empower_eval report] renders. *)
+    byte-for-byte and [empower_eval report] renders. The document
+    carries the normalized plan the run used. *)
+
+val of_json : Obs.Json.t -> (scorecard, string) result
+(** The inverse of {!to_json}: [to_json (of_json j)] reprints [j] for
+    every document {!to_json} wrote. An explicit churn decodes as
+    [Plan] of the document's plan. The spec fields are validated as
+    {!spec_of_json} validates them; ["plan_actions"] is the plan's
+    length and is not read. *)
 
 val print : ?out:out_channel -> scorecard -> unit

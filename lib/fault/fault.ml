@@ -390,126 +390,99 @@ let to_json plan =
       ("actions", J.List (List.map action_to_json plan));
     ]
 
-let float_field name j =
-  match J.member name j with
-  | Some v -> (
-      match J.to_float_opt v with
-      | Some f -> Ok f
-      | None -> Error (Printf.sprintf "field %S: expected number" name))
-  | None -> Error (Printf.sprintf "missing field %S" name)
-
-let int_field name j =
-  match J.member name j with
-  | Some v -> (
-      match J.to_int_opt v with
-      | Some i -> Ok i
-      | None -> Error (Printf.sprintf "field %S: expected integer" name))
-  | None -> Error (Printf.sprintf "missing field %S" name)
-
-let ( let* ) r f = match r with Ok v -> f v | Error _ as e -> e
+let ( let* ) = Result.bind
 
 let action_of_json j =
   match j with
   | J.Obj _ -> (
-      let* op =
-        match J.member "op" j with
-        | Some (J.String s) -> Ok s
-        | Some _ -> Error "field \"op\": expected string"
-        | None -> Error "missing field \"op\""
-      in
+      let* op = J.string_field "op" j in
       match op with
       | "link_down" ->
-          let* at = float_field "at" j in
-          let* link = int_field "link" j in
+          let* at = J.float_field "at" j in
+          let* link = J.int_field "link" j in
           Ok (Link_down { at; link })
       | "link_up" ->
-          let* at = float_field "at" j in
-          let* link = int_field "link" j in
-          let* capacity = float_field "capacity" j in
+          let* at = J.float_field "at" j in
+          let* link = J.int_field "link" j in
+          let* capacity = J.float_field "capacity" j in
           Ok (Link_up { at; link; capacity })
       | "capacity_set" ->
-          let* at = float_field "at" j in
-          let* link = int_field "link" j in
-          let* capacity = float_field "capacity" j in
+          let* at = J.float_field "at" j in
+          let* link = J.int_field "link" j in
+          let* capacity = J.float_field "capacity" j in
           Ok (Capacity_set { at; link; capacity })
       | "capacity_ramp" ->
-          let* at = float_field "at" j in
-          let* link = int_field "link" j in
-          let* from_cap = float_field "from" j in
-          let* to_cap = float_field "to" j in
-          let* over = float_field "over" j in
-          let* steps = int_field "steps" j in
+          let* at = J.float_field "at" j in
+          let* link = J.int_field "link" j in
+          let* from_cap = J.float_field "from" j in
+          let* to_cap = J.float_field "to" j in
+          let* over = J.float_field "over" j in
+          let* steps = J.int_field "steps" j in
           Ok (Capacity_ramp { at; link; from_cap; to_cap; over; steps })
       | "loss_window" ->
-          let* at = float_field "at" j in
-          let* until = float_field "until" j in
-          let* link = int_field "link" j in
-          let* prob = float_field "prob" j in
+          let* at = J.float_field "at" j in
+          let* until = J.float_field "until" j in
+          let* link = J.int_field "link" j in
+          let* prob = J.float_field "prob" j in
           Ok (Loss_window { at; until; link; prob })
       | "ctrl_drop" ->
-          let* at = float_field "at" j in
-          let* until = float_field "until" j in
-          let* prob = float_field "prob" j in
+          let* at = J.float_field "at" j in
+          let* until = J.float_field "until" j in
+          let* prob = J.float_field "prob" j in
           Ok (Ctrl_drop { at; until; prob })
       | "ctrl_delay" ->
-          let* at = float_field "at" j in
-          let* until = float_field "until" j in
-          let* delay = float_field "delay" j in
+          let* at = J.float_field "at" j in
+          let* until = J.float_field "until" j in
+          let* delay = J.float_field "delay" j in
           Ok (Ctrl_delay { at; until; delay })
       | "node_crash" ->
-          let* at = float_field "at" j in
-          let* node = int_field "node" j in
+          let* at = J.float_field "at" j in
+          let* node = J.int_field "node" j in
           Ok (Node_crash { at; node })
       | "node_restart" ->
-          let* at = float_field "at" j in
-          let* node = int_field "node" j in
+          let* at = J.float_field "at" j in
+          let* node = J.int_field "node" j in
           Ok (Node_restart { at; node })
       | "node_flap" ->
-          let* at = float_field "at" j in
-          let* until = float_field "until" j in
-          let* node = int_field "node" j in
-          let* period = float_field "period" j in
-          let* duty = float_field "duty" j in
+          let* at = J.float_field "at" j in
+          let* until = J.float_field "until" j in
+          let* node = J.int_field "node" j in
+          let* period = J.float_field "period" j in
+          let* duty = J.float_field "duty" j in
           Ok (Node_flap { at; until; node; period; duty })
       | "capacity_drift" ->
-          let* at = float_field "at" j in
-          let* until = float_field "until" j in
-          let* link = int_field "link" j in
-          let* floor_frac = float_field "floor" j in
-          let* period = float_field "period" j in
-          let* steps = int_field "steps" j in
+          let* at = J.float_field "at" j in
+          let* until = J.float_field "until" j in
+          let* link = J.int_field "link" j in
+          let* floor_frac = J.float_field "floor" j in
+          let* period = J.float_field "period" j in
+          let* steps = J.int_field "steps" j in
           Ok (Capacity_drift { at; until; link; floor_frac; period; steps })
       | "node_join" ->
-          let* at = float_field "at" j in
-          let* node = int_field "node" j in
+          let* at = J.float_field "at" j in
+          let* node = J.int_field "node" j in
           Ok (Node_join { at; node })
       | other -> Error (Printf.sprintf "unknown op %S" other))
-  | _ -> Error "action: expected object"
+  | _ -> Error "expected object"
 
 let of_json j =
   match j with
-  | J.Obj _ -> (
+  | J.Obj _ ->
       let* version =
-        match J.member "version" j with
-        | Some (J.Int (1 as v)) | Some (J.Int (2 as v)) -> Ok v
-        | Some _ -> Error "unsupported plan version"
-        | None -> Error "missing field \"version\""
+        let* v = J.field "version" j in
+        match v with
+        | J.Int (1 | 2 as v) -> Ok v
+        | _ -> Error "unsupported plan version"
       in
-      match J.member "actions" j with
-      | Some (J.List actions) ->
-          let rec go acc = function
-            | [] -> Ok (List.rev acc)
-            | a :: rest ->
-                let* act = action_of_json a in
-                if action_version act > version then
-                  Error
-                    (Printf.sprintf "op %S requires plan version %d"
-                       (op_name act) (action_version act))
-                else go (act :: acc) rest
-          in
-          go [] actions
-      | Some _ -> Error "field \"actions\": expected list"
-      | None -> Error "missing field \"actions\"")
+      J.list_field "actions"
+        (fun a ->
+          let* act = action_of_json a in
+          if action_version act > version then
+            Error
+              (Printf.sprintf "op %S requires plan version %d" (op_name act)
+                 (action_version act))
+          else Ok act)
+        j
   | _ -> Error "plan: expected object"
 
 let encode plan = J.to_string (to_json plan)
@@ -526,14 +499,8 @@ let to_file path plan =
       output_char oc '\n')
 
 let of_file path =
-  match
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with
-  | exception Sys_error msg -> Error msg
-  | s -> decode (String.trim s)
+  let* j = J.of_file path in
+  Result.map_error (fun e -> path ^ ": " ^ e) (of_json j)
 
 (* ---------------------------------------------------------------- *)
 (* Seeded generator                                                  *)

@@ -173,10 +173,12 @@ val compile : Multigraph.t -> plan -> compiled
 
 val to_json : plan -> Obs.Json.t
 val of_json : Obs.Json.t -> (plan, string) result
-(** Strict: unknown ["op"], missing / mistyped fields and bad
+(** Strict: unknown ["op"], missing / mistyped fields (in the
+    {!Obs.Json.field} vocabulary), non-finite numbers and bad
     ["version"] are [Error]s, and a version-1 document containing a
     version-2 op is rejected. Versions 1 and 2 are accepted.
-    [of_json (to_json p) = Ok p]. *)
+    [of_json (to_json p) = Ok p] for every plan with finite numbers,
+    so [decode (encode p) = Ok p] whenever [decode] returned [p]. *)
 
 val encode : plan -> string
 (** Compact JSON, no trailing newline. *)
@@ -184,7 +186,10 @@ val encode : plan -> string
 val decode : string -> (plan, string) result
 
 val to_file : string -> plan -> unit
+
 val of_file : string -> (plan, string) result
+(** {!Obs.Json.of_file}, then {!of_json}; every error names the
+    path. *)
 
 (** Random-but-reproducible plans from a seed and an intensity
     profile. *)

@@ -287,9 +287,15 @@ module Json = struct
     | Obj fields -> List.assoc_opt k fields
     | _ -> None
 
+  (* [int_of_float] wraps a float outside the int range; such a
+     float is no integer this module could have written. *)
   let to_int_opt = function
     | Int n -> Some n
-    | Float f when Float.is_integer f -> Some (int_of_float f)
+    | Float f
+      when Float.is_integer f
+           && f >= Float.of_int min_int
+           && f < -.Float.of_int min_int ->
+      Some (int_of_float f)
     | _ -> None
 
   let to_float_opt = function
@@ -299,7 +305,82 @@ module Json = struct
 
   let to_string_opt = function String s -> Some s | _ -> None
   let to_bool_opt = function Bool b -> Some b | _ -> None
+
+  (* The strict field kit every document decoder reads through. Error
+     strings are built only on failure, in one vocabulary: [missing
+     field "x"] and [field "x": expected <type>]. *)
+
+  let map_result f xs =
+    let rec go acc = function
+      | [] -> Ok (List.rev acc)
+      | x :: rest -> (
+        match f x with Ok y -> go (y :: acc) rest | Error _ as e -> e)
+    in
+    go [] xs
+
+  let expect ty conv v =
+    match conv v with Some x -> Ok x | None -> Error ("expected " ^ ty)
+
+  (* A number that [to_string] writes back as itself: [1e400] parses
+     to infinity, which would be written as [null]. *)
+  let number =
+    expect "number" (fun v ->
+        match to_float_opt v with
+        | Some f when Float.is_finite f -> Some f
+        | _ -> None)
+
+  let integer = expect "integer" to_int_opt
+
+  let in_field name = function
+    | Ok _ as ok -> ok
+    | Error e -> Error (Printf.sprintf "field %S: %s" name e)
+
+  let missing name = Error (Printf.sprintf "missing field %S" name)
+
+  let field name j =
+    match member name j with Some v -> Ok v | None -> missing name
+
+  let typed conv name j =
+    match member name j with
+    | Some v -> in_field name (conv v)
+    | None -> missing name
+
+  let int_field = typed integer
+  let float_field = typed number
+  let string_field = typed (expect "string" to_string_opt)
+  let bool_field = typed (expect "bool" to_bool_opt)
+  let obj_field =
+    typed (expect "object" (function Obj _ as o -> Some o | _ -> None))
+
+  let list_field ?default name f j =
+    match (member name j, default) with
+    | Some (List xs), _ -> in_field name (map_result f xs)
+    | Some _, _ -> in_field name (Error "expected list")
+    | None, Some d -> Ok d
+    | None, None -> missing name
+
+  let read_file path =
+    match open_in_bin path with
+    | exception Sys_error e -> Error e
+    | ic ->
+      Fun.protect
+        ~finally:(fun () -> close_in_noerr ic)
+        (fun () ->
+          match really_input_string ic (in_channel_length ic) with
+          | s -> Ok s
+          | exception Sys_error e -> Error (path ^ ": " ^ e)
+          | exception End_of_file -> Error (path ^ ": truncated read"))
+
+  let of_file path =
+    match read_file path with
+    | Error _ as e -> e
+    | Ok s -> (
+      match parse (String.trim s) with
+      | Ok _ as ok -> ok
+      | Error e -> Error (path ^ ": " ^ e))
 end
+
+let ( let* ) = Result.bind
 
 module Trace = struct
   type drop_reason =
@@ -471,151 +552,118 @@ module Trace = struct
 
   let encode ev = Json.to_string (to_json ev)
 
-  (* Field accessors for the decoder; every miss is a structured
-     error so a corrupted trace line names its defect. *)
-  let field name conv j =
-    match Json.member name j with
-    | None -> Error (Printf.sprintf "missing field %S" name)
-    | Some v -> (
-      match conv v with
-      | Some x -> Ok x
-      | None -> Error (Printf.sprintf "mistyped field %S" name))
-
-  let ( let* ) r f = match r with Ok v -> f v | Error _ as e -> e
-
-  let float_array j =
-    match j with
-    | Json.List xs ->
-      let rec go acc = function
-        | [] -> Some (Array.of_list (List.rev acc))
-        | x :: rest -> (
-          match Json.to_float_opt x with
-          | Some f -> go (f :: acc) rest
-          | None -> None)
-      in
-      go [] xs
-    | _ -> None
-
-  let int_array j =
-    match j with
-    | Json.List xs ->
-      let rec go acc = function
-        | [] -> Some (Array.of_list (List.rev acc))
-        | x :: rest -> (
-          match Json.to_int_opt x with
-          | Some i -> go (i :: acc) rest
-          | None -> None)
-      in
-      go [] xs
-    | _ -> None
-
   let decode line =
-    match Json.parse line with
-    | Error e -> Error e
-    | Ok j -> (
-      let* ev = field "ev" Json.to_string_opt j in
-      let* t = field "t" Json.to_float_opt j in
-      match ev with
-      | "enqueue" ->
-        let* link = field "link" Json.to_int_opt j in
-        let* flow = field "flow" Json.to_int_opt j in
-        let* seq = field "seq" Json.to_int_opt j in
-        let* bytes = field "bytes" Json.to_int_opt j in
-        let* qlen = field "qlen" Json.to_int_opt j in
-        Ok (Enqueue { t; link; flow; seq; bytes; qlen })
-      | "grant" ->
-        let* link = field "link" Json.to_int_opt j in
-        let* flow = field "flow" Json.to_int_opt j in
-        let* seq = field "seq" Json.to_int_opt j in
-        let* collided = field "collided" Json.to_bool_opt j in
-        let* airtime = field "airtime" Json.to_float_opt j in
-        Ok (Mac_grant { t; link; flow; seq; collided; airtime })
-      | "dequeue" ->
-        let* link = field "link" Json.to_int_opt j in
-        let* flow = field "flow" Json.to_int_opt j in
-        let* seq = field "seq" Json.to_int_opt j in
-        Ok (Dequeue { t; link; flow; seq })
-      | "collision" ->
-        let* link = field "link" Json.to_int_opt j in
-        let* flow = field "flow" Json.to_int_opt j in
-        let* seq = field "seq" Json.to_int_opt j in
-        Ok (Collision { t; link; flow; seq })
-      | "drop" ->
-        let* link =
-          match Json.member "link" j with
-          | None -> Error "missing field \"link\""
-          | Some Json.Null -> Ok None
-          | Some v -> (
-            match Json.to_int_opt v with
-            | Some l -> Ok (Some l)
-            | None -> Error "mistyped field \"link\"")
-        in
-        let* flow = field "flow" Json.to_int_opt j in
-        let* seq = field "seq" Json.to_int_opt j in
-        let* reason_s = field "reason" Json.to_string_opt j in
-        let* reason =
-          match drop_reason_of_name reason_s with
-          | Some r -> Ok r
-          | None -> Error (Printf.sprintf "unknown drop reason %S" reason_s)
-        in
-        Ok (Drop { t; link; flow; seq; reason })
-      | "delivery" ->
-        let* flow = field "flow" Json.to_int_opt j in
-        let* seq = field "seq" Json.to_int_opt j in
-        let* bytes = field "bytes" Json.to_int_opt j in
-        let* delay = field "delay" Json.to_float_opt j in
-        Ok (Delivery { t; flow; seq; bytes; delay })
-      | "price" ->
-        let* link = field "link" Json.to_int_opt j in
-        let* gamma = field "gamma" Json.to_float_opt j in
-        let* price = field "price" Json.to_float_opt j in
-        Ok (Price_update { t; link; gamma; price })
-      | "rate" ->
-        let* flow = field "flow" Json.to_int_opt j in
-        let* rates = field "rates" float_array j in
-        Ok (Rate_update { t; flow; rates })
-      | "ack" ->
-        let* flow = field "flow" Json.to_int_opt j in
-        let* qr = field "qr" float_array j in
-        let* bytes = field "bytes" int_array j in
-        Ok (Ack { t; flow; qr; bytes })
-      | "link" ->
-        let* link = field "link" Json.to_int_opt j in
-        let* capacity = field "capacity" Json.to_float_opt j in
-        Ok (Link_event { t; link; capacity })
-      | "loss" ->
-        let* link = field "link" Json.to_int_opt j in
-        let* prob = field "prob" Json.to_float_opt j in
-        Ok (Loss_event { t; link; prob })
-      | "ctrl" ->
-        let* drop = field "drop" Json.to_float_opt j in
-        let* delay = field "delay" Json.to_float_opt j in
-        Ok (Ctrl_event { t; drop; delay })
-      | "route_dead" ->
-        let* flow = field "flow" Json.to_int_opt j in
-        let* route = field "route" Json.to_int_opt j in
-        let* detect_s = field "detect_s" Json.to_float_opt j in
-        Ok (Route_dead { t; flow; route; detect_s })
-      | "route_probe" ->
-        let* flow = field "flow" Json.to_int_opt j in
-        let* route = field "route" Json.to_int_opt j in
-        let* attempt = field "attempt" Json.to_int_opt j in
-        Ok (Route_probe { t; flow; route; attempt })
-      | "route_restored" ->
-        let* flow = field "flow" Json.to_int_opt j in
-        let* route = field "route" Json.to_int_opt j in
-        let* down_s = field "down_s" Json.to_float_opt j in
-        Ok (Route_restored { t; flow; route; down_s })
-      | "price_reset" ->
-        let* link = field "link" Json.to_int_opt j in
-        Ok (Price_reset { t; link })
-      | "mark" ->
-        let* link = field "link" Json.to_int_opt j in
-        let* flow = field "flow" Json.to_int_opt j in
-        let* seq = field "seq" Json.to_int_opt j in
-        let* occ = field "occ" Json.to_int_opt j in
-        Ok (Ecn_mark { t; link; flow; seq; occ })
-      | k -> Error (Printf.sprintf "unknown event kind %S" k))
+    let open Json in
+    let* j = parse line in
+    let* ev = string_field "ev" j in
+    let* t = float_field "t" j in
+    match ev with
+    | "enqueue" ->
+      let* link = int_field "link" j in
+      let* flow = int_field "flow" j in
+      let* seq = int_field "seq" j in
+      let* bytes = int_field "bytes" j in
+      let* qlen = int_field "qlen" j in
+      Ok (Enqueue { t; link; flow; seq; bytes; qlen })
+    | "grant" ->
+      let* link = int_field "link" j in
+      let* flow = int_field "flow" j in
+      let* seq = int_field "seq" j in
+      let* collided = bool_field "collided" j in
+      let* airtime = float_field "airtime" j in
+      Ok (Mac_grant { t; link; flow; seq; collided; airtime })
+    | "dequeue" ->
+      let* link = int_field "link" j in
+      let* flow = int_field "flow" j in
+      let* seq = int_field "seq" j in
+      Ok (Dequeue { t; link; flow; seq })
+    | "collision" ->
+      let* link = int_field "link" j in
+      let* flow = int_field "flow" j in
+      let* seq = int_field "seq" j in
+      Ok (Collision { t; link; flow; seq })
+    | "drop" ->
+      let* link =
+        match member "link" j with
+        | Some Null -> Ok None
+        | _ -> Result.map Option.some (int_field "link" j)
+      in
+      let* flow = int_field "flow" j in
+      let* seq = int_field "seq" j in
+      let* reason_s = string_field "reason" j in
+      let* reason =
+        match drop_reason_of_name reason_s with
+        | Some r -> Ok r
+        | None -> Error (Printf.sprintf "unknown drop reason %S" reason_s)
+      in
+      Ok (Drop { t; link; flow; seq; reason })
+    | "delivery" ->
+      let* flow = int_field "flow" j in
+      let* seq = int_field "seq" j in
+      let* bytes = int_field "bytes" j in
+      let* delay = float_field "delay" j in
+      Ok (Delivery { t; flow; seq; bytes; delay })
+    | "price" ->
+      let* link = int_field "link" j in
+      let* gamma = float_field "gamma" j in
+      let* price = float_field "price" j in
+      Ok (Price_update { t; link; gamma; price })
+    | "rate" ->
+      let* flow = int_field "flow" j in
+      let* rates = list_field "rates" number j in
+      Ok (Rate_update { t; flow; rates = Array.of_list rates })
+    | "ack" ->
+      let* flow = int_field "flow" j in
+      let* qr = list_field "qr" number j in
+      let* bytes = list_field "bytes" integer j in
+      Ok (Ack { t; flow; qr = Array.of_list qr; bytes = Array.of_list bytes })
+    | "link" ->
+      let* link = int_field "link" j in
+      let* capacity = float_field "capacity" j in
+      Ok (Link_event { t; link; capacity })
+    | "loss" ->
+      let* link = int_field "link" j in
+      let* prob = float_field "prob" j in
+      Ok (Loss_event { t; link; prob })
+    | "ctrl" ->
+      let* drop = float_field "drop" j in
+      let* delay = float_field "delay" j in
+      Ok (Ctrl_event { t; drop; delay })
+    | "route_dead" ->
+      let* flow = int_field "flow" j in
+      let* route = int_field "route" j in
+      let* detect_s = float_field "detect_s" j in
+      Ok (Route_dead { t; flow; route; detect_s })
+    | "route_probe" ->
+      let* flow = int_field "flow" j in
+      let* route = int_field "route" j in
+      let* attempt = int_field "attempt" j in
+      Ok (Route_probe { t; flow; route; attempt })
+    | "route_restored" ->
+      let* flow = int_field "flow" j in
+      let* route = int_field "route" j in
+      let* down_s = float_field "down_s" j in
+      Ok (Route_restored { t; flow; route; down_s })
+    | "price_reset" ->
+      let* link = int_field "link" j in
+      Ok (Price_reset { t; link })
+    | "mark" ->
+      let* link = int_field "link" j in
+      let* flow = int_field "flow" j in
+      let* seq = int_field "seq" j in
+      let* occ = int_field "occ" j in
+      Ok (Ecn_mark { t; link; flow; seq; occ })
+    | k -> Error (Printf.sprintf "unknown event kind %S" k)
+
+  (* One JSONL line per event, through one reused buffer: the trace
+     sink's writer and the flight ring's dump. *)
+  let line_writer oc =
+    let buf = Buffer.create 256 in
+    fun ev ->
+      Buffer.clear buf;
+      Json.to_buffer buf (to_json ev);
+      Buffer.add_char buf '\n';
+      Buffer.output_buffer oc buf
 
   (* A sink carries the set of kinds it reads, as a bit mask over
      [tag], and its own deterministic sampling state: [every] = 1
@@ -678,13 +726,7 @@ module Trace = struct
       push_fn = (fun ev -> emit a ev; emit b ev);
     }
 
-  let to_channel oc =
-    let buf = Buffer.create 256 in
-    of_fn (fun ev ->
-        Buffer.clear buf;
-        Json.to_buffer buf (to_json ev);
-        Buffer.add_char buf '\n';
-        Buffer.output_buffer oc buf)
+  let to_channel oc = of_fn (line_writer oc)
 
   let collector ?kinds () =
     let acc = ref [] in
@@ -1040,15 +1082,8 @@ module Flight = struct
   let events t = List.rev (fold_oldest_first t (fun acc ev -> ev :: acc) [])
 
   let dump_channel t oc =
-    let buf = Buffer.create 256 in
-    fold_oldest_first t
-      (fun n ev ->
-        Buffer.clear buf;
-        Json.to_buffer buf (Trace.to_json ev);
-        Buffer.add_char buf '\n';
-        Buffer.output_buffer oc buf;
-        n + 1)
-      0
+    let write = Trace.line_writer oc in
+    fold_oldest_first t (fun n ev -> write ev; n + 1) 0
 
   let dump ?path t =
     let path = match path with Some p -> p | None -> t.dump_path in
@@ -1188,40 +1223,61 @@ module Prof = struct
       into.count.(c) <- into.count.(c) + p.count.(c)
     done
 
+  let entry_to_json e =
+    Json.Obj
+      [
+        ("name", Json.String e.name);
+        ("events", Json.Int e.events);
+        ("wall_s", Json.Float e.wall_s);
+        ("ns_per_event", Json.Float e.ns_per_event);
+        ("share_pct", Json.Float e.share_pct);
+        ("minor_words", Json.Float e.minor_words);
+        ("words_per_event", Json.Float e.words_per_event);
+      ]
+
+  let entry_of_json j =
+    let open Json in
+    let* name = string_field "name" j in
+    let* events = int_field "events" j in
+    let* wall_s = float_field "wall_s" j in
+    let* ns_per_event = float_field "ns_per_event" j in
+    let* share_pct = float_field "share_pct" j in
+    let* minor_words = float_field "minor_words" j in
+    let* words_per_event = float_field "words_per_event" j in
+    Ok { name; events; wall_s; ns_per_event; share_pct; minor_words; words_per_event }
+
   let to_json p =
     Json.Obj
       [
         ("figure", Json.String "profile");
         ("events", Json.Int (events p));
         ("wall_s", Json.Float (total_wall p));
-        ( "categories",
-          Json.List
-            (List.map
-               (fun e ->
-                 Json.Obj
-                   [
-                     ("name", Json.String e.name);
-                     ("events", Json.Int e.events);
-                     ("wall_s", Json.Float e.wall_s);
-                     ("ns_per_event", Json.Float e.ns_per_event);
-                     ("share_pct", Json.Float e.share_pct);
-                     ("minor_words", Json.Float e.minor_words);
-                     ("words_per_event", Json.Float e.words_per_event);
-                   ])
-               (report p)) );
+        ("categories", Json.List (List.map entry_to_json (report p)));
       ]
 
-  let print ?(out = stdout) p =
+  type document = { total_events : int; attributed_s : float; entries : entry list }
+
+  let document_of_json j =
+    let open Json in
+    let* total_events = int_field "events" j in
+    let* attributed_s = float_field "wall_s" j in
+    let* entries = list_field "categories" entry_of_json j in
+    Ok { total_events; attributed_s; entries }
+
+  let print_entries ?(out = stdout) entries =
     let pr fmt = Printf.fprintf out fmt in
-    pr "--- profile: %d events, %.4f s attributed ---\n" (events p)
-      (total_wall p);
     pr "%-12s %10s %10s %9s %8s %12s %9s\n" "subsystem" "events" "wall_s"
       "ns/event" "share" "minor_words" "words/ev";
     List.iter
       (fun e ->
         pr "%-12s %10d %10.4f %9.0f %7.1f%% %12.0f %9.1f\n" e.name e.events
           e.wall_s e.ns_per_event e.share_pct e.minor_words e.words_per_event)
-      (report p)
+      entries
+
+  let print ?(out = stdout) p =
+    Printf.fprintf out "--- profile: %d events, %.4f s attributed ---\n"
+      (events p) (total_wall p);
+    print_entries ~out (report p)
 end
 
 module Metrics = struct

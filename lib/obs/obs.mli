@@ -88,7 +88,9 @@
     v}
 
     Numbers are encoded with enough digits to round-trip
-    bit-exactly, so [decode (encode e) = Ok e] for every event. *)
+    bit-exactly, and the decoder accepts only finite ones, so
+    [decode (encode e) = Ok e] for every event [e] that {!Trace.decode}
+    returned and for every event whose numbers are finite. *)
 
 (** Minimal JSON values — the wire format shared by the trace
     encoder, the metrics dumps and the harness's [--json] output.
@@ -122,13 +124,62 @@ module Json : sig
   (** Field lookup in an [Obj]; [None] otherwise. *)
 
   val to_int_opt : t -> int option
-  (** [Int n] and integral [Float]s. *)
+  (** [Int n] and integral [Float]s inside the [int] range. *)
 
   val to_float_opt : t -> float option
 
   val to_string_opt : t -> string option
 
   val to_bool_opt : t -> bool option
+
+  (** {2 Strict field kit}
+
+      Every document decoder in the repository — trace lines, fault
+      plans, scenario specs and scorecards, the loadsweep and profile
+      figures — reads its fields through these functions, so they
+      share one error vocabulary: [missing field "x"] when the member
+      is absent and [field "x": expected <type>] when it has the
+      wrong type. A decoder that accepts a value can write it back:
+      {!float_field} and {!number} reject non-finite numbers (a
+      [1e400] literal parses to infinity, which {!to_string} writes
+      as [null]). *)
+
+  val field : string -> t -> (t, string) result
+  (** The member itself, of any type. *)
+
+  val int_field : string -> t -> (int, string) result
+  (** As {!to_int_opt}: [Int n] and integral [Float]s. *)
+
+  val float_field : string -> t -> (float, string) result
+  (** A finite number, [Int] or [Float]. *)
+
+  val string_field : string -> t -> (string, string) result
+  val bool_field : string -> t -> (bool, string) result
+
+  val obj_field : string -> t -> (t, string) result
+  (** An [Obj] member, returned whole for its own fields to be read. *)
+
+  val list_field :
+    ?default:'a list -> string -> (t -> ('a, string) result) -> t ->
+    ('a list, string) result
+  (** Every element of a [List] member decoded in order; the first
+      element error is returned as [field "x": <error>]. [default]
+      stands in for an absent member. *)
+
+  val integer : t -> (int, string) result
+  val number : t -> (float, string) result
+  (** Element decoders for {!list_field}, with {!int_field}'s and
+      {!float_field}'s rules. *)
+
+  val map_result : ('a -> ('b, 'e) result) -> 'a list -> ('b list, 'e) result
+  (** [List.map] that stops at the first [Error]. *)
+
+  val read_file : string -> (string, string) result
+  (** The whole file, read once at its [in_channel_length]. *)
+
+  val of_file : string -> (t, string) result
+  (** {!read_file}, then {!parse} of the trimmed contents; a parse
+      error is prefixed with the path. *)
 end
 
 (** Typed datapath/control-plane events and their JSONL codec. *)
@@ -181,8 +232,10 @@ module Trace : sig
   (** One JSONL line (no trailing newline). *)
 
   val decode : string -> (event, string) result
-  (** Strict: malformed JSON, an unknown ["ev"] kind, or a missing /
-      mistyped field is an [Error]. [decode (encode e) = Ok e]. *)
+  (** Strict: malformed JSON, an unknown ["ev"] kind, a missing or
+      mistyped field, or a non-finite number is an [Error], in the
+      {!Json.field} vocabulary. Whenever [decode s = Ok e],
+      [decode (encode e) = Ok e]. *)
 
   (** A consumer of events. Emission never fails upward: sinks are
       observation only. Every sink names the event kinds it reads (all
@@ -447,10 +500,29 @@ module Prof : sig
 
   val merge : into:t -> t -> unit
 
+  val entry_to_json : entry -> Json.t
+  val entry_of_json : Json.t -> (entry, string) result
+  (** [entry_of_json (entry_to_json e) = Ok e] for finite numbers. *)
+
   val to_json : t -> Json.t
-  (** The ["profile"] figure consumed by [empower_eval report]. *)
+  (** The ["profile"] figure consumed by [empower_eval report]: the
+      {!events} count, the {!total_wall} seconds and the {!report}
+      entries. *)
+
+  (** A ["profile"] figure read back: what {!to_json} wrote. *)
+  type document = {
+    total_events : int;  (** ["events"] *)
+    attributed_s : float;  (** ["wall_s"] *)
+    entries : entry list;  (** ["categories"] *)
+  }
+
+  val document_of_json : Json.t -> (document, string) result
+
+  val print_entries : ?out:out_channel -> entry list -> unit
+  (** The hotspot table: a column header, then one row per entry. *)
 
   val print : ?out:out_channel -> t -> unit
+  (** A one-line header, then {!print_entries} of {!report}. *)
 end
 
 (** Name-keyed registry of counters, gauges, time series and

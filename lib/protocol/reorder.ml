@@ -24,38 +24,12 @@ let pending t = Int_map.cardinal t.buffer
 
 let next_expected t = t.next_seq
 
-(* Release everything in-order from the buffer, declaring losses for
-   gaps that can no longer be filled (every route has moved past
-   them). *)
-let drain t =
-  let events = ref [] in
-  let all_routes_past s = Array.for_all (fun h -> h > s) t.highest in
-  let progress = ref true in
-  while !progress do
-    progress := false;
-    match Int_map.find_opt t.next_seq t.buffer with
-    | Some payload ->
-      events := Deliver (t.next_seq, payload) :: !events;
-      t.buffer <- Int_map.remove t.next_seq t.buffer;
-      t.next_seq <- t.next_seq + 1;
-      progress := true
-    | None ->
-      if t.declare_losses && all_routes_past t.next_seq then begin
-        events := Lost t.next_seq :: !events;
-        t.next_seq <- t.next_seq + 1;
-        progress := true
-      end
-  done;
-  List.rev !events
-
-(* Callback variant of [push]: the exact event sequence of [push],
-   delivered through [deliver]/[lost] instead of an allocated list.
-   The steady-state case — the arriving seq is the expected one and
-   the buffer is empty — touches neither the map nor the list
-   allocator. *)
+(* Every route has moved past [s]: nothing older can still arrive. *)
 let rec past_all h i s =
   i >= Array.length h || (h.(i) > s && past_all h (i + 1) s)
 
+(* Release everything in order from the buffer, declaring losses for
+   gaps that can no longer be filled. *)
 let drain_cb t ~deliver ~lost =
   let progress = ref true in
   while !progress do
@@ -74,6 +48,8 @@ let drain_cb t ~deliver ~lost =
       end
   done
 
+(* The steady-state case — the arriving seq is the expected one and
+   the buffer is empty — never touches the map. *)
 let push_cb t ~route ~seq payload ~deliver ~lost =
   if route < 0 || route >= Array.length t.highest then
     invalid_arg "Reorder.push: bad route";
@@ -90,15 +66,11 @@ let push_cb t ~route ~seq payload ~deliver ~lost =
   drain_cb t ~deliver ~lost
 
 let push t ~route ~seq payload =
-  if route < 0 || route >= Array.length t.highest then
-    invalid_arg "Reorder.push: bad route";
-  if seq < 0 then invalid_arg "Reorder.push: negative seq";
-  if seq > t.highest.(route) then t.highest.(route) <- seq;
-  if seq < t.next_seq || Int_map.mem seq t.buffer then drain t
-  else begin
-    t.buffer <- Int_map.add seq payload t.buffer;
-    drain t
-  end
+  let events = ref [] in
+  push_cb t ~route ~seq payload
+    ~deliver:(fun s p -> events := Deliver (s, p) :: !events)
+    ~lost:(fun s -> events := Lost s :: !events);
+  List.rev !events
 
 module Equalizer = struct
   type t = {

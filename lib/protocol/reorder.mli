@@ -38,10 +38,10 @@ val push_cb :
   deliver:(int -> 'a -> unit) ->
   lost:(int -> unit) ->
   unit
-(** Exactly {!push}, but the events fire through the callbacks in
-    release order instead of materialising a list — the engine's
-    zero-allocation delivery path. The in-order common case bypasses
-    the buffer map entirely. *)
+(** {!push} without the list: the events fire through the callbacks
+    in release order — the engine's zero-allocation delivery path,
+    which {!push} wraps. The in-order common case bypasses the buffer
+    map entirely. *)
 
 val pending : 'a t -> int
 (** Number of buffered, not-yet-releasable packets. *)

@@ -5,57 +5,35 @@
    output; replaying those parameters must reproduce it byte for
    byte, at any --jobs count. *)
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 let golden_path = Filename.concat "golden" "buffers_seed23.json"
 
-let jget name j =
-  match Obs.Json.member name j with
-  | Some v -> v
-  | None -> Alcotest.failf "golden report: missing field %S" name
+module J = Obs.Json
 
-let jint name j =
-  match Obs.Json.to_int_opt (jget name j) with
-  | Some i -> i
-  | None -> Alcotest.failf "golden field %S: expected integer" name
+(* A golden field the kit cannot read fails the test with the kit's
+   message. *)
+let get read name j =
+  match read name j with
+  | Ok v -> v
+  | Error m -> Alcotest.failf "golden report: %s" m
 
-let jfloat name j =
-  match Obs.Json.to_float_opt (jget name j) with
-  | Some f -> f
-  | None -> Alcotest.failf "golden field %S: expected number" name
+let golden_text () =
+  match J.read_file golden_path with
+  | Ok s -> String.trim s
+  | Error m -> Alcotest.fail m
 
-let jlist name of_json j =
-  match jget name j with
-  | Obs.Json.List xs -> List.map of_json xs
-  | _ -> Alcotest.failf "golden field %S: expected list" name
-
-let golden_text () = String.trim (read_file golden_path)
+let golden_json () =
+  match J.parse (golden_text ()) with
+  | Ok j -> j
+  | Error m -> Alcotest.failf "%s: %s" golden_path m
 
 let golden_params () =
-  let j =
-    match Obs.Json.parse (golden_text ()) with
-    | Ok j -> j
-    | Error m -> Alcotest.failf "%s: %s" golden_path m
-  in
-  let int_of j =
-    match Obs.Json.to_int_opt j with
-    | Some i -> i
-    | None -> Alcotest.failf "golden axis: expected integer"
-  in
-  let float_of j =
-    match Obs.Json.to_float_opt j with
-    | Some f -> f
-    | None -> Alcotest.failf "golden axis: expected number"
-  in
-  ( jint "seed" j,
-    jfloat "duration" j,
-    jlist "pools" int_of j,
-    jlist "alphas" float_of j,
-    jlist "ecns" int_of j )
+  let j = golden_json () in
+  let list elt name = get (fun name -> J.list_field name elt) name j in
+  ( get J.int_field "seed" j,
+    get J.float_field "duration" j,
+    list J.integer "pools",
+    list J.number "alphas",
+    list J.integer "ecns" )
 
 let rerun ?jobs () =
   let seed, duration, pools, alphas, ecns = golden_params () in
@@ -75,43 +53,29 @@ let test_congestive_contrast () =
   (* The study's headline claim, pinned on the golden itself: on the
      deep-pool ECN point the DCTCP sender absorbs the marks without a
      single tail-drop while Reno keeps overflowing the pool. *)
-  let j =
-    match Obs.Json.parse (golden_text ()) with
-    | Ok j -> j
-    | Error m -> Alcotest.failf "%s: %s" golden_path m
-  in
-  let points =
-    match jget "points" j with
-    | Obs.Json.List pts -> pts
-    | _ -> Alcotest.failf "golden field \"points\": expected list"
-  in
+  let objects name j = get (fun name -> J.list_field name Result.ok) name j in
+  let int = get J.int_field and float = get J.float_field in
+  let points = objects "points" (golden_json ()) in
   let deep_ecn =
     List.filter
-      (fun p -> jint "pool_frames" p = 64 && jint "ecn_frames" p > 0)
+      (fun p -> int "pool_frames" p = 64 && int "ecn_frames" p > 0)
       points
   in
   Alcotest.(check bool) "has a deep-pool ECN point" true (deep_ecn <> []);
   List.iter
     (fun p ->
-      let variants =
-        match jget "variants" p with
-        | Obs.Json.List vs -> vs
-        | _ -> Alcotest.failf "golden field \"variants\": expected list"
-      in
+      let variants = objects "variants" p in
       let find name =
         List.find
-          (fun v ->
-            match Obs.Json.to_string_opt (jget "variant" v) with
-            | Some s -> s = name
-            | None -> false)
+          (fun v -> J.string_field "variant" v = Ok name)
           variants
       in
       let reno = find "reno" and dctcp = find "dctcp" in
-      Alcotest.(check bool) "reno tail-drops" true (jint "queue_drops" reno > 0);
-      Alcotest.(check int) "dctcp has no drops" 0 (jint "queue_drops" dctcp);
-      Alcotest.(check bool) "dctcp sees marks" true (jint "ecn_marks" dctcp > 0);
+      Alcotest.(check bool) "reno tail-drops" true (int "queue_drops" reno > 0);
+      Alcotest.(check int) "dctcp has no drops" 0 (int "queue_drops" dctcp);
+      Alcotest.(check bool) "dctcp sees marks" true (int "ecn_marks" dctcp > 0);
       Alcotest.(check bool) "dctcp goodput at least reno's" true
-        (jfloat "goodput_mbps" dctcp >= jfloat "goodput_mbps" reno))
+        (float "goodput_mbps" dctcp >= float "goodput_mbps" reno))
     deep_ecn
 
 let test_jobs_byte_identity () =

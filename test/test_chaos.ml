@@ -8,31 +8,14 @@ let check_float ?(eps = 1e-9) msg expected actual =
   if Float.abs (expected -. actual) > eps then
     Alcotest.failf "%s: expected %.12g, got %.12g" msg expected actual
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
+module J = Obs.Json
 
-let jget name j =
-  match Obs.Json.member name j with
-  | Some v -> v
-  | None -> Alcotest.failf "golden report: missing field %S" name
-
-let jint name j =
-  match Obs.Json.to_int_opt (jget name j) with
-  | Some i -> i
-  | None -> Alcotest.failf "golden field %S: expected integer" name
-
-let jfloat name j =
-  match Obs.Json.to_float_opt (jget name j) with
-  | Some f -> f
-  | None -> Alcotest.failf "golden field %S: expected number" name
-
-let jstring name j =
-  match jget name j with
-  | Obs.Json.String s -> s
-  | _ -> Alcotest.failf "golden field %S: expected string" name
+(* A golden field the kit cannot read fails the test with the kit's
+   message. *)
+let get read name j =
+  match read name j with
+  | Ok v -> v
+  | Error m -> Alcotest.failf "golden report: %s" m
 
 (* ---------- golden replay ---------- *)
 
@@ -59,65 +42,61 @@ let test_goldens_present () =
 
 let replay_golden path () =
   let j =
-    match Obs.Json.parse (read_file path) with
-    | Ok j -> j
-    | Error m -> Alcotest.failf "%s: %s" path m
+    match J.of_file path with Ok j -> j | Error m -> Alcotest.fail m
   in
-  let seed = jint "seed" j in
-  let duration = jfloat "duration" j in
+  let seed = get J.int_field "seed" j in
+  let duration = get J.float_field "duration" j in
   let intensity =
-    let name = jstring "intensity" j in
+    let name = get J.string_field "intensity" j in
     match Fault.Gen.intensity_of_name name with
     | Some i -> i
     | None -> Alcotest.failf "%s: unknown intensity %S" path name
   in
-  Alcotest.(check string) "scenario tag" "chaos" (jstring "scenario" j);
+  Alcotest.(check string) "scenario tag" "chaos"
+    (get J.string_field "scenario" j);
   (* Goldens recorded before the recovery subsystem carry no
      "recovery" field; they replay with it off. *)
   let recovery =
-    match Obs.Json.member "recovery" j with
-    | Some (Obs.Json.Bool b) -> b
-    | Some _ -> Alcotest.failf "%s: field \"recovery\": expected bool" path
+    match J.member "recovery" j with
+    | Some _ -> get J.bool_field "recovery" j
     | None -> false
   in
   let r = Chaos.run ~intensity ~recovery ~duration ~seed () in
   (* The plan itself must replay byte-for-byte... *)
-  (match Fault.of_json (jget "plan" j) with
+  (match Fault.of_json (get J.field "plan" j) with
   | Ok p ->
     if p <> r.Chaos.plan then
       Alcotest.failf "%s: replayed plan differs from the golden plan" path
   | Error m -> Alcotest.failf "%s: golden plan does not decode: %s" path m);
   (* ...and so must the run it drives. *)
-  Alcotest.(check int) "fault_events" (jint "fault_events" j) r.Chaos.fault_events;
-  Alcotest.(check int) "queue_drops" (jint "queue_drops" j)
+  Alcotest.(check int) "fault_events"
+    (get J.int_field "fault_events" j)
+    r.Chaos.fault_events;
+  Alcotest.(check int) "queue_drops" (get J.int_field "queue_drops" j)
     r.Chaos.result.Engine.queue_drops;
-  Alcotest.(check int) "events_processed" (jint "events_processed" j)
+  Alcotest.(check int) "events_processed"
+    (get J.int_field "events_processed" j)
     r.Chaos.result.Engine.events_processed;
-  let flows =
-    match jget "flows" j with
-    | Obs.Json.List l -> l
-    | _ -> Alcotest.failf "%s: field \"flows\": expected list" path
-  in
+  let flows = get (fun name -> J.list_field name Result.ok) "flows" j in
   Alcotest.(check int) "flow count" (List.length flows)
     (List.length r.Chaos.flows);
   List.iter2
     (fun fj (f : Chaos.flow_report) ->
       let m name = Printf.sprintf "flow %d %s" f.Chaos.flow name in
-      Alcotest.(check int) (m "id") (jint "flow" fj) f.Chaos.flow;
+      Alcotest.(check int) (m "id") (get J.int_field "flow" fj) f.Chaos.flow;
       Alcotest.(check int)
         (m "received_bytes")
-        (jint "received_bytes" fj) f.Chaos.received_bytes;
-      check_float (m "goodput_mbps") (jfloat "goodput_mbps" fj) f.Chaos.goodput_mbps;
-      check_float (m "recovery_s") (jfloat "recovery_s" fj) f.Chaos.recovery_s;
-      check_float (m "dip_depth") (jfloat "dip_depth" fj) f.Chaos.dip_depth;
-      check_float (m "dip_area") (jfloat "dip_area" fj) f.Chaos.dip_area;
-      Alcotest.(check int) (m "reroutes") (jint "reroutes" fj) f.Chaos.reroutes;
+        (get J.int_field "received_bytes" fj) f.Chaos.received_bytes;
+      let float name = get J.float_field name fj in
+      check_float (m "goodput_mbps") (float "goodput_mbps") f.Chaos.goodput_mbps;
+      check_float (m "recovery_s") (float "recovery_s") f.Chaos.recovery_s;
+      check_float (m "dip_depth") (float "dip_depth") f.Chaos.dip_depth;
+      check_float (m "dip_area") (float "dip_area") f.Chaos.dip_area;
+      Alcotest.(check int) (m "reroutes") (get J.int_field "reroutes" fj)
+        f.Chaos.reroutes;
       (* detect_s is absent from pre-recovery goldens. *)
-      match Obs.Json.member "detect_s" fj with
-      | Some v -> (
-        match Obs.Json.to_float_opt v with
-        | Some d -> check_float (m "detect_s") d f.Chaos.detect_s
-        | None -> Alcotest.failf "%s: field \"detect_s\": expected number" path)
+      match J.member "detect_s" fj with
+      | Some _ -> check_float (m "detect_s") (float "detect_s") f.Chaos.detect_s
       | None -> ())
     flows r.Chaos.flows
 
@@ -174,8 +153,8 @@ let test_report_json_parses () =
   let r = Chaos.run ~seed:5 ~duration:6.0 () in
   match Obs.Json.parse (Obs.Json.to_string (Chaos.to_json r)) with
   | Ok j ->
-    Alcotest.(check int) "seed survives" 5 (jint "seed" j);
-    (match Fault.of_json (jget "plan" j) with
+    Alcotest.(check int) "seed survives" 5 (get J.int_field "seed" j);
+    (match Fault.of_json (get J.field "plan" j) with
     | Ok p ->
       Alcotest.(check bool) "embedded plan round-trips" true (p = r.Chaos.plan)
     | Error m -> Alcotest.failf "embedded plan: %s" m)

@@ -83,6 +83,11 @@ let test_decode_rejects () =
       (* mistyped field *)
       {|{"version":1,"actions":[{"op":"link_down","at":"zero","link":1}]}|};
       {|{"version":1,"actions":[{"op":"link_down","at":0,"link":1.5}]}|};
+      (* numbers [encode] would write back as null *)
+      {|{"version":1,"actions":[{"op":"link_down","at":1e400,"link":1}]}|};
+      {|{"version":1,"actions":[{"op":"capacity_set","at":0,"link":1,"capacity":-1e400}]}|};
+      (* an integral float beyond the int range, which would wrap *)
+      {|{"version":1,"actions":[{"op":"link_down","at":0,"link":1e19}]}|};
       (* action not an object *)
       {|{"version":1,"actions":[42]}|};
       (* actions not a list *)

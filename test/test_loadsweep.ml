@@ -5,48 +5,26 @@
    --json` output; replaying those parameters must reproduce it byte
    for byte, at any --jobs count. *)
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 let golden_path = Filename.concat "golden" "loadsweep_seed17.json"
 
-let jget name j =
-  match Obs.Json.member name j with
-  | Some v -> v
-  | None -> Alcotest.failf "golden report: missing field %S" name
+let golden_text () =
+  match Obs.Json.read_file golden_path with
+  | Ok s -> String.trim s
+  | Error m -> Alcotest.fail m
 
-let jint name j =
-  match Obs.Json.to_int_opt (jget name j) with
-  | Some i -> i
-  | None -> Alcotest.failf "golden field %S: expected integer" name
-
-let jfloat name j =
-  match Obs.Json.to_float_opt (jget name j) with
-  | Some f -> f
-  | None -> Alcotest.failf "golden field %S: expected number" name
-
-let golden_text () = String.trim (read_file golden_path)
+let golden () =
+  match Result.bind (Obs.Json.of_file golden_path) Figure_json.loadsweep_of_json with
+  | Ok d -> d
+  | Error m -> Alcotest.failf "%s: %s" golden_path m
 
 let golden_params () =
-  let j =
-    match Obs.Json.parse (golden_text ()) with
-    | Ok j -> j
-    | Error m -> Alcotest.failf "%s: %s" golden_path m
-  in
-  let loads =
-    match jget "points" j with
-    | Obs.Json.List pts -> List.map (jfloat "load") pts
-    | _ -> Alcotest.failf "golden field \"points\": expected list"
-  in
-  ( jint "seed" j,
-    jint "pairs" j,
-    jint "conns" j,
-    jfloat "duration" j,
-    jfloat "drain" j,
-    loads )
+  let d = golden () in
+  ( d.Loadsweep.seed,
+    d.Loadsweep.pairs,
+    d.Loadsweep.conns,
+    d.Loadsweep.duration,
+    d.Loadsweep.drain,
+    List.map (fun p -> p.Loadsweep.load) d.Loadsweep.points )
 
 let rerun ?jobs () =
   let seed, pairs, conns, duration, drain, loads = golden_params () in
@@ -61,6 +39,12 @@ let test_golden_replay () =
      format change lands. *)
   Alcotest.(check string) "golden loadsweep byte-identical" (golden_text ())
     (rerun ())
+
+let test_golden_decodes () =
+  (* The figure's decoder is its encoder's inverse: the golden
+     reprints byte for byte from what it decodes to. *)
+  Alcotest.(check string) "loadsweep (loadsweep_of_json j) = j" (golden_text ())
+    (Obs.Json.to_string (Figure_json.loadsweep (golden ())))
 
 let test_jobs_byte_identity () =
   (* The --jobs contract (test_exec pattern): any worker count yields
@@ -86,6 +70,8 @@ let () =
       ( "golden",
         [
           Alcotest.test_case "replay seed 17" `Quick test_golden_replay;
+          Alcotest.test_case "decoder reprints the golden" `Quick
+            test_golden_decodes;
           Alcotest.test_case "seed changes output" `Quick
             test_seed_changes_output;
         ] );

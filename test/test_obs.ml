@@ -182,9 +182,49 @@ let test_decode_rejects () =
       {|{"ev":"dequeue","t":0,"link":1,"flow":0}|};            (* missing seq *)
       {|{"ev":"dequeue","t":0,"link":"one","flow":0,"seq":0}|};(* mistyped *)
       {|{"ev":"drop","t":0,"link":1,"flow":0,"seq":0,"reason":"gremlins"}|};
+      (* numbers [encode] would write back as null *)
+      {|{"ev":"link","t":1e400,"link":0,"capacity":1}|};
+      {|{"ev":"link","t":0,"link":0,"capacity":-1e400}|};
+      {|{"ev":"rate","t":0,"flow":0,"rates":[1,1e400]}|};
+      (* an integral float beyond the int range, which would wrap *)
+      {|{"ev":"price_reset","t":0,"link":1e300}|};
       "not json at all";
       "";
     ]
+
+(* ---------- Prof codec ---------- *)
+
+let test_prof_entry_roundtrip () =
+  let e =
+    {
+      Obs.Prof.name = "mac_phy";
+      events = 1690;
+      wall_s = 0.1 +. 0.2;
+      ns_per_event = 1.0 /. 3.0;
+      share_pct = 53.3;
+      minor_words = 74419.0;
+      words_per_event = Float.ldexp 1.0 (-40);
+    }
+  in
+  Alcotest.(check bool) "entry round-trips" true
+    (Obs.Prof.entry_of_json (Obs.Prof.entry_to_json e) = Ok e)
+
+let test_prof_document () =
+  let open Obs.Prof in
+  let p = create () in
+  List.iter
+    (fun cat ->
+      enter p;
+      leave p cat)
+    [ cat_mac_phy; cat_traffic; cat_mac_phy ];
+  enter p;
+  leave_silent p cat_scheduler;
+  match document_of_json (to_json p) with
+  | Error m -> Alcotest.failf "profile document does not decode: %s" m
+  | Ok d ->
+    Alcotest.(check int) "events" (events p) d.total_events;
+    Alcotest.(check bool) "attributed seconds" true (d.attributed_s = total_wall p);
+    Alcotest.(check bool) "entries" true (d.entries = report p)
 
 (* ---------- Histogram ---------- *)
 
@@ -1035,6 +1075,12 @@ let () =
           Alcotest.test_case "rejects bad lines" `Quick test_decode_rejects;
           Alcotest.test_case "summary counts marks" `Quick
             test_summary_counts_marks;
+        ] );
+      ( "profile codec",
+        [
+          Alcotest.test_case "entry round-trips" `Quick test_prof_entry_roundtrip;
+          Alcotest.test_case "document decodes what to_json wrote" `Quick
+            test_prof_document;
         ] );
       ( "metrics",
         [

@@ -4,10 +4,7 @@
    run_all must be bit-identical for any job count. *)
 
 let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
+  match Obs.Json.read_file path with Ok s -> s | Error m -> Alcotest.fail m
 
 (* The dune rule depends on ../scenarios/*.json, so the catalog sits
    one level above the test executable in the build sandbox. *)
@@ -93,6 +90,28 @@ let replay_golden name () =
   Alcotest.(check string)
     (name ^ " scorecard replays byte-for-byte")
     (String.trim golden) (scorecard_string spec)
+
+(* The scorecard decoder is its encoder's inverse: every golden
+   reprints byte for byte from what it decodes to, and an explicit
+   churn comes back as the plan the run used. *)
+let test_goldens_decode () =
+  List.iter
+    (fun (name, _) ->
+      let path = Filename.concat golden_dir ("scenario_" ^ name ^ ".json") in
+      let golden = String.trim (read_file path) in
+      match Result.bind (Obs.Json.parse golden) Scenario.of_json with
+      | Error e -> Alcotest.failf "%s: %s" path e
+      | Ok sc ->
+        Alcotest.(check string)
+          (name ^ " to_json (of_json j) = j")
+          golden
+          (Obs.Json.to_string (Scenario.to_json sc));
+        (match sc.Scenario.spec.Scenario.churn with
+        | Scenario.Plan p ->
+          Alcotest.(check bool) (name ^ " churn is the run's plan") true
+            (p = sc.Scenario.plan)
+        | Scenario.Generate _ -> ()))
+    (catalog ())
 
 let test_shipped_scenarios_meet_slo () =
   List.iter
@@ -258,6 +277,7 @@ let () =
           golden "capacity-drift";
           golden "legacy-mix";
           golden "join-growth";
+          ("decoder reprints the goldens", `Quick, test_goldens_decode);
           ("shipped SLOs pass", `Slow, test_shipped_scenarios_meet_slo);
         ] );
       ( "determinism",
