@@ -393,74 +393,75 @@ let to_json plan =
 let ( let* ) = Result.bind
 
 let action_of_json j =
+  let open J in
   match j with
   | J.Obj _ -> (
-      let* op = J.string_field "op" j in
+      let* op = string_field "op" j in
       match op with
       | "link_down" ->
-          let* at = J.float_field "at" j in
-          let* link = J.int_field "link" j in
+          let* at = float_field "at" j in
+          let* link = int_field "link" j in
           Ok (Link_down { at; link })
       | "link_up" ->
-          let* at = J.float_field "at" j in
-          let* link = J.int_field "link" j in
-          let* capacity = J.float_field "capacity" j in
+          let* at = float_field "at" j in
+          let* link = int_field "link" j in
+          let* capacity = float_field "capacity" j in
           Ok (Link_up { at; link; capacity })
       | "capacity_set" ->
-          let* at = J.float_field "at" j in
-          let* link = J.int_field "link" j in
-          let* capacity = J.float_field "capacity" j in
+          let* at = float_field "at" j in
+          let* link = int_field "link" j in
+          let* capacity = float_field "capacity" j in
           Ok (Capacity_set { at; link; capacity })
       | "capacity_ramp" ->
-          let* at = J.float_field "at" j in
-          let* link = J.int_field "link" j in
-          let* from_cap = J.float_field "from" j in
-          let* to_cap = J.float_field "to" j in
-          let* over = J.float_field "over" j in
-          let* steps = J.int_field "steps" j in
+          let* at = float_field "at" j in
+          let* link = int_field "link" j in
+          let* from_cap = float_field "from" j in
+          let* to_cap = float_field "to" j in
+          let* over = float_field "over" j in
+          let* steps = int_field "steps" j in
           Ok (Capacity_ramp { at; link; from_cap; to_cap; over; steps })
       | "loss_window" ->
-          let* at = J.float_field "at" j in
-          let* until = J.float_field "until" j in
-          let* link = J.int_field "link" j in
-          let* prob = J.float_field "prob" j in
+          let* at = float_field "at" j in
+          let* until = float_field "until" j in
+          let* link = int_field "link" j in
+          let* prob = float_field "prob" j in
           Ok (Loss_window { at; until; link; prob })
       | "ctrl_drop" ->
-          let* at = J.float_field "at" j in
-          let* until = J.float_field "until" j in
-          let* prob = J.float_field "prob" j in
+          let* at = float_field "at" j in
+          let* until = float_field "until" j in
+          let* prob = float_field "prob" j in
           Ok (Ctrl_drop { at; until; prob })
       | "ctrl_delay" ->
-          let* at = J.float_field "at" j in
-          let* until = J.float_field "until" j in
-          let* delay = J.float_field "delay" j in
+          let* at = float_field "at" j in
+          let* until = float_field "until" j in
+          let* delay = float_field "delay" j in
           Ok (Ctrl_delay { at; until; delay })
       | "node_crash" ->
-          let* at = J.float_field "at" j in
-          let* node = J.int_field "node" j in
+          let* at = float_field "at" j in
+          let* node = int_field "node" j in
           Ok (Node_crash { at; node })
       | "node_restart" ->
-          let* at = J.float_field "at" j in
-          let* node = J.int_field "node" j in
+          let* at = float_field "at" j in
+          let* node = int_field "node" j in
           Ok (Node_restart { at; node })
       | "node_flap" ->
-          let* at = J.float_field "at" j in
-          let* until = J.float_field "until" j in
-          let* node = J.int_field "node" j in
-          let* period = J.float_field "period" j in
-          let* duty = J.float_field "duty" j in
+          let* at = float_field "at" j in
+          let* until = float_field "until" j in
+          let* node = int_field "node" j in
+          let* period = float_field "period" j in
+          let* duty = float_field "duty" j in
           Ok (Node_flap { at; until; node; period; duty })
       | "capacity_drift" ->
-          let* at = J.float_field "at" j in
-          let* until = J.float_field "until" j in
-          let* link = J.int_field "link" j in
-          let* floor_frac = J.float_field "floor" j in
-          let* period = J.float_field "period" j in
-          let* steps = J.int_field "steps" j in
+          let* at = float_field "at" j in
+          let* until = float_field "until" j in
+          let* link = int_field "link" j in
+          let* floor_frac = float_field "floor" j in
+          let* period = float_field "period" j in
+          let* steps = int_field "steps" j in
           Ok (Capacity_drift { at; until; link; floor_frac; period; steps })
       | "node_join" ->
-          let* at = J.float_field "at" j in
-          let* node = J.int_field "node" j in
+          let* at = float_field "at" j in
+          let* node = int_field "node" j in
           Ok (Node_join { at; node })
       | other -> Error (Printf.sprintf "unknown op %S" other))
   | _ -> Error "expected object"
