@@ -673,7 +673,9 @@ let run_sim_check () =
       Printf.eprintf "bench check: %s — commit a baseline snapshot\n" e;
       exit 2
     | Ok j -> (
-      match Option.bind (Obs.Json.member "events_per_s" j) Obs.Json.to_float_opt with
+      match
+        Option.bind (Obs.Json.member "events_per_s" j) Obs.Json.to_float_opt
+      with
       | Some v when v > 0.0 -> v
       | Some _ | None ->
         Printf.eprintf "bench check: no events_per_s in %s\n" baseline_file;

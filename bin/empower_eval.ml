@@ -490,7 +490,11 @@ let chaos_cmd =
                       ~intensity ~recovery ~duration ~seed ())
               in
               let outcome =
-                { Tracing.scenario = "chaos"; result = report.Chaos.result; duration }
+                {
+                  Tracing.scenario = "chaos";
+                  result = report.Chaos.result;
+                  duration;
+                }
               in
               let summary = validate_trace ~what:"chaos trace" outcome path in
               if not json then

@@ -1,7 +1,7 @@
 (* Unified run-report renderer: one command turns any artifact the
    harness produces — a JSONL trace, a loadsweep figure, a profile, a
-   scenario scorecard — into the same text + JSON health report. See report.mli for the
-   SLO definitions. *)
+   scenario scorecard — into the same text + JSON health report. See
+   report.mli for the SLO definitions. *)
 
 type flow_slo = {
   stats : Obs.Summary.flow_stats;
@@ -104,19 +104,21 @@ let of_file ?duration path =
     | None -> (
       (* Single-document figure: the whole file is one JSON value. *)
       let* j = in_file (Obs.Json.parse content) in
-      let source decode wrap = in_file (Result.map wrap (decode j)) in
+      let figure =
+        Option.bind (Obs.Json.member "figure" j) Obs.Json.to_string_opt
+      in
       let* source =
-        match Option.bind (Obs.Json.member "figure" j) Obs.Json.to_string_opt with
-        | Some "loadsweep" ->
-          source Figure_json.loadsweep_of_json (fun s -> Sweep s)
-        | Some "profile" ->
-          source Obs.Prof.document_of_json (fun p -> Profile p)
-        | Some "scenario" -> source Scenario.of_json (fun sc -> Scenario sc)
-        | Some other -> Error (Printf.sprintf "%s: unsupported figure %S" path other)
-        | None ->
-          Error
-            (path
-           ^ ": not a trace (no \"ev\"), nor a figure document (no \"figure\")")
+        in_file
+          (match figure with
+          | Some "loadsweep" ->
+            Result.map (fun sw -> Sweep sw) (Figure_json.loadsweep_of_json j)
+          | Some "profile" ->
+            Result.map (fun p -> Profile p) (Obs.Prof.document_of_json j)
+          | Some "scenario" ->
+            Result.map (fun sc -> Scenario sc) (Scenario.of_json j)
+          | Some other -> Error (Printf.sprintf "unsupported figure %S" other)
+          | None ->
+            Error "not a trace (no \"ev\"), nor a figure document (no \"figure\")")
       in
       Ok { path; source })
 

@@ -1244,7 +1244,11 @@ module Prof = struct
     let* share_pct = float_field "share_pct" j in
     let* minor_words = float_field "minor_words" j in
     let* words_per_event = float_field "words_per_event" j in
-    Ok { name; events; wall_s; ns_per_event; share_pct; minor_words; words_per_event }
+    Ok
+      {
+        name; events; wall_s; ns_per_event; share_pct; minor_words;
+        words_per_event;
+      }
 
   let to_json p =
     Json.Obj
@@ -1255,7 +1259,11 @@ module Prof = struct
         ("categories", Json.List (List.map entry_to_json (report p)));
       ]
 
-  type document = { total_events : int; attributed_s : float; entries : entry list }
+  type document = {
+    total_events : int;
+    attributed_s : float;
+    entries : entry list;
+  }
 
   let document_of_json j =
     let open Json in
