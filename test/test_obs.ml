@@ -1076,7 +1076,7 @@ let () =
           Alcotest.test_case "summary counts marks" `Quick
             test_summary_counts_marks;
         ] );
-      ( "profile codec",
+      ( "prof codec",
         [
           Alcotest.test_case "entry round-trips" `Quick test_prof_entry_roundtrip;
           Alcotest.test_case "document decodes what to_json wrote" `Quick
