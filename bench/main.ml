@@ -9,8 +9,10 @@
                   update() on the primary route, the exploration tree
                   and a 3-flow Empower.allocate on the 22-node
                   testbed), the LP-based optimal baseline,
-                  the fluid MAC, the packet engine (bare and with a
-                  flight ring armed), one churn scenario end to end
+                  the fluid MAC, the packet engine (bare, with a
+                  flight ring armed, and with one DCTCP flow over DT
+                  buffers with ECN), the reorder buffer on its own,
+                  one churn scenario end to end
                   (Scenario.run flapping-churn, ring armed), the
                   testbed's interference structure and the 20-byte
                   header codec.
@@ -137,6 +139,60 @@ let flight_ring = lazy (Obs.Flight.create ())
 
 let bench_engine_flight () = bench_engine_with ~flight:(Lazy.force flight_ring) ()
 
+(* The transport on its own: one DCTCP flow on the testbed 0->12
+   primary route over DT shared buffers with ECN marking, congestion
+   control off, 3 s — shaped like a unit of perfbench's testbed-tcp
+   workload. *)
+let tcp_engine_config =
+  let frame = Engine.default_config.Engine.frame_bytes in
+  {
+    Engine.default_config with
+    enable_cc = false;
+    delay_equalize = false;
+    buffers =
+      Some
+        {
+          Engine.policy = Engine.Dynamic_threshold 1.0;
+          pool_bytes = 64 * frame;
+          ecn_threshold_bytes = Some (8 * frame);
+        };
+  }
+
+let tcp_flow =
+  lazy
+    (let g, dom = Lazy.force testbed_case in
+     match Multipath.find g dom ~src:0 ~dst:12 with
+     | { Multipath.paths = (route, rate) :: _; _ } ->
+       Runner.flow_spec ~transport:Engine.Tcp_transport ~tcp_params:Tcp.dctcp_params
+         ~src:0 ~dst:12 ([ route ], [ rate ])
+     | _ -> failwith "testbed 0->12 unreachable")
+
+let bench_engine_tcp () =
+  let g, dom = Lazy.force testbed_case in
+  ignore
+    (Engine.run ~config:tcp_engine_config (Rng.create 1) g dom
+       ~flows:[ Lazy.force tcp_flow ] ~duration:3.0)
+
+(* The receiver on its own: 3,000 frames of one flow, dealt round-robin
+   over 3 routes whose delays differ by 7 and 19 frame times, arrive
+   out of order at a fresh reorder buffer. *)
+let reorder_arrivals =
+  lazy
+    (let delay = [| 0; 7; 19 |] in
+     let arrivals = Array.init 3000 (fun seq -> (seq + delay.(seq mod 3), seq)) in
+     Array.sort compare arrivals;
+     Array.map snd arrivals)
+
+let bench_reorder () =
+  let arrivals = Lazy.force reorder_arrivals in
+  let r = Reorder.create ~n_routes:3 () in
+  let released = ref 0 in
+  let deliver _ _ = incr released and lost _ = incr released in
+  Array.iter
+    (fun seq -> Reorder.push_cb r ~route:(seq mod 3) ~seq seq ~deliver ~lost)
+    arrivals;
+  ignore (Sys.opaque_identity !released)
+
 (* One churn scenario end to end, as perfbench's churn-catalog runs
    each spec: the fault-free twin run, then the churn run with a flight
    ring armed. Run from the repository root (reads scenarios/). *)
@@ -177,6 +233,9 @@ let kernel_tests =
     Test.make ~name:"packet engine (2 s sim)" (Staged.stage bench_engine);
     Test.make ~name:"packet engine, flight ring armed (testbed 0->12, 2 s)"
       (Staged.stage bench_engine_flight);
+    Test.make ~name:"packet engine, one TCP flow (testbed, DT pool, ECN, 3 s)"
+      (Staged.stage bench_engine_tcp);
+    Test.make ~name:"Reorder.push_cb, 3 routes out of order" (Staged.stage bench_reorder);
     Test.make ~name:"Scenario.run flapping-churn, flight ring armed"
       (Staged.stage bench_scenario_flight);
     Test.make ~name:"Domain.of_instance (testbed)" (Staged.stage bench_domain_testbed);

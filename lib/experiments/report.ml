@@ -65,10 +65,21 @@ let sweep_p99_monotone (s : Loadsweep.data) =
 
 let ( let* ) = Result.bind
 
-let first_line s =
-  match String.index_opt s '\n' with
-  | Some i -> String.sub s 0 i
-  | None -> s
+(* The first line of [path], without its newline ("" for an empty
+   file): enough to tell a trace from a figure, so a trace is read
+   once, by [Obs.Summary.read_file]. Errors read like
+   [Obs.Json.read_file]'s. *)
+let first_line path =
+  match open_in_bin path with
+  | exception Sys_error e -> Error e
+  | ic ->
+    Fun.protect
+      ~finally:(fun () -> close_in_noerr ic)
+      (fun () ->
+        match input_line ic with
+        | line -> Ok line
+        | exception End_of_file -> Ok ""
+        | exception Sys_error e -> Error (path ^ ": " ^ e))
 
 let of_trace_file ?duration path =
   let* events = Obs.Summary.read_file path in
@@ -94,8 +105,8 @@ let of_trace_file ?duration path =
 
 let of_file ?duration path =
   let in_file r = Result.map_error (fun e -> path ^ ": " ^ e) r in
-  let* content = Obs.Json.read_file path in
-  let line = String.trim (first_line content) in
+  let* line = first_line path in
+  let line = String.trim line in
   if line = "" then Error (path ^ ": empty file")
   else
     let* j = in_file (Obs.Json.parse line) in
@@ -103,6 +114,7 @@ let of_file ?duration path =
     | Some _ -> of_trace_file ?duration path
     | None -> (
       (* Single-document figure: the whole file is one JSON value. *)
+      let* content = Obs.Json.read_file path in
       let* j = in_file (Obs.Json.parse content) in
       let figure =
         Option.bind (Obs.Json.member "figure" j) Obs.Json.to_string_opt

@@ -1318,10 +1318,14 @@ module Metrics = struct
     let s_min = 1
     let s_max = 2
 
+    (* Bucket counts live in a dense array over the observed key
+       range: [counts.(k - lo)] is the count of bucket [k]. It grows
+       (at least doubling) to cover a key outside it. *)
     type t = {
       gamma : float;
       log_gamma : float;
-      buckets : (int, int ref) Hashtbl.t;
+      mutable counts : int array;
+      mutable lo : int;  (* key of counts.(0) *)
       mutable zero : int;  (* observations <= zero_floor *)
       mutable count : int;
       scalars : float array;  (* s_sum, s_min, s_max — unboxed *)
@@ -1336,11 +1340,34 @@ module Metrics = struct
       {
         gamma;
         log_gamma = log gamma;
-        buckets = Hashtbl.create 64;
+        counts = [||];
+        lo = 0;
         zero = 0;
         count = 0;
         scalars = [| 0.0; infinity; neg_infinity |];
       }
+
+    (* Widen [counts] to hold bucket [k], growing toward the side
+       [k] fell off. *)
+    let cover t k =
+      let n = Array.length t.counts in
+      if n = 0 then begin
+        t.counts <- Array.make 64 0;
+        t.lo <- k - 32
+      end
+      else if k < t.lo || k >= t.lo + n then begin
+        let need = max (t.lo + n) (k + 1) - min t.lo k in
+        let n' = max (2 * n) need in
+        let lo = if k < t.lo then t.lo + n - n' else t.lo in
+        let counts = Array.make n' 0 in
+        Array.blit t.counts 0 counts (t.lo - lo) n;
+        t.counts <- counts;
+        t.lo <- lo
+      end
+
+    let add_to_bucket t k c =
+      cover t k;
+      t.counts.(k - t.lo) <- t.counts.(k - t.lo) + c
 
     let observe t v =
       t.count <- t.count + 1;
@@ -1349,14 +1376,7 @@ module Metrics = struct
       if v < sc.(s_min) then sc.(s_min) <- v;
       if v > sc.(s_max) then sc.(s_max) <- v;
       if v <= zero_floor then t.zero <- t.zero + 1
-      else begin
-        let key = int_of_float (Float.ceil (log v /. t.log_gamma)) in
-        (* find + Not_found rather than find_opt: the hit path (all
-           but the first observation per bucket) allocates no option. *)
-        match Hashtbl.find t.buckets key with
-        | r -> incr r
-        | exception Not_found -> Hashtbl.add t.buckets key (ref 1)
-      end
+      else add_to_bucket t (int_of_float (Float.ceil (log v /. t.log_gamma))) 1
 
     let count t = t.count
     let sum t = t.scalars.(s_sum)
@@ -1375,28 +1395,35 @@ module Metrics = struct
         in
         if rank <= t.zero then Float.max 0.0 t.scalars.(s_min)
         else begin
-          let keys =
-            Hashtbl.fold (fun k _ acc -> k :: acc) t.buckets []
-            |> List.sort compare
-          in
-          let rec walk acc = function
-            | [] -> t.scalars.(s_max)
-            | k :: rest ->
-              let c = !(Hashtbl.find t.buckets k) in
-              let acc = acc + c in
+          let rec walk acc i =
+            if i >= Array.length t.counts then t.scalars.(s_max)
+            else
+              let acc = acc + t.counts.(i) in
               if acc >= rank then begin
                 (* Bucket k covers (gamma^(k-1), gamma^k]; the midpoint
                    bounds the relative error by the configured ε. *)
+                let k = t.lo + i in
                 let v =
                   2.0 *. (t.gamma ** float_of_int k) /. (t.gamma +. 1.0)
                 in
                 Float.max t.scalars.(s_min) (Float.min t.scalars.(s_max) v)
               end
-              else walk acc rest
+              else walk acc (i + 1)
           in
-          walk t.zero keys
+          walk t.zero 0
         end
       end
+
+    (* Fold [h]'s buckets and scalars into [into]; the caller checks
+       that both use the same relative error. *)
+    let absorb ~into h =
+      Array.iteri (fun i c -> if c > 0 then add_to_bucket into (h.lo + i) c) h.counts;
+      into.zero <- into.zero + h.zero;
+      into.count <- into.count + h.count;
+      let ds = into.scalars and hs = h.scalars in
+      ds.(s_sum) <- ds.(s_sum) +. hs.(s_sum);
+      if hs.(s_min) < ds.(s_min) then ds.(s_min) <- hs.(s_min);
+      if hs.(s_max) > ds.(s_max) then ds.(s_max) <- hs.(s_max)
   end
 
   module Series = struct
@@ -1539,20 +1566,7 @@ module Metrics = struct
               (Printf.sprintf
                  "Metrics.merge: histogram %S has mismatched relative error"
                  name);
-          Hashtbl.iter
-            (fun key c ->
-              match Hashtbl.find_opt dst.Histogram.buckets key with
-              | Some r -> r := !r + !c
-              | None -> Hashtbl.add dst.Histogram.buckets key (ref !c))
-            h.Histogram.buckets;
-          dst.Histogram.zero <- dst.Histogram.zero + h.Histogram.zero;
-          dst.Histogram.count <- dst.Histogram.count + h.Histogram.count;
-          let ds = dst.Histogram.scalars and hs = h.Histogram.scalars in
-          ds.(Histogram.s_sum) <- ds.(Histogram.s_sum) +. hs.(Histogram.s_sum);
-          if hs.(Histogram.s_min) < ds.(Histogram.s_min) then
-            ds.(Histogram.s_min) <- hs.(Histogram.s_min);
-          if hs.(Histogram.s_max) > ds.(Histogram.s_max) then
-            ds.(Histogram.s_max) <- hs.(Histogram.s_max)
+          Histogram.absorb ~into:dst h
         | S s ->
           let dst = series into name in
           dst.Series.rev <- s.Series.rev @ dst.Series.rev;

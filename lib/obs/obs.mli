@@ -549,7 +549,9 @@ module Metrics : sig
       [2ε/(1-ε)] (DDSketch-style), so any quantile is exact to within
       a relative error of [ε] (default 0.5%) while count, sum, mean,
       min and max are exact. Negative observations are clamped to the
-      dedicated zero bucket (delays are never negative). *)
+      dedicated zero bucket (delays are never negative). Bucket counts
+      sit in a dense array over the observed key range, about 230
+      counts per decade of observed values at the default [ε]. *)
   module Histogram : sig
     type t
 

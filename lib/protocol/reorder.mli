@@ -8,7 +8,13 @@
     FIFO, so nothing older can still arrive).
 
     The buffer is generic in the payload so the UDP engine stores
-    packet records and the TCP layer stores segments. *)
+    packet records and the TCP layer stores segments. Buffered packets
+    sit in a power-of-two ring indexed by sequence number, which
+    doubles when a packet lands past its window; the steady state
+    allocates nothing. As in the engine's [Fifo], a released slot
+    keeps its payload until a later packet overwrites it, so a
+    payload can stay reachable after its release (at most one per
+    slot). *)
 
 type 'a event =
   | Deliver of int * 'a  (** in-order release of (seq, payload) *)
@@ -40,8 +46,8 @@ val push_cb :
   unit
 (** {!push} without the list: the events fire through the callbacks
     in release order — the engine's zero-allocation delivery path,
-    which {!push} wraps. The in-order common case bypasses the buffer
-    map entirely. *)
+    which {!push} wraps. The in-order common case bypasses the ring
+    entirely. *)
 
 val pending : 'a t -> int
 (** Number of buffered, not-yet-releasable packets. *)

@@ -770,6 +770,14 @@ let run ?(config = default_config) ?invariants ?trace ?flight ?prof
     done
   in
   let domain_free l = air_busy.(l) = 0 in
+  (* [ok_odds.(c)] = (1 - collision_prob)^c, the chance that none of
+     [c] backlogged contenders picks the same slot: one [**] per
+     contender count, not per grant. *)
+  let ok_odds =
+    Array.init
+      (Array.fold_left (fun m d -> max m (Array.length d)) 0 dom_view + 1)
+      (fun c -> (1.0 -. config.collision_prob) ** float_of_int c)
+  in
   let rec try_start l =
     let st = links.(l) in
     if st.on_air = None && (not (Fifo.is_empty st.queue)) && domain_free l then begin
@@ -794,9 +802,7 @@ let run ?(config = default_config) ?invariants ?trace ?flight ?prof
            if l' <> l && not (Fifo.is_empty links.(l').queue) then
              incr contenders
          done;
-         let contenders = !contenders in
-         let p_ok = (1.0 -. config.collision_prob) ** float_of_int contenders in
-         st.air_collided <- Rng.float rng > p_ok
+         st.air_collided <- Rng.float rng > ok_odds.(!contenders)
        end
        else st.air_collided <- false);
       (* Injected frame loss (fault plans): drawn after the collision

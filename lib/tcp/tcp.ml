@@ -36,7 +36,13 @@ type t = {
   mutable rto : float;
   mutable timer : float option;
   mutable retransmit_queue : int list;
-  send_times : (int, float * bool) Hashtbl.t;  (* seq -> sent_at, retransmitted *)
+  (* Send time and Karn flag of each segment in [una, next_new), the
+     only ones [on_ack] reads: a power-of-two ring indexed by
+     [seq land (cap - 1)], in two unboxed columns, doubled when the
+     window outgrows it. A slot keeps its values after the window
+     passes it, until a later segment overwrites them. *)
+  mutable sent_at : float array;
+  mutable retx : bool array;  (* sent more than once *)
   mutable retx_count : int;
   mutable max_sent : int;  (* one past the highest segment ever sent *)
   (* DCTCP state (untouched under Reno): the running EWMA of the
@@ -71,7 +77,8 @@ let create ?(params = default_params) ~total_bytes () =
     rto = 1.0;
     timer = None;
     retransmit_queue = [];
-    send_times = Hashtbl.create 64;
+    sent_at = Array.make 64 0.0;
+    retx = Array.make 64 false;
     retx_count = 0;
     max_sent = 0;
     dctcp_alpha = 0.0;
@@ -94,6 +101,32 @@ let rto_deadline t = t.timer
 let finished t =
   match t.total_segments with None -> false | Some n -> t.una >= n
 
+(* Double the ring until [seq] falls in [una, una + cap), re-placing
+   the window [una, next_new). *)
+let grow t ~seq =
+  let cap = Array.length t.sent_at in
+  let cap' = ref (2 * cap) in
+  while seq - t.una >= !cap' do
+    cap' := 2 * !cap'
+  done;
+  let sent_at = Array.make !cap' 0.0 and retx = Array.make !cap' false in
+  for s = t.una to t.next_new - 1 do
+    sent_at.(s land (!cap' - 1)) <- t.sent_at.(s land (cap - 1));
+    retx.(s land (!cap' - 1)) <- t.retx.(s land (cap - 1))
+  done;
+  t.sent_at <- sent_at;
+  t.retx <- retx
+
+(* A segment below [una] (re-sent after an ack jumped past
+   [next_new]) is never read back, so it is not recorded. *)
+let record_send t seq ~now ~retx =
+  if seq >= t.una then begin
+    if seq - t.una >= Array.length t.sent_at then grow t ~seq;
+    let i = seq land (Array.length t.sent_at - 1) in
+    t.sent_at.(i) <- now;
+    t.retx.(i) <- retx
+  end
+
 let arm_timer_if_needed t ~now =
   if t.timer = None && in_flight t > 0 then t.timer <- Some (now +. t.rto)
 
@@ -105,7 +138,7 @@ let take_segment ?new_data_limit t ~now =
       t.retransmit_queue <- tl;
       if seq < t.una then pop_retx () (* already acked meanwhile *)
       else begin
-        Hashtbl.replace t.send_times seq (now, true);
+        record_send t seq ~now ~retx:true;
         t.retx_count <- t.retx_count + 1;
         t.timer <- Some (now +. t.rto);
         Some seq
@@ -126,7 +159,7 @@ let take_segment ?new_data_limit t ~now =
          (Karn: their RTT samples would be ambiguous). *)
       let is_retx = seq < t.max_sent in
       if is_retx then t.retx_count <- t.retx_count + 1 else t.max_sent <- seq + 1;
-      Hashtbl.replace t.send_times seq (now, is_retx);
+      record_send t seq ~now ~retx:is_retx;
       arm_timer_if_needed t ~now;
       Some seq
     end
@@ -177,12 +210,11 @@ let on_ack ?(ece = false) t ~now ~cum_ack =
   if cum_ack > t.una then begin
     (* New data acknowledged. Karn's rule: only sample RTT on
        never-retransmitted segments. *)
-    (match Hashtbl.find_opt t.send_times (cum_ack - 1) with
-    | Some (sent_at, false) -> rtt_sample t (now -. sent_at)
-    | Some (_, true) | None -> ());
-    for seq = t.una to cum_ack - 1 do
-      Hashtbl.remove t.send_times seq
-    done;
+    let last = cum_ack - 1 in
+    if last < t.next_new then begin
+      let i = last land (Array.length t.sent_at - 1) in
+      if not t.retx.(i) then rtt_sample t (now -. t.sent_at.(i))
+    end;
     let newly_acked = cum_ack - t.una in
     t.una <- cum_ack;
     t.dup_acks <- 0;
@@ -224,9 +256,6 @@ let on_rto t ~now =
   t.in_recovery <- false;
   (* Go-back-N: without SACK, everything past the timeout point is
      presumed lost and will be re-sent as the window reopens. *)
-  for seq = t.una to t.next_new - 1 do
-    Hashtbl.remove t.send_times seq
-  done;
   t.next_new <- t.una;
   t.retransmit_queue <- [];
   (* The go-back-N reset invalidates the DCTCP observation window:

@@ -1048,7 +1048,7 @@ let () =
       prop_engine_bins_match_recorder;
       prop_binned_cases_have_empty_seconds;
     ]
-    @ Prop_routing.tests @ Prop_json.tests
+    @ Prop_routing.tests @ Prop_json.tests @ Prop_state.tests
   in
   (* Fixed generation seed: CI failures reproduce exactly; individual
      cases are replayed from the integer each failure report prints. *)
