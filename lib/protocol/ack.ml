@@ -31,7 +31,7 @@ let collector ~flow ~n_routes =
     marked_bytes = Array.make n_routes 0;
   }
 
-let on_packet ?(ce = false) c ~route ~qr ~seq ~bytes =
+let on_packet ~ce c ~route ~qr ~seq ~bytes =
   c.qr.(route) <- qr;
   if seq > c.highest.(route) then c.highest.(route) <- seq;
   c.window_bytes.(route) <- c.window_bytes.(route) + bytes;

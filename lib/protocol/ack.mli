@@ -32,10 +32,10 @@ val collector : flow:int -> n_routes:int -> collector
 (** Fresh accumulator. *)
 
 val on_packet :
-  ?ce:bool -> collector -> route:int -> qr:float -> seq:int -> bytes:int -> unit
-(** Record an arriving data packet's header fields. [ce] (default
-    false) is the frame's ECN congestion-experienced bit; marked bytes
-    are accumulated separately so the source can compute a per-window
+  ce:bool -> collector -> route:int -> qr:float -> seq:int -> bytes:int -> unit
+(** Record an arriving data packet's header fields. [ce] is the
+    frame's ECN congestion-experienced bit; marked bytes are
+    accumulated separately so the source can compute a per-window
     marked fraction. *)
 
 val emit : collector -> now:float -> t

@@ -109,13 +109,29 @@ type file_rec = {
   mutable done_at : float;  (* < 0 while pending *)
 }
 
+(* What an idle link's [on_air] holds, so a grant stores the frame
+   itself instead of allocating a [Some]. Never queued or sent, so its
+   mutable fields are never written. *)
+let no_frame =
+  {
+    flow = -1;
+    route_idx = 0;
+    seq = 0;
+    qr = 0.0;
+    bytes = 0;
+    sent_at = 0.0;
+    links = [||];
+    hop = 0;
+    ce = false;
+  }
+
 (* Per-link hot floats (service timestamps, windowed arrival bits) live
    in dedicated float arrays rather than record fields: a mutable float
    field of a mixed record is boxed and every write allocates, while a
    float-array store does not. *)
 type link_state = {
   queue : packet Fifo.t;
-  mutable on_air : packet option;
+  mutable on_air : packet;  (* [no_frame] while idle *)
   mutable air_collided : bool;
   mutable air_faulted : bool;  (* frame-loss fault hit this transmission *)
   mutable had_traffic : bool;
@@ -226,7 +242,7 @@ let run ?(config = default_config) ?invariants ?trace ?flight ?prof
   (* Live link capacities: start from the graph's and follow the
      scheduled capacity-change / failure events. *)
   let caps = Multigraph.capacities g in
-  let cap l = caps.(l) in
+  let[@inline] cap l = caps.(l) in
   (* Fault state driven by the scheduled loss / control-fault events:
      per-link frame-loss probability and the control plane's current
      (ack drop probability, extra ack latency) pair. All zero unless a
@@ -275,14 +291,19 @@ let run ?(config = default_config) ?invariants ?trace ?flight ?prof
      minimum (FIFO tie-break: equal priority loses to the older
      sequence number). *)
   let pending_drop = ref false in
-  let schedule_abs t ev =
+  (* [@inline] on the float helpers below: a local function is called
+     out of line with its float arguments and result boxed, and this
+     compiler (no flambda) inlines one only when asked to. *)
+  let[@inline] schedule_abs t ev =
     if !pending_drop then begin
       pending_drop := false;
       Wheel.drop_push q t ev
     end
     else Wheel.push q t ev
   in
-  let schedule dt ev = schedule_abs (now.(0) +. dt) ev in
+  let[@inline] schedule dt ev = schedule_abs (now.(0) +. dt) ev in
+  (* [Rng.float rng], bit for bit, without its boxed result. *)
+  let[@inline] uniform () = float_of_int (Rng.bits53 rng) *. 0x1p-53 in
   (* Per-flow hot floats (see the float-array note above): TCP token
      bucket and goodput-bin accumulators, indexed by flow id. *)
   let tokens = Array.make (max 1 n_flows) (float_of_int config.frame_bytes) in
@@ -303,7 +324,7 @@ let run ?(config = default_config) ?invariants ?trace ?flight ?prof
     Array.init n_links (fun l ->
         {
           queue = Fifo.create ();
-          on_air = None;
+          on_air = no_frame;
           air_collided = false;
           air_faulted = false;
           had_traffic = false;
@@ -317,7 +338,7 @@ let run ?(config = default_config) ?invariants ?trace ?flight ?prof
      historical draw sequence (and never draws jitter: no flow heals). *)
   let heal = config.dead_route = Heal in
   let jitter = if heal then Rng.split rng else rng in
-  let d_est l =
+  let[@inline] d_est l =
     let e = Estimator.estimate links.(l).estimator in
     if e <= 0.01 then 100.0 else 1.0 /. e
   in
@@ -364,7 +385,7 @@ let run ?(config = default_config) ?invariants ?trace ?flight ?prof
   let gsum = Array.make (max 1 n_twins) 0.0 in
   let gsum_at = Array.make (max 1 n_twins) (-1) in
   let gamma_epoch = ref 0 in
-  let link_price l =
+  let[@inline] link_price l =
     let k = Domain.twin dom l in
     if gsum_at.(k) <> !gamma_epoch then begin
       let d = Domain.domain dom l in
@@ -656,7 +677,8 @@ let run ?(config = default_config) ?invariants ?trace ?flight ?prof
         queue_len = (fun l -> Fifo.length links.(l).queue);
         on_air_flow =
           (fun l ->
-            match links.(l).on_air with Some p -> Some p.flow | None -> None);
+            let p = links.(l).on_air in
+            if p == no_frame then None else Some p.flow);
         iter_queued =
           (fun l k -> Fifo.iter (fun (p : packet) -> k p.flow) links.(l).queue);
         domain = (fun l -> Domain.domain dom l);
@@ -702,7 +724,7 @@ let run ?(config = default_config) ?invariants ?trace ?flight ?prof
   in
 
   (* --- goodput bins --- *)
-  let flush_bins_upto f t =
+  let[@inline] flush_bins_upto f t =
     while bin_start.(f.id) +. 1.0 <= t do
       f.goodput_rev <-
         (bin_start.(f.id) +. 1.0, mbps_of_bits bin_bits.(f.id) 1.0) :: f.goodput_rev;
@@ -780,10 +802,10 @@ let run ?(config = default_config) ?invariants ?trace ?flight ?prof
   in
   let rec try_start l =
     let st = links.(l) in
-    if st.on_air = None && (not (Fifo.is_empty st.queue)) && domain_free l then begin
+    if st.on_air == no_frame && (not (Fifo.is_empty st.queue)) && domain_free l then begin
       let pkt = Fifo.pop st.queue in
       if buf_on then buf_release l pkt.bytes;
-      st.on_air <- Some pkt;
+      st.on_air <- pkt;
       air_set l;
       last_service.(l) <- now.(0);
       (* CSMA/CA contention: the more backlogged stations share the
@@ -802,7 +824,7 @@ let run ?(config = default_config) ?invariants ?trace ?flight ?prof
            if l' <> l && not (Fifo.is_empty links.(l').queue) then
              incr contenders
          done;
-         st.air_collided <- Rng.float rng > ok_odds.(!contenders)
+         st.air_collided <- uniform () > ok_odds.(!contenders)
        end
        else st.air_collided <- false);
       (* Injected frame loss (fault plans): drawn after the collision
@@ -810,11 +832,11 @@ let run ?(config = default_config) ?invariants ?trace ?flight ?prof
          fault-free runs consume no extra randomness. Like a
          collision, a lossy frame still burns its airtime. *)
       st.air_faulted <-
-        (not st.air_collided) && loss.(l) > 0.0 && Rng.float rng < loss.(l);
+        (not st.air_collided) && loss.(l) > 0.0 && uniform () < loss.(l);
       let cap_l = cap l in
       if cap_l <= 0.0 then begin
         (* Link died under us: drop the frame. *)
-        st.on_air <- None;
+        st.on_air <- no_frame;
         air_clear l;
         incr queue_drops;
         drop_frame l pkt Obs.Trace.Link_down;
@@ -856,7 +878,7 @@ let run ?(config = default_config) ?invariants ?trace ?flight ?prof
     for i = 0 to n - 1 do
       let l' = d.(i) in
       if
-        (match links.(l').on_air with None -> true | Some _ -> false)
+        links.(l').on_air == no_frame
         && not (Fifo.is_empty links.(l').queue)
       then begin
         tsd_scratch.(!m) <- l';
@@ -928,7 +950,7 @@ let run ?(config = default_config) ?invariants ?trace ?flight ?prof
   in
 
   (* --- source-side sending --- *)
-  let total_rate f =
+  let[@inline] total_rate f =
     let x = f.x in
     facc.(0) <- 0.0;
     for i = 0 to Array.length x - 1 do
@@ -943,7 +965,7 @@ let run ?(config = default_config) ?invariants ?trace ?flight ?prof
     let tot = total_rate f in
     if tot <= 0.0 || Array.length f.routes = 0 then 0
     else begin
-      let r = Rng.float rng *. tot in
+      let r = uniform () *. tot in
       let x = f.x in
       let n = Array.length x in
       facc.(1) <- 0.0;
@@ -1072,14 +1094,35 @@ let run ?(config = default_config) ?invariants ?trace ?flight ?prof
         (tokens.(f.id) +. (rate *. 1e6 /. 8.0 *. (now.(0) -. tokens_at.(f.id))));
     tokens_at.(f.id) <- now.(0)
   in
+  (* Retransmission timers. A Tcp_rto event carries the deadline it
+     was armed for, and does nothing when it pops unless that is still
+     the flow's deadline (the 1e-9 test in its dispatch arm).
+     [arm_rto] runs after every send and every ack, mostly with the
+     deadline unchanged, so it skips the push when the flow's newest
+     queued Tcp_rto already carries the current deadline:
+     [rto_armed.(f)] is that event's deadline (nan once it has popped)
+     and [rto_slot.(f)] its slot. Skipping is exact. The skipped event
+     would carry the same deadline dl as the queued one, at a time no
+     earlier and with a later FIFO sequence number, so the queued one
+     pops first, at a time >= dl. If the flow's deadline is then still
+     within 1e-9 of dl, the timeout fires and moves it; otherwise it
+     had already moved away. Every deadline set from then on is
+     now + rto with now >= dl and rto (at least a smoothed round trip)
+     far above 1e-9, so the skipped event could only have popped
+     stale. Only the event count changes. *)
+  let rto_armed = Array.make (max 1 n_flows) Float.nan in
+  let rto_slot = Array.make (max 1 n_flows) (-1) in
   let arm_rto f =
     match f.tcp with
     | None -> ()
-    | Some tcp -> (
-      match Tcp.rto_deadline tcp with
-      | Some dl -> schedule_abs (Float.max dl now.(0))
-        (Arena.tcp_rto ~flow:f.id ~slot:(Arena.Fslots.put f_slots dl))
-      | None -> ())
+    | Some tcp ->
+      let dl = Tcp.rto_deadline tcp in
+      if (not (Float.is_nan dl)) && dl <> rto_armed.(f.id) then begin
+        let slot = Arena.Fslots.put f_slots dl in
+        rto_armed.(f.id) <- dl;
+        rto_slot.(f.id) <- slot;
+        schedule_abs (Float.max dl now.(0)) (Arena.tcp_rto ~flow:f.id ~slot)
+      end
   in
   (* The controller gates TCP by backpressure: when the flow's token
      bucket is empty the source holds the next segment and resumes
@@ -1120,13 +1163,13 @@ let run ?(config = default_config) ?invariants ?trace ?flight ?prof
               Some
                 ((sendable_bytes f + config.frame_bytes - 1) / config.frame_bytes)
           in
-          match Tcp.take_segment ?new_data_limit tcp ~now:now.(0) with
-          | None -> ()
-          | Some seq ->
+          let seq = Tcp.take_segment ?new_data_limit tcp ~now:now.(0) in
+          if seq >= 0 then begin
             if config.enable_cc then
               tokens.(f.id) <- tokens.(f.id) -. float_of_int config.frame_bytes;
             inject_frame f ~bytes:config.frame_bytes ~seq;
             tcp_try_send f
+          end
         end
       end);
     (* Heartbeat for bounded workloads: sending can be gated on future
@@ -1256,11 +1299,11 @@ let run ?(config = default_config) ?invariants ?trace ?flight ?prof
   (* --- forwarding --- *)
   let handle_tx_end l =
     let st = links.(l) in
-    match st.on_air with
-    | None -> ()
-    | Some pkt when st.air_collided ->
+    let pkt = st.on_air in
+    if pkt == no_frame then ()
+    else if st.air_collided then begin
       (* Collided: airtime spent, frame lost. *)
-      st.on_air <- None;
+      st.on_air <- no_frame;
       air_clear l;
       st.air_collided <- false;
       inv_collision l pkt.flow;
@@ -1268,16 +1311,18 @@ let run ?(config = default_config) ?invariants ?trace ?flight ?prof
         Obs.Flight.collision fl ~t_s:now.(0) ~link:l ~flow:pkt.flow
           ~seq:pkt.seq;
       try_start_domain l
-    | Some pkt when st.air_faulted ->
+    end
+    else if st.air_faulted then begin
       (* Fault-injected loss: airtime spent, frame lost. Not a queue
          drop — the frame made it onto the medium. *)
-      st.on_air <- None;
+      st.on_air <- no_frame;
       air_clear l;
       st.air_faulted <- false;
       drop_frame l pkt Obs.Trace.Fault_injected;
       try_start_domain l
-    | Some pkt ->
-      st.on_air <- None;
+    end
+    else begin
+      st.on_air <- no_frame;
       air_clear l;
       if obs_on then
         Obs.Flight.dequeue fl ~t_s:now.(0) ~link:l ~flow:pkt.flow
@@ -1292,6 +1337,7 @@ let run ?(config = default_config) ?invariants ?trace ?flight ?prof
         enqueue_on_link act pkt
       end;
       try_start_domain l
+    end
   in
 
   (* --- controller --- *)
@@ -1507,7 +1553,7 @@ let run ?(config = default_config) ?invariants ?trace ?flight ?prof
              lossy reverse path) or delayed. The draw happens only
              while a drop window is active — see the determinism
              note at the fault-state declarations. *)
-          let ack_lost = ctrl_drop.(0) > 0.0 && Rng.float rng < ctrl_drop.(0) in
+          let ack_lost = ctrl_drop.(0) > 0.0 && uniform () < ctrl_drop.(0) in
           if not ack_lost then
             schedule
               (f.reverse_latency +. ctrl_delay.(0))
@@ -1626,20 +1672,19 @@ let run ?(config = default_config) ?invariants ?trace ?flight ?prof
       release_packet flow_states.(Arena.flow code) pkt
     | 5 (* Tcp_rto *) -> (
       let f = flow_states.(Arena.flow code) in
-      let armed_for =
-        let slot = Arena.slot20 code in
-        let dl = Arena.Fslots.get f_slots slot in
-        Arena.Fslots.release f_slots slot;
-        dl
-      in
+      let slot = Arena.slot20 code in
+      let armed_for = Arena.Fslots.get f_slots slot in
+      Arena.Fslots.release f_slots slot;
+      if slot = rto_slot.(f.id) then rto_armed.(f.id) <- Float.nan;
       match f.tcp with
       | None -> ()
-      | Some tcp -> (
-        match Tcp.rto_deadline tcp with
-        | Some dl when Float.abs (dl -. armed_for) < 1e-9 && dl <= now.(0) +. 1e-9 ->
+      | Some tcp ->
+        let dl = Tcp.rto_deadline tcp in
+        (* A nan deadline (no timer) fails the test: a stale timer. *)
+        if Float.abs (dl -. armed_for) < 1e-9 && dl <= now.(0) +. 1e-9 then begin
           Tcp.on_rto tcp ~now:now.(0);
           tcp_try_send f
-        | _ -> () (* stale timer *)))
+        end)
     | 6 (* Flow_start *) ->
       let f = flow_states.(Arena.flow_wide code) in
       f.active <- true;
@@ -1725,21 +1770,22 @@ let run ?(config = default_config) ?invariants ?trace ?flight ?prof
     ctrl_events;
 
   let peak_depth = ref 0 in
-  (* Allocation-free dispatch: read the root in place ([top_prio]/[top]
-     instead of [peek]/[pop]'s option-tuple pairs) and leave it in the
-     heap while the handler runs — the handler's first [schedule]
-     replaces it in one sift via the [pending_drop] flag (see its
-     declaration for the soundness argument), and an event that
-     scheduled nothing is dropped afterwards. The queue depth is
-     sampled before the logical pop, exactly as the historical loop
-     measured it. *)
+  (* Allocation-free dispatch: read the minimum in place ([top] and
+     the wheel's priority cell instead of [peek]/[pop]'s option-tuple
+     pairs, or [top_prio]'s boxed float) and leave it in the wheel
+     while the handler runs — the handler's first [schedule] replaces
+     it via the [pending_drop] flag (see its declaration for the
+     soundness argument), and an event that scheduled nothing is
+     dropped afterwards. The queue depth is sampled before the logical
+     pop, exactly as the historical loop measured it. *)
+  let min_prio = Wheel.min_prio_cell q in
   let rec loop () =
     if not (Wheel.is_empty q) then begin
-      let t = Wheel.top_prio q in
+      let ev = Wheel.top q in
+      let t = min_prio.(0) in
       if t <= duration then begin
         let d = Wheel.size q in
         if d > !peak_depth then peak_depth := d;
-        let ev = Wheel.top q in
         pending_drop := true;
         now.(0) <- Float.max now.(0) t;
         incr events_processed;
@@ -1764,11 +1810,11 @@ let run ?(config = default_config) ?invariants ?trace ?flight ?prof
   let rec loop_prof p =
     if not (Wheel.is_empty q) then begin
       Obs.Prof.enter p;
-      let t = Wheel.top_prio q in
+      let ev = Wheel.top q in
+      let t = min_prio.(0) in
       if t <= duration then begin
         let d = Wheel.size q in
         if d > !peak_depth then peak_depth := d;
-        let ev = Wheel.top q in
         Obs.Prof.leave_silent p Obs.Prof.cat_scheduler;
         pending_drop := true;
         now.(0) <- Float.max now.(0) t;

@@ -51,11 +51,16 @@ type 'a t = {
   mutable next_seq : int; (* global FIFO tie-break counter *)
   mutable size : int; (* wheel + overflow *)
   mutable wheel_count : int; (* wheel only *)
-  overflow : (int * 'a) Pqueue.t; (* payload carries original seq *)
+  overflow : 'a Pqueue.t; (* entries keep their wheel seq as tie-break *)
+  (* The overflow minimum's priority (infinity when the overflow is
+     empty), kept here so the test [migrate] makes on every pop reads
+     a plain float instead of [Pqueue.top_prio]'s boxed result. *)
+  ov_min : float array;
   (* Cached minimum located by the last scan: physical slot + index
      within the bucket, priority mirrored in a float array so reads
-     and writes stay unboxed. Invalidated by [drop], updated in place
-     by a [push] that beats it. *)
+     and writes stay unboxed (the event loop reads the same cell, see
+     [min_prio_cell]). Invalidated by [drop], updated in place by a
+     [push] that beats it. *)
   mutable c_valid : bool;
   mutable c_slot : int;
   mutable c_idx : int;
@@ -74,6 +79,7 @@ let create ?(capacity = 16) () =
     size = 0;
     wheel_count = 0;
     overflow = Pqueue.create ~capacity ();
+    ov_min = Array.make 1 infinity;
     c_valid = false;
     c_slot = 0;
     c_idx = 0;
@@ -91,7 +97,8 @@ let clear t =
   t.size <- 0;
   t.wheel_count <- 0;
   t.c_valid <- false;
-  Pqueue.clear t.overflow
+  Pqueue.clear t.overflow;
+  t.ov_min.(0) <- infinity
 
 let horizon t = float_of_int (t.cursor + n_buckets) *. width
 
@@ -139,17 +146,22 @@ let push t prio v =
   t.next_seq <- seq + 1;
   t.size <- t.size + 1;
   if prio < horizon t then bucket_insert t prio seq v
-  else Pqueue.push t.overflow prio (seq, v)
+  else begin
+    Pqueue.push_seq t.overflow prio ~seq v;
+    if prio < t.ov_min.(0) then t.ov_min.(0) <- prio
+  end
 
 (* Move every overflow entry now below the horizon into its bucket.
    Afterwards the overflow minimum (if any) exceeds every wheel entry,
    so scanning the wheel alone yields the global minimum. *)
 let migrate t =
   let h = horizon t in
-  while (not (Pqueue.is_empty t.overflow)) && Pqueue.top_prio t.overflow < h do
-    let prio = Pqueue.top_prio t.overflow in
-    let seq, v = Pqueue.top t.overflow in
+  while t.ov_min.(0) < h do
+    let prio = t.ov_min.(0) in
+    let seq = Pqueue.top_seq t.overflow and v = Pqueue.top t.overflow in
     Pqueue.drop t.overflow;
+    t.ov_min.(0) <-
+      (if Pqueue.is_empty t.overflow then infinity else Pqueue.top_prio t.overflow);
     bucket_insert t prio seq v
   done
 
@@ -160,7 +172,7 @@ let find_min t =
     (* Everything lives in the overflow: fast-forward the cursor to
        the overflow minimum's bucket so migration is guaranteed to
        move at least that entry in. *)
-    let b = int_of_float (Pqueue.top_prio t.overflow *. inv_width) in
+    let b = int_of_float (t.ov_min.(0) *. inv_width) in
     if b > t.cursor then t.cursor <- b
   end;
   migrate t;
@@ -200,6 +212,8 @@ let top t =
   if t.size = 0 then invalid_arg "Wheel.top: empty";
   if not t.c_valid then find_min t;
   t.vals.(t.c_slot).(t.c_idx)
+
+let min_prio_cell t = t.c_prio
 
 let drop t =
   if t.size = 0 then invalid_arg "Wheel.drop: empty";

@@ -35,12 +35,21 @@ val pop : 'a t -> (float * 'a) option
 val peek : 'a t -> (float * 'a) option
 
 val top_prio : 'a t -> float
-(** Priority of the minimum element, allocation-free.
+(** Priority of the minimum element. It builds no option or pair,
+    but the float reaches a caller in another module boxed (modules
+    are compiled separately, so the call is not inlined): a hot loop
+    reads {!min_prio_cell} instead.
     @raise Invalid_argument on an empty wheel. *)
 
 val top : 'a t -> 'a
 (** Minimum element itself, without removing it.
     @raise Invalid_argument on an empty wheel. *)
+
+val min_prio_cell : 'a t -> float array
+(** The wheel's one-slot cell holding the minimum's priority, the
+    same array for the wheel's whole life. After {!top} or {!top_prio}
+    it holds the value {!top_prio} returns, until the next {!push},
+    {!drop}, {!drop_push} or {!clear}; reading it is a plain load. *)
 
 val drop : 'a t -> unit
 (** Remove the minimum element (allocation-free {!pop}).

@@ -21,20 +21,30 @@ let default_params =
 
 let dctcp_params = { default_params with variant = Dctcp { g = 1.0 /. 16.0 } }
 
+(* The sender's floats, in a record of floats only: OCaml stores such
+   a record flat, so assigning a field is a plain store, where a
+   mutable float field of a mixed record allocates a box on every
+   write. *)
+type floats = {
+  mutable cwnd : float;
+  mutable ssthresh : float;
+  mutable srtt_v : float;
+  mutable rttvar : float;
+  mutable rto : float;
+  (* DCTCP's running EWMA of the marked fraction (see [dctcp_on_ack]) *)
+  mutable dctcp_alpha : float;
+  mutable timer : float;  (* absolute RTO deadline; nan when none is pending *)
+}
+
 type t = {
   p : params;
   total_segments : int option;
-  mutable cwnd : float;
-  mutable ssthresh : float;
+  fl : floats;
   mutable next_new : int;
   mutable una : int;
   mutable dup_acks : int;
   mutable in_recovery : bool;
   mutable recover : int;
-  mutable srtt_v : float;
-  mutable rttvar : float;
-  mutable rto : float;
-  mutable timer : float option;
   mutable retransmit_queue : int list;
   (* Send time and Karn flag of each segment in [una, next_new), the
      only ones [on_ack] reads: a power-of-two ring indexed by
@@ -45,12 +55,10 @@ type t = {
   mutable retx : bool array;  (* sent more than once *)
   mutable retx_count : int;
   mutable max_sent : int;  (* one past the highest segment ever sent *)
-  (* DCTCP state (untouched under Reno): the running EWMA of the
-     marked fraction, the ack-accounting of the current observation
-     window, and the window boundary (one past the highest segment
-     outstanding when the window opened — once [una] passes it, a
-     full window of acks has been observed). *)
-  mutable dctcp_alpha : float;
+  (* DCTCP's ack-accounting (untouched under Reno): the current
+     observation window's counts, and the window boundary (one past
+     the highest segment outstanding when the window opened — once
+     [una] passes it, a full window of acks has been observed). *)
   mutable win_acked : int;   (* segments cumulatively acked this window *)
   mutable win_marked : int;  (* of those, acked by a CE-echoing ack *)
   mutable win_end : int;
@@ -65,23 +73,26 @@ let create ?(params = default_params) ~total_bytes () =
   {
     p = params;
     total_segments;
-    cwnd = params.init_cwnd;
-    ssthresh = params.init_ssthresh;
+    fl =
+      {
+        cwnd = params.init_cwnd;
+        ssthresh = params.init_ssthresh;
+        srtt_v = 0.0;
+        rttvar = 0.0;
+        rto = 1.0;
+        dctcp_alpha = 0.0;
+        timer = Float.nan;
+      };
     next_new = 0;
     una = 0;
     dup_acks = 0;
     in_recovery = false;
     recover = -1;
-    srtt_v = 0.0;
-    rttvar = 0.0;
-    rto = 1.0;
-    timer = None;
     retransmit_queue = [];
     sent_at = Array.make 64 0.0;
     retx = Array.make 64 false;
     retx_count = 0;
     max_sent = 0;
-    dctcp_alpha = 0.0;
     win_acked = 0;
     win_marked = 0;
     win_end = 0;
@@ -89,14 +100,14 @@ let create ?(params = default_params) ~total_bytes () =
 
 let params t = t.p
 let segments_total t = t.total_segments
-let cwnd t = t.cwnd
-let dctcp_alpha t = t.dctcp_alpha
-let ssthresh t = t.ssthresh
-let srtt t = t.srtt_v
+let cwnd t = t.fl.cwnd
+let dctcp_alpha t = t.fl.dctcp_alpha
+let ssthresh t = t.fl.ssthresh
+let srtt t = t.fl.srtt_v
 let snd_una t = t.una
 let in_flight t = t.next_new - t.una
 let retransmissions t = t.retx_count
-let rto_deadline t = t.timer
+let rto_deadline t = t.fl.timer
 
 let finished t =
   match t.total_segments with None -> false | Some n -> t.una >= n
@@ -128,30 +139,32 @@ let record_send t seq ~now ~retx =
   end
 
 let arm_timer_if_needed t ~now =
-  if t.timer = None && in_flight t > 0 then t.timer <- Some (now +. t.rto)
+  if Float.is_nan t.fl.timer && in_flight t > 0 then t.fl.timer <- now +. t.fl.rto
+
+(* The first queued retransmission not acked meanwhile, recorded as
+   sent at [now]; -1 when there is none. *)
+let rec pop_retx t ~now =
+  match t.retransmit_queue with
+  | [] -> -1
+  | seq :: tl ->
+    t.retransmit_queue <- tl;
+    if seq < t.una then pop_retx t ~now (* already acked meanwhile *)
+    else begin
+      record_send t seq ~now ~retx:true;
+      t.retx_count <- t.retx_count + 1;
+      t.fl.timer <- now +. t.fl.rto;
+      seq
+    end
 
 let take_segment ?new_data_limit t ~now =
-  let rec pop_retx () =
-    match t.retransmit_queue with
-    | [] -> None
-    | seq :: tl ->
-      t.retransmit_queue <- tl;
-      if seq < t.una then pop_retx () (* already acked meanwhile *)
-      else begin
-        record_send t seq ~now ~retx:true;
-        t.retx_count <- t.retx_count + 1;
-        t.timer <- Some (now +. t.rto);
-        Some seq
-      end
-  in
-  match pop_retx () with
-  | Some seq -> Some seq
-  | None ->
+  let seq = pop_retx t ~now in
+  if seq >= 0 then seq
+  else begin
     let data_remains =
       (match t.total_segments with None -> true | Some n -> t.next_new < n)
       && match new_data_limit with None -> true | Some lim -> t.next_new < lim
     in
-    if data_remains && float_of_int (in_flight t) < Float.min t.cwnd t.p.max_cwnd
+    if data_remains && float_of_int (in_flight t) < Float.min t.fl.cwnd t.p.max_cwnd
     then begin
       let seq = t.next_new in
       t.next_new <- t.next_new + 1;
@@ -161,20 +174,23 @@ let take_segment ?new_data_limit t ~now =
       if is_retx then t.retx_count <- t.retx_count + 1 else t.max_sent <- seq + 1;
       record_send t seq ~now ~retx:is_retx;
       arm_timer_if_needed t ~now;
-      Some seq
+      seq
     end
-    else None
+    else -1
+  end
 
-let rtt_sample t rtt =
-  if t.srtt_v = 0.0 then begin
-    t.srtt_v <- rtt;
-    t.rttvar <- rtt /. 2.0
+(* Inlined into [on_ack]: an out-of-line call would box [rtt]. *)
+let[@inline] rtt_sample t rtt =
+  let fl = t.fl in
+  if fl.srtt_v = 0.0 then begin
+    fl.srtt_v <- rtt;
+    fl.rttvar <- rtt /. 2.0
   end
   else begin
-    t.rttvar <- (0.75 *. t.rttvar) +. (0.25 *. Float.abs (t.srtt_v -. rtt));
-    t.srtt_v <- (0.875 *. t.srtt_v) +. (0.125 *. rtt)
+    fl.rttvar <- (0.75 *. fl.rttvar) +. (0.25 *. Float.abs (fl.srtt_v -. rtt));
+    fl.srtt_v <- (0.875 *. fl.srtt_v) +. (0.125 *. rtt)
   end;
-  t.rto <- Float.max t.p.min_rto (t.srtt_v +. (4.0 *. t.rttvar))
+  fl.rto <- Float.max t.p.min_rto (fl.srtt_v +. (4.0 *. fl.rttvar))
 
 (* DCTCP (Alizadeh et al., SIGCOMM'10), scaled to this simulator: the
    receiver echoes the CE bit of the frame that triggered each
@@ -191,22 +207,24 @@ let dctcp_on_ack t ~newly_acked ~ece =
     t.win_acked <- t.win_acked + newly_acked;
     if ece then t.win_marked <- t.win_marked + newly_acked;
     if t.una > t.win_end then begin
+      let fl = t.fl in
       let frac =
         if t.win_acked > 0 then
           float_of_int t.win_marked /. float_of_int t.win_acked
         else 0.0
       in
-      t.dctcp_alpha <- ((1.0 -. g) *. t.dctcp_alpha) +. (g *. frac);
+      fl.dctcp_alpha <- ((1.0 -. g) *. fl.dctcp_alpha) +. (g *. frac);
       if t.win_marked > 0 then begin
-        t.cwnd <- Float.max 1.0 (t.cwnd *. (1.0 -. (t.dctcp_alpha /. 2.0)));
-        t.ssthresh <- Float.max 2.0 t.cwnd
+        fl.cwnd <- Float.max 1.0 (fl.cwnd *. (1.0 -. (fl.dctcp_alpha /. 2.0)));
+        fl.ssthresh <- Float.max 2.0 fl.cwnd
       end;
       t.win_acked <- 0;
       t.win_marked <- 0;
       t.win_end <- t.next_new
     end
 
-let on_ack ?(ece = false) t ~now ~cum_ack =
+let on_ack ~ece t ~now ~cum_ack =
+  let fl = t.fl in
   if cum_ack > t.una then begin
     (* New data acknowledged. Karn's rule: only sample RTT on
        never-retransmitted segments. *)
@@ -222,27 +240,28 @@ let on_ack ?(ece = false) t ~now ~cum_ack =
       if t.una > t.recover then begin
         (* Full recovery. *)
         t.in_recovery <- false;
-        t.cwnd <- t.ssthresh
+        fl.cwnd <- fl.ssthresh
       end
       else
         (* Partial ACK: the next hole was also lost (NewReno). *)
         t.retransmit_queue <- t.retransmit_queue @ [ t.una ]
     end
-    else if t.cwnd < t.ssthresh then
-      t.cwnd <- Float.min t.p.max_cwnd (t.cwnd +. float_of_int newly_acked)
-    else t.cwnd <- Float.min t.p.max_cwnd (t.cwnd +. (float_of_int newly_acked /. t.cwnd));
+    else if fl.cwnd < fl.ssthresh then
+      fl.cwnd <- Float.min t.p.max_cwnd (fl.cwnd +. float_of_int newly_acked)
+    else
+      fl.cwnd <- Float.min t.p.max_cwnd (fl.cwnd +. (float_of_int newly_acked /. fl.cwnd));
     dctcp_on_ack t ~newly_acked ~ece;
-    t.timer <- (if in_flight t > 0 then Some (now +. t.rto) else None)
+    fl.timer <- (if in_flight t > 0 then now +. fl.rto else Float.nan)
   end
   else if cum_ack = t.una && in_flight t > 0 then begin
     t.dup_acks <- t.dup_acks + 1;
     if t.in_recovery then
       (* Window inflation during recovery. *)
-      t.cwnd <- Float.min t.p.max_cwnd (t.cwnd +. 1.0)
+      fl.cwnd <- Float.min t.p.max_cwnd (fl.cwnd +. 1.0)
     else if t.dup_acks = 3 then begin
       (* Fast retransmit / fast recovery. *)
-      t.ssthresh <- Float.max 2.0 (float_of_int (in_flight t) /. 2.0);
-      t.cwnd <- t.ssthresh +. 3.0;
+      fl.ssthresh <- Float.max 2.0 (float_of_int (in_flight t) /. 2.0);
+      fl.cwnd <- fl.ssthresh +. 3.0;
       t.in_recovery <- true;
       t.recover <- t.next_new - 1;
       t.retransmit_queue <- t.retransmit_queue @ [ t.una ]
@@ -250,8 +269,9 @@ let on_ack ?(ece = false) t ~now ~cum_ack =
   end
 
 let on_rto t ~now =
-  t.ssthresh <- Float.max 2.0 (t.cwnd /. 2.0);
-  t.cwnd <- 1.0;
+  let fl = t.fl in
+  fl.ssthresh <- Float.max 2.0 (fl.cwnd /. 2.0);
+  fl.cwnd <- 1.0;
   t.dup_acks <- 0;
   t.in_recovery <- false;
   (* Go-back-N: without SACK, everything past the timeout point is
@@ -264,5 +284,5 @@ let on_rto t ~now =
   t.win_acked <- 0;
   t.win_marked <- 0;
   t.win_end <- t.una;
-  t.rto <- Float.min 5.0 (t.rto *. 2.0);
-  t.timer <- Some (now +. t.rto)
+  fl.rto <- Float.min 5.0 (fl.rto *. 2.0);
+  fl.timer <- now +. fl.rto

@@ -55,29 +55,29 @@ val params : t -> params
 val segments_total : t -> int option
 (** Total segments to deliver, if bounded. *)
 
-val take_segment : ?new_data_limit:int -> t -> now:float -> int option
+val take_segment : ?new_data_limit:int -> t -> now:float -> int
 (** The next segment index to transmit, if the window allows:
     retransmissions first, then new data. Marks the segment as
-    in-flight and records its send time. [None] when window-limited
+    in-flight and records its send time. [-1] when window-limited
     or out of data. [new_data_limit] caps the index of *new* segments
     (exclusive) — the application-layer gate for data that has not
     been produced yet (e.g. Poisson file arrivals); retransmissions
     are never blocked. *)
 
-val on_ack : ?ece:bool -> t -> now:float -> cum_ack:int -> unit
+val on_ack : ece:bool -> t -> now:float -> cum_ack:int -> unit
 (** Process a cumulative ACK ([cum_ack] = number of in-order segments
     the receiver has; i.e. segments [0 .. cum_ack-1] are delivered).
     Handles new-data ACKs (window growth, RTT sample), duplicate ACKs
-    and fast retransmit/recovery. [ece] (default false) is the
-    receiver's echo of the CE bit on the frame that produced this ack;
-    it only matters to the {!Dctcp} variant — {!Reno} ignores it. *)
+    and fast retransmit/recovery. [ece] is the receiver's echo of the
+    CE bit on the frame that produced this ack; it only matters to the
+    {!Dctcp} variant — {!Reno} ignores it. *)
 
 val on_rto : t -> now:float -> unit
 (** Retransmission timeout: collapse cwnd to 1, halve ssthresh,
     queue the oldest unacked segment, back the timer off. *)
 
-val rto_deadline : t -> float option
-(** Absolute time at which the pending timer fires; [None] when
+val rto_deadline : t -> float
+(** Absolute time at which the pending timer fires; [nan] when
     nothing is in flight. *)
 
 val finished : t -> bool

@@ -87,17 +87,23 @@ let rec sift_down t i =
     sift_down t s
   end
 
-let push t prio value =
+(* Inlined into [push], so a heap numbering its own entries pays no
+   extra call. *)
+let[@inline] push_seq t prio ~seq value =
   if Array.length t.vals = 0 then
     t.vals <- Array.make (Array.length t.prios) value;
   if t.len = Array.length t.prios then grow t;
   let i = t.len in
   t.prios.(i) <- prio;
-  t.seqs.(i) <- t.next_seq;
+  t.seqs.(i) <- seq;
   t.vals.(i) <- value;
-  t.next_seq <- t.next_seq + 1;
   t.len <- t.len + 1;
   sift_up t i
+
+let push t prio value =
+  let seq = t.next_seq in
+  t.next_seq <- seq + 1;
+  push_seq t prio ~seq value
 
 let top_prio t =
   if t.len = 0 then invalid_arg "Pqueue.top_prio: empty heap";
@@ -106,6 +112,10 @@ let top_prio t =
 let top t =
   if t.len = 0 then invalid_arg "Pqueue.top: empty heap";
   t.vals.(0)
+
+let top_seq t =
+  if t.len = 0 then invalid_arg "Pqueue.top_seq: empty heap";
+  t.seqs.(0)
 
 let drop t =
   if t.len = 0 then invalid_arg "Pqueue.drop: empty heap";

@@ -31,6 +31,13 @@ val capacity : 'a t -> int
 val push : 'a t -> float -> 'a -> unit
 (** [push t prio x] inserts [x] with priority [prio]. *)
 
+val push_seq : 'a t -> float -> seq:int -> 'a -> unit
+(** [push_seq t prio ~seq x] inserts [x] under the caller's own
+    tie-break number [seq] instead of the next one from the heap's
+    counter: equal priorities pop in increasing [seq]. For a caller
+    that numbers its entries itself, such as the overflow level of
+    [Wheel], whose entries keep the wheel's sequence number. *)
+
 val pop : 'a t -> (float * 'a) option
 (** Remove and return the minimum-priority element, FIFO among ties. *)
 
@@ -46,10 +53,15 @@ val peek : 'a t -> (float * 'a) option
 
 val top_prio : 'a t -> float
 (** Priority of the minimum element. @raise Invalid_argument on an
-    empty heap. Allocation-free alternative to {!peek} for hot loops. *)
+    empty heap. Unlike {!peek} it builds no option or pair, though a
+    caller in another module still receives the float boxed. *)
 
 val top : 'a t -> 'a
 (** Minimum element itself, without removing it.
+    @raise Invalid_argument on an empty heap. *)
+
+val top_seq : 'a t -> int
+(** Tie-break number of the minimum element.
     @raise Invalid_argument on an empty heap. *)
 
 val drop : 'a t -> unit

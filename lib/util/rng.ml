@@ -96,14 +96,19 @@ let split t =
   advance t;
   { hi = t.shi; lo = t.slo; shi = 0; slo = 0 }
 
+(* Not inlined into [float]: kept small, [float] is itself inlined
+   into [uniform], [gaussian] and [exponential], which then box no
+   intermediate draw. *)
+let bits53 t =
+  advance t;
+  (t.shi lsl 21) lor (t.slo lsr 11)
+
 let float t =
   (* Top 53 bits of the draw give a uniform double in [0,1): exactly
      [Int64.to_float (z >>> 11) * 2^-53] of the historical code — the
      53-bit value is nonnegative and fits a native int, so the
      int-to-float conversion is exact either way. *)
-  advance t;
-  let bits = (t.shi lsl 21) lor (t.slo lsr 11) in
-  float_of_int bits *. (1.0 /. 9007199254740992.0)
+  float_of_int (bits53 t) *. 0x1p-53
 
 let uniform t lo hi =
   assert (lo <= hi);

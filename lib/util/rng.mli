@@ -28,6 +28,12 @@ val int64 : t -> int64
 val float : t -> float
 (** [float t] draws uniformly in [0, 1). *)
 
+val bits53 : t -> int
+(** The top 53 bits of the next raw draw, in [0, 2^53): [float t] is
+    exactly [float_of_int (bits53 t) *. 0x1p-53], so a hot loop can
+    scale the int itself and skip the boxed float a call from another
+    module returns. *)
+
 val uniform : t -> float -> float -> float
 (** [uniform t lo hi] draws uniformly in [lo, hi). Requires [lo <= hi]. *)
 

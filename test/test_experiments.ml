@@ -129,6 +129,22 @@ let test_table1_tiny_short () =
     (cc_tiny.Table1.mean < cc_short.Table1.mean);
   quiet (fun () -> Table1.print d)
 
+(* test/golden/table1_seed12_runs2.json is the exact `empower_eval
+   table1 --runs 2 --json` output (seed 12, the default): every TCP
+   download of Table 1, with and without CC. Replaying it must
+   reproduce it byte for byte; a change to the TCP sender or to the
+   engine's timer events that moves one completion time, or one tie
+   between same-time events, shows here. Regenerate with that command
+   if an intentional engine or format change lands. *)
+let test_table1_golden () =
+  let golden =
+    match Obs.Json.read_file (Filename.concat "golden" "table1_seed12_runs2.json") with
+    | Ok s -> String.trim s
+    | Error m -> Alcotest.fail m
+  in
+  Alcotest.(check string) "golden table1 byte-identical" golden
+    (Obs.Json.to_string (Figure_json.table1 (Table1.run ~seed:12 ~repeats:2 ())))
+
 let test_fig12_tcp_works () =
   let d = Fig12.run ~seed:13 ~phase_seconds:60.0 () in
   Alcotest.(check bool) "EMPoWER TCP delivers" true (d.Fig12.mean_empower > 1.0);
@@ -190,6 +206,7 @@ let () =
           Alcotest.test_case "fig9 narrative" `Quick test_fig9_narrative;
           Alcotest.test_case "fig10 structure" `Quick test_fig10_structure;
           Alcotest.test_case "table1 tiny/short" `Quick test_table1_tiny_short;
+          Alcotest.test_case "table1 golden replay" `Quick test_table1_golden;
           Alcotest.test_case "fig12 tcp" `Quick test_fig12_tcp_works;
           Alcotest.test_case "runner helpers" `Quick test_runner_helpers;
         ] );

@@ -502,6 +502,54 @@ let test_tcp_transfer_over_engine () =
     Alcotest.(check bool) "completes in sane time" true (d > 4.0 && d < 30.0)
   | _ -> Alcotest.fail "TCP transfer did not complete"
 
+(* A TCP flow whose first-hop links are dead from 2 s to 5 s: no
+   frame leaves the source, no ack returns, and the sender times out
+   and backs off while the controller's acks keep calling it. Each
+   RTO deadline is queued once, so the event queue stays within the
+   engine's own pre-size (64 + 2 per link + 8 per flow) instead of
+   filling with copies of the same timer. The delivery is pinned: the
+   skipped copies could only have popped as no-ops. *)
+let test_tcp_outage_timer_queue () =
+  let g, dom = fig1 () in
+  let comb = Multipath.find g dom ~src:0 ~dst:2 in
+  let routes = Multipath.routes comb in
+  let first_hops =
+    List.sort_uniq compare (List.map (fun p -> List.hd p.Paths.links) routes)
+  in
+  Alcotest.(check (list int)) "both first hops" [ 0; 4 ] first_hops;
+  let flow =
+    {
+      Engine.src = 0;
+      dst = 2;
+      routes;
+      init_rates = List.map snd comb.Multipath.paths;
+      workload = Workload.Saturated;
+      transport = Engine.Tcp_transport;
+      tcp_params = None;
+      start_time = 0.0;
+      stop_time = None;
+    }
+  in
+  let link_events =
+    List.concat_map
+      (fun l -> [ (2.0, l, 0.0); (5.0, l, Multigraph.capacity g l) ])
+      first_hops
+  in
+  let config =
+    { Engine.default_config with delta = 0.3; delay_equalize = true }
+  in
+  let res =
+    Engine.run ~config ~link_events (Rng.create 9) g dom ~flows:[ flow ]
+      ~duration:6.0
+  in
+  let fr = res.Engine.flows.(0) in
+  Alcotest.(check int) "received bytes" 5_424_000 fr.Engine.received_bytes;
+  Alcotest.(check int) "frames lost" 0 fr.Engine.frames_lost;
+  let bound = 64 + (2 * Multigraph.num_links g) + 8 in
+  let peak = res.Engine.perf.Engine.peak_queue_depth in
+  if peak > bound then
+    Alcotest.failf "peak event-queue depth %d exceeds the pre-size %d" peak bound
+
 let test_validation_errors () =
   let g, dom = fig1 () in
   let base = saturated_flow g dom ~src:0 ~dst:2 in
@@ -1099,7 +1147,11 @@ let () =
             test_empirical_validation;
         ] );
       ( "tcp",
-        [ Alcotest.test_case "transfer completes" `Quick test_tcp_transfer_over_engine ] );
+        [
+          Alcotest.test_case "transfer completes" `Quick test_tcp_transfer_over_engine;
+          Alcotest.test_case "outage queues each timer once" `Quick
+            test_tcp_outage_timer_queue;
+        ] );
       ( "dynamics",
         [
           Alcotest.test_case "link failure reroutes" `Quick

@@ -139,7 +139,7 @@ let prop_rng_matches_int64_reference =
   (* Arbitrary op interleavings, including splits (both streams keep
      being compared), must match the Int64 reference draw-for-draw. *)
   QCheck.Test.make ~count:200 ~name:"rng bit-identical to Int64 SplitMix64"
-    QCheck.(pair int (list (int_bound 4)))
+    QCheck.(pair int (list (int_bound 5)))
     (fun (seed, ops) ->
       let a = ref (Rng.create seed) and b = ref (Rng_ref.create seed) in
       List.for_all
@@ -152,6 +152,9 @@ let prop_rng_matches_int64_reference =
               a := Rng.split !a;
               b := Rng_ref.split !b;
               true
+          | 4 ->
+              Rng.bits53 !a
+              = Int64.to_int (Int64.shift_right_logical (Rng_ref.next !b) 11)
           | _ -> Rng.int64 !a = Rng_ref.next !b)
         ops
       && Rng.int64 !a = Rng_ref.next !b)
@@ -265,6 +268,25 @@ let test_pqueue_fifo_ties () =
   Pqueue.push q 1.0 "third";
   let order = List.init 3 (fun _ -> match Pqueue.pop q with Some (_, v) -> v | None -> "?") in
   Alcotest.(check (list string)) "FIFO among ties" [ "first"; "second"; "third" ] order
+
+let test_pqueue_push_seq () =
+  (* Caller-numbered entries: ties pop by the given number, whatever
+     the insertion order, and [top_seq] reads it back. *)
+  let q = Pqueue.create () in
+  Pqueue.push_seq q 1.0 ~seq:7 "seven";
+  Pqueue.push_seq q 1.0 ~seq:3 "three";
+  Pqueue.push_seq q 0.5 ~seq:9 "early";
+  Pqueue.push_seq q 1.0 ~seq:5 "five";
+  Alcotest.(check int) "top_seq" 9 (Pqueue.top_seq q);
+  let order =
+    List.init 4 (fun _ ->
+        let s = Pqueue.top_seq q in
+        match Pqueue.pop q with Some (_, v) -> Printf.sprintf "%s@%d" v s | None -> "?")
+  in
+  Alcotest.(check (list string)) "priority, then seq"
+    [ "early@9"; "three@3"; "five@5"; "seven@7" ] order;
+  Alcotest.check_raises "top_seq empty" (Invalid_argument "Pqueue.top_seq: empty heap")
+    (fun () -> ignore (Pqueue.top_seq q))
 
 let test_pqueue_size_clear () =
   let q = Pqueue.create () in
@@ -446,6 +468,7 @@ let () =
         [
           Alcotest.test_case "ordering" `Quick test_pqueue_order;
           Alcotest.test_case "fifo ties" `Quick test_pqueue_fifo_ties;
+          Alcotest.test_case "push_seq ties" `Quick test_pqueue_push_seq;
           Alcotest.test_case "empty ops" `Quick test_pqueue_empty_ops;
           Alcotest.test_case "interleaved ties" `Quick test_pqueue_interleaved_ties;
           Alcotest.test_case "size/clear" `Quick test_pqueue_size_clear;

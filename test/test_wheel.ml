@@ -61,8 +61,12 @@ let test_top_matches_pop () =
   List.iter (fun p -> Wheel.push w p (int_of_float (p *. 1000.0))) [ 0.3; 0.1; 0.2 ];
   check_float "top_prio" 0.1 (Wheel.top_prio w);
   Alcotest.(check int) "top" 100 (Wheel.top w);
+  let cell = Wheel.min_prio_cell w in
+  check_float "cell after top" 0.1 cell.(0);
   Wheel.drop w;
-  check_float "next top_prio" 0.2 (Wheel.top_prio w)
+  check_float "next top_prio" 0.2 (Wheel.top_prio w);
+  Alcotest.(check int) "next top" 200 (Wheel.top w);
+  check_float "cell after next top" 0.2 cell.(0)
 
 (* --- QCheck equivalence vs Pqueue --- *)
 
@@ -122,7 +126,8 @@ let prop_wheel_matches_pqueue =
             let same_top =
               match Pqueue.peek h with
               | None -> Wheel.is_empty w
-              | Some top -> Wheel.peek w = Some top
+              | Some ((p, _) as top) ->
+                Wheel.peek w = Some top && (Wheel.min_prio_cell w).(0) = p
             in
             Wheel.drop_push w p v;
             Pqueue.drop_push h p v;
