@@ -13,9 +13,12 @@
                   flight ring armed, and with one DCTCP flow over DT
                   buffers with ECN), the reorder buffer on its own,
                   one churn scenario end to end
-                  (Scenario.run flapping-churn, ring armed), the
-                  testbed's interference structure and the 20-byte
-                  header codec.
+                  (Scenario.run flapping-churn, ring armed), route
+                  re-discovery on a route death (Recovery.survivors,
+                  testbed with node 6 down), the testbed's
+                  interference structure and the 20-byte header
+                  codec. Each prints its time and its minor words per
+                  run.
    - sim          wall-clock engine throughput on a pinned scenario,
                   written to BENCH_sim.json: events/s and allocation
                   per event, trace overhead, chaos/severance runs, and
@@ -205,6 +208,21 @@ let flapping_churn =
 let bench_scenario_flight () =
   ignore (Scenario.run ~flight:(Lazy.force flight_ring) (Lazy.force flapping_churn))
 
+(* Route re-discovery as the engine asks it on a route death: which
+   of the testbed's 0->12 routes survive, seen from node 0, with node
+   6 down. *)
+let survivors_case =
+  lazy
+    (let g, dom = Lazy.force testbed_case in
+     let caps = Multigraph.capacities g in
+     List.iter (fun l -> caps.(l) <- 0.0) (Multigraph.out_links g 6);
+     List.iter (fun l -> caps.(l) <- 0.0) (Multigraph.in_links g 6);
+     (g, caps, Multipath.routes (Multipath.find g dom ~src:0 ~dst:12)))
+
+let bench_survivors () =
+  let g, caps, routes = Lazy.force survivors_case in
+  ignore (Recovery.survivors g ~caps ~src:0 ~routes)
+
 (* Building the testbed's interference structure: the pairwise bits,
    the twin classes and one domain array per class. *)
 let bench_domain_testbed () =
@@ -238,38 +256,68 @@ let kernel_tests =
     Test.make ~name:"Reorder.push_cb, 3 routes out of order" (Staged.stage bench_reorder);
     Test.make ~name:"Scenario.run flapping-churn, flight ring armed"
       (Staged.stage bench_scenario_flight);
+    Test.make ~name:"Recovery.survivors (testbed, node 6 down)"
+      (Staged.stage bench_survivors);
     Test.make ~name:"Domain.of_instance (testbed)" (Staged.stage bench_domain_testbed);
     Test.make ~name:"header encode+decode" (Staged.stage bench_header);
   ]
+
+(* Minor words allocated, read with [Gc.minor_words]. The toolkit's
+   [Instance.minor_allocated] reads [Gc.quick_stat], whose count on
+   OCaml 5 moves only when a minor collection runs, so a kernel that
+   allocates less than a minor heap per sample reads as 0 words. *)
+module Minor_words = struct
+  type witness = unit
+
+  let load () = ()
+  let unload () = ()
+  let make () = ()
+  let get () = Gc.minor_words ()
+  let label () = "minor-words"
+  let unit () = "w"
+end
+
+let minor_words =
+  Measure.instance (module Minor_words) (Measure.register (module Minor_words))
 
 let run_kernels () =
   print_endline "=== Bechamel kernel benchmarks ===";
   let ols =
     Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
   in
-  let instances = Instance.[ monotonic_clock ] in
+  let instances = [ Instance.monotonic_clock; minor_words ] in
   let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) () in
   let grouped = Test.make_grouped ~name:"empower" ~fmt:"%s %s" kernel_tests in
   let raw = Benchmark.all cfg instances grouped in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  let rows = ref [] in
-  Hashtbl.iter
-    (fun name ols_result ->
-      let time_ns =
-        match Analyze.OLS.estimates ols_result with
-        | Some (t :: _) -> t
-        | Some [] | None -> Float.nan
-      in
-      rows := (name, time_ns) :: !rows)
-    results;
+  (* Per kernel: the OLS estimate of one measure per run. *)
+  let per_run instance =
+    let est = Hashtbl.create 32 in
+    Hashtbl.iter
+      (fun name ols_result ->
+        Hashtbl.replace est name
+          (match Analyze.OLS.estimates ols_result with
+          | Some (v :: _) -> v
+          | Some [] | None -> Float.nan))
+      (Analyze.all ols instance raw);
+    est
+  in
+  let time_ns = per_run Instance.monotonic_clock in
+  let words = per_run minor_words in
+  let names = List.sort compare (Hashtbl.fold (fun name _ acc -> name :: acc) time_ns []) in
   List.iter
-    (fun (name, ns) ->
-      if Float.is_nan ns then Printf.printf "%-45s (no estimate)\n" name
-      else if ns > 1e9 then Printf.printf "%-45s %8.2f s/run\n" name (ns /. 1e9)
-      else if ns > 1e6 then Printf.printf "%-45s %8.2f ms/run\n" name (ns /. 1e6)
-      else if ns > 1e3 then Printf.printf "%-45s %8.2f us/run\n" name (ns /. 1e3)
-      else Printf.printf "%-45s %8.0f ns/run\n" name ns)
-    (List.sort compare !rows)
+    (fun name ->
+      let ns = Hashtbl.find time_ns name in
+      let time =
+        if Float.is_nan ns then "(no estimate)"
+        else if ns > 1e9 then Printf.sprintf "%8.2f s/run" (ns /. 1e9)
+        else if ns > 1e6 then Printf.sprintf "%8.2f ms/run" (ns /. 1e6)
+        else if ns > 1e3 then Printf.sprintf "%8.2f us/run" (ns /. 1e3)
+        else Printf.sprintf "%8.0f ns/run" ns
+      in
+      let w = Option.value (Hashtbl.find_opt words name) ~default:Float.nan in
+      let words = if Float.is_nan w then "" else Printf.sprintf "  %12.0f words/run" w in
+      Printf.printf "%-45s %s%s\n" name time words)
+    names
 
 (* ---------- part 1b: engine throughput on a fixed scenario ---------- *)
 

@@ -766,12 +766,20 @@ module Flight = struct
     mutable next : int;   (* next write slot *)
     mutable total : int;  (* events ever written *)
     mutable sink : Trace.sink option;  (* offered every stored row *)
+    (* One-slot float cells, read by the writers so that no float
+       crosses a call boxed: [clock] stamps every row (the attached
+       run's clock, else [own]); [cell] carries the float operand of
+       [grant] and [delivery]. *)
+    mutable clock : float array;
+    own : float array;
+    cell : float array;
     dump_path : string;
   }
 
   let create ?(capacity = default_capacity) ?(dump_path = default_dump_path) ()
       =
     if capacity < 1 then invalid_arg "Obs.Flight.create: capacity must be >= 1";
+    let own = Array.make 1 0.0 in
     {
       cap = capacity;
       tag = Array.make capacity (-1);
@@ -787,13 +795,25 @@ module Flight = struct
       next = 0;
       total = 0;
       sink = None;
+      clock = own;
+      own;
+      cell = Array.make 1 0.0;
       dump_path;
     }
 
   let capacity t = t.cap
   let recorded t = t.total
   let dump_path t = t.dump_path
-  let set_sink t s = t.sink <- s
+  let cell t = t.cell
+
+  let attach t ~clock sink =
+    if Array.length clock < 1 then invalid_arg "Obs.Flight.attach: empty clock cell";
+    t.clock <- clock;
+    t.sink <- sink
+
+  let detach t =
+    t.clock <- t.own;
+    t.sink <- None
 
   let clear t =
     t.next <- 0;
@@ -907,12 +927,13 @@ module Flight = struct
         }
     | _ (* k_rate, k_ack *) -> Option.get t.boxed.(i)
 
-  let slot t tag time =
+  (* Claim the next slot and stamp it with the clock cell's time. *)
+  let slot t tag =
     let i = t.next in
     t.next <- (if i + 1 = t.cap then 0 else i + 1);
     t.total <- t.total + 1;
     t.tag.(i) <- tag;
-    t.time.(i) <- time;
+    t.time.(i) <- t.clock.(0);
     if t.boxed.(i) != None then t.boxed.(i) <- None;
     i
 
@@ -925,8 +946,8 @@ module Flight = struct
       Trace.push s (event_of_row t i)
     | _ -> ()
 
-  let enqueue t ~t_s ~link ~flow ~seq ~bytes ~qlen =
-    let i = slot t k_enqueue t_s in
+  let enqueue t ~link ~flow ~seq ~bytes ~qlen =
+    let i = slot t k_enqueue in
     t.i1.(i) <- link;
     t.i2.(i) <- flow;
     t.i3.(i) <- seq;
@@ -934,98 +955,105 @@ module Flight = struct
     t.i5.(i) <- qlen;
     offer t i
 
-  let grant t ~t_s ~link ~flow ~seq ~collided ~airtime =
-    let i = slot t k_grant t_s in
+  let grant t ~link ~flow ~seq ~collided =
+    let i = slot t k_grant in
     t.i1.(i) <- link;
     t.i2.(i) <- flow;
     t.i3.(i) <- seq;
     t.i4.(i) <- (if collided then 1 else 0);
-    t.f1.(i) <- airtime;
+    t.f1.(i) <- t.cell.(0);
     offer t i
 
-  let dequeue t ~t_s ~link ~flow ~seq =
-    let i = slot t k_dequeue t_s in
+  let dequeue t ~link ~flow ~seq =
+    let i = slot t k_dequeue in
     t.i1.(i) <- link;
     t.i2.(i) <- flow;
     t.i3.(i) <- seq;
     offer t i
 
-  let collision t ~t_s ~link ~flow ~seq =
-    let i = slot t k_collision t_s in
+  let collision t ~link ~flow ~seq =
+    let i = slot t k_collision in
     t.i1.(i) <- link;
     t.i2.(i) <- flow;
     t.i3.(i) <- seq;
     offer t i
 
-  let drop t ~t_s ~link ~flow ~seq ~reason =
-    let i = slot t k_drop t_s in
-    t.i1.(i) <- (match link with Some l -> l | None -> -1);
+  let drop t ~link ~flow ~seq ~reason =
+    let i = slot t k_drop in
+    t.i1.(i) <- link;
     t.i2.(i) <- flow;
     t.i3.(i) <- seq;
     t.i4.(i) <- reason_code reason;
     offer t i
 
-  let delivery t ~t_s ~flow ~seq ~bytes ~delay =
-    let i = slot t k_delivery t_s in
+  let delivery t ~flow ~seq ~bytes =
+    let i = slot t k_delivery in
     t.i1.(i) <- flow;
     t.i2.(i) <- seq;
     t.i3.(i) <- bytes;
-    t.f1.(i) <- delay;
+    t.f1.(i) <- t.cell.(0);
     offer t i
 
-  let price t ~t_s ~link ~gamma ~price =
-    let i = slot t k_price t_s in
+  (* Inlined into [prices] so its float arguments stay unboxed. *)
+  let[@inline] price t ~link ~gamma ~price =
+    let i = slot t k_price in
     t.i1.(i) <- link;
     t.f1.(i) <- gamma;
     t.f2.(i) <- price;
     offer t i
 
-  let link_event t ~t_s ~link ~capacity =
-    let i = slot t k_link t_s in
+  let prices t ~links ~gamma ~price:p =
+    for k = 0 to Array.length links - 1 do
+      let l = links.(k) in
+      price t ~link:l ~gamma:gamma.(l) ~price:p.(l)
+    done
+
+  let link_event t ~link ~capacity =
+    let i = slot t k_link in
     t.i1.(i) <- link;
     t.f1.(i) <- capacity;
     offer t i
 
-  let loss_event t ~t_s ~link ~prob =
-    let i = slot t k_loss t_s in
+  let loss_event t ~link ~prob =
+    let i = slot t k_loss in
     t.i1.(i) <- link;
     t.f1.(i) <- prob;
     offer t i
 
-  let ctrl_event t ~t_s ~drop ~delay =
-    let i = slot t k_ctrl t_s in
+  let ctrl_event t ~drop ~delay =
+    let i = slot t k_ctrl in
     t.f1.(i) <- drop;
     t.f2.(i) <- delay;
     offer t i
 
-  let route_dead t ~t_s ~flow ~route ~detect_s =
-    let i = slot t k_route_dead t_s in
+  let route_dead t ~flow ~route ~detect_s =
+    let i = slot t k_route_dead in
     t.i1.(i) <- flow;
     t.i2.(i) <- route;
     t.f1.(i) <- detect_s;
     offer t i
 
-  let route_probe t ~t_s ~flow ~route ~attempt =
-    let i = slot t k_route_probe t_s in
+  let route_probe t ~flow ~route ~attempt =
+    let i = slot t k_route_probe in
     t.i1.(i) <- flow;
     t.i2.(i) <- route;
     t.i3.(i) <- attempt;
     offer t i
 
-  let route_restored t ~t_s ~flow ~route ~down_s =
-    let i = slot t k_route_restored t_s in
+  let route_restored t ~flow ~route ~down_s =
+    let i = slot t k_route_restored in
     t.i1.(i) <- flow;
     t.i2.(i) <- route;
     t.f1.(i) <- down_s;
     offer t i
 
-  let price_reset t ~t_s ~link =
-    let i = slot t k_price_reset t_s in
+  let price_reset t ~link =
+    let i = slot t k_price_reset in
     t.i1.(i) <- link;
     offer t i
 
-  let ecn_mark t ~t_s ~link ~flow ~seq ~occ =
-    let i = slot t k_ecn_mark t_s in
+  let ecn_mark t ~link ~flow ~seq ~occ =
+    let i = slot t k_ecn_mark in
     t.i1.(i) <- link;
     t.i2.(i) <- flow;
     t.i3.(i) <- seq;
@@ -1033,40 +1061,48 @@ module Flight = struct
     offer t i
 
   let boxed_event t tag ev =
-    let i = slot t tag (Trace.time ev) in
+    let i = slot t tag in
     t.boxed.(i) <- Some ev;
     offer t i
 
-  let event t ev =
+  let write t ev =
     match ev with
-    | Trace.Enqueue { t = t_s; link; flow; seq; bytes; qlen } ->
-      enqueue t ~t_s ~link ~flow ~seq ~bytes ~qlen
-    | Trace.Mac_grant { t = t_s; link; flow; seq; collided; airtime } ->
-      grant t ~t_s ~link ~flow ~seq ~collided ~airtime
-    | Trace.Dequeue { t = t_s; link; flow; seq } -> dequeue t ~t_s ~link ~flow ~seq
-    | Trace.Collision { t = t_s; link; flow; seq } ->
-      collision t ~t_s ~link ~flow ~seq
-    | Trace.Drop { t = t_s; link; flow; seq; reason } ->
-      drop t ~t_s ~link ~flow ~seq ~reason
-    | Trace.Delivery { t = t_s; flow; seq; bytes; delay } ->
-      delivery t ~t_s ~flow ~seq ~bytes ~delay
-    | Trace.Price_update { t = t_s; link; gamma; price = pr } ->
-      price t ~t_s ~link ~gamma ~price:pr
+    | Trace.Enqueue { link; flow; seq; bytes; qlen; _ } ->
+      enqueue t ~link ~flow ~seq ~bytes ~qlen
+    | Trace.Mac_grant { link; flow; seq; collided; airtime; _ } ->
+      t.cell.(0) <- airtime;
+      grant t ~link ~flow ~seq ~collided
+    | Trace.Dequeue { link; flow; seq; _ } -> dequeue t ~link ~flow ~seq
+    | Trace.Collision { link; flow; seq; _ } -> collision t ~link ~flow ~seq
+    | Trace.Drop { link; flow; seq; reason; _ } ->
+      drop t ~link:(match link with Some l -> l | None -> -1) ~flow ~seq ~reason
+    | Trace.Delivery { flow; seq; bytes; delay; _ } ->
+      t.cell.(0) <- delay;
+      delivery t ~flow ~seq ~bytes
+    | Trace.Price_update { link; gamma; price = pr; _ } -> price t ~link ~gamma ~price:pr
     | Trace.Rate_update _ -> boxed_event t k_rate ev
     | Trace.Ack _ -> boxed_event t k_ack ev
-    | Trace.Link_event { t = t_s; link; capacity } ->
-      link_event t ~t_s ~link ~capacity
-    | Trace.Loss_event { t = t_s; link; prob } -> loss_event t ~t_s ~link ~prob
-    | Trace.Ctrl_event { t = t_s; drop; delay } -> ctrl_event t ~t_s ~drop ~delay
-    | Trace.Route_dead { t = t_s; flow; route; detect_s } ->
-      route_dead t ~t_s ~flow ~route ~detect_s
-    | Trace.Route_probe { t = t_s; flow; route; attempt } ->
-      route_probe t ~t_s ~flow ~route ~attempt
-    | Trace.Route_restored { t = t_s; flow; route; down_s } ->
-      route_restored t ~t_s ~flow ~route ~down_s
-    | Trace.Price_reset { t = t_s; link } -> price_reset t ~t_s ~link
-    | Trace.Ecn_mark { t = t_s; link; flow; seq; occ } ->
-      ecn_mark t ~t_s ~link ~flow ~seq ~occ
+    | Trace.Link_event { link; capacity; _ } -> link_event t ~link ~capacity
+    | Trace.Loss_event { link; prob; _ } -> loss_event t ~link ~prob
+    | Trace.Ctrl_event { drop; delay; _ } -> ctrl_event t ~drop ~delay
+    | Trace.Route_dead { flow; route; detect_s; _ } -> route_dead t ~flow ~route ~detect_s
+    | Trace.Route_probe { flow; route; attempt; _ } -> route_probe t ~flow ~route ~attempt
+    | Trace.Route_restored { flow; route; down_s; _ } ->
+      route_restored t ~flow ~route ~down_s
+    | Trace.Price_reset { link; _ } -> price_reset t ~link
+    | Trace.Ecn_mark { link; flow; seq; occ; _ } -> ecn_mark t ~link ~flow ~seq ~occ
+
+  (* The generic path stamps the event's own time: the ring's own cell
+     stands in as the clock for the one write. *)
+  let event t ev =
+    let clock = t.clock in
+    t.own.(0) <- Trace.time ev;
+    t.clock <- t.own;
+    match write t ev with
+    | () -> t.clock <- clock
+    | exception e ->
+      t.clock <- clock;
+      raise e
 
   let fold_oldest_first t f acc =
     let len = if t.total < t.cap then t.total else t.cap in
@@ -1598,13 +1634,23 @@ module Recorder = struct
     mutable fault_last : float;
     flow_argmax : (int, int) Hashtbl.t;
     flows_seen : (int, unit) Hashtbl.t;
-    (* Instruments updated on every grant, collision, price row or
-       delivery: looked up by name on first use and then kept, so the
-       registry holds exactly what a lookup per event would create. *)
+    (* Instruments updated per frame, per tick or per ack: looked up
+       by name on first use and then kept, so the registry holds
+       exactly what a lookup per event would create, and no name is
+       formatted twice. *)
     gamma_max : Metrics.Gauge.t Lazy.t;
     grants : Metrics.Counter.t Lazy.t;
     collisions : Metrics.Counter.t Lazy.t;
-    delay_hist : (int, Metrics.Histogram.t) Hashtbl.t;  (* per flow *)
+    ecn_marks : Metrics.Counter.t Lazy.t;
+    drops : (Trace.drop_reason, Metrics.Counter.t) Hashtbl.t;
+    link_collisions : (int, Metrics.Counter.t) Hashtbl.t;
+    link_marks : (int, Metrics.Counter.t) Hashtbl.t;
+    (* per flow *)
+    delay_hist : (int, Metrics.Histogram.t) Hashtbl.t;
+    rate : (int, Metrics.Series.t) Hashtbl.t;
+    rate_delta : (int, Metrics.Series.t) Hashtbl.t;
+    reroutes : (int, Metrics.Counter.t) Hashtbl.t;
+    acks : (int, Metrics.Counter.t) Hashtbl.t;
   }
 
   let create ?domain_of reg =
@@ -1627,8 +1673,27 @@ module Recorder = struct
       gamma_max = lazy (Metrics.gauge reg "ctrl.gamma_max");
       grants = lazy (Metrics.counter reg "mac.grants");
       collisions = lazy (Metrics.counter reg "mac.collisions");
+      ecn_marks = lazy (Metrics.counter reg "ecn.marks");
+      drops = Hashtbl.create 8;
+      link_collisions = Hashtbl.create 32;
+      link_marks = Hashtbl.create 32;
       delay_hist = Hashtbl.create 8;
+      rate = Hashtbl.create 8;
+      rate_delta = Hashtbl.create 8;
+      reroutes = Hashtbl.create 8;
+      acks = Hashtbl.create 8;
     }
+
+  (* The instrument of key [k] in [tbl], created as [make reg (name k)]
+     on first use. Callers pass closed functions, so a hit allocates
+     nothing. *)
+  let cached reg tbl make name k =
+    match Hashtbl.find tbl k with
+    | h -> h
+    | exception Not_found ->
+      let h = make reg (name k) in
+      Hashtbl.add tbl k h;
+      h
 
   let sorted_keys tbl = Hashtbl.fold (fun k _ acc -> k :: acc) tbl [] |> List.sort compare
 
@@ -1717,20 +1782,21 @@ module Recorder = struct
     | Trace.Collision { link; _ } ->
       Metrics.Counter.incr (Lazy.force r.collisions);
       Metrics.Counter.incr
-        (Metrics.counter r.reg (Printf.sprintf "link.%d.collisions" link))
+        (cached r.reg r.link_collisions Metrics.counter
+           (fun l -> Printf.sprintf "link.%d.collisions" l)
+           link)
     | Trace.Drop { reason; _ } ->
       Metrics.Counter.incr
-        (Metrics.counter r.reg ("drops." ^ Trace.drop_reason_name reason))
+        (cached r.reg r.drops Metrics.counter
+           (fun reason -> "drops." ^ Trace.drop_reason_name reason)
+           reason)
     | Trace.Delivery { flow; bytes; delay; _ } ->
-      let h =
-        match Hashtbl.find r.delay_hist flow with
-        | h -> h
-        | exception Not_found ->
-          let h = Metrics.histogram r.reg (Printf.sprintf "flow.%d.delay" flow) in
-          Hashtbl.add r.delay_hist flow h;
-          h
-      in
-      Metrics.Histogram.observe h delay;
+      Metrics.Histogram.observe
+        (cached r.reg r.delay_hist
+           (fun reg name -> Metrics.histogram reg name)
+           (fun f -> Printf.sprintf "flow.%d.delay" f)
+           flow)
+        delay;
       Hashtbl.replace r.flows_seen flow ();
       acc_float r.flow_bits flow (8.0 *. float_of_int bytes)
     | Trace.Price_update { t; link; gamma; _ } ->
@@ -1752,14 +1818,18 @@ module Recorder = struct
     | Trace.Rate_update { t; flow; rates } ->
       let total = Array.fold_left ( +. ) 0.0 rates in
       Metrics.Series.add
-        (Metrics.series r.reg (Printf.sprintf "flow.%d.rate" flow))
+        (cached r.reg r.rate Metrics.series
+           (fun f -> Printf.sprintf "flow.%d.rate" f)
+           flow)
         t total;
       (match Hashtbl.find_opt r.flow_rates flow with
       | Some prev when Array.length prev = Array.length rates ->
         let delta = ref 0.0 in
         Array.iteri (fun i x -> delta := !delta +. Float.abs (x -. prev.(i))) rates;
         Metrics.Series.add
-          (Metrics.series r.reg (Printf.sprintf "flow.%d.rate_delta" flow))
+          (cached r.reg r.rate_delta Metrics.series
+             (fun f -> Printf.sprintf "flow.%d.rate_delta" f)
+             flow)
           t !delta
       | Some _ | None -> ());
       Hashtbl.replace r.flow_rates flow (Array.copy rates);
@@ -1772,13 +1842,17 @@ module Recorder = struct
         (match Hashtbl.find_opt r.flow_argmax flow with
         | Some prev when prev <> !best ->
           Metrics.Counter.incr
-            (Metrics.counter r.reg (Printf.sprintf "flow.%d.reroutes" flow))
+            (cached r.reg r.reroutes Metrics.counter
+               (fun f -> Printf.sprintf "flow.%d.reroutes" f)
+               flow)
         | Some _ | None -> ());
         Hashtbl.replace r.flow_argmax flow !best
       end
     | Trace.Ack { flow; _ } ->
       Metrics.Counter.incr
-        (Metrics.counter r.reg (Printf.sprintf "flow.%d.acks" flow))
+        (cached r.reg r.acks Metrics.counter
+           (fun f -> Printf.sprintf "flow.%d.acks" f)
+           flow)
     | Trace.Link_event { t; link; capacity } ->
       Metrics.Counter.incr (Metrics.counter r.reg "link.events");
       on_fault_boundary r t;
@@ -1821,9 +1895,11 @@ module Recorder = struct
     | Trace.Price_reset _ ->
       Metrics.Counter.incr (Metrics.counter r.reg "recovery.price_resets")
     | Trace.Ecn_mark { link; _ } ->
-      Metrics.Counter.incr (Metrics.counter r.reg "ecn.marks");
+      Metrics.Counter.incr (Lazy.force r.ecn_marks);
       Metrics.Counter.incr
-        (Metrics.counter r.reg (Printf.sprintf "link.%d.marks" link))
+        (cached r.reg r.link_marks Metrics.counter
+           (fun l -> Printf.sprintf "link.%d.marks" l)
+           link)
 
   let sink ?kinds r = Trace.of_fn ?kinds (on_event r)
 

@@ -327,18 +327,20 @@ end
 
     Recording a datapath event stores its tag, time and scalar fields
     into fixed [int array] / [float array] columns — no event record
-    is constructed, nothing grows, so the ring is cheap enough to
-    leave attached to every run (see [flight_overhead_pct] in
-    BENCH_sim.json; the only boxed writes are the two array-carrying
-    control-plane kinds, {!Trace.Rate_update} and {!Trace.Ack}, a few
-    per control period). Every writer, after storing its row, offers
-    it to the sink attached with {!set_sink}: the row's tag is tested
-    against the kinds the sink reads ({!Trace.reads}) first, the
-    sink's {!Trace.accept} runs once per row of a kind it reads, and
-    the event record is rebuilt from the row only when the sink takes
-    it. The ring thus records every event whatever the sink's kinds
-    and sampling, and its contents are the tail of what an unsampled
-    sink of every kind received.
+    is constructed, nothing grows, and no float is boxed on the way
+    in (the writers read the time and their float operands from
+    one-slot cells, see {!attach} and {!cell}), so the ring is cheap
+    enough to leave attached to every run (see [flight_overhead_pct]
+    in BENCH_sim.json; the only allocating writes are the two
+    array-carrying control-plane kinds, {!Trace.Rate_update} and
+    {!Trace.Ack}, a few per control period). Every writer, after
+    storing its row, offers it to the sink attached with {!attach}:
+    the row's tag is tested against the kinds the sink reads
+    ({!Trace.reads}) first, the sink's {!Trace.accept} runs once per
+    row of a kind it reads, and the event record is rebuilt from the
+    row only when the sink takes it. The ring thus records every
+    event whatever the sink's kinds and sampling, and its contents
+    are the tail of what an unsampled sink of every kind received.
 
     {!Engine.run} accepts a recorder via [?flight] or creates one
     itself when the [EMPOWER_FLIGHT] environment variable is set, and
@@ -368,55 +370,66 @@ module Flight : sig
 
   val clear : t -> unit
 
-  val set_sink : t -> Trace.sink option -> unit
-  (** Attach ([Some s]) or detach ([None]) the sink that every later
-      write is offered to. A fresh ring has none; {!Engine.run}
-      attaches its trace sink for the duration of the run. *)
+  val attach : t -> clock:float array -> Trace.sink option -> unit
+  (** Attach a run: its clock cell, whose slot 0 stamps every row a
+      flat writer records from now on, and the sink ([Some s]) that
+      every later write is offered to. {!Engine.run} attaches its
+      [now] cell and its trace sink for the duration of the event
+      loop. Raises [Invalid_argument] on an empty [clock]. *)
+
+  val detach : t -> unit
+  (** Drop the attached clock and sink: a fresh or detached ring has
+      neither, offers rows to nobody, and stamps flat rows from its
+      own cell (the time of the last {!event}). *)
 
   val event : t -> Trace.event -> unit
-  (** Record one already-built event (generic path; the engine's path
-      for the two array-carrying kinds). *)
+  (** Record one already-built event at its own time (generic path;
+      the engine's path for the two array-carrying kinds). *)
 
-  (** Flat per-kind writers — scalar stores only, used by the engine
-      so no event record is allocated unless an attached sink takes
-      the row. *)
+  (** Flat per-kind writers, used by the engine so no event record is
+      allocated unless an attached sink takes the row. No float
+      crosses one of these calls on the per-frame and per-tick paths,
+      where a float argument would be boxed: a row's time is read
+      from the attached clock cell, {!grant}'s airtime and
+      {!delivery}'s delay from {!cell}, and {!prices} reads a tick's
+      rows from the caller's arrays. The rarer fault and recovery
+      rows still take their float operands as arguments. *)
 
-  val enqueue :
-    t -> t_s:float -> link:int -> flow:int -> seq:int -> bytes:int -> qlen:int -> unit
+  val cell : t -> float array
+  (** The ring's one-slot operand cell, the same array for the ring's
+      whole life: set [(cell t).(0)] to the airtime before {!grant},
+      and to the delay before {!delivery}. *)
 
-  val grant :
-    t ->
-    t_s:float -> link:int -> flow:int -> seq:int -> collided:bool -> airtime:float -> unit
+  val enqueue : t -> link:int -> flow:int -> seq:int -> bytes:int -> qlen:int -> unit
 
-  val dequeue : t -> t_s:float -> link:int -> flow:int -> seq:int -> unit
-  val collision : t -> t_s:float -> link:int -> flow:int -> seq:int -> unit
+  val grant : t -> link:int -> flow:int -> seq:int -> collided:bool -> unit
+  (** Airtime from {!cell}. *)
+
+  val dequeue : t -> link:int -> flow:int -> seq:int -> unit
+  val collision : t -> link:int -> flow:int -> seq:int -> unit
 
   val drop :
-    t ->
-    t_s:float ->
-    link:int option -> flow:int -> seq:int -> reason:Trace.drop_reason -> unit
+    t -> link:int -> flow:int -> seq:int -> reason:Trace.drop_reason -> unit
+  (** [link] is [-1] for a drop off any link ([link = None] in the
+      event). *)
 
-  val delivery :
-    t -> t_s:float -> flow:int -> seq:int -> bytes:int -> delay:float -> unit
+  val delivery : t -> flow:int -> seq:int -> bytes:int -> unit
+  (** Delay from {!cell}. *)
 
-  val price : t -> t_s:float -> link:int -> gamma:float -> price:float -> unit
-  val link_event : t -> t_s:float -> link:int -> capacity:float -> unit
-  val loss_event : t -> t_s:float -> link:int -> prob:float -> unit
-  val ctrl_event : t -> t_s:float -> drop:float -> delay:float -> unit
+  val prices :
+    t -> links:int array -> gamma:float array -> price:float array -> unit
+  (** One tick's price rows: for each [l] of [links], in order, a
+      {!Trace.Price_update} row carrying [gamma.(l)] and [price.(l)],
+      each offered to the sink as it is written. *)
 
-  val route_dead :
-    t -> t_s:float -> flow:int -> route:int -> detect_s:float -> unit
-
-  val route_probe :
-    t -> t_s:float -> flow:int -> route:int -> attempt:int -> unit
-
-  val route_restored :
-    t -> t_s:float -> flow:int -> route:int -> down_s:float -> unit
-
-  val price_reset : t -> t_s:float -> link:int -> unit
-
-  val ecn_mark :
-    t -> t_s:float -> link:int -> flow:int -> seq:int -> occ:int -> unit
+  val link_event : t -> link:int -> capacity:float -> unit
+  val loss_event : t -> link:int -> prob:float -> unit
+  val ctrl_event : t -> drop:float -> delay:float -> unit
+  val route_dead : t -> flow:int -> route:int -> detect_s:float -> unit
+  val route_probe : t -> flow:int -> route:int -> attempt:int -> unit
+  val route_restored : t -> flow:int -> route:int -> down_s:float -> unit
+  val price_reset : t -> link:int -> unit
+  val ecn_mark : t -> link:int -> flow:int -> seq:int -> occ:int -> unit
 
   val events : t -> Trace.event list
   (** Ring contents, oldest first (decoded back into event records —

@@ -147,19 +147,56 @@ let mask_caps g ~caps ~view =
         in
         if present then caps.(l) else 0.0)
 
+let rediscover g ~caps ~viewer =
+  let { view; flood } = reflood g ~caps ~viewer in
+  (mask_caps g ~caps ~view, flood)
+
+(* The flood's outcome without the flood. A fresh advertisement
+   travels only along usable links, so the viewer holds the fresh
+   generation of exactly the nodes with a usable directed path to it:
+   a breadth-first search backwards over [in_links]. [Lsdb.graph]
+   keeps an edge when either endpoint claims it, so a usable link
+   a->b survives iff a reaches the viewer (its own claim is the link)
+   or b does and claims a usable b->a link of the same technology. *)
 let survivors g ~caps ~src ~routes =
-  let { view; flood } = reflood g ~caps ~viewer:src in
-  let masked = mask_caps g ~caps ~view in
-  let ok =
-    List.map
-      (fun (p : Paths.t) ->
-        List.for_all (fun l -> masked.(l) > 0.0) p.Paths.links)
-      routes
+  let n = Multigraph.n_nodes g in
+  if Array.length caps <> Multigraph.num_links g then
+    invalid_arg "Recovery.survivors: capacity vector length mismatch";
+  if src < 0 || src >= n then invalid_arg "Recovery.survivors: bad viewer";
+  let links = Multigraph.links g in
+  let reaches = Array.make n false in
+  let queue = Array.make n src in
+  reaches.(src) <- true;
+  let head = ref 0 and tail = ref 1 in
+  while !head < !tail do
+    let v = queue.(!head) in
+    incr head;
+    List.iter
+      (fun l ->
+        let u = links.(l).Multigraph.src in
+        if caps.(l) > 0.0 && not reaches.(u) then begin
+          reaches.(u) <- true;
+          queue.(!tail) <- u;
+          incr tail
+        end)
+      (Multigraph.in_links g v)
+  done;
+  let survives l =
+    let lk = links.(l) in
+    caps.(l) > 0.0
+    && (reaches.(lk.Multigraph.src)
+       || reaches.(lk.Multigraph.dst)
+          && List.exists
+               (fun l' ->
+                 caps.(l') > 0.0
+                 && links.(l').Multigraph.dst = lk.Multigraph.src
+                 && links.(l').Multigraph.tech = lk.Multigraph.tech)
+               (Multigraph.out_links g lk.Multigraph.dst))
   in
-  (Array.of_list ok, flood)
+  Array.of_list
+    (List.map (fun (p : Paths.t) -> List.for_all survives p.Paths.links) routes)
 
 let replan g dom ~caps ~src ~dst =
-  let { view; flood } = reflood g ~caps ~viewer:src in
-  let masked = mask_caps g ~caps ~view in
+  let masked, flood = rediscover g ~caps ~viewer:src in
   let comb = Multipath.find (Multigraph.with_capacities g masked) dom ~src ~dst in
   (comb, flood)

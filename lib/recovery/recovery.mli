@@ -14,12 +14,15 @@
       a subsequent ack marks it recovered);
     - {!Backoff}, the exponential reclaim-probe schedule with a cap
       and deterministic seeded jitter;
-    - {!survivors} / {!replan}, route re-discovery by LSDB re-flood:
+    - {!rediscover} / {!replan}, route re-discovery by LSDB re-flood:
       live nodes re-advertise their usable links at a fresh sequence
       number, stale advertisements from dead or partitioned nodes are
       suppressed by the flooding discipline, and the viewer's
       reconstructed graph is intersected with ground-truth capacities
-      before running the Section 3.2 multipath procedure.
+      before running the Section 3.2 multipath procedure;
+    - {!survivors}, the per-route verdict of that re-discovery,
+      computed from reachability without simulating the flood (the
+      engine asks it on every route death).
 
     Everything here is deterministic: equal inputs (and equal rng
     states for the jittered backoff) give equal outputs. *)
@@ -87,14 +90,36 @@ module Detector : sig
 end
 
 val survivors :
+  Multigraph.t -> caps:float array -> src:int -> routes:Paths.t list -> bool array
+(** Per route, in list order: does every hop survive the LSDB
+    re-discovery that {!rediscover} simulates from node [src]'s point
+    of view? It computes the flood's outcome directly instead of
+    simulating it. A node's fresh advertisement reaches [src] iff the
+    node has a directed path of usable links ([caps > 0]) to [src],
+    so those nodes are found by a breadth-first search backwards from
+    [src]. {!Lsdb.graph} keeps an edge that either endpoint claims,
+    so a link survives iff it is usable and one of those nodes has a
+    usable link with the same endpoints and technology. The result
+    equals testing every hop's {!rediscover} capacity for [> 0] (a
+    property in the test suite checks it on random multigraphs), in
+    time linear in the graph and without the flood's allocation.
+    Raises [Invalid_argument] on a capacity vector of the wrong length
+    or a bad [src]. *)
+
+val rediscover :
   Multigraph.t ->
   caps:float array ->
-  src:int ->
-  routes:Paths.t list ->
-  bool array * Lsdb.Flood.stats
-(** Re-flood the link state from node [src]'s point of view (see
-    {!replan}) and report, per route, whether every hop survives in
-    the re-discovered graph. Routes are in list order. *)
+  viewer:int ->
+  float array * Lsdb.Flood.stats
+(** The simulated re-flood that {!replan} routes on: every node is
+    pre-seeded with its stale full-graph advertisement (sequence 1),
+    live nodes re-advertise their currently usable links at sequence
+    2 and flood them over the surviving connectivity, and the viewer
+    keeps only the fresh generation. Returns the capacities masked to
+    the intersection of ground truth ([caps]) and the viewer's
+    re-discovered graph (a link absent from either is [0.]), with the
+    flood's round and message counts. Dead and partitioned nodes
+    therefore cannot resurrect their links. *)
 
 val replan :
   Multigraph.t ->
@@ -103,12 +128,7 @@ val replan :
   src:int ->
   dst:int ->
   Multipath.combination * Lsdb.Flood.stats
-(** Full route re-discovery: every node is pre-seeded with its stale
-    full-graph advertisement (sequence 1), live nodes re-advertise
-    their currently usable links at sequence 2 and flood them over the
-    surviving connectivity, the viewer keeps only the fresh
-    generation, and the Section 3.2 multipath procedure runs on the
-    original link-id space with capacities masked to the intersection
-    of ground truth ([caps]) and the re-discovered view. Dead and
-    partitioned nodes therefore cannot resurrect their links. Consumes
-    no caller randomness. *)
+(** Full route re-discovery: the Section 3.2 multipath procedure on
+    the original link-id space with the capacities {!rediscover}
+    returns for viewer [src], and that flood's stats. Consumes no
+    caller randomness. *)

@@ -239,6 +239,10 @@ let run ?(config = default_config) ?invariants ?trace ?flight ?prof
   let fl =
     match flight with Some f -> f | None -> Obs.Flight.create ~capacity:1 ()
   in
+  (* A grant's airtime and a delivery's delay reach the ring through
+     its operand cell, and every row's time through the [now] cell the
+     event loop attaches: a float passed as an argument would box. *)
+  let fl_cell = Obs.Flight.cell fl in
   (* Live link capacities: start from the graph's and follow the
      scheduled capacity-change / failure events. *)
   let caps = Multigraph.capacities g in
@@ -294,12 +298,14 @@ let run ?(config = default_config) ?invariants ?trace ?flight ?prof
   (* [@inline] on the float helpers below: a local function is called
      out of line with its float arguments and result boxed, and this
      compiler (no flambda) inlines one only when asked to. *)
+  let push_prio = Wheel.push_prio_cell q in
   let[@inline] schedule_abs t ev =
+    push_prio.(0) <- t;
     if !pending_drop then begin
       pending_drop := false;
-      Wheel.drop_push q t ev
+      Wheel.drop_push q ev
     end
-    else Wheel.push q t ev
+    else Wheel.push q ev
   in
   let[@inline] schedule dt ev = schedule_abs (now.(0) +. dt) ev in
   (* [Rng.float rng], bit for bit, without its boxed result. *)
@@ -402,7 +408,7 @@ let run ?(config = default_config) ?invariants ?trace ?flight ?prof
     if gamma.(l) > 0.0 then begin
       gamma.(l) <- 0.0;
       incr gamma_epoch;
-      if obs_on then Obs.Flight.price_reset fl ~t_s:now.(0) ~link:l
+      if obs_on then Obs.Flight.price_reset fl ~link:l
     end
   in
 
@@ -709,8 +715,7 @@ let run ?(config = default_config) ?invariants ?trace ?flight ?prof
         ~reason:(`Drop reason)
     | None -> ());
     if obs_on then
-      Obs.Flight.drop fl ~t_s:now.(0) ~link:(Some l) ~flow:p.flow ~seq:p.seq
-        ~reason
+      Obs.Flight.drop fl ~link:l ~flow:p.flow ~seq:p.seq ~reason
   in
   let inv_release_deliver f seq =
     match inv with
@@ -847,9 +852,11 @@ let run ?(config = default_config) ?invariants ?trace ?flight ?prof
            a cross-module call with a float argument boxes the
            argument and the result on every grant. *)
         let airtime = float_of_int pkt.bytes /. (cap_l *. 1e6 /. 8.0) in
-        if obs_on then
-          Obs.Flight.grant fl ~t_s:now.(0) ~link:l ~flow:pkt.flow
-            ~seq:pkt.seq ~collided:st.air_collided ~airtime;
+        if obs_on then begin
+          fl_cell.(0) <- airtime;
+          Obs.Flight.grant fl ~link:l ~flow:pkt.flow ~seq:pkt.seq
+            ~collided:st.air_collided
+        end;
         schedule airtime (Arena.tx_end l)
       end
     end
@@ -931,8 +938,8 @@ let run ?(config = default_config) ?invariants ?trace ?flight ?prof
              pkt.ce <- true;
              incr ecn_marks;
              if obs_on then
-               Obs.Flight.ecn_mark fl ~t_s:now.(0) ~link:l ~flow:pkt.flow
-                 ~seq:pkt.seq ~occ:port_occ.(l)
+               Obs.Flight.ecn_mark fl ~link:l ~flow:pkt.flow ~seq:pkt.seq
+                 ~occ:port_occ.(l)
            end
          | _ -> ()
        end);
@@ -942,9 +949,8 @@ let run ?(config = default_config) ?invariants ?trace ?flight ?prof
       pkt.qr <- Float.min Header.qr_max (pkt.qr +. link_price l);
       Fifo.push st.queue pkt;
       if obs_on then
-        Obs.Flight.enqueue fl ~t_s:now.(0) ~link:l ~flow:pkt.flow
-          ~seq:pkt.seq ~bytes:pkt.bytes
-          ~qlen:(Fifo.length st.queue);
+        Obs.Flight.enqueue fl ~link:l ~flow:pkt.flow ~seq:pkt.seq
+          ~bytes:pkt.bytes ~qlen:(Fifo.length st.queue);
       try_start l
     end
   in
@@ -1262,9 +1268,10 @@ let run ?(config = default_config) ?invariants ?trace ?flight ?prof
        quantiles within 0.5% relative error, bounded memory. *)
     let delay = now.(0) -. pkt.sent_at in
     Obs.Metrics.Histogram.observe f.delay_hist delay;
-    if obs_on then
-      Obs.Flight.delivery fl ~t_s:now.(0) ~flow:f.id
-        ~seq:pkt.seq ~bytes:pkt.bytes ~delay;
+    if obs_on then begin
+      fl_cell.(0) <- delay;
+      Obs.Flight.delivery fl ~flow:f.id ~seq:pkt.seq ~bytes:pkt.bytes
+    end;
     Ack.on_packet ~ce:pkt.ce f.collector ~route:pkt.route_idx
       ~qr:pkt.qr ~seq:pkt.seq ~bytes:pkt.bytes;
     flush_bins_upto f now.(0);
@@ -1308,8 +1315,7 @@ let run ?(config = default_config) ?invariants ?trace ?flight ?prof
       st.air_collided <- false;
       inv_collision l pkt.flow;
       if obs_on then
-        Obs.Flight.collision fl ~t_s:now.(0) ~link:l ~flow:pkt.flow
-          ~seq:pkt.seq;
+        Obs.Flight.collision fl ~link:l ~flow:pkt.flow ~seq:pkt.seq;
       try_start_domain l
     end
     else if st.air_faulted then begin
@@ -1325,8 +1331,7 @@ let run ?(config = default_config) ?invariants ?trace ?flight ?prof
       st.on_air <- no_frame;
       air_clear l;
       if obs_on then
-        Obs.Flight.dequeue fl ~t_s:now.(0) ~link:l ~flow:pkt.flow
-          ~seq:pkt.seq;
+        Obs.Flight.dequeue fl ~link:l ~flow:pkt.flow ~seq:pkt.seq;
       (* The layer-2.5 source-route decision, pre-resolved at
          bootstrap into the plan array. *)
       let act = plans.(pkt.flow).(pkt.route_idx).(pkt.hop) in
@@ -1358,14 +1363,13 @@ let run ?(config = default_config) ?invariants ?trace ?flight ?prof
   let on_route_dead f i ~since det =
     let detect_s = now.(0) -. since in
     if obs_on then
-      Obs.Flight.route_dead fl ~t_s:now.(0) ~flow:f.id ~route:i ~detect_s;
+      Obs.Flight.route_dead fl ~flow:f.id ~route:i ~detect_s;
     let dead_mass = f.x.(i) in
     f.x.(i) <- 0.0;
     f.x_bar.(i) <- 0.0;
     Array.iter (fun l -> if caps.(l) <= 0.0 then reset_price l) f.route_links.(i);
-    let surv, _flood =
-      Recovery.survivors g ~caps ~src:f.spec.src
-        ~routes:(Array.to_list f.routes)
+    let surv =
+      Recovery.survivors g ~caps ~src:f.spec.src ~routes:(Array.to_list f.routes)
     in
     let live = ref [] and live_sum = ref 0.0 in
     Array.iteri
@@ -1396,8 +1400,7 @@ let run ?(config = default_config) ?invariants ?trace ?flight ?prof
   in
   let on_route_restored f i ~down_for =
     if obs_on then
-      Obs.Flight.route_restored fl ~t_s:now.(0) ~flow:f.id ~route:i
-        ~down_s:down_for;
+      Obs.Flight.route_restored fl ~flow:f.id ~route:i ~down_s:down_for;
     (* The γ accumulated around the route while it was down is stale:
        idle estimators under-report capacity, so the reclaim probes
        themselves register as huge airtime demand and spike the duals
@@ -1485,6 +1488,9 @@ let run ?(config = default_config) ?invariants ?trace ?flight ?prof
      sums read them; non-carrier entries stay 0.0 forever, exactly as
      the per-tick fresh array had them. *)
   let demand = Array.make (max 1 n_links) 0.0 in
+  (* The tick's price rows, d_l Σ_{i∈I_l} γ_i by link, handed to the
+     ring in one call beside [gamma]. *)
+  let tick_price = Array.make (if obs_on then n_links else 0) 0.0 in
   let handle_control_tick () =
     (* 1. Demand measurement and dual update (carrier/priced sets
        only; everything else has zero demand and zero gamma). Each
@@ -1510,12 +1516,13 @@ let run ?(config = default_config) ?invariants ?trace ?flight ?prof
         gamma.(l) <- Float.max 0.0 upd)
       priced_links;
     incr gamma_epoch;
-    if obs_on then
-      Array.iter
-        (fun l ->
-          Obs.Flight.price fl ~t_s:now.(0) ~link:l ~gamma:gamma.(l)
-            ~price:(link_price l))
-        priced_links;
+    if obs_on then begin
+      for k = 0 to Array.length priced_links - 1 do
+        let l = priced_links.(k) in
+        tick_price.(l) <- link_price l
+      done;
+      Obs.Flight.prices fl ~links:priced_links ~gamma ~price:tick_price
+    end;
     (* 2. Capacity estimation (only carriers are ever priced or
        transmitted on, so only they need tracking). *)
     Array.iter
@@ -1585,7 +1592,7 @@ let run ?(config = default_config) ?invariants ?trace ?flight ?prof
       let was_dead = caps.(l) <= 0.0 in
       caps.(l) <- Float.max 0.0 c;
       if obs_on then
-        Obs.Flight.link_event fl ~t_s:now.(0) ~link:l ~capacity:caps.(l);
+        Obs.Flight.link_event fl ~link:l ~capacity:caps.(l);
       (* A dead link drops its backlog; a healthier one may start. *)
       if caps.(l) <= 0.0 then begin
         let st = links.(l) in
@@ -1632,7 +1639,7 @@ let run ?(config = default_config) ?invariants ?trace ?flight ?prof
         p
       in
       loss.(l) <- p;
-      if obs_on then Obs.Flight.loss_event fl ~t_s:now.(0) ~link:l ~prob:p
+      if obs_on then Obs.Flight.loss_event fl ~link:l ~prob:p
     | 12 (* Ctrl_change *) ->
       let p, d =
         let slot = Arena.slot4 code in
@@ -1642,7 +1649,7 @@ let run ?(config = default_config) ?invariants ?trace ?flight ?prof
       in
       ctrl_drop.(0) <- p;
       ctrl_delay.(0) <- d;
-      if obs_on then Obs.Flight.ctrl_event fl ~t_s:now.(0) ~drop:p ~delay:d
+      if obs_on then Obs.Flight.ctrl_event fl ~drop:p ~delay:d
     | 1 (* Inject *) -> (
       let f = flow_states.(Arena.flow_wide code) in
       match f.spec.transport with
@@ -1707,7 +1714,7 @@ let run ?(config = default_config) ?invariants ?trace ?flight ?prof
           ~seq:(f.next_seq land 0xFFFFFFFF);
         f.next_seq <- f.next_seq + 1;
         if obs_on then
-          Obs.Flight.route_probe fl ~t_s:now.(0) ~flow:fid ~route:i
+          Obs.Flight.route_probe fl ~flow:fid ~route:i
             ~attempt:f.reclaim_attempt.(i);
         f.reclaim_attempt.(i) <- f.reclaim_attempt.(i) + 1;
         schedule
@@ -1735,19 +1742,21 @@ let run ?(config = default_config) ?invariants ?trace ?flight ?prof
   in
 
   (* --- bootstrap --- *)
+  (* No event is in flight yet ([pending_drop] is false), so these are
+     plain pushes. *)
   Array.iter
     (fun f ->
-      Wheel.push q f.spec.start_time (Arena.flow_start f.id);
+      schedule_abs f.spec.start_time (Arena.flow_start f.id);
       match f.spec.stop_time with
-      | Some t -> Wheel.push q t (Arena.flow_stop f.id)
+      | Some t -> schedule_abs t (Arena.flow_stop f.id)
       | None -> ())
     flow_states;
-  Wheel.push q config.control_period Arena.control_tick;
+  schedule_abs config.control_period Arena.control_tick;
   List.iter
     (fun (t, l, c) ->
       if t < 0.0 || l < 0 || l >= n_links then
         invalid_arg "Engine.run: bad link event";
-      Wheel.push q t
+      schedule_abs t
         (Arena.capacity_change ~link:l ~slot:(Arena.Fslots.put f_slots c)))
     link_events;
   List.iter
@@ -1755,7 +1764,7 @@ let run ?(config = default_config) ?invariants ?trace ?flight ?prof
       if t < 0.0 || l < 0 || l >= n_links || not (Float.is_finite p) || p < 0.0
          || p > 1.0
       then invalid_arg "Engine.run: bad loss event";
-      Wheel.push q t (Arena.loss_change ~link:l ~slot:(Arena.Fslots.put f_slots p)))
+      schedule_abs t (Arena.loss_change ~link:l ~slot:(Arena.Fslots.put f_slots p)))
     loss_events;
   List.iter
     (fun (t, p, d) ->
@@ -1765,7 +1774,7 @@ let run ?(config = default_config) ?invariants ?trace ?flight ?prof
          || (not (Float.is_finite d))
          || d < 0.0
       then invalid_arg "Engine.run: bad ctrl event";
-      Wheel.push q t
+      schedule_abs t
         (Arena.ctrl_change ~slot:(Arena.Slots.put pair_slots (p, d))))
     ctrl_events;
 
@@ -1843,9 +1852,9 @@ let run ?(config = default_config) ?invariants ?trace ?flight ?prof
      flight-enabled run that dies dumps the ring before re-raising:
      every escaped exception — invariant violations included — becomes
      a replayable JSONL artifact. *)
-  Obs.Flight.set_sink fl trace;
+  Obs.Flight.attach fl ~clock:now trace;
   Fun.protect
-    ~finally:(fun () -> Obs.Flight.set_sink fl None)
+    ~finally:(fun () -> Obs.Flight.detach fl)
     (fun () ->
       try loop ()
       with e when fl_on ->

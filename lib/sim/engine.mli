@@ -106,11 +106,14 @@ type dead_route =
           older than {!Recovery.hello_timeout}). Its rate state is
           zeroed, the stale γ of its unusable links is reset instead
           of draining, the lost rate mass moves to the routes that
-          survive an LSDB re-discovery ({!Recovery.survivors}), and
-          reclaim probes run on the {!Recovery.Backoff} schedule. An
-          ack returning on a dead route restores its routing-estimated
-          initial rate, and a link that comes back from the dead
-          restarts its domain's γ and its own capacity estimate. TCP
+          survive an LSDB re-discovery from the flow's source
+          ({!Recovery.survivors}: the flood's outcome, computed from
+          which nodes still reach the source over usable links, not
+          by simulating the flood), and reclaim probes run on the
+          {!Recovery.Backoff} schedule. An ack returning on a dead
+          route restores its routing-estimated initial rate, and a
+          link that comes back from the dead restarts its domain's γ
+          and its own capacity estimate. TCP
           flows get [Probe_floor]: probes would corrupt the TCP
           reorder/ack machinery. The backoff jitter draws from its own
           stream (see the seeding contract of {!run}), so equal seeds

@@ -66,6 +66,9 @@ type 'a t = {
   mutable c_idx : int;
   c_prio : float array;
   mutable c_seq : int;
+  (* The priority [push] and [drop_push] insert at, written by the
+     caller (see [push_prio_cell]): a float argument would be boxed. *)
+  p_prio : float array;
 }
 
 let create ?(capacity = 16) () =
@@ -85,6 +88,7 @@ let create ?(capacity = 16) () =
     c_idx = 0;
     c_prio = Array.make 1 0.0;
     c_seq = 0;
+    p_prio = Array.make 1 0.0;
   }
 
 let is_empty t = t.size = 0
@@ -100,13 +104,14 @@ let clear t =
   Pqueue.clear t.overflow;
   t.ov_min.(0) <- infinity
 
-let horizon t = float_of_int (t.cursor + n_buckets) *. width
+let[@inline] horizon t = float_of_int (t.cursor + n_buckets) *. width
 
 (* Append (prio, seq, v) to the bucket for [prio] (clamped to the
    cursor bucket), growing the slot's parallel arrays geometrically.
    The arrays persist across drops, so a slot allocates at most
-   log(peak) times over the whole run. *)
-let bucket_insert t prio seq v =
+   log(peak) times over the whole run. Inlined into its callers, so
+   the priority they read from a float cell stays unboxed. *)
+let[@inline] bucket_insert t prio seq v =
   let b =
     let b = int_of_float (prio *. inv_width) in
     if b < t.cursor then t.cursor else b
@@ -141,7 +146,10 @@ let bucket_insert t prio seq v =
     t.c_seq <- seq
   end
 
-let push t prio v =
+let push_prio_cell t = t.p_prio
+
+let push t v =
+  let prio = t.p_prio.(0) in
   let seq = t.next_seq in
   t.next_seq <- seq + 1;
   t.size <- t.size + 1;
@@ -232,11 +240,11 @@ let drop t =
   t.size <- t.size - 1;
   t.c_valid <- false
 
-let drop_push t prio v =
-  if t.size = 0 then push t prio v
+let drop_push t v =
+  if t.size = 0 then push t v
   else begin
     drop t;
-    push t prio v
+    push t v
   end
 
 let pop t =

@@ -13,8 +13,9 @@
     sequences against the heap on arbitrary interleavings.
 
     Priorities must be finite, non-negative, and below ~1e12 seconds.
-    The API mirrors {!Pqueue} so the engine can swap implementations
-    freely. *)
+    The API mirrors {!Pqueue}, except that a push reads its priority
+    from {!push_prio_cell} and the minimum's priority can be read from
+    {!min_prio_cell}, so a hot loop moves no boxed float in or out. *)
 
 type 'a t
 
@@ -25,9 +26,17 @@ val create : ?capacity:int -> unit -> 'a t
 val is_empty : 'a t -> bool
 val size : 'a t -> int
 
-val push : 'a t -> float -> 'a -> unit
-(** [push t prio x] inserts [x] with priority [prio]. O(1) within the
-    horizon, O(log overflow) beyond it. *)
+val push_prio_cell : 'a t -> float array
+(** The wheel's one-slot cell that {!push} and {!drop_push} read the
+    new element's priority from, the same array for the wheel's whole
+    life (the mirror of {!min_prio_cell}). Set slot 0 before each
+    push: a priority passed as an argument would be boxed on every
+    call from another module, where a store into the cell is a plain
+    store. *)
+
+val push : 'a t -> 'a -> unit
+(** [push t x] inserts [x] with priority [(push_prio_cell t).(0)].
+    O(1) within the horizon, O(log overflow) beyond it. *)
 
 val pop : 'a t -> (float * 'a) option
 (** Remove and return the minimum-priority element, FIFO among ties. *)
@@ -55,10 +64,10 @@ val drop : 'a t -> unit
 (** Remove the minimum element (allocation-free {!pop}).
     @raise Invalid_argument on an empty wheel. *)
 
-val drop_push : 'a t -> float -> 'a -> unit
-(** [drop] the minimum then [push] with a fresh sequence number, or
-    plain [push] on an empty wheel — same observable behaviour as
-    {!Pqueue.drop_push}. *)
+val drop_push : 'a t -> 'a -> unit
+(** [drop] the minimum then [push] (priority from {!push_prio_cell})
+    with a fresh sequence number, or plain [push] on an empty wheel —
+    same observable behaviour as {!Pqueue.drop_push}. *)
 
 val clear : 'a t -> unit
 (** Drop all elements, retaining bucket capacity. *)

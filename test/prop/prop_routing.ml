@@ -1,5 +1,7 @@
 (* Section 3's routing kernels and the interference build against their
-   reference implementations ([Reference]), bit for bit.
+   reference implementations ([Reference]), bit for bit, and the
+   re-discovery verdict of [Recovery.survivors] against the simulated
+   LSDB flood (see "re-discovery" below).
 
    Routing cases are random multigraphs on 2-9 nodes and 1-3
    technologies. A third of the directed links get a capacity of their
@@ -291,6 +293,162 @@ let prop_interference_standard =
       done;
       true)
 
+(* ---------- re-discovery ---------- *)
+
+(* [Recovery.survivors] computes the outcome of the LSDB re-flood from
+   reverse reachability; [Recovery.rediscover] simulates the flood.
+   Cases are multigraphs on 2-11 nodes and 2-3 technologies with
+   parallel same-technology edges, and on one case in three a hub
+   with more than [Lsa.max_links] usable out-links, so its
+   advertisement fragments. Capacities then lose whole nodes, single
+   directions of links and, on one case in three, every link crossing
+   a random cut in one direction or both. The routes are every link
+   on its own plus random walks. *)
+
+type survivors_case = {
+  sv_seed : int;
+  sv_g : Multigraph.t;
+  sv_caps : float array;
+  viewer : int;
+  routes : Paths.t list;
+}
+
+let survivors_case_of_seed seed =
+  let rng = Rng.create (0x5C0F + seed) in
+  let n = 2 + Rng.int rng 10 in
+  let n_techs = 2 + Rng.int rng 2 in
+  let edge u v = (u, v, Rng.int rng n_techs, Rng.uniform rng 5.0 100.0) in
+  let edges = ref [] in
+  for v = 1 to n - 1 do
+    edges := edge (Rng.int rng v) v :: !edges
+  done;
+  for _ = 1 to Rng.int rng (3 * n) do
+    let u = Rng.int rng n and v = Rng.int rng n in
+    if u <> v then edges := edge u v :: !edges
+  done;
+  (* Parallel copies of existing edges, technology included. *)
+  let copies =
+    List.filteri (fun _ _ -> Rng.int rng 4 = 0) !edges
+    |> List.map (fun (u, v, k, _) -> (u, v, k, Rng.uniform rng 5.0 100.0))
+  in
+  edges := copies @ !edges;
+  if Rng.int rng 3 = 0 then begin
+    let hub = Rng.int rng n in
+    for _ = 0 to Lsa.max_links + Rng.int rng 24 do
+      edges := edge hub ((hub + 1 + Rng.int rng (n - 1)) mod n) :: !edges
+    done
+  end;
+  let g = Multigraph.create ~n_nodes:n ~n_techs ~edges:(List.rev !edges) in
+  let caps = Multigraph.capacities g in
+  let links = Multigraph.links g in
+  let p_kill = Rng.uniform rng 0.0 0.3 and p_dir = Rng.uniform rng 0.0 0.3 in
+  for v = 0 to n - 1 do
+    if Rng.float rng < p_kill then begin
+      List.iter (fun l -> caps.(l) <- 0.0) (Multigraph.out_links g v);
+      List.iter (fun l -> caps.(l) <- 0.0) (Multigraph.in_links g v)
+    end
+  done;
+  Array.iteri (fun l _ -> if Rng.float rng < p_dir then caps.(l) <- 0.0) caps;
+  (if Rng.int rng 3 = 0 then
+     let side = Array.init n (fun _ -> Rng.bool rng) in
+     let both = Rng.bool rng in
+     Array.iter
+       (fun (lk : Multigraph.link) ->
+         let a = side.(lk.Multigraph.src) and b = side.(lk.Multigraph.dst) in
+         if a <> b && (both || a) then caps.(lk.Multigraph.id) <- 0.0)
+       links);
+  let walk () =
+    let rec go u len acc =
+      match Multigraph.out_links g u with
+      | [] -> List.rev acc
+      | out ->
+        let l = List.nth out (Rng.int rng (List.length out)) in
+        if len = 0 then List.rev (l :: acc)
+        else go links.(l).Multigraph.dst (len - 1) (l :: acc)
+    in
+    go (Rng.int rng n) (1 + Rng.int rng 4) []
+  in
+  let walks = List.filter (( <> ) []) (List.init 8 (fun _ -> walk ())) in
+  let routes =
+    List.map (Paths.of_links g)
+      (List.init (Multigraph.num_links g) (fun l -> [ l ]) @ walks)
+  in
+  { sv_seed = seed; sv_g = g; sv_caps = caps; viewer = Rng.int rng n; routes }
+
+let flood_survivors c =
+  let masked, _ = Recovery.rediscover c.sv_g ~caps:c.sv_caps ~viewer:c.viewer in
+  Array.of_list
+    (List.map
+       (fun (p : Paths.t) -> List.for_all (fun l -> masked.(l) > 0.0) p.Paths.links)
+       c.routes)
+
+let describe_survivors c =
+  Printf.sprintf "survivors case seed %d: %d nodes, %d techs, viewer %d\nlinks:\n%s"
+    c.sv_seed (Multigraph.n_nodes c.sv_g) (Multigraph.n_techs c.sv_g) c.viewer
+    (String.concat "\n"
+       (Array.to_list
+          (Array.map
+             (fun (lk : Multigraph.link) ->
+               Printf.sprintf "  %d: %d->%d tech %d cap %g" lk.Multigraph.id
+                 lk.Multigraph.src lk.Multigraph.dst lk.Multigraph.tech
+                 c.sv_caps.(lk.Multigraph.id))
+             (Multigraph.links c.sv_g))))
+
+let prop_survivors =
+  QCheck.Test.make ~count:500
+    ~name:"Recovery.survivors = simulated LSDB re-flood (kills, one-way links, cuts)"
+    seed_gen (fun seed ->
+      let c = survivors_case_of_seed seed in
+      let got = Recovery.survivors c.sv_g ~caps:c.sv_caps ~src:c.viewer ~routes:c.routes in
+      let expected = flood_survivors c in
+      (if got <> expected then
+         let i = ref 0 in
+         while got.(!i) = expected.(!i) do
+           incr i
+         done;
+         QCheck.Test.fail_reportf "%s\nroute %s: survivors %b, flood %b"
+           (describe_survivors c)
+           (ints (List.nth c.routes !i).Paths.links)
+           got.(!i) expected.(!i));
+      true)
+
+(* The property above must see what tells the flood apart from
+   simpler rules: a fragmented advertisement, and a node that reaches
+   the viewer without the viewer reaching it (so forward reachability
+   would give a different answer). *)
+let prop_survivors_cases_cover =
+  QCheck.Test.make ~count:1
+    ~name:"survivors cases include fragments and one-way reachability" QCheck.unit
+    (fun () ->
+      let cases = List.init 60 survivors_case_of_seed in
+      let reach c ~forward =
+        let g = c.sv_g in
+        let seen = Array.make (Multigraph.n_nodes g) false in
+        let rec visit v =
+          if not seen.(v) then begin
+            seen.(v) <- true;
+            List.iter
+              (fun l ->
+                let lk = Multigraph.link g l in
+                if c.sv_caps.(l) > 0.0 then
+                  visit (if forward then lk.Multigraph.dst else lk.Multigraph.src))
+              (if forward then Multigraph.out_links g v else Multigraph.in_links g v)
+          end
+        in
+        visit c.viewer;
+        seen
+      in
+      let fragments c =
+        List.exists
+          (fun v ->
+            List.length
+              (List.filter (fun l -> c.sv_caps.(l) > 0.0) (Multigraph.out_links c.sv_g v))
+            > Lsa.max_links)
+          (List.init (Multigraph.n_nodes c.sv_g) Fun.id)
+      in
+      List.exists fragments cases
+      && List.exists (fun c -> reach c ~forward:false <> reach c ~forward:true) cases)
+
 let tests =
   [
     prop_dijkstra;
@@ -298,4 +456,6 @@ let tests =
     prop_update;
     prop_multipath_topologies;
     prop_interference_standard;
+    prop_survivors;
+    prop_survivors_cases_cover;
   ]

@@ -258,16 +258,37 @@ let test_survivors_per_route () =
     Paths.of_links g [ l1; l2 ]
   in
   let routes = [ route_via 1; route_via 2 ] in
-  let surv, _ = Recovery.survivors g ~caps ~src:0 ~routes in
+  let surv = Recovery.survivors g ~caps ~src:0 ~routes in
   Alcotest.(check bool) "both alive initially" true (surv.(0) && surv.(1));
   kill_node g caps 1;
-  let surv, _ = Recovery.survivors g ~caps ~src:0 ~routes in
+  let surv = Recovery.survivors g ~caps ~src:0 ~routes in
   Alcotest.(check bool) "only the untouched branch survives" true
     ((not surv.(0)) && surv.(1));
   kill_node g caps 3;
-  let surv, _ = Recovery.survivors g ~caps ~src:0 ~routes in
+  let surv = Recovery.survivors g ~caps ~src:0 ~routes in
   Alcotest.(check bool) "full severance: none survive" true
     ((not surv.(0)) && not surv.(1))
+
+let test_survivors_allocation () =
+  (* A route death asks [survivors] once per dead route, so it must not
+     cost a simulated flood (about 400 k minor words on the testbed):
+     the testbed with node 6 down, seen from node 0, over the 0->12
+     routes, under 40 k words per call. *)
+  let inst = Testbed.generate (Rng.create 4242) in
+  let g = Builder.graph inst Builder.Hybrid in
+  let dom = Domain.of_instance inst Builder.Hybrid g in
+  let routes = Multipath.routes (Multipath.find g dom ~src:0 ~dst:12) in
+  let caps = caps_of g in
+  kill_node g caps 6;
+  ignore (Recovery.survivors g ~caps ~src:0 ~routes);
+  let calls = 5 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to calls do
+    ignore (Sys.opaque_identity (Recovery.survivors g ~caps ~src:0 ~routes))
+  done;
+  let per_call = (Gc.minor_words () -. w0) /. float_of_int calls in
+  if per_call >= 40_000.0 then
+    Alcotest.failf "survivors allocated %.0f minor words per call" per_call
 
 (* --- Control plane end-to-end --- *)
 
@@ -361,6 +382,8 @@ let () =
           Alcotest.test_case "full partition empty" `Quick
             test_reflood_full_partition_is_empty;
           Alcotest.test_case "per-route survivors" `Quick test_survivors_per_route;
+          Alcotest.test_case "survivors allocates little on the testbed" `Quick
+            test_survivors_allocation;
         ] );
       ( "control-plane",
         [

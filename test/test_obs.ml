@@ -885,6 +885,27 @@ let test_stream_reused_ring_detached () =
     (Obs.Flight.recorded ring > recorded + 1);
   Alcotest.(check int) "first run's sink saw nothing more" first (count ())
 
+let test_stream_armed_ring_allocation () =
+  (* Recording allocates nothing on the per-frame and per-tick paths:
+     arming a ring adds under one minor word per recorded row (only the
+     array-carrying Rate_update and Ack rows allocate, a few per tick).
+     The ring is made outside the measured window, and a first run
+     warms up whatever the engine initialises once. *)
+  let ring = Obs.Flight.create () in
+  let words run =
+    let w0 = Gc.minor_words () in
+    run ();
+    Gc.minor_words () -. w0
+  in
+  stream_run ();
+  let plain = words (fun () -> stream_run ()) in
+  let armed = words (fun () -> stream_run ~flight:ring ()) in
+  let rows = Obs.Flight.recorded ring in
+  if armed -. plain > float_of_int rows then
+    Alcotest.failf "arming the ring cost %.0f minor words over %d rows (%.2f per row)"
+      (armed -. plain) rows
+      ((armed -. plain) /. float_of_int rows)
+
 (* ---------- sinks that read some kinds ---------- *)
 
 let kinds_of evs = List.map Obs.Trace.kind evs
@@ -929,7 +950,7 @@ let test_kinds_tee () =
   check_tee "emit" (fun s -> List.iter (Obs.Trace.emit s) all_event_variants);
   check_tee "ring" (fun s ->
       let fl = Obs.Flight.create () in
-      Obs.Flight.set_sink fl (Some s);
+      Obs.Flight.attach fl ~clock:(Array.make 1 0.0) (Some s);
       List.iter (Obs.Flight.event fl) all_event_variants)
 
 let test_kinds_sampling () =
@@ -1057,6 +1078,8 @@ let () =
             test_stream_sampling_sink_only;
           Alcotest.test_case "reused ring feeds no earlier sink" `Quick
             test_stream_reused_ring_detached;
+          Alcotest.test_case "armed ring allocates under a word per row" `Quick
+            test_stream_armed_ring_allocation;
         ] );
       ( "kinds",
         [

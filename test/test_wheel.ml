@@ -9,11 +9,21 @@
 
 let check_float = Alcotest.(check (float 0.0))
 
+(* Every push goes through the wheel's priority cell, as the engine's
+   do. *)
+let push w p v =
+  (Wheel.push_prio_cell w).(0) <- p;
+  Wheel.push w v
+
+let drop_push w p v =
+  (Wheel.push_prio_cell w).(0) <- p;
+  Wheel.drop_push w v
+
 (* --- directed cases --- *)
 
 let test_fifo_ties () =
   let w = Wheel.create () in
-  List.iter (fun (p, v) -> Wheel.push w p v) [ (1.0, "a"); (1.0, "b"); (0.5, "c"); (1.0, "d") ];
+  List.iter (fun (p, v) -> push w p v) [ (1.0, "a"); (1.0, "b"); (0.5, "c"); (1.0, "d") ];
   Alcotest.(check (option (pair (float 0.0) string))) "min" (Some (0.5, "c")) (Wheel.pop w);
   Alcotest.(check (option (pair (float 0.0) string))) "tie 1" (Some (1.0, "a")) (Wheel.pop w);
   Alcotest.(check (option (pair (float 0.0) string))) "tie 2" (Some (1.0, "b")) (Wheel.pop w);
@@ -25,16 +35,16 @@ let test_overflow_migration () =
      back in the right order, interleaved with near entries pushed
      both before and after the cursor advances. *)
   let w = Wheel.create () in
-  Wheel.push w 40.0 `Stop;
-  Wheel.push w 0.0001 `A;
-  Wheel.push w 10.0 `Tick10;
-  Wheel.push w 0.1 `Tick;
+  push w 40.0 `Stop;
+  push w 0.0001 `A;
+  push w 10.0 `Tick10;
+  push w 0.1 `Tick;
   Alcotest.(check int) "size" 4 (Wheel.size w);
   Alcotest.(check bool) "a" true (Wheel.pop w = Some (0.0001, `A));
   Alcotest.(check bool) "tick" true (Wheel.pop w = Some (0.1, `Tick));
   (* Push behind the current minimum after the cursor advanced: the
      clamped entry must still pop first. *)
-  Wheel.push w 0.1001 `Late;
+  push w 0.1001 `Late;
   Alcotest.(check bool) "late" true (Wheel.pop w = Some (0.1001, `Late));
   Alcotest.(check bool) "t10" true (Wheel.pop w = Some (10.0, `Tick10));
   Alcotest.(check bool) "stop" true (Wheel.pop w = Some (40.0, `Stop));
@@ -50,15 +60,15 @@ let test_empty_ops () =
   Alcotest.check_raises "drop" (Invalid_argument "Wheel.drop: empty") (fun () ->
       Wheel.drop w);
   (* drop_push on empty degenerates to push, like the heap. *)
-  Wheel.drop_push w 1.0 42;
+  drop_push w 1.0 42;
   Alcotest.(check bool) "after drop_push" true (Wheel.pop w = Some (1.0, 42));
-  Wheel.push w 2.0 7;
+  push w 2.0 7;
   Wheel.clear w;
   Alcotest.(check int) "cleared" 0 (Wheel.size w)
 
 let test_top_matches_pop () =
   let w = Wheel.create () in
-  List.iter (fun p -> Wheel.push w p (int_of_float (p *. 1000.0))) [ 0.3; 0.1; 0.2 ];
+  List.iter (fun p -> push w p (int_of_float (p *. 1000.0))) [ 0.3; 0.1; 0.2 ];
   check_float "top_prio" 0.1 (Wheel.top_prio w);
   Alcotest.(check int) "top" 100 (Wheel.top w);
   let cell = Wheel.min_prio_cell w in
@@ -116,7 +126,7 @@ let prop_wheel_matches_pqueue =
         (fun op ->
           match op with
           | Push (p, v) ->
-            Wheel.push w p v;
+            push w p v;
             Pqueue.push h p v;
             Wheel.size w = Pqueue.size h
           | Pop -> Wheel.pop w = Pqueue.pop h
@@ -129,7 +139,7 @@ let prop_wheel_matches_pqueue =
               | Some ((p, _) as top) ->
                 Wheel.peek w = Some top && (Wheel.min_prio_cell w).(0) = p
             in
-            Wheel.drop_push w p v;
+            drop_push w p v;
             Pqueue.drop_push h p v;
             same_top)
         ops
