@@ -87,13 +87,24 @@ end
 let stale_seq = 1
 let fresh_seq = 2
 
-type reflood_result = { view : Multigraph.t; flood : Lsdb.Flood.stats }
+let mask_caps g ~caps ~view =
+  Array.init (Multigraph.num_links g) (fun l ->
+      if caps.(l) <= 0.0 then 0.0
+      else
+        let lk = Multigraph.link g l in
+        let present =
+          Multigraph.find_links view ~src:lk.Multigraph.src
+            ~dst:lk.Multigraph.dst
+          |> List.exists (fun vl ->
+                 (Multigraph.link view vl).Multigraph.tech = lk.Multigraph.tech)
+        in
+        if present then caps.(l) else 0.0)
 
-let reflood g ~caps ~viewer =
+let rediscover g ~caps ~viewer =
   let n = Multigraph.n_nodes g in
   if Array.length caps <> Multigraph.num_links g then
-    invalid_arg "Recovery.reflood: capacity vector length mismatch";
-  if viewer < 0 || viewer >= n then invalid_arg "Recovery.reflood: bad viewer";
+    invalid_arg "Recovery.rediscover: capacity vector length mismatch";
+  if viewer < 0 || viewer >= n then invalid_arg "Recovery.rediscover: bad viewer";
   (* [advertise] draws nothing at noise 0, so this rng never advances:
      re-discovery is deterministic and consumes no caller randomness. *)
   let rng = Rng.create 0 in
@@ -132,24 +143,7 @@ let reflood g ~caps ~viewer =
         ignore (Lsdb.insert fresh ~now:0.0 lsa))
     (Lsdb.entries dbs.(viewer));
   let view = Lsdb.graph fresh ~n_nodes:n ~n_techs:(Multigraph.n_techs g) in
-  { view; flood = { Lsdb.Flood.rounds = !rounds; messages = !messages } }
-
-let mask_caps g ~caps ~view =
-  Array.init (Multigraph.num_links g) (fun l ->
-      if caps.(l) <= 0.0 then 0.0
-      else
-        let lk = Multigraph.link g l in
-        let present =
-          Multigraph.find_links view ~src:lk.Multigraph.src
-            ~dst:lk.Multigraph.dst
-          |> List.exists (fun vl ->
-                 (Multigraph.link view vl).Multigraph.tech = lk.Multigraph.tech)
-        in
-        if present then caps.(l) else 0.0)
-
-let rediscover g ~caps ~viewer =
-  let { view; flood } = reflood g ~caps ~viewer in
-  (mask_caps g ~caps ~view, flood)
+  (mask_caps g ~caps ~view, { Lsdb.Flood.rounds = !rounds; messages = !messages })
 
 (* The flood's outcome without the flood. A fresh advertisement
    travels only along usable links, so the viewer holds the fresh

@@ -119,7 +119,9 @@ val rediscover :
     the intersection of ground truth ([caps]) and the viewer's
     re-discovered graph (a link absent from either is [0.]), with the
     flood's round and message counts. Dead and partitioned nodes
-    therefore cannot resurrect their links. *)
+    therefore cannot resurrect their links. Raises [Invalid_argument]
+    on a capacity vector of the wrong length, a negative or
+    non-finite capacity, or a bad [viewer]. *)
 
 val replan :
   Multigraph.t ->
