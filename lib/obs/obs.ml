@@ -1405,7 +1405,7 @@ module Metrics = struct
       cover t k;
       t.counts.(k - t.lo) <- t.counts.(k - t.lo) + c
 
-    let observe t v =
+    let[@inline] observe t v =
       t.count <- t.count + 1;
       let sc = t.scalars in
       sc.(s_sum) <- sc.(s_sum) +. v;
@@ -1413,6 +1413,9 @@ module Metrics = struct
       if v > sc.(s_max) then sc.(s_max) <- v;
       if v <= zero_floor then t.zero <- t.zero + 1
       else add_to_bucket t (int_of_float (Float.ceil (log v /. t.log_gamma))) 1
+
+    (* [observe] is inlined here, so the cell's value is never boxed. *)
+    let observe_cell t cell = observe t cell.(0)
 
     let count t = t.count
     let sum t = t.scalars.(s_sum)
@@ -1615,13 +1618,55 @@ module Recorder = struct
   (* Time-series bucketing, seconds. *)
   let window = 1.0
 
+  (* [a] widened to hold index [n - 1], at least doubling. *)
+  let grow_floats a n =
+    let a' = Array.make (max n (2 * Array.length a)) 0.0 in
+    Array.blit a 0 a' 0 (Array.length a);
+    a'
+
+  let grow_bools a n =
+    let a' = Array.make (max n (2 * Array.length a)) false in
+    Array.blit a 0 a' 0 (Array.length a);
+    a'
+
+  (* One window's float sums by link or flow id, in growable arrays:
+     [sum.(k)] is key k's total and [seen.(k)] whether k had a value
+     this window. An update stores into the arrays and allocates
+     nothing (a [float ref] per key would box every update). Unseen
+     keys hold 0.0. *)
+  type window_sums = { mutable sum : float array; mutable seen : bool array }
+
+  let sums () = { sum = [||]; seen = [||] }
+
+  (* Inlined, so a computed [v] is never boxed. *)
+  let[@inline] sums_add w k v =
+    if k >= Array.length w.seen then begin
+      w.sum <- grow_floats w.sum (k + 1);
+      w.seen <- grow_bools w.seen (k + 1)
+    end;
+    if w.seen.(k) then w.sum.(k) <- w.sum.(k) +. v
+    else begin
+      w.seen.(k) <- true;
+      w.sum.(k) <- v
+    end
+
+  let sums_get w k = if k < Array.length w.sum then w.sum.(k) else 0.0
+
+  (* The seen keys in increasing order, as [sorted_keys] lists a
+     table's. *)
+  let sums_iter f w = Array.iteri (fun k seen -> if seen then f k w.sum.(k)) w.seen
+
+  let sums_reset w =
+    Array.fill w.sum 0 (Array.length w.sum) 0.0;
+    Array.fill w.seen 0 (Array.length w.seen) false
+
   type t = {
     reg : Metrics.t;
     domain_of : (int -> int array) option;
     mutable window_start : float;
-    link_air : (int, float ref) Hashtbl.t;    (* airtime in current window *)
+    link_air : window_sums;                   (* airtime in current window *)
     link_qlen : (int, int ref) Hashtbl.t;     (* last observed queue length *)
-    flow_bits : (int, float ref) Hashtbl.t;   (* delivered bits in window *)
+    flow_bits : window_sums;                  (* delivered bits in window *)
     flow_rates : (int, float array) Hashtbl.t;
     mutable gamma_prev : float array;         (* per link: last γ, 0 before any *)
     mutable tick_t : float;                   (* time of current price tick *)
@@ -1633,7 +1678,7 @@ module Recorder = struct
     mutable fault_first : float;              (* +inf until a fault event *)
     mutable fault_last : float;
     flow_argmax : (int, int) Hashtbl.t;
-    flows_seen : (int, unit) Hashtbl.t;
+    mutable flows_seen : bool array;          (* by flow id *)
     (* Instruments updated per frame, per tick or per ack: looked up
        by name on first use and then kept, so the registry holds
        exactly what a lookup per event would create, and no name is
@@ -1658,9 +1703,9 @@ module Recorder = struct
       reg;
       domain_of;
       window_start = 0.0;
-      link_air = Hashtbl.create 32;
+      link_air = sums ();
       link_qlen = Hashtbl.create 32;
-      flow_bits = Hashtbl.create 8;
+      flow_bits = sums ();
       flow_rates = Hashtbl.create 8;
       gamma_prev = [||];
       tick_t = -1.0;
@@ -1669,7 +1714,7 @@ module Recorder = struct
       fault_first = infinity;
       fault_last = neg_infinity;
       flow_argmax = Hashtbl.create 8;
-      flows_seen = Hashtbl.create 8;
+      flows_seen = [||];
       gamma_max = lazy (Metrics.gauge reg "ctrl.gamma_max");
       grants = lazy (Metrics.counter reg "mac.grants");
       collisions = lazy (Metrics.counter reg "mac.collisions");
@@ -1702,24 +1747,23 @@ module Recorder = struct
     (* Per-link airtime utilisation, and I_l busy fraction (the left
        side of constraint (2)) when the interference structure is
        known. *)
-    let air l =
-      match Hashtbl.find_opt r.link_air l with Some a -> !a | None -> 0.0
-    in
-    List.iter
-      (fun l ->
-        let u = air l /. window in
+    sums_iter
+      (fun l air ->
+        let u = air /. window in
         Metrics.Series.add
           (Metrics.series r.reg (Printf.sprintf "link.%d.util" l))
           w_end u;
         match r.domain_of with
         | None -> ()
         | Some dom ->
-          let busy = Array.fold_left (fun acc m -> acc +. air m) 0.0 (dom l) in
+          let busy =
+            Array.fold_left (fun acc m -> acc +. sums_get r.link_air m) 0.0 (dom l)
+          in
           Metrics.Series.add
             (Metrics.series r.reg (Printf.sprintf "domain.%d.busy" l))
             w_end
             (busy /. window))
-      (sorted_keys r.link_air);
+      r.link_air;
     (* Queue occupancy sampled at the window boundary. *)
     List.iter
       (fun l ->
@@ -1729,16 +1773,15 @@ module Recorder = struct
           (float_of_int !(Hashtbl.find r.link_qlen l)))
       (sorted_keys r.link_qlen);
     (* Per-flow delivered Mbit/s over the window. *)
-    List.iter
-      (fun f ->
-        let bits = !(Hashtbl.find r.flow_bits f) in
+    sums_iter
+      (fun f bits ->
         Metrics.Series.add
           (Metrics.series r.reg (Printf.sprintf "flow.%d.goodput" f))
           w_end
           (bits /. 1e6 /. window))
-      (sorted_keys r.flow_bits);
-    Hashtbl.reset r.link_air;
-    Hashtbl.reset r.flow_bits;
+      r.flow_bits;
+    sums_reset r.link_air;
+    sums_reset r.flow_bits;
     r.window_start <- w_end
 
   let advance r t =
@@ -1753,10 +1796,9 @@ module Recorder = struct
       r.tick_delta <- 0.0
     end
 
-  let acc_float tbl k v =
-    match Hashtbl.find_opt tbl k with
-    | Some r -> r := !r +. v
-    | None -> Hashtbl.add tbl k (ref v)
+  let see_flow r f =
+    if f >= Array.length r.flows_seen then r.flows_seen <- grow_bools r.flows_seen (f + 1);
+    r.flows_seen.(f) <- true
 
   let on_fault_boundary r t =
     Metrics.Counter.incr (Metrics.counter r.reg "fault.events");
@@ -1773,7 +1815,7 @@ module Recorder = struct
       | None -> Hashtbl.add r.link_qlen link (ref qlen))
     | Trace.Mac_grant { link; collided; airtime; _ } ->
       Metrics.Counter.incr (Lazy.force r.grants);
-      acc_float r.link_air link airtime;
+      sums_add r.link_air link airtime;
       (match Hashtbl.find_opt r.link_qlen link with
       | Some c -> if !c > 0 then c := !c - 1
       | None -> ());
@@ -1797,19 +1839,15 @@ module Recorder = struct
            (fun f -> Printf.sprintf "flow.%d.delay" f)
            flow)
         delay;
-      Hashtbl.replace r.flows_seen flow ();
-      acc_float r.flow_bits flow (8.0 *. float_of_int bytes)
+      see_flow r flow;
+      sums_add r.flow_bits flow (8.0 *. float_of_int bytes)
     | Trace.Price_update { t; link; gamma; _ } ->
       if t <> r.tick_t then begin
         flush_tick r;
         r.tick_t <- t
       end;
-      let n = Array.length r.gamma_prev in
-      if link >= n then begin
-        let grown = Array.make (max (link + 1) (2 * n)) 0.0 in
-        Array.blit r.gamma_prev 0 grown 0 n;
-        r.gamma_prev <- grown
-      end;
+      if link >= Array.length r.gamma_prev then
+        r.gamma_prev <- grow_floats r.gamma_prev (link + 1);
       let d = Float.abs (gamma -. r.gamma_prev.(link)) in
       if d > r.tick_delta then r.tick_delta <- d;
       r.gamma_prev.(link) <- gamma;
@@ -1833,7 +1871,7 @@ module Recorder = struct
           t !delta
       | Some _ | None -> ());
       Hashtbl.replace r.flow_rates flow (Array.copy rates);
-      Hashtbl.replace r.flows_seen flow ();
+      see_flow r flow;
       (* A change of the flow's preferred (highest-rate) route is a
          reroute — the controller moved the bulk of the traffic. *)
       if Array.length rates > 0 then begin
@@ -1955,27 +1993,29 @@ module Recorder = struct
     if r.fault_last > neg_infinity then begin
       Metrics.Gauge.set (Metrics.gauge r.reg "fault.first_s") r.fault_first;
       Metrics.Gauge.set (Metrics.gauge r.reg "fault.last_s") r.fault_last;
-      List.iter
-        (fun f ->
-          let pts =
-            Metrics.Series.points
-              (Metrics.series r.reg (Printf.sprintf "flow.%d.goodput" f))
-          in
-          match
-            degradation ~fault_first:r.fault_first
-              ~fault_last:r.fault_last pts
-          with
-          | None -> ()
-          | Some d ->
-            let set name v =
-              Metrics.Gauge.set
-                (Metrics.gauge r.reg (Printf.sprintf "flow.%d.fault.%s" f name))
-                v
+      Array.iteri
+        (fun f seen ->
+          if seen then begin
+            let pts =
+              Metrics.Series.points
+                (Metrics.series r.reg (Printf.sprintf "flow.%d.goodput" f))
             in
-            set "dip_depth" d.dip_depth;
-            set "dip_area" d.dip_area;
-            set "recovery_s" d.recovery_s)
-        (sorted_keys r.flows_seen)
+            match
+              degradation ~fault_first:r.fault_first
+                ~fault_last:r.fault_last pts
+            with
+            | None -> ()
+            | Some d ->
+              let set name v =
+                Metrics.Gauge.set
+                  (Metrics.gauge r.reg (Printf.sprintf "flow.%d.fault.%s" f name))
+                  v
+              in
+              set "dip_depth" d.dip_depth;
+              set "dip_area" d.dip_area;
+              set "recovery_s" d.recovery_s
+          end)
+        r.flows_seen
     end
 
   let flush r ~now =
@@ -1985,25 +2025,21 @@ module Recorder = struct
       let keep = r.window_start in
       let partial = now -. keep in
       if partial > 1e-9 then begin
-        let air l =
-          match Hashtbl.find_opt r.link_air l with Some a -> !a | None -> 0.0
-        in
-        List.iter
-          (fun l ->
+        sums_iter
+          (fun l air ->
             Metrics.Series.add
               (Metrics.series r.reg (Printf.sprintf "link.%d.util" l))
-              now (air l /. partial))
-          (sorted_keys r.link_air);
-        List.iter
-          (fun f ->
-            let bits = !(Hashtbl.find r.flow_bits f) in
+              now (air /. partial))
+          r.link_air;
+        sums_iter
+          (fun f bits ->
             Metrics.Series.add
               (Metrics.series r.reg (Printf.sprintf "flow.%d.goodput" f))
               now
               (bits /. 1e6 /. partial))
-          (sorted_keys r.flow_bits);
-        Hashtbl.reset r.link_air;
-        Hashtbl.reset r.flow_bits
+          r.flow_bits;
+        sums_reset r.link_air;
+        sums_reset r.flow_bits
       end
     end;
     flush_tick r;

@@ -570,6 +570,13 @@ module Metrics : sig
 
     val create : ?relative_error:float -> unit -> t
     val observe : t -> float -> unit
+
+    val observe_cell : t -> float array -> unit
+    (** [observe t cell.(0)], for per-event callers: the value comes
+        through the caller's cell because a float argument of a call
+        into this module is boxed. The cell is only read, during the
+        call. *)
+
     val count : t -> int
     val sum : t -> float
     val mean : t -> float

@@ -32,7 +32,7 @@ let collector ~flow ~n_routes =
   }
 
 let on_packet ~ce c ~route ~qr ~seq ~bytes =
-  c.qr.(route) <- qr;
+  c.qr.(route) <- qr.(0);
   if seq > c.highest.(route) then c.highest.(route) <- seq;
   c.window_bytes.(route) <- c.window_bytes.(route) + bytes;
   if ce then c.marked_bytes.(route) <- c.marked_bytes.(route) + bytes

@@ -32,11 +32,14 @@ val collector : flow:int -> n_routes:int -> collector
 (** Fresh accumulator. *)
 
 val on_packet :
-  ce:bool -> collector -> route:int -> qr:float -> seq:int -> bytes:int -> unit
-(** Record an arriving data packet's header fields. [ce] is the
-    frame's ECN congestion-experienced bit; marked bytes are
-    accumulated separately so the source can compute a per-window
-    marked fraction. *)
+  ce:bool -> collector -> route:int -> qr:float array -> seq:int -> bytes:int -> unit
+(** Record an arriving data packet's header fields. The frame's q_r
+    is read from the caller's cell [qr.(0)] (a float argument of a
+    call into this module would be boxed on every frame); the cell is
+    only read, during the call. [ce] is the frame's ECN
+    congestion-experienced bit; marked bytes are accumulated
+    separately so the source can compute a per-window marked
+    fraction. *)
 
 val emit : collector -> now:float -> t
 (** Build the ACK for the current window and reset the per-window

@@ -7,9 +7,11 @@
     received on {e every} route of the flow (per-route delivery is
     FIFO, so nothing older can still arrive).
 
-    The buffer is generic in the payload so the UDP engine stores
-    packet records and the TCP layer stores segments. Buffered packets
-    sit in a power-of-two ring indexed by sequence number, which
+    The buffer is generic in the payload. The engine stores each
+    frame's byte count, all its release callback reads, so a buffered
+    frame holds no frame record: the engine returns the record to its
+    frame pool right after the push. Buffered packets sit in a
+    power-of-two ring indexed by sequence number, which
     doubles when a packet lands past its window; the steady state
     allocates nothing. As in the engine's [Fifo], a released slot
     keeps its payload until a later packet overwrites it, so a

@@ -130,17 +130,22 @@ module Slots = struct
     t.n_free <- t.n_free + 1
 end
 
-(* Float-specialised slots: payloads live unboxed in a float array. *)
+(* Float-specialised slots: payloads live unboxed in a float array,
+   and a value enters and leaves through the store's one-slot [cell]
+   (a float passed to or returned from a function of another module
+   is boxed; a store into the cell is not). *)
 module Fslots = struct
   type t = {
     mutable data : float array;
     mutable free : int array;
     mutable n_free : int;
+    cell : float array;
   }
 
-  let create () = { data = [||]; free = [||]; n_free = 0 }
+  let create () = { data = [||]; free = [||]; n_free = 0; cell = [| 0.0 |] }
+  let cell t = t.cell
 
-  let put t v =
+  let put t =
     if t.n_free = 0 then begin
       let cap = Array.length t.data in
       let cap' = if cap = 0 then 8 else 2 * cap in
@@ -156,10 +161,10 @@ module Fslots = struct
     end;
     let slot = t.free.(t.n_free - 1) in
     t.n_free <- t.n_free - 1;
-    t.data.(slot) <- v;
+    t.data.(slot) <- t.cell.(0);
     slot
 
-  let get t slot = t.data.(slot)
+  let load t slot = t.cell.(0) <- t.data.(slot)
 
   let release t slot =
     t.free.(t.n_free) <- slot;

@@ -87,12 +87,25 @@ module Slots : sig
   val release : 'a t -> int -> unit
 end
 
-(** {!Slots} specialised to unboxed floats. *)
+(** {!Slots} specialised to unboxed floats. Values pass through the
+    store's one-slot {!cell} instead of as arguments and results: a
+    float handed to or returned from a function of another module is
+    boxed, a store into the cell is not. *)
 module Fslots : sig
   type t
 
   val create : unit -> t
-  val put : t -> float -> int
-  val get : t -> int -> float
+
+  val cell : t -> float array
+  (** The store's operand cell, owned by the store: {!put} reads the
+      value to park from [cell.(0)], {!load} writes a slot's value
+      there. *)
+
+  val put : t -> int
+  (** Park [(cell t).(0)] and return its slot. *)
+
+  val load : t -> int -> unit
+  (** [(cell t).(0) <-] the slot's value; the slot stays taken. *)
+
   val release : t -> int -> unit
 end

@@ -84,20 +84,21 @@ let strip_perf r = { r with perf = zero_perf }
 
 (* ---------- internal state ---------- *)
 
-(* The layer-2.5 header travels de-structured: [seq] and the running
-   q_r accumulator live directly in the packet record instead of a
-   nested [Header.t], so the per-hop price stamp mutates one field
-   rather than allocating a fresh header. The source-route itself
-   never rides in the packet at all — forwarding is pre-resolved into
-   per-(flow, route) plan arrays at bootstrap (see [plans] in [run]). *)
+(* The layer-2.5 header travels de-structured and unboxed: [seq]
+   lives in the frame record, while the running q_r accumulator and the
+   send time live in the run's float columns ([Pool.qr], [Pool.sent_at])
+   at the frame's pool [id] — a float field of this mixed record would
+   be boxed, so each per-hop price stamp and each injection would
+   allocate. The source-route itself never rides in the frame at all —
+   forwarding is pre-resolved into per-(flow, route) plan arrays at
+   bootstrap (see [plans] in [run]). Records are recycled through the
+   run's [Pool], so every field but [id] is rewritten at injection. *)
 type packet = {
-  flow : int;
-  route_idx : int;
-  seq : int;
-  mutable qr : float;  (* accumulated route cost; saturates at Header.qr_max *)
-  bytes : int;
-  sent_at : float;
-  links : int array;
+  id : int;  (* pool row of this record, fixed for the run *)
+  mutable flow : int;
+  mutable route_idx : int;
+  mutable seq : int;
+  mutable bytes : int;
   mutable hop : int;
   mutable ce : bool;  (* ECN congestion-experienced; sticky across hops *)
 }
@@ -112,18 +113,57 @@ type file_rec = {
 (* What an idle link's [on_air] holds, so a grant stores the frame
    itself instead of allocating a [Some]. Never queued or sent, so its
    mutable fields are never written. *)
-let no_frame =
-  {
-    flow = -1;
-    route_idx = 0;
-    seq = 0;
-    qr = 0.0;
-    bytes = 0;
-    sent_at = 0.0;
-    links = [||];
-    hop = 0;
-    ce = false;
+let no_frame = { id = -1; flow = -1; route_idx = 0; seq = 0; bytes = 0; hop = 0; ce = false }
+
+(* The run's frame pool (libmoon's traffic generator likewise sends
+   from a mempool instead of allocating each packet): injection takes
+   a record off the free stack, and the frame's one terminal point — a
+   collision, [drop_frame] (every drop reason, the backlog flush
+   included) or the end of [release_packet] — pushes it back, so the
+   steady state allocates no frame. A record minted while the stack is
+   empty keeps its id for the run; the free stack and the float
+   columns grow with the ids, so the stack can always hold every
+   record. [live] is what the invariant checker audits against the
+   frames the engine still holds. *)
+module Pool = struct
+  type t = {
+    mutable free : packet array;  (* free.(0 .. n_free - 1) *)
+    mutable n_free : int;
+    mutable minted : int;  (* records made; ids 0 .. minted - 1 *)
+    mutable qr : float array;  (* by id: q_r so far, saturating at Header.qr_max *)
+    mutable sent_at : float array;  (* by id: injection time *)
   }
+
+  let create () = { free = [||]; n_free = 0; minted = 0; qr = [||]; sent_at = [||] }
+  let live t = t.minted - t.n_free
+
+  let take t =
+    if t.n_free > 0 then begin
+      t.n_free <- t.n_free - 1;
+      t.free.(t.n_free)
+    end
+    else begin
+      let id = t.minted in
+      if id = Array.length t.free then begin
+        (* The stack is empty, so only the columns carry data over. *)
+        let cap = max 64 (2 * id) in
+        let widen a =
+          let a' = Array.make cap 0.0 in
+          Array.blit a 0 a' 0 id;
+          a'
+        in
+        t.qr <- widen t.qr;
+        t.sent_at <- widen t.sent_at;
+        t.free <- Array.make cap no_frame
+      end;
+      t.minted <- id + 1;
+      { no_frame with id }
+    end
+
+  let release t p =
+    t.free.(t.n_free) <- p;
+    t.n_free <- t.n_free + 1
+end
 
 (* Per-link hot floats (service timestamps, windowed arrival bits) live
    in dedicated float arrays rather than record fields: a mutable float
@@ -153,7 +193,7 @@ type flow_state = {
   (* workload *)
   files : file_rec array;       (* empty for Saturated *)
   (* receiver *)
-  reorder : packet Reorder.t;
+  reorder : int Reorder.t;  (* buffers each frame's byte count *)
   collector : Ack.collector;
   equalizer : Reorder.Equalizer.t;
   mutable received_bytes : int;
@@ -274,6 +314,12 @@ let run ?(config = default_config) ?invariants ?trace ?flight ?prof
   let pkt_slots : packet Arena.Slots.t = Arena.Slots.create () in
   let pair_slots : (float * float) Arena.Slots.t = Arena.Slots.create () in
   let f_slots = Arena.Fslots.create () in
+  let f_cell = Arena.Fslots.cell f_slots in
+  let pool = Pool.create () in
+  (* Frames the delay equalizer holds back (queued Reorder_release
+     events): with the queues and the media, all the frames the pool
+     has out. *)
+  let held = ref 0 in
   (* Pre-size the event queue from the topology: steady state holds at
      most one Tx_end per link plus a handful of pacing/ack/timer events
      per flow, and the bootstrap enqueues every fault event up front. *)
@@ -376,6 +422,10 @@ let run ?(config = default_config) ?invariants ?trace ?flight ?prof
      keeps the loop allocation-free. Slot 0: domain sums; slot 1: the
      route-pick walk. *)
   let facc = [| 0.0; 0.0 |] in
+  (* Operand cell for a float handed to another module's per-frame
+     entry point (the delay histogram, the ACK collector's q_r): a
+     float argument of such a call is boxed. *)
+  let arg_cell = [| 0.0 |] in
   (* Congestion price of link l: d_l * sum of gamma over I_l. Runs on
      every enqueue and for every priced link at each tick, so the sum
      over I_l is cached per twin class (links with the same I_l share
@@ -580,7 +630,9 @@ let run ?(config = default_config) ?invariants ?trace ?flight ?prof
             match spec.tcp_params with Some p -> p | None -> Tcp.default_params
           in
           let params = { base with Tcp.segment_bytes = config.frame_bytes } in
-          Some (Tcp.create ~params ~total_bytes:(Workload.total_bytes spec.workload) ()));
+          Some
+            (Tcp.create ~params ~clock:now
+               ~total_bytes:(Workload.total_bytes spec.workload) ()));
       goodput_rev = [];
       rates_rev = [];
       delay_hist = Obs.Metrics.Histogram.create ();
@@ -690,6 +742,8 @@ let run ?(config = default_config) ?invariants ?trace ?flight ?prof
         domain = (fun l -> Domain.domain dom l);
         gamma = (fun l -> gamma.(l));
         link_src = (fun l -> (Multigraph.link g l).Multigraph.src);
+        live_frames = (fun () -> Pool.live pool);
+        held_frames = (fun () -> !held);
       }
   in
   let inv_inject f =
@@ -707,7 +761,7 @@ let run ?(config = default_config) ?invariants ?trace ?flight ?prof
   (* Split per event kind so the polymorphic-variant payload is only
      constructed when a checker is attached. A frame leaving the
      network undelivered on link [l] feeds the checker's ledger and the
-     observation stream in one call. *)
+     observation stream in one call, and goes back to the pool. *)
   let drop_frame l (p : packet) reason =
     (match inv with
     | Some t ->
@@ -715,7 +769,8 @@ let run ?(config = default_config) ?invariants ?trace ?flight ?prof
         ~reason:(`Drop reason)
     | None -> ());
     if obs_on then
-      Obs.Flight.drop fl ~link:l ~flow:p.flow ~seq:p.seq ~reason
+      Obs.Flight.drop fl ~link:l ~flow:p.flow ~seq:p.seq ~reason;
+    Pool.release pool p
   in
   let inv_release_deliver f seq =
     match inv with
@@ -912,7 +967,7 @@ let run ?(config = default_config) ?invariants ?trace ?flight ?prof
       try_start tsd_scratch.(i)
     done
   in
-  let enqueue_on_link l pkt =
+  let enqueue_on_link l (pkt : packet) =
     let st = links.(l) in
     window_bits.(l) <- window_bits.(l) +. (8.0 *. float_of_int pkt.bytes);
     st.had_traffic <- true;
@@ -946,7 +1001,8 @@ let run ?(config = default_config) ?invariants ?trace ?flight ?prof
       (* Stamp the congestion price for this hop into the running
          accumulator ([Header.add_price] semantics: saturate at the
          wire format's q_r ceiling). *)
-      pkt.qr <- Float.min Header.qr_max (pkt.qr +. link_price l);
+      let qr = pool.Pool.qr in
+      qr.(pkt.id) <- Float.min Header.qr_max (qr.(pkt.id) +. link_price l);
       Fifo.push st.queue pkt;
       if obs_on then
         Obs.Flight.enqueue fl ~link:l ~flow:pkt.flow ~seq:pkt.seq
@@ -993,19 +1049,15 @@ let run ?(config = default_config) ?invariants ?trace ?flight ?prof
      rng draw — probes must not perturb that stream. *)
   let inject_frame ?route f ~bytes ~seq =
     let ri = match route with Some r -> r | None -> pick_route f in
-    let pkt =
-      {
-        flow = f.id;
-        route_idx = ri;
-        seq;
-        qr = 0.0;
-        bytes;
-        sent_at = now.(0);
-        links = f.route_links.(ri);
-        hop = 0;
-        ce = false;
-      }
-    in
+    let pkt = Pool.take pool in
+    pkt.flow <- f.id;
+    pkt.route_idx <- ri;
+    pkt.seq <- seq;
+    pkt.bytes <- bytes;
+    pkt.hop <- 0;
+    pkt.ce <- false;
+    pool.Pool.qr.(pkt.id) <- 0.0;
+    pool.Pool.sent_at.(pkt.id) <- now.(0);
     f.injected_window.(ri) <- f.injected_window.(ri) +. float_of_int bytes;
     (match route with
     | Some _ -> (
@@ -1013,7 +1065,7 @@ let run ?(config = default_config) ?invariants ?trace ?flight ?prof
       | Some t -> Invariants.on_probe t ~now:now.(0) ~flow:f.id
       | None -> ())
     | None -> inv_inject f.id);
-    enqueue_on_link pkt.links.(0) pkt
+    enqueue_on_link f.route_links.(ri).(0) pkt
   in
   let sendable_bytes f =
     match f.spec.workload with
@@ -1122,9 +1174,10 @@ let run ?(config = default_config) ?invariants ?trace ?flight ?prof
     match f.tcp with
     | None -> ()
     | Some tcp ->
-      let dl = Tcp.rto_deadline tcp in
+      let dl = (Tcp.rto_deadline_cell tcp).(0) in
       if (not (Float.is_nan dl)) && dl <> rto_armed.(f.id) then begin
-        let slot = Arena.Fslots.put f_slots dl in
+        f_cell.(0) <- dl;
+        let slot = Arena.Fslots.put f_slots in
         rto_armed.(f.id) <- dl;
         rto_slot.(f.id) <- slot;
         schedule_abs (Float.max dl now.(0)) (Arena.tcp_rto ~flow:f.id ~slot)
@@ -1169,7 +1222,7 @@ let run ?(config = default_config) ?invariants ?trace ?flight ?prof
               Some
                 ((sendable_bytes f + config.frame_bytes - 1) / config.frame_bytes)
           in
-          let seq = Tcp.take_segment ?new_data_limit tcp ~now:now.(0) in
+          let seq = Tcp.take_segment ?new_data_limit tcp in
           if seq >= 0 then begin
             if config.enable_cc then
               tokens.(f.id) <- tokens.(f.id) -. float_of_int config.frame_bytes;
@@ -1249,9 +1302,9 @@ let run ?(config = default_config) ?invariants ?trace ?flight ?prof
   let deliver_cbs =
     Array.map
       (fun f ->
-        fun seq (p : packet) ->
+        fun seq bytes ->
           inv_release_deliver f.id seq;
-          f.delivered_in_order_bytes <- f.delivered_in_order_bytes + p.bytes)
+          f.delivered_in_order_bytes <- f.delivered_in_order_bytes + bytes)
       flow_states
   in
   let lost_cbs =
@@ -1262,22 +1315,26 @@ let run ?(config = default_config) ?invariants ?trace ?flight ?prof
           f.lost <- f.lost + 1)
       flow_states
   in
+  (* A delivered frame's last stop: its q_r and the bytes the reorder
+     buffer keeps are read out, and the record goes back to the pool. *)
   let release_packet f (pkt : packet) =
     (* Every frame's one-way delay (queueing + transmission along the
        route) lands in a streaming histogram: exact count/mean,
        quantiles within 0.5% relative error, bounded memory. *)
-    let delay = now.(0) -. pkt.sent_at in
-    Obs.Metrics.Histogram.observe f.delay_hist delay;
+    let delay = now.(0) -. pool.Pool.sent_at.(pkt.id) in
+    arg_cell.(0) <- delay;
+    Obs.Metrics.Histogram.observe_cell f.delay_hist arg_cell;
     if obs_on then begin
       fl_cell.(0) <- delay;
       Obs.Flight.delivery fl ~flow:f.id ~seq:pkt.seq ~bytes:pkt.bytes
     end;
-    Ack.on_packet ~ce:pkt.ce f.collector ~route:pkt.route_idx
-      ~qr:pkt.qr ~seq:pkt.seq ~bytes:pkt.bytes;
+    arg_cell.(0) <- pool.Pool.qr.(pkt.id);
+    Ack.on_packet ~ce:pkt.ce f.collector ~route:pkt.route_idx ~qr:arg_cell
+      ~seq:pkt.seq ~bytes:pkt.bytes;
     flush_bins_upto f now.(0);
     f.received_bytes <- f.received_bytes + pkt.bytes;
     bin_bits.(f.id) <- bin_bits.(f.id) +. (8.0 *. float_of_int pkt.bytes);
-    Reorder.push_cb f.reorder ~route:pkt.route_idx ~seq:pkt.seq pkt
+    Reorder.push_cb f.reorder ~route:pkt.route_idx ~seq:pkt.seq pkt.bytes
       ~deliver:deliver_cbs.(f.id) ~lost:lost_cbs.(f.id);
     (match f.tcp with
     | None -> ()
@@ -1287,17 +1344,20 @@ let run ?(config = default_config) ?invariants ?trace ?flight ?prof
          per-frame echo). *)
       let cum = Reorder.next_expected f.reorder in
       schedule f.reverse_latency (Arena.tcp_ack ~flow:f.id ~cum ~ece:pkt.ce));
-    completions_check f
+    completions_check f;
+    Pool.release pool pkt
   in
-  let deliver_to_destination f pkt =
+  let deliver_to_destination f (pkt : packet) =
     inv_deliver f.id;
     if config.delay_equalize then begin
-      let delay = now.(0) -. pkt.sent_at in
+      let delay = now.(0) -. pool.Pool.sent_at.(pkt.id) in
       Reorder.Equalizer.observe f.equalizer ~route:pkt.route_idx ~delay;
       let hold = Reorder.Equalizer.release_delay f.equalizer ~route:pkt.route_idx in
-      if hold > 1e-6 then
+      if hold > 1e-6 then begin
+        incr held;
         schedule hold
           (Arena.reorder_release ~flow:f.id ~slot:(Arena.Slots.put pkt_slots pkt))
+      end
       else release_packet f pkt
     end
     else release_packet f pkt
@@ -1316,6 +1376,7 @@ let run ?(config = default_config) ?invariants ?trace ?flight ?prof
       inv_collision l pkt.flow;
       if obs_on then
         Obs.Flight.collision fl ~link:l ~flow:pkt.flow ~seq:pkt.seq;
+      Pool.release pool pkt;
       try_start_domain l
     end
     else if st.air_faulted then begin
@@ -1585,9 +1646,9 @@ let run ?(config = default_config) ?invariants ?trace ?flight ?prof
       let l = Arena.link20 code in
       let c =
         let slot = Arena.slot24 code in
-        let c = Arena.Fslots.get f_slots slot in
+        Arena.Fslots.load f_slots slot;
         Arena.Fslots.release f_slots slot;
-        c
+        f_cell.(0)
       in
       let was_dead = caps.(l) <= 0.0 in
       caps.(l) <- Float.max 0.0 c;
@@ -1634,9 +1695,9 @@ let run ?(config = default_config) ?invariants ?trace ?flight ?prof
       let l = Arena.link20 code in
       let p =
         let slot = Arena.slot24 code in
-        let p = Arena.Fslots.get f_slots slot in
+        Arena.Fslots.load f_slots slot;
         Arena.Fslots.release f_slots slot;
-        p
+        f_cell.(0)
       in
       loss.(l) <- p;
       if obs_on then Obs.Flight.loss_event fl ~link:l ~prob:p
@@ -1669,27 +1730,30 @@ let run ?(config = default_config) ?invariants ?trace ?flight ?prof
       match f.tcp with
       | None -> ()
       | Some tcp ->
-        Tcp.on_ack ~ece tcp ~now:now.(0) ~cum_ack:cum;
+        Tcp.on_ack ~ece tcp ~cum_ack:cum;
         tcp_try_send f;
         arm_rto f)
     | 4 (* Reorder_release *) ->
       let slot = Arena.slot20 code in
       let pkt = Arena.Slots.get pkt_slots slot in
       Arena.Slots.release pkt_slots slot;
+      decr held;
       release_packet flow_states.(Arena.flow code) pkt
     | 5 (* Tcp_rto *) -> (
       let f = flow_states.(Arena.flow code) in
       let slot = Arena.slot20 code in
-      let armed_for = Arena.Fslots.get f_slots slot in
+      Arena.Fslots.load f_slots slot;
       Arena.Fslots.release f_slots slot;
       if slot = rto_slot.(f.id) then rto_armed.(f.id) <- Float.nan;
       match f.tcp with
       | None -> ()
       | Some tcp ->
-        let dl = Tcp.rto_deadline tcp in
+        (* The deadline and the time the timer was armed for, both read
+           from cells: [f_cell] holds the slot's value. *)
+        let dl = (Tcp.rto_deadline_cell tcp).(0) in
         (* A nan deadline (no timer) fails the test: a stale timer. *)
-        if Float.abs (dl -. armed_for) < 1e-9 && dl <= now.(0) +. 1e-9 then begin
-          Tcp.on_rto tcp ~now:now.(0);
+        if Float.abs (dl -. f_cell.(0)) < 1e-9 && dl <= now.(0) +. 1e-9 then begin
+          Tcp.on_rto tcp;
           tcp_try_send f
         end)
     | 6 (* Flow_start *) ->
@@ -1756,15 +1820,16 @@ let run ?(config = default_config) ?invariants ?trace ?flight ?prof
     (fun (t, l, c) ->
       if t < 0.0 || l < 0 || l >= n_links then
         invalid_arg "Engine.run: bad link event";
-      schedule_abs t
-        (Arena.capacity_change ~link:l ~slot:(Arena.Fslots.put f_slots c)))
+      f_cell.(0) <- c;
+      schedule_abs t (Arena.capacity_change ~link:l ~slot:(Arena.Fslots.put f_slots)))
     link_events;
   List.iter
     (fun (t, l, p) ->
       if t < 0.0 || l < 0 || l >= n_links || not (Float.is_finite p) || p < 0.0
          || p > 1.0
       then invalid_arg "Engine.run: bad loss event";
-      schedule_abs t (Arena.loss_change ~link:l ~slot:(Arena.Fslots.put f_slots p)))
+      f_cell.(0) <- p;
+      schedule_abs t (Arena.loss_change ~link:l ~slot:(Arena.Fslots.put f_slots)))
     loss_events;
   List.iter
     (fun (t, p, d) ->

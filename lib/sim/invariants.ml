@@ -31,6 +31,8 @@ type view = {
   domain : int -> int array;
   gamma : int -> float;
   link_src : int -> int;
+  live_frames : unit -> int;
+  held_frames : unit -> int;
 }
 
 type flow_acct = {
@@ -205,6 +207,14 @@ let check_step t ~now view =
          (Array.fold_left (fun acc a -> acc + a.injected) 0 t.flows)
          (Array.fold_left (fun acc a -> acc + a.delivered) 0 t.flows)
          (Array.fold_left (fun acc a -> acc + a.dropped) 0 t.flows));
+  (* The frame pool: every record out of it is a frame the engine
+     still holds, so a frame freed twice or never freed shows here. *)
+  let live = view.live_frames () and held = view.held_frames () in
+  if live <> !actual + held then
+    report t ~time:now ~rule:"frame-pool"
+      (Printf.sprintf
+         "pool has %d frames out but the MAC holds %d and the equalizer %d" live
+         !actual held);
   for l = 0 to view.n_links - 1 do
     let g = view.gamma l in
     if g < 0.0 || not (Float.is_finite g) then
@@ -281,6 +291,4 @@ let on_tick t ~now view =
 
 let violations t = List.rev t.viols_rev
 let events_checked t = t.checks
-let frames_injected t = Array.fold_left (fun acc a -> acc + a.injected) 0 t.flows
 let frames_delivered t = Array.fold_left (fun acc a -> acc + a.delivered) 0 t.flows
-let frames_dropped t = Array.fold_left (fun acc a -> acc + a.dropped) 0 t.flows

@@ -49,7 +49,10 @@ type pacing =
 
 (** Read-only window onto the live MAC state, supplied per check.
     All closures must be cheap; [iter_queued l f] calls [f] with the
-    flow id of every frame queued on link [l]. *)
+    flow id of every frame queued on link [l]. [live_frames ()] is the
+    number of frame records out of the engine's frame pool, and
+    [held_frames ()] the number of delivered frames the delay
+    equalizer still holds back. *)
 type view = {
   n_links : int;
   queue_len : int -> int;
@@ -58,6 +61,8 @@ type view = {
   domain : int -> int array;        (** interference domain, incl. self *)
   gamma : int -> float;             (** dual variable of the link *)
   link_src : int -> int;            (** transmitting node of a link *)
+  live_frames : unit -> int;        (** frames out of the frame pool *)
+  held_frames : unit -> int;        (** frames held by the equalizer *)
 }
 
 type t
@@ -114,8 +119,11 @@ val on_tick : t -> now:float -> view -> unit
 
 val check_step : t -> now:float -> view -> unit
 (** Per-event checks: global frame conservation against the live
-    queues, FIFO bound, single-transmitter-per-domain, non-negative
-    finite prices. Call after every processed event. *)
+    queues, the frame pool's live count against the frames queued, on
+    the air or held by the equalizer (rule ["frame-pool"]: a frame
+    freed twice or never freed), FIFO bound,
+    single-transmitter-per-domain, non-negative finite prices. Call
+    after every processed event. *)
 
 (** {2 Reading results} *)
 
@@ -126,7 +134,5 @@ val violations : t -> violation list
 val events_checked : t -> int
 (** Number of [check_step] calls — proof the checker actually ran. *)
 
-val frames_injected : t -> int
 val frames_delivered : t -> int
-val frames_dropped : t -> int
-(** Totals across all flows. *)
+(** Frames delivered, across all flows. *)

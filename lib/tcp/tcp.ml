@@ -33,11 +33,12 @@ type floats = {
   mutable rto : float;
   (* DCTCP's running EWMA of the marked fraction (see [dctcp_on_ack]) *)
   mutable dctcp_alpha : float;
-  mutable timer : float;  (* absolute RTO deadline; nan when none is pending *)
 }
 
 type t = {
   p : params;
+  clock : float array;  (* clock.(0): the caller's current time *)
+  timer : float array;  (* timer.(0): absolute RTO deadline; nan when none *)
   total_segments : int option;
   fl : floats;
   mutable next_new : int;
@@ -64,7 +65,7 @@ type t = {
   mutable win_end : int;
 }
 
-let create ?(params = default_params) ~total_bytes () =
+let create ?(params = default_params) ~clock ~total_bytes () =
   let total_segments =
     Option.map
       (fun b -> (b + params.segment_bytes - 1) / params.segment_bytes)
@@ -72,6 +73,8 @@ let create ?(params = default_params) ~total_bytes () =
   in
   {
     p = params;
+    clock;
+    timer = [| Float.nan |];
     total_segments;
     fl =
       {
@@ -81,7 +84,6 @@ let create ?(params = default_params) ~total_bytes () =
         rttvar = 0.0;
         rto = 1.0;
         dctcp_alpha = 0.0;
-        timer = Float.nan;
       };
     next_new = 0;
     una = 0;
@@ -98,7 +100,6 @@ let create ?(params = default_params) ~total_bytes () =
     win_end = 0;
   }
 
-let params t = t.p
 let segments_total t = t.total_segments
 let cwnd t = t.fl.cwnd
 let dctcp_alpha t = t.fl.dctcp_alpha
@@ -107,7 +108,7 @@ let srtt t = t.fl.srtt_v
 let snd_una t = t.una
 let in_flight t = t.next_new - t.una
 let retransmissions t = t.retx_count
-let rto_deadline t = t.fl.timer
+let rto_deadline_cell t = t.timer
 
 let finished t =
   match t.total_segments with None -> false | Some n -> t.una >= n
@@ -128,36 +129,40 @@ let grow t ~seq =
   t.sent_at <- sent_at;
   t.retx <- retx
 
+(* Every time below is read from the clock cell where it is used: a
+   float passed between functions is boxed unless the call is inlined. *)
+
 (* A segment below [una] (re-sent after an ack jumped past
    [next_new]) is never read back, so it is not recorded. *)
-let record_send t seq ~now ~retx =
+let record_send t seq ~retx =
   if seq >= t.una then begin
     if seq - t.una >= Array.length t.sent_at then grow t ~seq;
     let i = seq land (Array.length t.sent_at - 1) in
-    t.sent_at.(i) <- now;
+    t.sent_at.(i) <- t.clock.(0);
     t.retx.(i) <- retx
   end
 
-let arm_timer_if_needed t ~now =
-  if Float.is_nan t.fl.timer && in_flight t > 0 then t.fl.timer <- now +. t.fl.rto
+let arm_timer_if_needed t =
+  if Float.is_nan t.timer.(0) && in_flight t > 0 then
+    t.timer.(0) <- t.clock.(0) +. t.fl.rto
 
 (* The first queued retransmission not acked meanwhile, recorded as
-   sent at [now]; -1 when there is none. *)
-let rec pop_retx t ~now =
+   sent now; -1 when there is none. *)
+let rec pop_retx t =
   match t.retransmit_queue with
   | [] -> -1
   | seq :: tl ->
     t.retransmit_queue <- tl;
-    if seq < t.una then pop_retx t ~now (* already acked meanwhile *)
+    if seq < t.una then pop_retx t (* already acked meanwhile *)
     else begin
-      record_send t seq ~now ~retx:true;
+      record_send t seq ~retx:true;
       t.retx_count <- t.retx_count + 1;
-      t.fl.timer <- now +. t.fl.rto;
+      t.timer.(0) <- t.clock.(0) +. t.fl.rto;
       seq
     end
 
-let take_segment ?new_data_limit t ~now =
-  let seq = pop_retx t ~now in
+let take_segment ?new_data_limit t =
+  let seq = pop_retx t in
   if seq >= 0 then seq
   else begin
     let data_remains =
@@ -172,8 +177,8 @@ let take_segment ?new_data_limit t ~now =
          (Karn: their RTT samples would be ambiguous). *)
       let is_retx = seq < t.max_sent in
       if is_retx then t.retx_count <- t.retx_count + 1 else t.max_sent <- seq + 1;
-      record_send t seq ~now ~retx:is_retx;
-      arm_timer_if_needed t ~now;
+      record_send t seq ~retx:is_retx;
+      arm_timer_if_needed t;
       seq
     end
     else -1
@@ -223,8 +228,9 @@ let dctcp_on_ack t ~newly_acked ~ece =
       t.win_end <- t.next_new
     end
 
-let on_ack ~ece t ~now ~cum_ack =
+let on_ack ~ece t ~cum_ack =
   let fl = t.fl in
+  let now = t.clock.(0) in
   if cum_ack > t.una then begin
     (* New data acknowledged. Karn's rule: only sample RTT on
        never-retransmitted segments. *)
@@ -251,7 +257,7 @@ let on_ack ~ece t ~now ~cum_ack =
     else
       fl.cwnd <- Float.min t.p.max_cwnd (fl.cwnd +. (float_of_int newly_acked /. fl.cwnd));
     dctcp_on_ack t ~newly_acked ~ece;
-    fl.timer <- (if in_flight t > 0 then now +. fl.rto else Float.nan)
+    t.timer.(0) <- (if in_flight t > 0 then now +. fl.rto else Float.nan)
   end
   else if cum_ack = t.una && in_flight t > 0 then begin
     t.dup_acks <- t.dup_acks + 1;
@@ -268,7 +274,7 @@ let on_ack ~ece t ~now ~cum_ack =
     end
   end
 
-let on_rto t ~now =
+let on_rto t =
   let fl = t.fl in
   fl.ssthresh <- Float.max 2.0 (fl.cwnd /. 2.0);
   fl.cwnd <- 1.0;
@@ -285,4 +291,4 @@ let on_rto t ~now =
   t.win_marked <- 0;
   t.win_end <- t.una;
   fl.rto <- Float.min 5.0 (fl.rto *. 2.0);
-  fl.timer <- now +. fl.rto
+  t.timer.(0) <- t.clock.(0) +. fl.rto

@@ -11,8 +11,16 @@
     the frame that triggered each ack).
 
     The module is pure state: the simulator asks {!take_segment} when
-    it can transmit, feeds {!on_ack} / {!on_rto}, and polls
-    {!rto_deadline} to schedule timer events. *)
+    it can transmit, feeds {!on_ack} / {!on_rto}, and polls the timer
+    cell ({!rto_deadline_cell}) to schedule timer events.
+
+    {b Clock contract.} A sender reads the current time from the
+    clock cell it was created with: [clock.(0)] is "now" for every
+    call that stamps or compares times ({!take_segment}, {!on_ack},
+    {!on_rto}), so the caller advances the cell (the engine hands over
+    its event-loop clock) instead of passing the time as a float
+    argument, which would be boxed on every call. The sender only
+    reads the cell. *)
 
 (** How the sender reacts to ECN marks.
 
@@ -47,38 +55,43 @@ val dctcp_params : params
 
 type t
 
-val create : ?params:params -> total_bytes:int option -> unit -> t
-(** A sender with the given amount of data ([None] = unbounded). *)
-
-val params : t -> params
+val create :
+  ?params:params -> clock:float array -> total_bytes:int option -> unit -> t
+(** A sender with the given amount of data ([None] = unbounded),
+    reading the time from [clock.(0)] (see the clock contract
+    above). *)
 
 val segments_total : t -> int option
 (** Total segments to deliver, if bounded. *)
 
-val take_segment : ?new_data_limit:int -> t -> now:float -> int
+val take_segment : ?new_data_limit:int -> t -> int
 (** The next segment index to transmit, if the window allows:
     retransmissions first, then new data. Marks the segment as
-    in-flight and records its send time. [-1] when window-limited
-    or out of data. [new_data_limit] caps the index of *new* segments
-    (exclusive) — the application-layer gate for data that has not
-    been produced yet (e.g. Poisson file arrivals); retransmissions
-    are never blocked. *)
+    in-flight and records the clock as its send time. [-1] when
+    window-limited or out of data. [new_data_limit] caps the index of
+    *new* segments (exclusive) — the application-layer gate for data
+    that has not been produced yet (e.g. Poisson file arrivals);
+    retransmissions are never blocked. *)
 
-val on_ack : ece:bool -> t -> now:float -> cum_ack:int -> unit
-(** Process a cumulative ACK ([cum_ack] = number of in-order segments
-    the receiver has; i.e. segments [0 .. cum_ack-1] are delivered).
+val on_ack : ece:bool -> t -> cum_ack:int -> unit
+(** Process a cumulative ACK arriving at the clock's time ([cum_ack]
+    = number of in-order segments the receiver has; i.e. segments
+    [0 .. cum_ack-1] are delivered).
     Handles new-data ACKs (window growth, RTT sample), duplicate ACKs
     and fast retransmit/recovery. [ece] is the receiver's echo of the
     CE bit on the frame that produced this ack; it only matters to the
     {!Dctcp} variant — {!Reno} ignores it. *)
 
-val on_rto : t -> now:float -> unit
-(** Retransmission timeout: collapse cwnd to 1, halve ssthresh,
-    queue the oldest unacked segment, back the timer off. *)
+val on_rto : t -> unit
+(** Retransmission timeout at the clock's time: collapse cwnd to 1,
+    halve ssthresh, queue the oldest unacked segment, back the timer
+    off. *)
 
-val rto_deadline : t -> float
-(** Absolute time at which the pending timer fires; [nan] when
-    nothing is in flight. *)
+val rto_deadline_cell : t -> float array
+(** The sender's timer cell: slot 0 holds the absolute time at which
+    the pending timer fires, [nan] when nothing is in flight. Owned
+    and written by the sender; callers only read it (a float returned
+    by a call into this module would be boxed). *)
 
 val finished : t -> bool
 (** All segments delivered (never true for unbounded senders). *)

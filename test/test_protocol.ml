@@ -241,9 +241,9 @@ let test_equalizer () =
 
 let test_ack_collector () =
   let c = Ack.collector ~flow:3 ~n_routes:2 in
-  Ack.on_packet ~ce:false c ~route:0 ~qr:0.5 ~seq:10 ~bytes:1000;
-  Ack.on_packet ~ce:false c ~route:0 ~qr:0.6 ~seq:11 ~bytes:1000;
-  Ack.on_packet ~ce:false c ~route:1 ~qr:0.2 ~seq:12 ~bytes:500;
+  Ack.on_packet ~ce:false c ~route:0 ~qr:[| 0.5 |] ~seq:10 ~bytes:1000;
+  Ack.on_packet ~ce:false c ~route:0 ~qr:[| 0.6 |] ~seq:11 ~bytes:1000;
+  Ack.on_packet ~ce:false c ~route:1 ~qr:[| 0.2 |] ~seq:12 ~bytes:500;
   let ack = Ack.emit c ~now:1.0 in
   Alcotest.(check int) "flow id" 3 ack.Ack.flow;
   (match ack.Ack.reports with

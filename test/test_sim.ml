@@ -1053,6 +1053,8 @@ let quiet_view =
     domain = (fun _ -> [| 0; 1 |]);
     gamma = (fun _ -> 0.0);
     link_src = (fun _ -> 0);
+    live_frames = (fun () -> 0);
+    held_frames = (fun () -> 0);
   }
 
 let fresh_checker () =
@@ -1111,6 +1113,109 @@ let test_catches_double_occupancy () =
       (* Both links of one interference domain on the air at once. *)
       Invariants.check_step inv ~now:0.01
         { quiet_view with Invariants.on_air_flow = (fun _ -> Some 0) })
+
+let test_catches_never_freed () =
+  (* One frame queued and one held back by the delay equalizer: a
+     pool with two records out is consistent with that ... *)
+  let view live =
+    {
+      quiet_view with
+      Invariants.queue_len = (fun l -> if l = 0 then 1 else 0);
+      live_frames = (fun () -> live);
+      held_frames = (fun () -> 1);
+    }
+  in
+  let inv = fresh_checker () in
+  Invariants.on_inject inv ~now:0.005 ~flow:0;
+  Invariants.on_inject inv ~now:0.005 ~flow:0;
+  Invariants.on_deliver inv ~now:0.008 ~flow:0;
+  Invariants.check_step inv ~now:0.01 (view 2);
+  (* ... and one more record out is a frame that was never freed. *)
+  expect_violation "frame never freed" "frame-pool" (fun () ->
+      Invariants.check_step inv ~now:0.02 (view 3))
+
+let test_catches_double_free () =
+  expect_violation "frame freed twice" "frame-pool" (fun () ->
+      let inv = fresh_checker () in
+      Invariants.on_inject inv ~now:0.005 ~flow:0;
+      (* The queued frame's record is back on the free stack too. *)
+      Invariants.check_step inv ~now:0.01
+        {
+          quiet_view with
+          Invariants.queue_len = (fun l -> if l = 0 then 1 else 0);
+          live_frames = (fun () -> 0);
+        })
+
+(* ---------- allocation guards ---------- *)
+
+let testbed =
+  lazy (Runner.network (Testbed.generate (Rng.create 4242)) Schemes.Empower)
+
+(* Steady-state minor words per event of a saturated testbed flow
+   0 -> 12 (draw 4242, engine seed 5): what a 4 s run allocates beyond
+   a 2 s run, over the events it processes beyond it, so the set-up
+   and the warm-up cancel out. Measured on a bare run, as [dune
+   runtest] runs it: no sink, no flight ring, no invariant checker.
+   The count is exact, so the bound can sit close: one word per event
+   (0.71 for UDP and 0.26 for DCTCP when written). One boxed float
+   per frame is enough to cross it: a send time kept in the frame
+   record reads 1.60 (UDP), and the time passed boxed to each TCP
+   call 2.25 (DCTCP). *)
+let words_per_extra_event ~config flow =
+  let net = Lazy.force testbed in
+  let run duration =
+    let w0 = Gc.minor_words () in
+    let r =
+      Engine.run ~config (Rng.create 5) net.Empower.g net.Empower.dom
+        ~flows:[ flow ] ~duration
+    in
+    (Gc.minor_words () -. w0, r.Engine.events_processed)
+  in
+  let w2, e2 = run 2.0 in
+  let w4, e4 = run 4.0 in
+  Alcotest.(check bool) "the longer run processes more events" true (e4 > e2);
+  (w4 -. w2) /. float_of_int (e4 - e2)
+
+let check_words_per_event name wpe =
+  Printf.printf "%s: %.2f minor words per extra event\n" name wpe;
+  if wpe > 1.0 then
+    Alcotest.failf "%s: %.2f minor words per extra event, at most 1 allowed" name wpe
+
+let test_udp_words_per_event () =
+  let net = Lazy.force testbed in
+  let flow =
+    Runner.flow_spec ~src:0 ~dst:12
+      (Runner.routes_and_rates net Schemes.Empower ~src:0 ~dst:12)
+  in
+  let config = { Engine.default_config with delta = 0.05 } in
+  check_words_per_event "UDP, CC on" (words_per_extra_event ~config flow)
+
+let test_dctcp_words_per_event () =
+  (* DCTCP on the pair's primary route over a dynamic-threshold shared
+     pool of 64 frames with ECN marking from 8 frames, CC off. *)
+  let net = Lazy.force testbed in
+  let flow =
+    match Runner.routes_and_rates net Schemes.Empower ~src:0 ~dst:12 with
+    | r :: _, v :: _ ->
+      Runner.flow_spec ~transport:Engine.Tcp_transport ~tcp_params:Tcp.dctcp_params
+        ~src:0 ~dst:12 ([ r ], [ v ])
+    | _ -> Alcotest.fail "no route 0 -> 12"
+  in
+  let fb = Engine.default_config.Engine.frame_bytes in
+  let config =
+    {
+      Engine.default_config with
+      enable_cc = false;
+      buffers =
+        Some
+          {
+            Engine.policy = Engine.Dynamic_threshold 1.0;
+            pool_bytes = 64 * fb;
+            ecn_threshold_bytes = Some (8 * fb);
+          };
+    }
+  in
+  check_words_per_event "DCTCP over DT+ECN" (words_per_extra_event ~config flow)
 
 let () =
   Alcotest.run "sim"
@@ -1200,6 +1305,15 @@ let () =
             test_catches_queue_over_bound;
           Alcotest.test_case "catches double occupancy" `Quick
             test_catches_double_occupancy;
+          Alcotest.test_case "catches frame never freed" `Quick
+            test_catches_never_freed;
+          Alcotest.test_case "catches frame freed twice" `Quick
+            test_catches_double_free;
+        ] );
+      ( "alloc",
+        [
+          Alcotest.test_case "UDP words per event" `Quick test_udp_words_per_event;
+          Alcotest.test_case "DCTCP words per event" `Quick test_dctcp_words_per_event;
         ] );
       ( "properties",
         [ QCheck_alcotest.to_alcotest prop_engine_goodput_below_optimal ] );

@@ -4,14 +4,32 @@ let check_float ?(eps = 1e-9) msg expected actual =
   if Float.abs (expected -. actual) > eps then
     Alcotest.failf "%s: expected %.6f, got %.6f" msg expected actual
 
-let mk ?params ?total () = Tcp.create ?params ~total_bytes:total ()
+(* Every sender of this file reads the time from one clock cell; the
+   helpers below set it, then make the call at that time. *)
+let clock = [| 0.0 |]
+let mk ?params ?total () = Tcp.create ?params ~clock ~total_bytes:total ()
+
+let take t ~now =
+  clock.(0) <- now;
+  Tcp.take_segment t
+
+let ack ~ece t ~now ~cum_ack =
+  clock.(0) <- now;
+  Tcp.on_ack ~ece t ~cum_ack
+
+let rto t ~now =
+  clock.(0) <- now;
+  Tcp.on_rto t
+
+(* The pending timer's deadline; nan when none. *)
+let timer t = (Tcp.rto_deadline_cell t).(0)
 
 let test_initial_state () =
   let t = mk () in
   check_float "cwnd" 2.0 (Tcp.cwnd t);
   Alcotest.(check int) "una" 0 (Tcp.snd_una t);
   Alcotest.(check int) "in flight" 0 (Tcp.in_flight t);
-  Alcotest.(check bool) "no timer" true (Float.is_nan (Tcp.rto_deadline t));
+  Alcotest.(check bool) "no timer" true (Float.is_nan (timer t));
   Alcotest.(check bool) "unbounded never finishes" false (Tcp.finished t)
 
 let test_segment_count () =
@@ -21,16 +39,16 @@ let test_segment_count () =
 
 let test_window_limits_sending () =
   let t = mk () in
-  Alcotest.(check int) "seg 0" 0 (Tcp.take_segment t ~now:0.0);
-  Alcotest.(check int) "seg 1" 1 (Tcp.take_segment t ~now:0.0);
-  Alcotest.(check int) "window full" (-1) (Tcp.take_segment t ~now:0.0);
-  Alcotest.(check bool) "timer armed" true (not (Float.is_nan (Tcp.rto_deadline t)))
+  Alcotest.(check int) "seg 0" 0 (take t ~now:0.0);
+  Alcotest.(check int) "seg 1" 1 (take t ~now:0.0);
+  Alcotest.(check int) "window full" (-1) (take t ~now:0.0);
+  Alcotest.(check bool) "timer armed" true (not (Float.is_nan (timer t)))
 
 let test_slow_start_growth () =
   let t = mk () in
-  ignore (Tcp.take_segment t ~now:0.0);
-  ignore (Tcp.take_segment t ~now:0.0);
-  Tcp.on_ack ~ece:false t ~now:0.1 ~cum_ack:2;
+  ignore (take t ~now:0.0);
+  ignore (take t ~now:0.0);
+  ack ~ece:false t ~now:0.1 ~cum_ack:2;
   (* Two segments acked in slow start: cwnd 2 -> 4. *)
   check_float "cwnd grew" 4.0 (Tcp.cwnd t);
   Alcotest.(check int) "una advanced" 2 (Tcp.snd_una t);
@@ -39,107 +57,107 @@ let test_slow_start_growth () =
 let test_congestion_avoidance_growth () =
   let params = { Tcp.default_params with init_ssthresh = 2.0 } in
   let t = mk ~params () in
-  ignore (Tcp.take_segment t ~now:0.0);
-  ignore (Tcp.take_segment t ~now:0.0);
-  Tcp.on_ack ~ece:false t ~now:0.1 ~cum_ack:2;
+  ignore (take t ~now:0.0);
+  ignore (take t ~now:0.0);
+  ack ~ece:false t ~now:0.1 ~cum_ack:2;
   (* Above ssthresh: cwnd += newly_acked / cwnd = 2/2 = 1. *)
   check_float "linear growth" 3.0 (Tcp.cwnd t)
 
 let test_fast_retransmit () =
   let t = mk () in
   (* Send 5 segments (grow window first). *)
-  ignore (Tcp.take_segment t ~now:0.0);
-  ignore (Tcp.take_segment t ~now:0.0);
-  Tcp.on_ack ~ece:false t ~now:0.05 ~cum_ack:2;
+  ignore (take t ~now:0.0);
+  ignore (take t ~now:0.0);
+  ack ~ece:false t ~now:0.05 ~cum_ack:2;
   for _ = 1 to 4 do
-    ignore (Tcp.take_segment t ~now:0.1)
+    ignore (take t ~now:0.1)
   done;
   (* Segment 2 lost; three dup acks for 2. *)
-  Tcp.on_ack ~ece:false t ~now:0.2 ~cum_ack:2;
-  Tcp.on_ack ~ece:false t ~now:0.21 ~cum_ack:2;
+  ack ~ece:false t ~now:0.2 ~cum_ack:2;
+  ack ~ece:false t ~now:0.21 ~cum_ack:2;
   Alcotest.(check bool) "not yet retransmitting" true
     (Tcp.retransmissions t = 0);
-  Tcp.on_ack ~ece:false t ~now:0.22 ~cum_ack:2;
+  ack ~ece:false t ~now:0.22 ~cum_ack:2;
   (* Fast retransmit queued: next take returns seq 2 again. *)
-  Alcotest.(check int) "retransmit 2" 2 (Tcp.take_segment t ~now:0.23);
+  Alcotest.(check int) "retransmit 2" 2 (take t ~now:0.23);
   Alcotest.(check int) "counted" 1 (Tcp.retransmissions t);
   Alcotest.(check bool) "ssthresh dropped" true (Tcp.ssthresh t <= 3.0)
 
 let test_recovery_exit () =
   let t = mk () in
-  ignore (Tcp.take_segment t ~now:0.0);
-  ignore (Tcp.take_segment t ~now:0.0);
-  Tcp.on_ack ~ece:false t ~now:0.05 ~cum_ack:2;
+  ignore (take t ~now:0.0);
+  ignore (take t ~now:0.0);
+  ack ~ece:false t ~now:0.05 ~cum_ack:2;
   for _ = 1 to 4 do
-    ignore (Tcp.take_segment t ~now:0.1)
+    ignore (take t ~now:0.1)
   done;
   for i = 1 to 3 do
-    Tcp.on_ack ~ece:false t ~now:(0.2 +. (0.01 *. float_of_int i)) ~cum_ack:2
+    ack ~ece:false t ~now:(0.2 +. (0.01 *. float_of_int i)) ~cum_ack:2
   done;
-  ignore (Tcp.take_segment t ~now:0.25);
+  ignore (take t ~now:0.25);
   (* Full cumulative ack past everything sent: recovery exits, cwnd =
      ssthresh. *)
-  Tcp.on_ack ~ece:false t ~now:0.3 ~cum_ack:6;
+  ack ~ece:false t ~now:0.3 ~cum_ack:6;
   check_float "cwnd = ssthresh" (Tcp.ssthresh t) (Tcp.cwnd t);
   Alcotest.(check int) "una" 6 (Tcp.snd_una t)
 
 let test_rto_go_back_n () =
   let t = mk () in
-  ignore (Tcp.take_segment t ~now:0.0);
-  ignore (Tcp.take_segment t ~now:0.0);
-  Tcp.on_ack ~ece:false t ~now:0.05 ~cum_ack:1;
-  ignore (Tcp.take_segment t ~now:0.1);
-  ignore (Tcp.take_segment t ~now:0.1);
+  ignore (take t ~now:0.0);
+  ignore (take t ~now:0.0);
+  ack ~ece:false t ~now:0.05 ~cum_ack:1;
+  ignore (take t ~now:0.1);
+  ignore (take t ~now:0.1);
   (* Timeout: cwnd collapses, everything from una re-sent. *)
-  Tcp.on_rto t ~now:2.0;
+  rto t ~now:2.0;
   check_float "cwnd 1" 1.0 (Tcp.cwnd t);
   Alcotest.(check int) "in flight reset" 0 (Tcp.in_flight t);
-  let seq = Tcp.take_segment t ~now:2.0 in
+  let seq = take t ~now:2.0 in
   if seq < 0 then Alcotest.fail "expected a retransmission";
   Alcotest.(check int) "resend from una" (Tcp.snd_una t) seq;
   Alcotest.(check bool) "marked as retransmission" true (Tcp.retransmissions t > 0)
 
 let test_rto_backoff () =
   let t = mk () in
-  ignore (Tcp.take_segment t ~now:0.0);
+  ignore (take t ~now:0.0);
   let deadline () =
-    let d = Tcp.rto_deadline t in
+    let d = timer t in
     if Float.is_nan d then Alcotest.fail "expected a pending timer";
     d
   in
   let d1 = deadline () in
-  Tcp.on_rto t ~now:d1;
+  rto t ~now:d1;
   let d2 = deadline () in
-  Tcp.on_rto t ~now:d2;
+  rto t ~now:d2;
   let d3 = deadline () in
   Alcotest.(check bool) "exponential backoff" true (d3 -. d2 > (d2 -. d1) *. 1.5)
 
 let test_finished () =
   let t = mk ~total:20000 () in
   (* 2 segments. *)
-  ignore (Tcp.take_segment t ~now:0.0);
-  ignore (Tcp.take_segment t ~now:0.0);
-  Alcotest.(check int) "no more data" (-1) (Tcp.take_segment t ~now:0.0);
-  Tcp.on_ack ~ece:false t ~now:0.1 ~cum_ack:2;
+  ignore (take t ~now:0.0);
+  ignore (take t ~now:0.0);
+  Alcotest.(check int) "no more data" (-1) (take t ~now:0.0);
+  ack ~ece:false t ~now:0.1 ~cum_ack:2;
   Alcotest.(check bool) "finished" true (Tcp.finished t);
-  Alcotest.(check bool) "timer cleared" true (Float.is_nan (Tcp.rto_deadline t))
+  Alcotest.(check bool) "timer cleared" true (Float.is_nan (timer t))
 
 let test_rtt_estimation () =
   let t = mk () in
-  ignore (Tcp.take_segment t ~now:0.0);
-  Tcp.on_ack ~ece:false t ~now:0.08 ~cum_ack:1;
+  ignore (take t ~now:0.0);
+  ack ~ece:false t ~now:0.08 ~cum_ack:1;
   check_float ~eps:1e-6 "first srtt = rtt" 0.08 (Tcp.srtt t);
-  ignore (Tcp.take_segment t ~now:0.1);
-  Tcp.on_ack ~ece:false t ~now:0.26 ~cum_ack:2;
+  ignore (take t ~now:0.1);
+  ack ~ece:false t ~now:0.26 ~cum_ack:2;
   (* srtt = 0.875*0.08 + 0.125*0.16 = 0.09. *)
   check_float ~eps:1e-6 "ewma" 0.09 (Tcp.srtt t)
 
 let test_dupack_ignored_when_idle () =
   let t = mk () in
   (* Nothing in flight: dup acks must not trigger anything. *)
-  Tcp.on_ack ~ece:false t ~now:0.1 ~cum_ack:0;
-  Tcp.on_ack ~ece:false t ~now:0.2 ~cum_ack:0;
-  Tcp.on_ack ~ece:false t ~now:0.3 ~cum_ack:0;
+  ack ~ece:false t ~now:0.1 ~cum_ack:0;
+  ack ~ece:false t ~now:0.2 ~cum_ack:0;
+  ack ~ece:false t ~now:0.3 ~cum_ack:0;
   check_float "cwnd unchanged" 2.0 (Tcp.cwnd t);
   Alcotest.(check int) "no retransmissions" 0 (Tcp.retransmissions t)
 
@@ -158,13 +176,13 @@ let prop_lossless_pipe_completes =
       let steps = ref 0 in
       while (not (Tcp.finished t)) && !steps < 10000 do
         incr steps;
-        let seq = Tcp.take_segment t ~now:!now in
+        let seq = take t ~now:!now in
         if seq >= 0 then Queue.push seq inflight;
         now := !now +. (0.001 +. Rng.float rng *. 0.01);
         if not (Queue.is_empty inflight) then begin
           let seq = Queue.pop inflight in
           if seq = !received then incr received;
-          Tcp.on_ack ~ece:false t ~now:!now ~cum_ack:!received
+          ack ~ece:false t ~now:!now ~cum_ack:!received
         end;
         if float_of_int (Tcp.in_flight t) > Tcp.cwnd t +. 1.0 then steps := 100000
       done;
@@ -177,14 +195,14 @@ let dctcp_g = match Tcp.dctcp_params.Tcp.variant with
   | Tcp.Reno -> assert false
 
 let send_all t ~now =
-  let rec go () = if Tcp.take_segment t ~now >= 0 then go () in
+  let rec go () = if take t ~now >= 0 then go () in
   go ()
 
 (* One fully-marked observation window: send a whole cwnd, then ack
    it with a single ECE-carrying cumulative ack (F = 1 at rollover). *)
 let marked_window t ~now =
   send_all t ~now;
-  Tcp.on_ack ~ece:true t ~now:(now +. 0.05)
+  ack ~ece:true t ~now:(now +. 0.05)
     ~cum_ack:(Tcp.snd_una t + Tcp.in_flight t)
 
 let test_dctcp_alpha_closed_form () =
@@ -241,19 +259,19 @@ let test_dctcp_reno_equivalence_unmarked () =
       log := (Tcp.cwnd t, Tcp.ssthresh t, Tcp.snd_una t, Tcp.in_flight t) :: !log
     in
     send_all t ~now:0.0;
-    Tcp.on_ack ~ece:false t ~now:0.05 ~cum_ack:2;
+    ack ~ece:false t ~now:0.05 ~cum_ack:2;
     snap ();
     send_all t ~now:0.1;
-    Tcp.on_ack ~ece:false t ~now:0.2 ~cum_ack:2;
-    Tcp.on_ack ~ece:false t ~now:0.21 ~cum_ack:2;
-    Tcp.on_ack ~ece:false t ~now:0.22 ~cum_ack:2;
+    ack ~ece:false t ~now:0.2 ~cum_ack:2;
+    ack ~ece:false t ~now:0.21 ~cum_ack:2;
+    ack ~ece:false t ~now:0.22 ~cum_ack:2;
     snap ();
-    Tcp.on_ack ~ece:false t ~now:0.3 ~cum_ack:6;
+    ack ~ece:false t ~now:0.3 ~cum_ack:6;
     snap ();
-    Tcp.on_rto t ~now:1.0;
+    rto t ~now:1.0;
     snap ();
     send_all t ~now:1.1;
-    Tcp.on_ack ~ece:false t ~now:1.2 ~cum_ack:7;
+    ack ~ece:false t ~now:1.2 ~cum_ack:7;
     snap ();
     (t, List.rev !log)
   in
