@@ -6,9 +6,10 @@
                   experiment leans on (one Test.make per kernel): the
                   multipath exploration tree, CSC Dijkstra, Yen, the
                   congestion controller, testbed-scale set-up (Yen,
-                  update() on the primary route, the exploration tree
-                  and a 3-flow Empower.allocate on the 22-node
-                  testbed), the LP-based optimal baseline,
+                  update() on the primary route, the exploration tree,
+                  a 3-flow Empower.allocate on the 22-node testbed
+                  and equation (9) alone on that allocation's final
+                  prices), the LP-based optimal baseline,
                   the fluid MAC, the packet engine (bare, with a
                   flight ring armed, and with one DCTCP flow over DT
                   buffers with ECN), the reorder buffer on its own,
@@ -89,11 +90,38 @@ let bench_update_testbed () =
   let g, dom = Lazy.force testbed_case in
   ignore (Update.update g dom (Lazy.force testbed_primary))
 
+let testbed_flows = [ (0, 12); (3, 17); (8, 21) ]
+
 let bench_allocate_testbed () =
   let g, dom = Lazy.force testbed_case in
-  ignore
-    (Empower.allocate ~delta:0.05 { Empower.g; dom }
-       ~flows:[ (0, 12); (3, 17); (8, 21) ])
+  ignore (Empower.allocate ~delta:0.05 { Empower.g; dom } ~flows:testbed_flows)
+
+(* Equation (9) on its own, under the γ the same allocation's controller
+   holds after its 3000 slots: a fresh [Price] replays them, slot t
+   stepping with the rates the controller held after slot t - 1. *)
+let price_testbed =
+  lazy
+    (let g, dom = Lazy.force testbed_case in
+     let net = { Empower.g; dom } in
+     let plans = List.map (fun (src, dst) -> Empower.plan net ~src ~dst) testbed_flows in
+     let problem =
+       Problem.make ~delta:0.05 g dom
+         ~flows:(List.map (fun p -> Multipath.routes p.Empower.combination) plans)
+     in
+     let x_init =
+       Array.of_list
+         (List.concat_map (fun p -> List.map snd p.Empower.combination.Multipath.paths) plans)
+     in
+     let price = Price.create problem and held = Array.copy x_init in
+     ignore
+       (Multi_cc.solve_tracked ~x_init ~slots:3000
+          ~on_slot:(fun _ x ->
+            Price.step price ~x:held ~alpha:0.02;
+            Array.blit x 0 held 0 (Array.length x))
+          problem);
+     price)
+
+let bench_route_costs_testbed () = ignore (Price.route_costs (Lazy.force price_testbed))
 
 let bench_cc () =
   let g, dom = Lazy.force residential_case in
@@ -246,6 +274,8 @@ let kernel_tests =
       (Staged.stage bench_update_testbed);
     Test.make ~name:"allocate 3 flows (testbed, delta 0.05)"
       (Staged.stage bench_allocate_testbed);
+    Test.make ~name:"Price.route_costs (testbed, 3 flows)"
+      (Staged.stage bench_route_costs_testbed);
     Test.make ~name:"LP optimal baseline" (Staged.stage bench_lp);
     Test.make ~name:"fluid MAC goodput" (Staged.stage bench_fluid);
     Test.make ~name:"packet engine (2 s sim)" (Staged.stage bench_engine);

@@ -43,9 +43,11 @@ val step : t -> x:float array -> alpha:float -> unit
 
 val route_costs : t -> float array
 (** [q_r] for every route under the current [γ]: equation (9),
-    [q_r = Σ_{l∈r} d_l Σ_{i∈I_l} γ_i] with each inner sum taken in
-    domain order. The array is the state's own and is overwritten by
-    the next call; copy it to keep it. *)
-
-val routes_on_link : t -> int -> int list
-(** Route ids traversing a link (cached incidence; for tests). *)
+    [q_r = Σ_{l∈r} d_l Σ_{i∈I_l} γ_i]. Each inner sum runs over [I_l]
+    in domain order, where consecutive links of one airtime class
+    carry the same [γ]: {!Run_sum.add} adds each such run of [n] equal
+    terms in O(log n) operations, and the sum equals the left fold of
+    [γ_i] over [I_l] in domain order, bit for bit. The inner sum is
+    computed once per twin class of the route links. The array is the
+    state's own and is overwritten by the next call; copy it to keep
+    it. *)

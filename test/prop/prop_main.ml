@@ -253,6 +253,134 @@ let prop_allocation_deterministic =
         QCheck.Test.fail_reportf "seed %d: cc_result not reproducible" seed;
       true)
 
+(* ---------- oracle 5a: run-length sums = the left fold ---------- *)
+
+(* [Run_sum.add] against plain additions, one at a time. The cases
+   mix five kinds: long positive runs whose sum crosses many binades;
+   tie increments (x an odd multiple of half the sum's grid step, from
+   a sum near a binade edge and x a small multiple of a power of two);
+   zero and subnormal terms and starting sums; NaN, infinities,
+   max_float and negative terms; and several runs in a row. *)
+type run_sum_case = { start : float; values : float array; runs : int array }
+
+let run_sum_case_of_seed seed =
+  let rng = Rng.create (0x3C6EF372 + seed) in
+  let pow2 e = Float.ldexp 1.0 e in
+  let magnitude () = Rng.uniform rng 1.0 2.0 *. pow2 (Rng.int rng 61 - 30) in
+  let tiny () =
+    match Rng.int rng 6 with
+    | 0 -> 0.0
+    | 1 -> -0.0
+    | 2 -> Float.ldexp (Rng.float rng) (-1022) (* subnormal *)
+    | 3 -> Float.ldexp (float_of_int (1 + Rng.int rng 8)) (-1074)
+    | 4 -> Float.min_float *. Rng.uniform rng 1.0 4.0
+    | _ -> -.Float.ldexp (Rng.float rng) (-1022)
+  in
+  let special () =
+    match Rng.int rng 8 with
+    | 0 -> Float.nan
+    | 1 -> Float.infinity
+    | 2 -> Float.neg_infinity
+    | 3 -> Float.max_float
+    | 4 -> -.magnitude ()
+    | 5 -> tiny ()
+    | _ -> magnitude ()
+  in
+  let count () = Rng.int rng 4097 in
+  match seed mod 5 with
+  | 0 ->
+    let start = if Rng.bool rng then 0.0 else magnitude () in
+    { start; values = [| magnitude () |]; runs = [| 0; count () |] }
+  | 1 ->
+    (* A start within a few grid steps of its binade's top or bottom,
+       and x = c 2^(e-53+j): j = 0 with c odd is a tie in the start's
+       binade, c = 2 with j = -1 too. *)
+    let e = Rng.int rng 200 - 100 in
+    let u = pow2 (e - 52) in
+    let start =
+      if Rng.bool rng then pow2 (e + 1) -. (float_of_int (Rng.int rng 8) *. u)
+      else pow2 e +. (float_of_int (Rng.int rng 8) *. u)
+    in
+    let x = float_of_int (1 + Rng.int rng 7) *. pow2 (e - 53 + Rng.int rng 5 - 1) in
+    { start; values = [| x |]; runs = [| 0; count () |] }
+  | 2 -> { start = tiny (); values = [| tiny () |]; runs = [| 0; count () |] }
+  | 3 ->
+    let values = Array.init 3 (fun _ -> special ()) in
+    let runs = Array.concat (List.init 3 (fun i -> [| i; Rng.int rng 300 |])) in
+    { start = special (); values; runs }
+  | _ ->
+    (* Route-cost shaped: 2-5 runs of γ terms of mixed magnitude, zeros
+       among them, from +0. *)
+    let k = 2 + Rng.int rng 4 in
+    let values = Array.init k (fun _ -> if Rng.int rng 4 = 0 then 0.0 else magnitude ()) in
+    let runs = Array.concat (List.init k (fun i -> [| i; 1 + Rng.int rng 1000 |])) in
+    { start = 0.0; values; runs }
+
+let plain_run_sum c =
+  let a = ref c.start in
+  for j = 0 to (Array.length c.runs / 2) - 1 do
+    for _ = 1 to c.runs.((2 * j) + 1) do
+      a := !a +. c.values.(c.runs.(2 * j))
+    done
+  done;
+  !a
+
+let prop_run_sum_is_left_fold =
+  QCheck.Test.make ~count:100_000 ~name:"Run_sum.add = plain left fold, bit for bit"
+    seed_gen (fun seed ->
+      let c = run_sum_case_of_seed seed in
+      let acc = [| c.start |] in
+      Run_sum.add c.values c.runs acc 0;
+      let expected = plain_run_sum c in
+      if Int64.bits_of_float acc.(0) <> Int64.bits_of_float expected then
+        QCheck.Test.fail_reportf "seed %d: start %h, values [%s], runs [%s]: %h, plain %h"
+          seed c.start
+          (String.concat "; " (Array.to_list (Array.map (Printf.sprintf "%h") c.values)))
+          (String.concat "; " (Array.to_list (Array.map string_of_int c.runs)))
+          acc.(0) expected;
+      true)
+
+(* The cases above must reach what the kernel treats apart: a run whose
+   plain sum meets a tie past its first 32 terms, one that crosses 10+
+   binades as it grows, zero and subnormal terms and starts, NaN and
+   infinities. *)
+let prop_run_sum_cases_cover =
+  QCheck.Test.make ~count:1 ~name:"run-sum cases reach ties, 10+ binades and special values"
+    QCheck.unit
+    (fun () ->
+      let exponent a = snd (Float.frexp a) in
+      let tie_past_head c =
+        let x = c.values.(0) and a = ref c.start and hit = ref false in
+        for i = 1 to c.runs.(1) do
+          let s = !a +. x in
+          let u = Float.succ !a -. !a in
+          if i > 32 && !a >= Float.min_float && Float.abs (x -. (s -. !a)) = u /. 2.0 then
+            hit := true;
+          a := s
+        done;
+        !hit
+      in
+      let binades c =
+        let x = c.values.(0) in
+        let a = ref (c.start +. x) in
+        let first = exponent !a in
+        for _ = 2 to c.runs.(1) do
+          a := !a +. x
+        done;
+        exponent !a - first
+      in
+      let cases = List.init 500 run_sum_case_of_seed in
+      let any f = List.exists f cases in
+      let has p c = p c.start || Array.exists p c.values in
+      let subnormal v = v <> 0.0 && Float.abs v < Float.min_float in
+      any (fun c -> Array.length c.values = 1 && tie_past_head c)
+      && any (fun c -> Array.length c.values = 1 && binades c >= 10)
+      && any (fun c -> c.start = 0.0 && Float.sign_bit c.start)
+      && any (has subnormal)
+      && any (fun c -> Array.exists (fun v -> v = 0.0) c.values)
+      && any (has Float.is_nan)
+      && any (has (fun v -> Float.abs v = Float.infinity)))
+
 (* ---------- oracle 5b: class-grouped duals = per-link duals ---------- *)
 
 (* Price keeps one y and one γ per airtime class (priced links with the
@@ -300,37 +428,142 @@ let reference_route_costs (p : Problem.t) gamma =
         0.0 route.Paths.links)
     p.Problem.routes
 
+(* Runs [slot_rates] through [Price] and the per-link reference side by
+   side; fails on the first value that differs in a bit. *)
+let check_price_slots ~case (p : Problem.t) ~alpha slot_rates =
+  let carrier = carriers p in
+  let target = 1.0 -. p.Problem.delta in
+  let gamma = Array.make (Array.length carrier) 0.0 in
+  let price = Price.create p in
+  let same what slot expected got =
+    Array.iteri
+      (fun i e ->
+        if Int64.bits_of_float e <> Int64.bits_of_float got.(i) then
+          QCheck.Test.fail_reportf "%s slot %d: %s.(%d) = %h, per-link %h" case slot
+            what i got.(i) e)
+      expected
+  in
+  Array.iteri
+    (fun slot x ->
+      let y = reference_airtimes p carrier x in
+      same "y" slot y (Price.airtimes price ~x);
+      Array.iteri
+        (fun i yi -> gamma.(i) <- Float.max 0.0 (gamma.(i) +. (alpha *. (yi -. target))))
+        y;
+      Price.step price ~x ~alpha;
+      same "gamma" slot gamma (Price.gamma price);
+      same "q" slot (reference_route_costs p gamma) (Price.route_costs price))
+    slot_rates
+
 let prop_price_classes_bit_identical =
   QCheck.Test.make ~count:150
     ~name:"class-grouped prices = per-link eqs. (7)-(9), bit for bit" seed_gen
     (fun seed ->
       let pc = Prop_gen.price_case_of_seed ~slots:30 seed in
-      let p = pc.Prop_gen.problem and alpha = pc.Prop_gen.alpha in
-      let carrier = carriers p in
-      let target = 1.0 -. p.Problem.delta in
-      let gamma = Array.make (Array.length carrier) 0.0 in
-      let price = Price.create p in
-      let same what slot expected got =
-        Array.iteri
-          (fun i e ->
-            if Int64.bits_of_float e <> Int64.bits_of_float got.(i) then
-              QCheck.Test.fail_reportf "seed %d slot %d: %s.(%d) = %h, per-link %h"
-                seed slot what i got.(i) e)
-          expected
-      in
-      Array.iteri
-        (fun slot x ->
-          let y = reference_airtimes p carrier x in
-          same "y" slot y (Price.airtimes price ~x);
-          Array.iteri
-            (fun i yi ->
-              gamma.(i) <- Float.max 0.0 (gamma.(i) +. (alpha *. (yi -. target))))
-            y;
-          Price.step price ~x ~alpha;
-          same "gamma" slot gamma (Price.gamma price);
-          same "q" slot (reference_route_costs p gamma) (Price.route_costs price))
-        pc.Prop_gen.slot_rates;
+      check_price_slots ~case:(Printf.sprintf "seed %d" seed) pc.Prop_gen.problem
+        ~alpha:pc.Prop_gen.alpha pc.Prop_gen.slot_rates;
       true)
+
+(* The random cases above fold a few terms per Σγ; a testbed I_l holds
+   190-426 links in one or two runs of one airtime class, which is
+   where [Run_sum] jumps. The first six set-ups of perfbench's
+   testbed-udp at seed 1, drawn the same way (unit u has 1 + u mod 3
+   flows with distinct sources from seeded permutations, then an
+   engine seed; δ = 0.05, the controller started at R(P)), each
+   replayed for 300 slots: slot t steps with the rates the controller
+   held after slot t - 1. Unit 2 folds one Σγ in two runs (188 + 2). *)
+let testbed_price_slots = 300
+
+let testbed_net =
+  lazy (Runner.network (Testbed.generate (Rng.create 4242)) Schemes.Empower)
+
+let testbed_price_cases =
+  lazy
+    (let net = Lazy.force testbed_net in
+     let n = Multigraph.n_nodes net.Empower.g in
+     let rng = Rng.create 1 in
+     let perm = Array.init n Fun.id and pos = ref n in
+     let next_src () =
+       if !pos = n then begin
+         Rng.shuffle rng perm;
+         pos := 0
+       end;
+       incr pos;
+       perm.(!pos - 1)
+     in
+     let rec dst_for src =
+       let d = Rng.int rng n in
+       if d = src then dst_for src else d
+     in
+     let rec draw acc k =
+       if k = 0 then List.rev acc
+       else
+         let src = next_src () in
+         if List.mem_assoc src acc then draw acc k else draw ((src, dst_for src) :: acc) (k - 1)
+     in
+     List.init 6 (fun u ->
+         let plans =
+           List.map (fun (src, dst) -> Empower.plan net ~src ~dst) (draw [] (1 + (u mod 3)))
+         in
+         ignore (Rng.int rng 1_000_000);
+         let problem =
+           Problem.make ~delta:0.05 net.Empower.g net.Empower.dom
+             ~flows:(List.map (fun p -> Multipath.routes p.Empower.combination) plans)
+         in
+         let x_init =
+           Array.of_list
+             (List.concat_map
+                (fun p -> List.map snd p.Empower.combination.Multipath.paths)
+                plans)
+         in
+         let held = ref [ x_init ] in
+         ignore
+           (Multi_cc.solve_tracked ~x_init ~slots:(testbed_price_slots - 1)
+              ~on_slot:(fun _ x -> held := Array.copy x :: !held)
+              problem);
+         (problem, Array.of_list (List.rev !held))))
+
+let prop_price_testbed_bit_identical =
+  QCheck.Test.make ~count:1
+    ~name:"class-grouped prices = per-link eqs. (7)-(9) on testbed set-ups, bit for bit"
+    QCheck.unit
+    (fun () ->
+      List.iteri
+        (fun u (p, slot_rates) ->
+          check_price_slots ~case:(Printf.sprintf "testbed unit %d" u) p ~alpha:0.02
+            slot_rates)
+        (Lazy.force testbed_price_cases);
+      true)
+
+(* Run lengths of each carrier's Σγ fold: I_l in domain order, split
+   where the airtime class (I_i ∩ carriers) changes. *)
+let fold_runs (p : Problem.t) =
+  let carrier = carriers p in
+  let dom = p.Problem.dom in
+  let key i = List.filter (fun l -> carrier.(l)) (Array.to_list (Domain.domain dom i)) in
+  List.filter_map
+    (fun l ->
+      if not carrier.(l) then None
+      else
+        let lens =
+          Array.fold_left
+            (fun acc i ->
+              match acc with
+              | (k, n) :: rest when k = key i -> (k, n + 1) :: rest
+              | _ -> (key i, 1) :: acc)
+            [] (Domain.domain dom l)
+        in
+        Some (List.rev_map snd lens))
+    (List.init (Array.length carrier) Fun.id)
+
+let prop_price_testbed_cases_cover_runs =
+  QCheck.Test.make ~count:1
+    ~name:"testbed price cases fold 100+ equal terms and one Σγ in 2 runs"
+    QCheck.unit
+    (fun () ->
+      let runs = List.concat_map (fun (p, _) -> fold_runs p) (Lazy.force testbed_price_cases) in
+      List.exists (List.exists (fun n -> n >= 100)) runs
+      && List.exists (fun r -> List.length r = 2) runs)
 
 let prop_price_cases_cover_classes =
   (* The testbed has 2-3 classes; make sure the generator reaches
@@ -935,9 +1168,6 @@ let prop_huge_pool_matches_legacy =
    intensity (Severing crashes a flow's destination, so whole seconds
    go empty), recovery on for odd seeds. *)
 
-let testbed_net =
-  lazy (Runner.network (Testbed.generate (Rng.create 4242)) Schemes.Empower)
-
 let binned_case seed =
   let net = Lazy.force testbed_net in
   let g = net.Empower.g in
@@ -1029,7 +1259,11 @@ let () =
       prop_lemma1_closed_form;
       prop_engine_deterministic;
       prop_allocation_deterministic;
+      prop_run_sum_is_left_fold;
+      prop_run_sum_cases_cover;
       prop_price_classes_bit_identical;
+      prop_price_testbed_bit_identical;
+      prop_price_testbed_cases_cover_runs;
       prop_price_cases_cover_classes;
       prop_price_cases_share_twins;
       prop_invariants_hold_under_chaos;

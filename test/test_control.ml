@@ -127,10 +127,7 @@ let test_price_airtimes () =
   (* y for wifi b->c: all wifi demands = 10/30 (link 2 only). *)
   check_float "y wifi" (1.0 /. 3.0) y.(2);
   (* y for plc a->b: 10/10 = 1. *)
-  check_float "y plc" 1.0 y.(4);
-  (* Routes on link caching. *)
-  Alcotest.(check (list int)) "routes on shared wifi" [ 0; 1 ]
-    (Price.routes_on_link price 2)
+  check_float "y plc" 1.0 y.(4)
 
 let test_price_gamma_updates () =
   let g, dom = fig1 () in
@@ -158,6 +155,25 @@ let test_price_route_costs () =
   check_float ~eps:1e-9 "q route 1" (0.2 +. (4.0 /. 30.0)) q.(0);
   (* Route 2: wifi a->b d=1/15 |I|=4 -> 4/15 ; + 4/30. *)
   check_float ~eps:1e-9 "q route 2" ((4.0 /. 15.0) +. (4.0 /. 30.0)) q.(1)
+
+(* A testbed problem: its carriers' I_l hold 190-426 links, so
+   [route_costs] jumps through long runs. *)
+let test_price_slot_allocates_nothing () =
+  let inst = Testbed.generate (Rng.create 4242) in
+  let net = Empower.of_instance inst Builder.Hybrid in
+  let routes = Multipath.routes (Multipath.find net.Empower.g net.Empower.dom ~src:0 ~dst:12) in
+  let p = Problem.make ~delta:0.05 net.Empower.g net.Empower.dom ~flows:[ routes ] in
+  let price = Price.create p in
+  let x = Array.make (Problem.n_routes p) 30.0 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 1000 do
+    Price.step price ~x ~alpha:0.02;
+    ignore (Price.route_costs price)
+  done;
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check bool) "prices rose" true
+    (Array.exists (fun q -> q > 0.0) (Price.route_costs price));
+  Alcotest.(check (float 0.0)) "minor words in 1,000 slots" 0.0 words
 
 (* --- Alpha heuristic --- *)
 
@@ -398,6 +414,8 @@ let () =
           Alcotest.test_case "airtimes" `Quick test_price_airtimes;
           Alcotest.test_case "gamma updates" `Quick test_price_gamma_updates;
           Alcotest.test_case "route costs" `Quick test_price_route_costs;
+          Alcotest.test_case "slot allocates nothing" `Quick
+            test_price_slot_allocates_nothing;
         ] );
       ( "alpha",
         [
