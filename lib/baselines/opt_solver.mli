@@ -30,13 +30,12 @@ val max_throughput :
 
 val max_utility :
   ?delta:float ->
-  ?iterations:int ->
-  ?utility:Utility.t ->
   Rate_region.model ->
   Multigraph.t ->
   Domain.t ->
   flows:(int * int) list ->
   float array
-(** Utility-optimal flow rates for several concurrent flows
-    (default proportional fairness, 200 Frank–Wolfe iterations —
-    enough for < 0.1% objective error on paper-scale networks). *)
+(** Proportionally fair ({!Utility.proportional_fair}) flow rates for
+    several concurrent flows, after at most 200 Frank–Wolfe
+    iterations — enough for < 0.1% objective error on paper-scale
+    networks. *)

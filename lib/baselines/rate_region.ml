@@ -93,18 +93,3 @@ let flow_value_coeffs t f =
       if pos >= 0 then c.(var t ~flow:f ~pos) <- c.(var t ~flow:f ~pos) -. 1.0)
     (Multigraph.in_links t.g s);
   c
-
-let flow_values t y =
-  Array.init (Array.length t.flows) (fun f ->
-      let c = flow_value_coeffs t f in
-      let acc = ref 0.0 in
-      Array.iteri (fun j cj -> if cj <> 0.0 then acc := !acc +. (cj *. y.(j))) c;
-      !acc)
-
-let total_value_coeffs t =
-  let c = Array.make t.n_vars 0.0 in
-  for f = 0 to Array.length t.flows - 1 do
-    let cf = flow_value_coeffs t f in
-    Array.iteri (fun j v -> c.(j) <- c.(j) +. v) cf
-  done;
-  c

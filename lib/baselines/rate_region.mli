@@ -36,9 +36,3 @@ val rows : t -> (float array * Simplex.op * float) list
 val flow_value_coeffs : t -> int -> float array
 (** Coefficient vector c with [c . y] = x_f (net outflow of flow [f]
     at its source). *)
-
-val flow_values : t -> float array -> float array
-(** All flow values under an LP solution. *)
-
-val total_value_coeffs : t -> float array
-(** Coefficients of [Σ_f x_f]. *)

@@ -1,6 +1,6 @@
-let solve_tracked ?alpha ?(gain = 50.0) ?(slots = 2000) ?stop_tol ?x_init ?ack_loss
-    ~on_slot (problem : Problem.t) =
-  let alpha = match alpha with Some a -> a | None -> Alpha.fixed 0.02 in
+let solve_tracked ?(gain = 50.0) ?(slots = 2000) ?stop_tol ?x_init ~on_slot
+    (problem : Problem.t) =
+  let alpha = Alpha.fixed 0.02 in
   let n_routes = Problem.n_routes problem in
   let x =
     match x_init with
@@ -13,7 +13,7 @@ let solve_tracked ?alpha ?(gain = 50.0) ?(slots = 2000) ?stop_tol ?x_init ?ack_l
   let x_bar = Array.copy x in
   let price = Price.create problem in
   let trace = Array.make slots [||] in
-  let u' = problem.Problem.utility.Utility.u' in
+  let u' = Utility.proportional_fair.Utility.u' in
   let stopped = ref None in
   let t = ref 0 in
   while !t < slots && !stopped = None do
@@ -21,35 +21,15 @@ let solve_tracked ?alpha ?(gain = 50.0) ?(slots = 2000) ?stop_tol ?x_init ?ack_l
     Price.step price ~x ~alpha:a;
     let q = Price.route_costs price in
     let flow_rate = Problem.flow_rates problem x in
-    (* Control-message loss: a flow whose price/rate report for this
-       slot is lost simply keeps its current rates (both x and the
-       proximal anchor x_bar hold still), while the duals keep
-       evolving from the observed airtimes — the source reacts again
-       on the next delivered report. *)
-    let lost =
-      match ack_loss with
-      | None -> fun _ -> false
-      | Some p ->
-        let slot = !t in
-        let memo =
-          Array.init
-            (Array.length problem.Problem.flow_routes)
-            (fun f -> p ~slot ~flow:f)
-        in
-        fun f -> memo.(f)
-    in
     for r = 0 to n_routes - 1 do
       let f = problem.Problem.flow_of.(r) in
-      if not (lost f) then begin
-        let inner =
-          Float.max 0.0 (x_bar.(r) +. (gain *. (u' flow_rate.(f) -. q.(r))))
-        in
-        x.(r) <- ((1.0 -. a) *. x.(r)) +. (a *. inner)
-      end
+      let inner =
+        Float.max 0.0 (x_bar.(r) +. (gain *. (u' flow_rate.(f) -. q.(r))))
+      in
+      x.(r) <- ((1.0 -. a) *. x.(r)) +. (a *. inner)
     done;
     for r = 0 to n_routes - 1 do
-      if not (lost problem.Problem.flow_of.(r)) then
-        x_bar.(r) <- ((1.0 -. a) *. x_bar.(r)) +. (a *. x.(r))
+      x_bar.(r) <- ((1.0 -. a) *. x_bar.(r)) +. (a *. x.(r))
     done;
     let flow_rates = Problem.flow_rates problem x in
     trace.(!t) <- flow_rates;
@@ -84,7 +64,5 @@ let solve_tracked ?alpha ?(gain = 50.0) ?(slots = 2000) ?stop_tol ?x_init ?ack_l
     trace;
   }
 
-let solve ?alpha ?gain ?slots ?stop_tol ?x_init ?ack_loss problem =
-  solve_tracked ?alpha ?gain ?slots ?stop_tol ?x_init ?ack_loss
-    ~on_slot:(fun _ _ -> ())
-    problem
+let solve ?gain ?slots ?stop_tol ?x_init problem =
+  solve_tracked ?gain ?slots ?stop_tol ?x_init ~on_slot:(fun _ _ -> ()) problem

@@ -17,18 +17,17 @@
     in the 100 ms acknowledgements. *)
 
 val solve :
-  ?alpha:Alpha.t ->
   ?gain:float ->
   ?slots:int ->
   ?stop_tol:float ->
   ?x_init:float array ->
-  ?ack_loss:(slot:int -> flow:int -> bool) ->
   Problem.t ->
   Cc_result.t
 (** Run for [slots] iterations (default 2000) from [x_init] (default
-    all-zero), γ = 0, x̄ = x_init. Works for any mix of single- and
-    multi-route flows (a single-route flow recovers near-single-path
-    behaviour).
+    all-zero), γ = 0, x̄ = x_init, with the paper's fixed step size
+    α = 0.02 and utility {!Utility.proportional_fair}. Works for any
+    mix of single- and multi-route flows (a single-route flow recovers
+    near-single-path behaviour).
 
     [gain] is the proximal weight: the quadratic penalty in (11) is
     [1/(2c) Σ (x_r - x̄_r)^2], giving the update
@@ -47,22 +46,15 @@ val solve :
     pass those rates as [x_init]; the controller then only fine-tunes
     toward the utility optimum and resolves inter-flow contention.
 
-    [ack_loss] models control-plane message loss: when
-    [ack_loss ~slot ~flow] is true, flow [flow]'s report for that slot
-    is treated as lost — its rates and proximal anchors hold still
-    while the link duals keep evolving — instead of assuming lossless
-    delivery. The update resumes on the next delivered report; with
-    any loss pattern of density < 1 the iteration still converges to
-    the same fixed point (the fixed-point equations are unchanged),
-    only slower. *)
+    Every flow's report arrives in every slot. Lost acknowledgements
+    are the packet engine's business (a fault plan's [Ctrl_drop]
+    windows), not this fluid model's. *)
 
 val solve_tracked :
-  ?alpha:Alpha.t ->
   ?gain:float ->
   ?slots:int ->
   ?stop_tol:float ->
   ?x_init:float array ->
-  ?ack_loss:(slot:int -> flow:int -> bool) ->
   on_slot:(int -> float array -> unit) ->
   Problem.t ->
   Cc_result.t

@@ -5,13 +5,11 @@ type t = {
   routes : Paths.t array;
   flow_of : int array;
   flow_routes : int list array;
-  utility : Utility.t;
   delta : float;
   external_airtime : float array;
 }
 
-let make ?(delta = 0.0) ?d ?external_airtime ?(utility = Utility.proportional_fair)
-    g dom ~flows =
+let make ?(delta = 0.0) ?d ?external_airtime g dom ~flows =
   if delta < 0.0 || delta >= 1.0 then invalid_arg "Problem.make: delta outside [0,1)";
   let n_links = Multigraph.num_links g in
   let d =
@@ -52,7 +50,7 @@ let make ?(delta = 0.0) ?d ?external_airtime ?(utility = Utility.proportional_fa
         routes_f)
     flows;
   Array.iteri (fun f rs -> flow_routes.(f) <- List.rev rs) flow_routes;
-  { g; dom; d; routes; flow_of; flow_routes; utility; delta; external_airtime }
+  { g; dom; d; routes; flow_of; flow_routes; delta; external_airtime }
 
 let n_routes t = Array.length t.routes
 

@@ -4,9 +4,9 @@
     decides the per-route rates x_r. A problem bundles the network
     view, the interference domains, the airtime costs [d_l] the
     controller believes (normally from capacity *estimates*, not
-    ground truth), the route set grouped into flows, the utility, the
-    constraint margin δ of (3), and any external (non-EMPoWER)
-    airtime the nodes measure on each link's medium. *)
+    ground truth), the route set grouped into flows, the constraint
+    margin δ of (3), and any external (non-EMPoWER) airtime the nodes
+    measure on each link's medium. *)
 
 type t = {
   g : Multigraph.t;
@@ -15,7 +15,6 @@ type t = {
   routes : Paths.t array;  (** all routes, across flows *)
   flow_of : int array;     (** [flow_of.(r)] is the flow owning route [r] *)
   flow_routes : int list array;  (** route ids per flow *)
-  utility : Utility.t;
   delta : float;
   external_airtime : float array;  (** per link, in [0,1) *)
 }
@@ -24,7 +23,6 @@ val make :
   ?delta:float ->
   ?d:float array ->
   ?external_airtime:float array ->
-  ?utility:Utility.t ->
   Multigraph.t ->
   Domain.t ->
   flows:Paths.t list list ->
@@ -32,7 +30,7 @@ val make :
 (** [make g dom ~flows] with [flows] the per-flow route lists.
     Defaults: [delta = 0] (the paper's simulations; testbed UDP runs
     use 0.05 and TCP runs 0.3), [d] from the graph's capacities,
-    no external airtime, proportional-fair utility. Flows with no
+    no external airtime. Flows with no
     route are allowed (they simply get rate 0). Raises
     [Invalid_argument] if [delta] is outside [0, 1) or any route is
     unusable (a hop with zero capacity and no [?d] override). *)

@@ -13,7 +13,7 @@ let solve ?(slots = 2000) (problem : Problem.t) =
   let price = Price.create problem in
   let x = Array.make n_routes 0.0 in
   let trace = Array.make slots [||] in
-  let u'_inv = problem.Problem.utility.Utility.u'_inv in
+  let u'_inv = Utility.proportional_fair.Utility.u'_inv in
   for t = 0 to slots - 1 do
     let a = Alpha.current alpha in
     Price.step price ~x ~alpha:a;

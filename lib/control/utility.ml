@@ -12,29 +12,3 @@ let proportional_fair =
     u' = (fun x -> 1.0 /. (1.0 +. x));
     u'_inv = (fun q -> if q <= 0.0 then infinity else Float.max 0.0 ((1.0 /. q) -. 1.0));
   }
-
-let weighted_proportional_fair ~weight =
-  assert (weight > 0.0);
-  {
-    name = Printf.sprintf "%.2f*log(1+x)" weight;
-    u = (fun x -> weight *. log (1.0 +. x));
-    u' = (fun x -> weight /. (1.0 +. x));
-    u'_inv =
-      (fun q -> if q <= 0.0 then infinity else Float.max 0.0 ((weight /. q) -. 1.0));
-  }
-
-let alpha_fair ~alpha =
-  if alpha <= 0.0 then invalid_arg "Utility.alpha_fair: alpha <= 0";
-  if Float.abs (alpha -. 1.0) < 1e-9 then proportional_fair
-  else
-    {
-      name = Printf.sprintf "alpha-fair(%.2f)" alpha;
-      u = (fun x -> (((1.0 +. x) ** (1.0 -. alpha)) -. 1.0) /. (1.0 -. alpha));
-      u' = (fun x -> (1.0 +. x) ** -.alpha);
-      u'_inv =
-        (fun q ->
-          if q <= 0.0 then infinity
-          else Float.max 0.0 ((q ** (-1.0 /. alpha)) -. 1.0));
-    }
-
-let total t rates = List.fold_left (fun acc x -> acc +. t.u x) 0.0 rates

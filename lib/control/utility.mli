@@ -1,9 +1,9 @@
-(** Flow utility functions for network utility maximization.
+(** The flow utility of network utility maximization.
 
-    The controller maximizes [Σ_f U_f(x_f)] for increasing, strictly
-    concave [U_f]. The paper (and this repository's experiments) uses
-    proportional fairness [U(x) = log(1 + x)]; alpha-fair utilities
-    are provided for ablations. Rates are in Mbit/s. *)
+    The controller maximizes [Σ_f U(x_f)] for the paper's increasing,
+    strictly concave proportional fairness [U(x) = log(1 + x)]: the
+    one utility every controller, baseline and experiment of this
+    repository optimizes. Rates are in Mbit/s. *)
 
 type t = {
   name : string;
@@ -15,14 +15,3 @@ type t = {
 val proportional_fair : t
 (** [U(x) = log(1 + x)]: the paper's throughput/fairness tradeoff.
     [U'(x) = 1/(1+x)], [U'^-1(q) = max 0 (1/q - 1)]. *)
-
-val weighted_proportional_fair : weight:float -> t
-(** [U(x) = w log(1 + x)] for [w > 0]. *)
-
-val alpha_fair : alpha:float -> t
-(** Mo–Walrand alpha-fair family on [1 + x] (so it is finite at 0):
-    [alpha = 1] recovers proportional fairness; larger alpha is more
-    fairness-leaning. Requires [alpha > 0]. *)
-
-val total : t -> float list -> float
-(** [Σ U(x_f)] over a list of flow rates. *)

@@ -17,8 +17,8 @@ type plan = {
   combination : Multipath.combination;
 }
 
-let plan ?(n = 5) ?(csc = true) net ~src ~dst =
-  { src; dst; combination = Multipath.find ~n ~csc net.g net.dom ~src ~dst }
+let plan net ~src ~dst =
+  { src; dst; combination = Multipath.find ~n:5 ~csc:true net.g net.dom ~src ~dst }
 
 type allocation = {
   plans : plan array;
@@ -27,14 +27,14 @@ type allocation = {
   cc : Cc_result.t;
 }
 
-let allocate ?n ?(delta = 0.0) ?(slots = 3000) ?utility net ~flows =
+let allocate ?(delta = 0.0) ?(slots = 3000) net ~flows =
   let plans =
-    Array.of_list (List.map (fun (src, dst) -> plan ?n net ~src ~dst) flows)
+    Array.of_list (List.map (fun (src, dst) -> plan net ~src ~dst) flows)
   in
   let flow_routes =
     Array.to_list (Array.map (fun p -> Multipath.routes p.combination) plans)
   in
-  let problem = Problem.make ~delta ?utility net.g net.dom ~flows:flow_routes in
+  let problem = Problem.make ~delta net.g net.dom ~flows:flow_routes in
   let x_init =
     Array.of_list
       (List.concat_map
@@ -53,20 +53,10 @@ let allocate ?n ?(delta = 0.0) ?(slots = 3000) ?utility net ~flows =
     plans;
   { plans; flow_rates = cc.Cc_result.flow_rates; route_rates; cc }
 
-let simulate ?config ?invariants ?trace ?faults ?(seed = 0) net ~flows ~duration
-    =
-  let link_events, loss_events, ctrl_events =
-    match faults with
-    | None -> ([], [], [])
-    | Some plan ->
-      let c = Fault.compile net.g plan in
-      (c.Fault.link_events, c.Fault.loss_events, c.Fault.ctrl_events)
-  in
-  Engine.run ?config ?invariants ?trace ~link_events ~loss_events ~ctrl_events
-    (Rng.create seed) net.g net.dom ~flows ~duration
+let simulate ?config ?invariants ?(seed = 0) net ~flows ~duration =
+  Engine.run ?config ?invariants (Rng.create seed) net.g net.dom ~flows ~duration
 
-let flow_specs_of_allocation ?(workload = Workload.Saturated)
-    ?(transport = Engine.Udp) alloc =
+let flow_specs_of_allocation alloc =
   Array.to_list alloc.plans
   |> List.filter_map (fun p ->
          match Multipath.routes p.combination with
@@ -78,8 +68,8 @@ let flow_specs_of_allocation ?(workload = Workload.Saturated)
                dst = p.dst;
                routes;
                init_rates = List.map snd p.combination.Multipath.paths;
-               workload;
-               transport;
+               workload = Workload.Saturated;
+               transport = Engine.Udp;
                tcp_params = None;
                start_time = 0.0;
                stop_time = None;

@@ -39,8 +39,8 @@ type plan = {
 }
 (** The routes EMPoWER selected for one flow, with their rates. *)
 
-val plan : ?n:int -> ?csc:bool -> network -> src:int -> dst:int -> plan
-(** Run the Section 3 multipath procedure (default n = 5, CSC on). *)
+val plan : network -> src:int -> dst:int -> plan
+(** Run the Section 3 multipath procedure (n = 5, CSC on). *)
 
 type allocation = {
   plans : plan array;
@@ -50,43 +50,28 @@ type allocation = {
 }
 
 val allocate :
-  ?n:int ->
-  ?delta:float ->
-  ?slots:int ->
-  ?utility:Utility.t ->
-  network ->
-  flows:(int * int) list ->
-  allocation
-(** Routing then congestion control: plan each flow, run the
+  ?delta:float -> ?slots:int -> network -> flows:(int * int) list -> allocation
+(** Routing then congestion control: {!plan} each flow, run the
     multipath controller (Section 4.3) on the selected routes starting
-    from the routing-estimated rates, and report the allocation.
-    Flows without connectivity get rate 0 and an empty plan. *)
+    from the routing-estimated rates, and report the proportionally
+    fair allocation (defaults: [delta = 0], 3000 slots). Flows without
+    connectivity get rate 0 and an empty plan. *)
 
 val simulate :
   ?config:Engine.config ->
   ?invariants:Invariants.t ->
-  ?trace:Obs.Trace.sink ->
-  ?faults:Fault.plan ->
   ?seed:int ->
   network ->
   flows:Engine.flow_spec list ->
   duration:float ->
   Engine.result
-(** Packet-level simulation of the full stack (see {!Engine}).
+(** Packet-level simulation of the full stack (see {!Engine}), with
+    no faults and no trace sink ({!Engine.run} takes both).
     [?invariants] threads a runtime invariant checker through the run
     (see {!Invariants}); the [EMPOWER_CHECK] environment variable
-    enables one implicitly. [?trace] streams every datapath and
-    control-plane event into an {!Obs.Trace.sink} (see the tracing
-    notes on {!Engine.run}). [?faults] compiles a {!Fault.plan}
-    against the network's graph and schedules it into the run
-    (capacity changes, frame-loss windows, control-plane faults);
-    raises [Invalid_argument] if the plan fails {!Fault.validate}. *)
+    enables one implicitly. *)
 
-val flow_specs_of_allocation :
-  ?workload:Workload.t ->
-  ?transport:Engine.transport ->
-  allocation ->
-  Engine.flow_spec list
-(** Turn an allocation into engine flow specs (default saturated
-    UDP): routes from the plans, initial injection at the planned
-    rates. Flows with no route are omitted. *)
+val flow_specs_of_allocation : allocation -> Engine.flow_spec list
+(** Turn an allocation into saturated UDP engine flow specs: routes
+    from the plans, initial injection at the planned rates. Flows with
+    no route are omitted. *)

@@ -49,10 +49,6 @@ module Progress : sig
   (** Install (or clear) the process-wide reporter used by subsequent
       {!map}/{!mapi} calls (the CLI's [--progress] flag). *)
 
-  val env_enabled : unit -> bool
-  (** [true] iff [EMPOWER_PROGRESS] is set to anything but [""]/["0"];
-      when no reporter is installed this enables {!stderr_reporter}. *)
-
   val stderr_reporter : reporter
   (** One [\[exec\] done/total, running: #i (elapsed)] line to stderr
       per event, longest-running tasks first. *)

@@ -51,11 +51,6 @@ type report = {
   flows : flow_report list;
 }
 
-val config : Engine.config
-(** The chaos engine config: {!Engine.default_config} with
-    [dead_route = Probe_floor] ([Heal] when {!run} is given
-    [~recovery:true]). *)
-
 val network : unit -> Empower.network
 (** The scenario's network (testbed draw, seed 4242 — the same one
     the [failure] trace scenario uses). *)
@@ -81,7 +76,9 @@ val run :
   unit ->
   report
 (** Run the chaos scenario ([intensity] defaults to [Moderate],
-    [recovery] to [false], [duration] to 20 s). [trace] additionally
+    [recovery] to [false], [duration] to 20 s) under
+    {!Engine.default_config} with [dead_route = Probe_floor], or
+    [Heal] when [recovery] is on. [trace] additionally
     streams every event to the caller's sink; an installed
     {!Obs.Runtime} registry ([--metrics] / [EMPOWER_METRICS]) is also
     populated, including the degradation metrics. [flight] records

@@ -16,9 +16,6 @@ type row = {
 
 type data = { rows : row list; seconds : int }
 
-val paper_flows : (int * int) list
-(** The ten pairs, 1-based. *)
-
 val run : ?seed:int -> ?duration:float -> ?jobs:int -> unit -> data
 (** Default 200 s per run (statistics over the last 100 s), seed 11.
     [jobs] as in {!Fig4.run}: the ten rows fan out over a domain

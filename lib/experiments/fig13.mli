@@ -14,8 +14,6 @@ type row = {
 
 type data = { rows : row list; delta : float }
 
-val paper_flows : (int * int) list
-
 val run : ?seed:int -> ?duration:float -> ?delta:float -> ?jobs:int -> unit -> data
 (** Default 150 s per run (statistics skip the first 30 s), δ = 0.3,
     seed 14. [jobs] as in {!Fig4.run}: the ten rows fan out over a

@@ -66,27 +66,6 @@ type data = {
   points : point list;
 }
 
-val tiny_max_bytes : int
-(** 100 kB — upper bound (exclusive) of the {e tiny} bucket. *)
-
-val short_max_bytes : int
-(** 5 MB — upper bound (exclusive) of the {e short} bucket. *)
-
-val run :
-  ?cdf:Cdf.t ->
-  ?pairs:int ->
-  ?conns:int ->
-  ?duration:float ->
-  ?drain:float ->
-  ?pacing:Workload.pacing ->
-  ?seed:int ->
-  load:float ->
-  unit ->
-  data
-(** One load point (defaults: {!Cdf.websearch}, 4 pairs, 2
-    connections per pair, 30 s window + 10 s drain, CBR pacing, seed
-    17). Raises [Invalid_argument] for [load] outside (0, 1]. *)
-
 val sweep :
   ?cdf:Cdf.t ->
   ?pairs:int ->
@@ -100,6 +79,9 @@ val sweep :
   data
 (** The load factors' points merged into one [data] (each point is an
     independent pure job; results follow the input order, so output
-    is byte-identical at any [jobs] count). *)
+    is byte-identical at any [jobs] count). Defaults: {!Cdf.websearch},
+    4 pairs, 2 connections per pair, 30 s window + 10 s drain, CBR
+    pacing, seed 17. Raises [Invalid_argument] for an empty list or a
+    load factor outside (0, 1]. *)
 
 val print : ?out:out_channel -> data -> unit

@@ -62,10 +62,6 @@ val of_file : ?duration:float -> string -> (t, string) result
     carries the file/parse/validation message, including the strict
     line-level errors of {!Obs.Summary.read_file}. *)
 
-val sweep_p99_monotone : Loadsweep.data -> bool
-(** [true] iff the all-sizes bucket's p99 FCT is nondecreasing in
-    load across the sweep's points (buckets with no samples skip). *)
-
 val to_json : t -> Obs.Json.t
 (** The ["report"] figure: [source] is ["trace"], ["loadsweep"],
     ["profile"] or ["scenario"], and the payload carries the fields

@@ -50,11 +50,6 @@
 
 type topology_kind = Testbed | Residential | Enterprise
 
-val topology_kind_name : topology_kind -> string
-(** ["testbed"] | ["residential"] | ["enterprise"]. *)
-
-val topology_kind_of_name : string -> topology_kind option
-
 type churn =
   | Generate of { intensity : Fault.Gen.intensity; protect_endpoints : bool }
       (** Draw the plan with {!Fault.Gen.plan} from a split of the

@@ -15,17 +15,12 @@ type scenario = {
   exec : ?trace:Obs.Trace.sink -> ?prof:Obs.Prof.t -> unit -> outcome;
 }
 
-val scenarios : scenario list
+val names : unit -> string list
 (** ["mini"] (CI-sized), ["fig4"], ["failure"] (mid-run link failure),
     ["tcp"]. All deterministic: fixed topology seeds and engine
     seeds. *)
 
-val names : unit -> string list
-
 val find : string -> scenario option
-
-val goodput_mbps : Engine.flow_result -> duration:float -> float
-(** The engine's reported goodput: [received_bytes * 8e-6 / duration]. *)
 
 val cross_check : outcome -> Obs.Summary.t -> (unit, string) result
 (** Per flow: delivered bytes must match exactly, goodput to within

@@ -491,18 +491,6 @@ let encode plan = J.to_string (to_json plan)
 let decode s =
   match J.parse s with Ok j -> of_json j | Error msg -> Error msg
 
-let to_file path plan =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc (encode plan);
-      output_char oc '\n')
-
-let of_file path =
-  let* j = J.of_file path in
-  Result.map_error (fun e -> path ^ ": " ^ e) (of_json j)
-
 (* ---------------------------------------------------------------- *)
 (* Seeded generator                                                  *)
 

@@ -4,7 +4,7 @@
 
     A {e fault plan} is a list of {!action}s. Plans are plain data:
     they can be written by hand, decoded from JSON ({!decode} /
-    {!of_file}) or drawn reproducibly from a seed ({!Gen.plan}).
+    {!of_json}) or drawn reproducibly from a seed ({!Gen.plan}).
     {!compile} lowers a plan against a concrete {!Multigraph.t} into
     three sorted event schedules — capacity changes, frame-loss
     probability changes and control-plane fault changes — that are
@@ -184,12 +184,6 @@ val encode : plan -> string
 (** Compact JSON, no trailing newline. *)
 
 val decode : string -> (plan, string) result
-
-val to_file : string -> plan -> unit
-
-val of_file : string -> (plan, string) result
-(** {!Obs.Json.of_file}, then {!of_json}; every error names the
-    path. *)
 
 (** Random-but-reproducible plans from a seed and an intensity
     profile. *)

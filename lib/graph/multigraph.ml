@@ -152,8 +152,3 @@ let scale_capacities t ~group factors =
 
 let find_links t ~src ~dst =
   List.filter (fun l -> t.links.(l).dst = dst) t.out_of.(src)
-
-let pp_link t ppf l =
-  let lk = link t l in
-  Format.fprintf ppf "%d->%d tech%d#%d %.1fMbps" lk.src lk.dst lk.tech lk.id
-    t.caps.(l)

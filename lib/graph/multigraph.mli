@@ -101,6 +101,3 @@ val scale_capacities : t -> group:(int -> int) -> float array -> t
 
 val find_links : t -> src:int -> dst:int -> int list
 (** All directed links from [src] to [dst] (one per technology edge). *)
-
-val pp_link : t -> Format.formatter -> int -> unit
-(** Human-readable ["3->7 plc#2 45.0Mbps"]-style printer. *)

@@ -50,8 +50,6 @@ let techs g t = List.map (fun l -> (Multigraph.link g l).Multigraph.tech) t.link
 
 let equal a b = a.links = b.links
 
-let compare a b = Stdlib.compare a.links b.links
-
 let mem_link t l = List.mem l t.links
 
 let pp g ppf t =

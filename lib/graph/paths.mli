@@ -34,9 +34,6 @@ val techs : Multigraph.t -> t -> int list
 val equal : t -> t -> bool
 (** Structural equality on the hop list. *)
 
-val compare : t -> t -> int
-(** Total order on the hop list (for use in sets/maps). *)
-
 val mem_link : t -> int -> bool
 (** [true] iff the path uses the given link id. *)
 

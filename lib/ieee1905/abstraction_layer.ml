@@ -7,8 +7,6 @@ type t = {
 
 let create ~node ~techs = { node; techs; devices = Hashtbl.create 16 }
 
-let node t = t.node
-
 (* The AL MAC uses pseudo-technology 0xFF. *)
 let al_mac t = Tlv.mac_of_node ~node:t.node ~tech:0xFF
 
@@ -87,72 +85,6 @@ let handle t (cmdu : Cmdu.t) =
   | Cmdu.Topology_discovery | Cmdu.Topology_query | Cmdu.Link_metric_query -> ()
 
 let known_devices t = Hashtbl.length t.devices
-
-module Reliable = struct
-  type config = { timeout : float; backoff : float; max_tries : int }
-
-  let default_config = { timeout = 0.25; backoff = 2.0; max_tries = 5 }
-
-  let validate c =
-    if not (Float.is_finite c.timeout && c.timeout > 0.0) then
-      invalid_arg "Reliable: timeout must be finite and > 0";
-    if not (Float.is_finite c.backoff && c.backoff >= 1.0) then
-      invalid_arg "Reliable: backoff must be finite and >= 1";
-    if c.max_tries < 1 then invalid_arg "Reliable: max_tries must be >= 1"
-
-  type entry = { cmdu : Cmdu.t; mutable tries : int; mutable next_due : float }
-
-  type t = {
-    config : config;
-    inflight : (int, entry) Hashtbl.t; (* keyed by message_id *)
-    mutable dropped : int;
-  }
-
-  let create ?(config = default_config) () =
-    validate config;
-    { config; inflight = Hashtbl.create 16; dropped = 0 }
-
-  let send t ~now (cmdu : Cmdu.t) =
-    Hashtbl.replace t.inflight cmdu.Cmdu.message_id
-      { cmdu; tries = 1; next_due = now +. t.config.timeout }
-
-  let ack t ~message_id =
-    if Hashtbl.mem t.inflight message_id then begin
-      Hashtbl.remove t.inflight message_id;
-      true
-    end
-    else false
-
-  (* Sorted by message_id so the retransmission order is a pure
-     function of the inflight set, not of hash-table iteration. *)
-  let due t ~now =
-    let ripe =
-      Hashtbl.fold
-        (fun _ e acc -> if e.next_due <= now then e :: acc else acc)
-        t.inflight []
-      |> List.sort (fun a b ->
-             compare a.cmdu.Cmdu.message_id b.cmdu.Cmdu.message_id)
-    in
-    List.filter_map
-      (fun e ->
-        if e.tries >= t.config.max_tries then begin
-          Hashtbl.remove t.inflight e.cmdu.Cmdu.message_id;
-          t.dropped <- t.dropped + 1;
-          None
-        end
-        else begin
-          e.tries <- e.tries + 1;
-          e.next_due <-
-            now
-            +. (t.config.timeout
-               *. (t.config.backoff ** float_of_int (e.tries - 1)));
-          Some e.cmdu
-        end)
-      ripe
-
-  let pending t = Hashtbl.length t.inflight
-  let dropped t = t.dropped
-end
 
 let graph t ~n_nodes =
   let n_techs = Array.length t.techs in

@@ -16,15 +16,6 @@ val create : node:int -> techs:Technology.t array -> t
 (** The AL of one node. Interface MACs are derived deterministically
     from (node, technology). *)
 
-val node : t -> int
-
-val al_mac : t -> string
-(** 6-byte AL MAC. *)
-
-val media_of_tech : Technology.t -> Tlv.media_type
-(** 1905.1 media type of a technology (802.11 channel variants,
-    IEEE 1901). *)
-
 val topology_response :
   t -> Multigraph.t -> message_id:int -> Cmdu.t
 (** The CMDU this AL sends in response to a topology query, given its
@@ -47,61 +38,3 @@ val graph : t -> n_nodes:int -> Multigraph.t
 val node_of_mac : string -> (int * int) option
 (** Inverse of {!Tlv.mac_of_node}: [(node, tech)] when the MAC is one
     of ours (02:19:05 prefix). *)
-
-(** Control-message retransmission: at-least-once delivery of CMDUs
-    over a lossy medium, with per-message timeout, exponential
-    backoff and a bounded try count.
-
-    1905.1 itself sends CMDUs unacknowledged; during the control
-    storms a node failure causes (the exact window the recovery
-    subsystem cares about) a lost topology response silently leaves
-    a peer's database stale. A [Reliable] tracker sits next to an AL:
-    [send] registers an outgoing CMDU as awaiting acknowledgement,
-    [ack] retires it when the response arrives, and the caller polls
-    [due] on its clock — each call returns the CMDUs whose timeout
-    expired (ordered by message id, so retransmission order is
-    deterministic), doubling their next timeout, until a message
-    exhausts [max_tries] and is counted in [dropped] instead.
-
-    The tracker is pure bookkeeping: it never sends anything itself
-    and consumes no randomness. *)
-module Reliable : sig
-  type config = {
-    timeout : float;   (** first retransmission after this long (s) *)
-    backoff : float;   (** timeout multiplier per retry, >= 1 *)
-    max_tries : int;   (** total transmissions before giving up *)
-  }
-
-  val default_config : config
-  (** [{timeout = 0.25; backoff = 2.0; max_tries = 5}] — the first
-      copy plus up to four retries over ~3.75 s. *)
-
-  type t
-
-  val create : ?config:config -> unit -> t
-  (** Raises [Invalid_argument] on a non-positive timeout, a backoff
-      below 1 or a try count below 1. *)
-
-  val send : t -> now:float -> Cmdu.t -> unit
-  (** Register an outgoing CMDU; its first timeout is
-      [now +. timeout]. Re-[send]ing a pending message id restarts
-      its schedule. *)
-
-  val ack : t -> message_id:int -> bool
-  (** Retire a message: [true] if it was pending, [false] for an
-      unknown or already-acknowledged id (duplicate acks are
-      harmless). *)
-
-  val due : t -> now:float -> Cmdu.t list
-  (** The messages to retransmit at [now]: every pending message
-      whose timeout has expired, in message-id order. Each returned
-      message's try count is bumped and its next timeout set to
-      [now +. timeout *. backoff^(tries-1)]; a message already at
-      [max_tries] transmissions is dropped instead of returned. *)
-
-  val pending : t -> int
-  (** Messages awaiting acknowledgement. *)
-
-  val dropped : t -> int
-  (** Messages abandoned after [max_tries] transmissions. *)
-end

@@ -32,11 +32,9 @@ let message_type_of_code = function
   | 0x0006 -> Link_metric_response
   | c -> invalid_arg (Printf.sprintf "Cmdu: unknown message type 0x%04x" c)
 
-let make ?(fragment = 0) ?(last_fragment = true) ?(relay = false) message_type
-    ~message_id tlvs =
+let make ?(relay = false) message_type ~message_id tlvs =
   if message_id < 0 || message_id > 0xFFFF then invalid_arg "Cmdu.make: bad id";
-  if fragment < 0 || fragment > 0xFF then invalid_arg "Cmdu.make: bad fragment";
-  { message_type; message_id; fragment; last_fragment; relay; tlvs }
+  { message_type; message_id; fragment = 0; last_fragment = true; relay; tlvs }
 
 let encode t =
   let payload = Tlv.encode_all t.tlvs in
@@ -67,17 +65,3 @@ let decode b =
     relay = flags land 0x40 <> 0;
     tlvs = Tlv.decode_all b ~pos:8;
   }
-
-let pp ppf t =
-  let name =
-    match t.message_type with
-    | Topology_discovery -> "topology-discovery"
-    | Topology_notification -> "topology-notification"
-    | Topology_query -> "topology-query"
-    | Topology_response -> "topology-response"
-    | Link_metric_query -> "link-metric-query"
-    | Link_metric_response -> "link-metric-response"
-  in
-  Format.fprintf ppf "cmdu[%s#%d frag %d%s: %d tlvs]" name t.message_id t.fragment
-    (if t.relay then " relay" else "")
-    (List.length t.tlvs)

@@ -34,15 +34,9 @@ type t = {
   tlvs : Tlv.t list;         (** payload, without the end TLV *)
 }
 
-val make :
-  ?fragment:int ->
-  ?last_fragment:bool ->
-  ?relay:bool ->
-  message_type ->
-  message_id:int ->
-  Tlv.t list ->
-  t
-(** Build a CMDU ([Invalid_argument] on out-of-range ids). *)
+val make : ?relay:bool -> message_type -> message_id:int -> Tlv.t list -> t
+(** Build an unfragmented CMDU (fragment 0, the last one);
+    [Invalid_argument] on an out-of-range id. *)
 
 val encode : t -> bytes
 (** Serialize header + TLVs + end-of-message. *)
@@ -53,5 +47,3 @@ val decode : bytes -> t
 
 val message_type_code : message_type -> int
 (** The 16-bit wire code. *)
-
-val pp : Format.formatter -> t -> unit

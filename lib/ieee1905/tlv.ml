@@ -188,21 +188,3 @@ let mac_of_node ~node ~tech =
   Bytes.set s 4 (Char.chr ((node lsr 8) land 0xFF));
   Bytes.set s 5 (Char.chr (node land 0xFF));
   Bytes.to_string s
-
-let pp_mac ppf m =
-  String.iteri
-    (fun i c ->
-      if i > 0 then Format.pp_print_char ppf ':';
-      Format.fprintf ppf "%02x" (Char.code c))
-    m
-
-let pp ppf = function
-  | End_of_message -> Format.pp_print_string ppf "end"
-  | Al_mac_address m -> Format.fprintf ppf "al-mac(%a)" pp_mac m
-  | Mac_address m -> Format.fprintf ppf "mac(%a)" pp_mac m
-  | Device_information (al, ifaces) ->
-    Format.fprintf ppf "device(%a,%d ifaces)" pp_mac al (List.length ifaces)
-  | Link_metric lm ->
-    Format.fprintf ppf "metric(%a->%a@%.2fMbps)" pp_mac lm.local_mac pp_mac
-      lm.remote_mac lm.capacity_mbps
-  | Unknown (ty, v) -> Format.fprintf ppf "unknown(0x%02x,%dB)" ty (String.length v)

@@ -62,5 +62,3 @@ val decode_all : bytes -> pos:int -> t list
 val mac_of_node : node:int -> tech:int -> string
 (** A deterministic locally-administered MAC for a simulated
     interface — 02:19:05:tech:hi:lo. *)
-
-val pp : Format.formatter -> t -> unit

@@ -40,7 +40,7 @@ let advertise ?(noise = 0.0) ?(seq = 1) rng g ~node =
 
 let converged_view ?noise rng g ~viewer =
   let n = Multigraph.n_nodes g in
-  let dbs = Array.init n (fun node -> Lsdb.create ~node) in
+  let dbs = Array.init n (fun _ -> Lsdb.create ()) in
   let neighbors u =
     List.filter_map
       (fun l ->

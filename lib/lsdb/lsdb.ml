@@ -4,13 +4,10 @@ type entry = {
 }
 
 type t = {
-  node : int;
   table : (int * int, entry) Hashtbl.t;  (* origin, fragment -> freshest *)
 }
 
-let create ~node = { node; table = Hashtbl.create 32 }
-
-let node t = t.node
+let create () = { table = Hashtbl.create 32 }
 
 let insert t ~now (lsa : Lsa.t) =
   let key = (lsa.Lsa.origin, lsa.Lsa.fragment) in
@@ -113,14 +110,4 @@ module Flood = struct
       continue := Array.exists (fun l -> l <> []) pending
     done;
     { rounds = !rounds; messages = !messages }
-
-  let full_exchange ~neighbors ~dbs ~originate =
-    let total_rounds = ref 0 and total_messages = ref 0 in
-    Array.iteri
-      (fun u _ ->
-        let s = propagate ~neighbors ~dbs ~from:u (originate u) in
-        total_rounds := max !total_rounds s.rounds;
-        total_messages := !total_messages + s.messages)
-      dbs;
-    { rounds = !total_rounds; messages = !total_messages }
 end

@@ -15,10 +15,8 @@
 
 type t
 
-val create : node:int -> t
-(** The database of one node (the id only matters for debugging). *)
-
-val node : t -> int
+val create : unit -> t
+(** An empty database, one per node. *)
 
 val insert : t -> now:float -> Lsa.t -> [ `Installed | `Duplicate | `Stale ]
 (** Flooding decision for a received (or self-originated) LSA:
@@ -57,10 +55,4 @@ module Flood : sig
       changes: each round, every node that installed something new
       re-broadcasts it to its neighbors. [neighbors] must be
       symmetric. *)
-
-  val full_exchange :
-    neighbors:(int -> int list) -> dbs:t array -> originate:(int -> Lsa.t) -> stats
-  (** Every node originates its own LSA and floods; returns the
-      aggregate cost. Afterwards every connected node's database
-      contains every reachable origin's LSA. *)
 end

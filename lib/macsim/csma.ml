@@ -2,8 +2,6 @@ type protocol =
   | Dcf_80211
   | Csma_1901
 
-let protocol_name = function Dcf_80211 -> "802.11" | Csma_1901 -> "1901"
-
 (* Backoff parameters. 802.11: CW doubles from 16 to 1024 (stage =
    number of consecutive collisions). 1901: four stages with fixed
    windows and per-stage deferral counters. *)

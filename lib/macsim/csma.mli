@@ -35,9 +35,6 @@ type result = {
                                 inter-success gaps: short-term (un)fairness *)
 }
 
-val protocol_name : protocol -> string
-(** ["802.11"] / ["1901"]. *)
-
 val simulate :
   ?slots:int ->
   ?frame_slots:int ->

@@ -801,9 +801,7 @@ module Flight = struct
       dump_path;
     }
 
-  let capacity t = t.cap
   let recorded t = t.total
-  let dump_path t = t.dump_path
   let cell t = t.cell
 
   let attach t ~clock sink =
@@ -1168,10 +1166,6 @@ module Prof = struct
   let cat_fault = 5
   let cat_scheduler = 6
 
-  let category_name c =
-    if c < 0 || c >= n_categories then invalid_arg "Obs.Prof.category_name"
-    else categories.(c)
-
   type t = {
     wall : float array;   (* seconds attributed per category *)
     words : float array;  (* Gc minor words per category *)
@@ -1251,13 +1245,6 @@ module Prof = struct
           :: !entries
     done;
     List.sort (fun a b -> compare b.wall_s a.wall_s) !entries
-
-  let merge ~into p =
-    for c = 0 to n_categories - 1 do
-      into.wall.(c) <- into.wall.(c) +. p.wall.(c);
-      into.words.(c) <- into.words.(c) +. p.words.(c);
-      into.count.(c) <- into.count.(c) + p.count.(c)
-    done
 
   let entry_to_json e =
     Json.Obj

@@ -109,8 +109,6 @@ module Json : sig
   (** Compact rendering (no trailing newline). Floats are printed
       with round-trip precision; non-finite floats become [null]. *)
 
-  val to_buffer : Buffer.t -> t -> unit
-
   val parse : string -> (t, string) result
   (** Strict parser for the subset this module emits (full JSON minus
       [\uXXXX] surrogate pairs). Exactly one top-level value is
@@ -129,8 +127,6 @@ module Json : sig
   val to_float_opt : t -> float option
 
   val to_string_opt : t -> string option
-
-  val to_bool_opt : t -> bool option
 
   (** {2 Strict field kit}
 
@@ -171,9 +167,6 @@ module Json : sig
   (** Element decoders for {!list_field}, with {!int_field}'s and
       {!float_field}'s rules. *)
 
-  val map_result : ('a -> ('b, 'e) result) -> 'a list -> ('b list, 'e) result
-  (** [List.map] that stops at the first [Error]. *)
-
   val read_file : string -> (string, string) result
   (** The whole file, read once at its [in_channel_length]. *)
 
@@ -192,7 +185,6 @@ module Trace : sig
     | Fault_injected   (** a fault plan's loss window consumed the frame *)
 
   val drop_reason_name : drop_reason -> string
-  val drop_reason_of_name : string -> drop_reason option
 
   type event =
     | Enqueue of { t : float; link : int; flow : int; seq : int; bytes : int; qlen : int }
@@ -225,8 +217,6 @@ module Trace : sig
 
   val kinds : string list
   (** Every valid ["ev"] tag (the schema's closed set). *)
-
-  val to_json : event -> Json.t
 
   val encode : event -> string
   (** One JSONL line (no trailing newline). *)
@@ -351,22 +341,14 @@ end
 module Flight : sig
   type t
 
-  val default_capacity : int
-  (** 65536 events. *)
-
-  val default_dump_path : string
-  (** ["empower-flight-dump.jsonl"]. *)
-
   val create : ?capacity:int -> ?dump_path:string -> unit -> t
-  (** Raises [Invalid_argument] if [capacity < 1]. *)
-
-  val capacity : t -> int
+  (** Defaults: 65536 events, dumped to
+      ["empower-flight-dump.jsonl"]. Raises [Invalid_argument] if
+      [capacity < 1]. *)
 
   val recorded : t -> int
   (** Events ever written; the ring retains the last
       [min recorded capacity]. *)
-
-  val dump_path : t -> string
 
   val clear : t -> unit
 
@@ -435,20 +417,17 @@ module Flight : sig
   (** Ring contents, oldest first (decoded back into event records —
       allocates; meant for dump/inspection time). *)
 
-  val dump_channel : t -> out_channel -> int
-  (** Write the ring as JSONL, oldest first; returns lines written. *)
-
   val dump : ?path:string -> t -> (string * int, string) result
-  (** Write the ring to [path] (default [dump_path t]); [(path, n)] on
-      success, the [Sys_error] text otherwise. *)
+  (** Write the ring to [path] (default: the ring's dump path);
+      [(path, n)] on success, the [Sys_error] text otherwise. *)
 
   val env_enabled : unit -> bool
   (** [true] iff [EMPOWER_FLIGHT] is set to anything but [""]/["0"]. *)
 
   val of_env : unit -> t
   (** A recorder configured from the environment: capacity from
-      [EMPOWER_FLIGHT] when it parses as an int > 1 (default
-      {!default_capacity}), dump path from [EMPOWER_FLIGHT_DUMP]. *)
+      [EMPOWER_FLIGHT] when it parses as an int > 1 (default 65536),
+      dump path from [EMPOWER_FLIGHT_DUMP]. *)
 end
 
 (** Hot-path profiler: wall clock and GC minor words attributed to
@@ -467,7 +446,6 @@ module Prof : sig
       "fault"; "scheduler" |]] — the closed category set, in id
       order. *)
 
-  val n_categories : int
   val cat_mac_phy : int
   val cat_traffic : int
   val cat_controller : int
@@ -479,7 +457,6 @@ module Prof : sig
       ever attributed via {!leave_silent}, so it contributes wall time
       and share but no events. *)
   val cat_scheduler : int
-  val category_name : int -> string
 
   val create : unit -> t
 
@@ -510,8 +487,6 @@ module Prof : sig
 
   val report : t -> entry list
   (** Non-empty categories, most expensive (wall) first. *)
-
-  val merge : into:t -> t -> unit
 
   val entry_to_json : entry -> Json.t
   val entry_of_json : Json.t -> (entry, string) result
@@ -600,13 +575,9 @@ module Metrics : sig
   module Series : sig
     type t
 
-    val create : unit -> t
     val add : t -> float -> float -> unit
     val length : t -> int
     val points : t -> (float * float) list
-    val last : t -> (float * float) option
-    val mean : t -> float
-    (** Mean of the values; 0 when empty. *)
   end
 
   type t

@@ -45,11 +45,6 @@ let plc_capacity rng ~distance_m =
     if rate < 2.0 then 0.0 else Float.min peak rate
   end
 
-let sample rng (tech : Technology.t) ~distance_m =
-  match tech.Technology.medium with
-  | Technology.Wifi _ -> wifi_capacity rng ~distance_m
-  | Technology.Plc -> plc_capacity rng ~distance_m
-
 let correlated_wifi_pair rng ~distance_m =
   if distance_m > wifi_radius then (0.0, 0.0)
   else begin

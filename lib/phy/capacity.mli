@@ -27,12 +27,6 @@ val plc_capacity : Rng.t -> distance_m:float -> float
 (** Capacity (Mbit/s) of a PLC link at the given distance (same
     electrical panel assumed); 0 beyond the connection radius. *)
 
-val sample : Rng.t -> Technology.t -> distance_m:float -> float
-(** Dispatch on the technology's medium. Two WiFi channels at the same
-    distance draw from the same distribution but with independent
-    noise unless correlated sampling is requested via
-    {!correlated_wifi_pair}. *)
-
 val correlated_wifi_pair : Rng.t -> distance_m:float -> float * float
 (** Capacities of the *same* node pair on two orthogonal WiFi channels.
     The paper notes that fading and channel characteristics have

@@ -35,5 +35,3 @@ let hybrid () = [ wifi ~index:0 ~channel:1; plc ~index:1 ]
 let single_wifi () = [ wifi ~index:0 ~channel:1 ]
 
 let multi_wifi () = [ wifi ~index:0 ~channel:1; wifi ~index:1 ~channel:2 ]
-
-let pp ppf t = Format.pp_print_string ppf t.name

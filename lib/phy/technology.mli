@@ -45,6 +45,3 @@ val single_wifi : unit -> t list
 val multi_wifi : unit -> t list
 (** Two non-interfering WiFi channels (indexes 0 and 1) with equal
     bandwidth, as in the paper's MP-mWiFi comparisons. *)
-
-val pp : Format.formatter -> t -> unit
-(** Prints the short name. *)

@@ -68,7 +68,3 @@ let decode b =
   { seq; qr; route = Array.sub entries 0 !len }
 
 let equal a b = a.seq = b.seq && a.qr = b.qr && a.route = b.route
-
-let pp ppf t =
-  Format.fprintf ppf "seq=%d qr=%.6f route=[%s]" t.seq t.qr
-    (String.concat ";" (Array.to_list (Array.map string_of_int t.route)))

@@ -50,6 +50,3 @@ val decode : bytes -> t
 
 val equal : t -> t -> bool
 (** Field-wise equality (q_r compared exactly). *)
-
-val pp : Format.formatter -> t -> unit
-(** Debug printer. *)

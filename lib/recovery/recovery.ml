@@ -108,7 +108,7 @@ let rediscover g ~caps ~viewer =
   (* [advertise] draws nothing at noise 0, so this rng never advances:
      re-discovery is deterministic and consumes no caller randomness. *)
   let rng = Rng.create 0 in
-  let dbs = Array.init n (fun v -> Lsdb.create ~node:v) in
+  let dbs = Array.init n (fun _ -> Lsdb.create ()) in
   for v = 0 to n - 1 do
     List.iter
       (fun lsa -> Array.iter (fun db -> ignore (Lsdb.insert db ~now:0.0 lsa)) dbs)
@@ -136,7 +136,7 @@ let rediscover g ~caps ~viewer =
      database still holds their pre-seeded stale LSAs; [Lsdb.graph]
      would resurrect those links (either endpoint's claim suffices).
      Keep only the freshly flooded generation. *)
-  let fresh = Lsdb.create ~node:viewer in
+  let fresh = Lsdb.create () in
   List.iter
     (fun lsa ->
       if lsa.Lsa.seq >= fresh_seq then

@@ -1818,7 +1818,7 @@ let run ?(config = default_config) ?invariants ?trace ?flight ?prof
   schedule_abs config.control_period Arena.control_tick;
   List.iter
     (fun (t, l, c) ->
-      if t < 0.0 || l < 0 || l >= n_links then
+      if t < 0.0 || l < 0 || l >= n_links || not (Float.is_finite c) then
         invalid_arg "Engine.run: bad link event";
       f_cell.(0) <- c;
       schedule_abs t (Arena.capacity_change ~link:l ~slot:(Arena.Fslots.put f_slots)))

@@ -187,8 +187,6 @@ type perf = {
   peak_queue_depth : int;    (** max event-queue length observed *)
 }
 
-val zero_perf : perf
-
 type result = {
   flows : flow_result array;
   duration : float;
@@ -330,5 +328,5 @@ val run :
 
     Raises [Invalid_argument] on malformed specs (negative times,
     route/rate length mismatch, routes longer than the 6-hop header
-    limit, out-of-range link/loss events, probabilities outside
-    [0,1], negative delays). *)
+    limit, out-of-range link/loss events, NaN or infinite link-event
+    capacities, probabilities outside [0,1], negative delays). *)

@@ -14,8 +14,6 @@ let describe v =
   Printf.sprintf "t=%.6f [%s]%s%s%s: %s" v.time v.rule (opt "link" v.link)
     (opt "node" v.node) (opt "flow" v.flow) v.detail
 
-let pp_violation fmt v = Format.pp_print_string fmt (describe v)
-
 let () =
   Printexc.register_printer (function
     | Violation v -> Some ("Invariants.Violation " ^ describe v)

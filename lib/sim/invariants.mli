@@ -38,8 +38,6 @@ exception Violation of violation
 val describe : violation -> string
 (** One-line rendering: time, rule, location, detail. *)
 
-val pp_violation : Format.formatter -> violation -> unit
-
 (** How the source may inject frames; bounds the paced-injection
     check. *)
 type pacing =

@@ -8,20 +8,5 @@
     feeding one half of the floor ([x < 50] vs [x >= 50]); PLC links
     exist only within a panel. *)
 
-val width : float
-(** 100 m. *)
-
-val height : float
-(** 60 m. *)
-
-val n_ap : int
-(** 10 dual PLC/WiFi access points. *)
-
-val n_client : int
-(** 10 WiFi-only clients. *)
-
-val panel_of : Geometry.point -> int
-(** Panel feeding a position: 0 for the left half, 1 for the right. *)
-
 val generate : Rng.t -> Builder.instance
 (** One random enterprise draw. *)

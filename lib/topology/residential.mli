@@ -5,17 +5,5 @@
     single-channel WiFi nodes (phones, laptops). One electrical panel
     feeds the whole home. *)
 
-val width : float
-(** 50 m. *)
-
-val height : float
-(** 30 m. *)
-
-val n_dual : int
-(** 5 dual PLC/WiFi nodes. *)
-
-val n_single : int
-(** 5 WiFi-only nodes. *)
-
 val generate : Rng.t -> Builder.instance
 (** One random residential draw (positions + capacities). *)

@@ -1,5 +1,3 @@
-let width = 65.0
-let height = 40.0
 let n_nodes = 22
 
 (* Fixed floorplan mimicking Figure 8: a left cluster (paper nodes

@@ -13,12 +13,6 @@
 
     Node ids here are 0-based: paper "Node k" is id [k-1]. *)
 
-val width : float
-(** 65 m. *)
-
-val height : float
-(** 40 m. *)
-
 val n_nodes : int
 (** 22. *)
 

@@ -85,8 +85,6 @@ module Ecdf = struct
   let points t =
     let n = size t in
     List.init n (fun i -> (t.sorted.(i), float_of_int (i + 1) /. float_of_int n))
-
-  let sample_at t xs = List.map (fun x -> (x, eval t x)) xs
 end
 
 let fraction_below xs x =

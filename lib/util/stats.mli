@@ -53,10 +53,6 @@ module Ecdf : sig
   val points : t -> (float * float) list
   (** The staircase as sorted [(value, cumulative fraction)] pairs,
       one pair per sample point. *)
-
-  val sample_at : t -> float list -> (float * float) list
-  (** [sample_at t xs] evaluates the CDF at each of [xs]; useful for
-      printing fixed-grid figure series. *)
 end
 
 val fraction_below : float list -> float -> float

@@ -54,13 +54,3 @@ let print_cdf_grid ~title ~xlabel ~grid ~series =
       grid
   in
   print_table ~header ~rows
-
-let print_series ~title ~xlabel ~ylabel points ~names =
-  print_endline (Printf.sprintf "%s  (%s)" title ylabel);
-  let header = xlabel :: names in
-  let rows =
-    List.map
-      (fun (x, ys) -> fmt_float x :: List.map fmt_float ys)
-      points
-  in
-  print_table ~header ~rows

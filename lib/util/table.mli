@@ -26,8 +26,3 @@ val linear_grid : lo:float -> hi:float -> n:int -> float list
 
 val fmt_float : float -> string
 (** Compact float formatting used in table cells ("12.3", "0.07"). *)
-
-val print_series :
-  title:string -> xlabel:string -> ylabel:string ->
-  (float * float list) list -> names:string list -> unit
-(** Print a time/parameter series with one named column per trace. *)

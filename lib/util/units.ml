@@ -13,7 +13,3 @@ let tx_time ~capacity_mbps ~bytes =
 let kib n = n * 1024
 
 let mib n = n * 1024 * 1024
-
-let pp_mbps ppf v = Format.fprintf ppf "%.1f Mbps" v
-
-let pp_seconds ppf v = Format.fprintf ppf "%.2f s" v

@@ -26,9 +26,3 @@ val kib : int -> int
 
 val mib : int -> int
 (** [mib n] is n MiB in bytes. *)
-
-val pp_mbps : Format.formatter -> float -> unit
-(** Print a rate as ["12.3 Mbps"]. *)
-
-val pp_seconds : Format.formatter -> float -> unit
-(** Print a duration as ["3.25 s"]. *)

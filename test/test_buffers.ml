@@ -46,7 +46,7 @@ let test_golden_replay () =
      goodputs, drop counts, CE marks, pool peaks. Regenerate with the
      command in the header comment if an intentional engine or format
      change lands. *)
-  Alcotest.(check string) "golden buffers byte-identical" (golden_text ())
+  Golden.check "golden buffers byte-identical" ~golden:(golden_text ())
     (rerun ())
 
 let test_congestive_contrast () =

@@ -142,7 +142,7 @@ let test_table1_golden () =
     | Ok s -> String.trim s
     | Error m -> Alcotest.fail m
   in
-  Alcotest.(check string) "golden table1 byte-identical" golden
+  Golden.check "golden table1 byte-identical" ~golden
     (Obs.Json.to_string (Figure_json.table1 (Table1.run ~seed:12 ~repeats:2 ())))
 
 let test_fig12_tcp_works () =

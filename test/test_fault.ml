@@ -106,21 +106,6 @@ let test_decode_rejects () =
       "";
     ]
 
-let test_file_roundtrip () =
-  let path = Filename.temp_file "fault_plan" ".json" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      Fault.to_file path all_action_variants;
-      match Fault.of_file path with
-      | Ok p ->
-        if p <> all_action_variants then
-          Alcotest.fail "plan does not round-trip through a file"
-      | Error m -> Alcotest.failf "of_file: %s" m);
-  match Fault.of_file "/nonexistent/fault_plan.json" with
-  | Ok _ -> Alcotest.fail "of_file accepted a missing file"
-  | Error _ -> ()
-
 (* ---------- normalize ---------- *)
 
 let test_normalize_stable () =
@@ -770,7 +755,6 @@ let () =
           Alcotest.test_case "every variant round-trips" `Quick
             test_singleton_roundtrip;
           Alcotest.test_case "strict decoder rejects" `Quick test_decode_rejects;
-          Alcotest.test_case "file round-trip" `Quick test_file_roundtrip;
         ] );
       ( "plan",
         [

@@ -209,101 +209,6 @@ let prop_tlv_unknown_forwarded =
         (* types that collide with known TLVs may decode as them *)
         ty <= 0x09)
 
-(* --- Reliable (control-message retransmission) --- *)
-
-let msg id = Cmdu.make Cmdu.Topology_query ~message_id:id []
-
-let test_reliable_ack_stops_retransmission () =
-  let r = Abstraction_layer.Reliable.create () in
-  Abstraction_layer.Reliable.send r ~now:0.0 (msg 1);
-  Alcotest.(check int) "pending" 1 (Abstraction_layer.Reliable.pending r);
-  Alcotest.(check bool) "nothing due before the timeout" true
-    (Abstraction_layer.Reliable.due r ~now:0.1 = []);
-  Alcotest.(check bool) "ack retires" true
-    (Abstraction_layer.Reliable.ack r ~message_id:1);
-  Alcotest.(check bool) "duplicate ack is a no-op" false
-    (Abstraction_layer.Reliable.ack r ~message_id:1);
-  Alcotest.(check int) "nothing pending" 0 (Abstraction_layer.Reliable.pending r);
-  Alcotest.(check bool) "nothing ever due" true
-    (Abstraction_layer.Reliable.due r ~now:99.0 = []);
-  Alcotest.(check int) "nothing dropped" 0 (Abstraction_layer.Reliable.dropped r)
-
-let test_reliable_backoff_schedule () =
-  (* timeout 0.25, backoff 2: retransmissions due at 0.25, then the
-     next timeouts are 0.5, 1.0, ... from each retransmission. *)
-  let r = Abstraction_layer.Reliable.create () in
-  Abstraction_layer.Reliable.send r ~now:0.0 (msg 7);
-  (match Abstraction_layer.Reliable.due r ~now:0.25 with
-  | [ c ] -> Alcotest.(check int) "first retry" 7 c.Cmdu.message_id
-  | _ -> Alcotest.fail "one retransmission due at the timeout");
-  Alcotest.(check bool) "second copy not due before 0.25 + 0.5" true
-    (Abstraction_layer.Reliable.due r ~now:0.74 = []);
-  (match Abstraction_layer.Reliable.due r ~now:0.75 with
-  | [ c ] -> Alcotest.(check int) "second retry" 7 c.Cmdu.message_id
-  | _ -> Alcotest.fail "one retransmission due after the doubled timeout");
-  Alcotest.(check bool) "third copy not due before 0.75 + 1.0" true
-    (Abstraction_layer.Reliable.due r ~now:1.74 = [])
-
-let test_reliable_gives_up () =
-  let config =
-    { Abstraction_layer.Reliable.timeout = 0.1; backoff = 1.0; max_tries = 3 }
-  in
-  let r = Abstraction_layer.Reliable.create ~config () in
-  Abstraction_layer.Reliable.send r ~now:0.0 (msg 2);
-  (* Transmissions 2 and 3 are retransmissions; the next poll drops. *)
-  Alcotest.(check int) "retry 1" 1
-    (List.length (Abstraction_layer.Reliable.due r ~now:1.0));
-  Alcotest.(check int) "retry 2" 1
-    (List.length (Abstraction_layer.Reliable.due r ~now:2.0));
-  Alcotest.(check int) "exhausted" 0
-    (List.length (Abstraction_layer.Reliable.due r ~now:3.0));
-  Alcotest.(check int) "dropped counted" 1 (Abstraction_layer.Reliable.dropped r);
-  Alcotest.(check int) "no longer pending" 0
-    (Abstraction_layer.Reliable.pending r);
-  Alcotest.(check bool) "late ack finds nothing" false
-    (Abstraction_layer.Reliable.ack r ~message_id:2)
-
-let test_reliable_deterministic_order () =
-  let r = Abstraction_layer.Reliable.create () in
-  (* Insert in shuffled order; due returns message-id order. *)
-  List.iter
-    (fun id -> Abstraction_layer.Reliable.send r ~now:0.0 (msg id))
-    [ 9; 2; 40; 11 ];
-  let ids =
-    List.map
-      (fun c -> c.Cmdu.message_id)
-      (Abstraction_layer.Reliable.due r ~now:1.0)
-  in
-  Alcotest.(check (list int)) "message-id order" [ 2; 9; 11; 40 ] ids
-
-let test_reliable_resend_restarts () =
-  let r = Abstraction_layer.Reliable.create () in
-  Abstraction_layer.Reliable.send r ~now:0.0 (msg 5);
-  ignore (Abstraction_layer.Reliable.due r ~now:0.25);
-  (* A fresh send of the same id restarts the schedule and try count. *)
-  Abstraction_layer.Reliable.send r ~now:10.0 (msg 5);
-  Alcotest.(check bool) "old schedule cancelled" true
-    (Abstraction_layer.Reliable.due r ~now:10.2 = []);
-  Alcotest.(check int) "due at the fresh timeout" 1
-    (List.length (Abstraction_layer.Reliable.due r ~now:10.25));
-  Alcotest.(check int) "still one pending" 1
-    (Abstraction_layer.Reliable.pending r)
-
-let test_reliable_bad_config () =
-  let bad config =
-    try
-      ignore (Abstraction_layer.Reliable.create ~config ());
-      false
-    with Invalid_argument _ -> true
-  in
-  let d = Abstraction_layer.Reliable.default_config in
-  Alcotest.(check bool) "zero timeout" true
-    (bad { d with Abstraction_layer.Reliable.timeout = 0.0 });
-  Alcotest.(check bool) "backoff < 1" true
-    (bad { d with Abstraction_layer.Reliable.backoff = 0.5 });
-  Alcotest.(check bool) "max_tries < 1" true
-    (bad { d with Abstraction_layer.Reliable.max_tries = 0 })
-
 let () =
   Alcotest.run "ieee1905"
     [
@@ -327,17 +232,5 @@ let () =
           Alcotest.test_case "topology exchange" `Quick test_al_topology_exchange;
           Alcotest.test_case "stale ignored" `Quick test_al_stale_messages_ignored;
           Alcotest.test_case "garbage resilience" `Quick test_al_garbage_resilience;
-        ] );
-      ( "reliable",
-        [
-          Alcotest.test_case "ack stops retransmission" `Quick
-            test_reliable_ack_stops_retransmission;
-          Alcotest.test_case "exponential backoff schedule" `Quick
-            test_reliable_backoff_schedule;
-          Alcotest.test_case "bounded tries" `Quick test_reliable_gives_up;
-          Alcotest.test_case "deterministic order" `Quick
-            test_reliable_deterministic_order;
-          Alcotest.test_case "re-send restarts" `Quick test_reliable_resend_restarts;
-          Alcotest.test_case "config validation" `Quick test_reliable_bad_config;
         ] );
     ]

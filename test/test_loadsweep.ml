@@ -37,13 +37,13 @@ let test_golden_replay () =
      histogram percentiles, achieved loads and all. Regenerate with
      the command in the header comment if an intentional engine or
      format change lands. *)
-  Alcotest.(check string) "golden loadsweep byte-identical" (golden_text ())
+  Golden.check "golden loadsweep byte-identical" ~golden:(golden_text ())
     (rerun ())
 
 let test_golden_decodes () =
   (* The figure's decoder is its encoder's inverse: the golden
      reprints byte for byte from what it decodes to. *)
-  Alcotest.(check string) "loadsweep (loadsweep_of_json j) = j" (golden_text ())
+  Golden.check "loadsweep (loadsweep_of_json j) = j" ~golden:(golden_text ())
     (Obs.Json.to_string (Figure_json.loadsweep (golden ())))
 
 let test_jobs_byte_identity () =
@@ -52,6 +52,21 @@ let test_jobs_byte_identity () =
   let seq = rerun ~jobs:1 () in
   Alcotest.(check string) "--jobs 2 byte-identical" seq (rerun ~jobs:2 ());
   Alcotest.(check string) "--jobs 3 byte-identical" seq (rerun ~jobs:3 ())
+
+let test_golden_diff () =
+  (* A golden mismatch names the first differing member, with both
+     values. *)
+  let golden = {|{"a":1,"b":[{"c":2.5},{"c":3}],"d":"x"}|} in
+  Alcotest.(check string) "value"
+    "first difference at $.b[1].c: golden 3, replay 4"
+    (Golden.explain golden {|{"a":1,"b":[{"c":2.5},{"c":4}],"d":"y"}|});
+  Alcotest.(check string) "length"
+    "first difference at $.b: golden length 2, replay length 1"
+    (Golden.explain golden {|{"a":1,"b":[{"c":2.5}],"d":"x"}|});
+  Alcotest.(check string) "member"
+    {|first difference at $: golden member "d", replay member "e"|}
+    (Golden.explain golden {|{"a":1,"b":[{"c":2.5},{"c":3}],"e":"x"}|});
+  Golden.check "equal documents pass" ~golden golden
 
 let test_seed_changes_output () =
   (* Guard against the golden accidentally pinning seed-independent
@@ -74,6 +89,7 @@ let () =
             test_golden_decodes;
           Alcotest.test_case "seed changes output" `Quick
             test_seed_changes_output;
+          Alcotest.test_case "mismatch names a member" `Quick test_golden_diff;
         ] );
       ( "determinism",
         [

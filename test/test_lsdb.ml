@@ -61,7 +61,7 @@ let prop_lsa_roundtrip =
 (* --- Lsdb --- *)
 
 let test_lsdb_freshness () =
-  let db = Lsdb.create ~node:0 in
+  let db = Lsdb.create () in
   let v1 = Lsa.make ~origin:3 ~seq:1 [ entry 1 0 10.0 ] in
   let v2 = Lsa.make ~origin:3 ~seq:2 [ entry 1 0 20.0 ] in
   Alcotest.(check bool) "new installed" true (Lsdb.insert db ~now:0.0 v1 = `Installed);
@@ -73,20 +73,20 @@ let test_lsdb_freshness () =
   | _ -> Alcotest.fail "expected one fragment"
 
 let test_lsdb_fragments_coexist () =
-  let db = Lsdb.create ~node:0 in
+  let db = Lsdb.create () in
   ignore (Lsdb.insert db ~now:0.0 (Lsa.make ~fragment:0 ~origin:5 ~seq:1 [ entry 1 0 1.0 ]));
   ignore (Lsdb.insert db ~now:0.0 (Lsa.make ~fragment:1 ~origin:5 ~seq:1 [ entry 2 0 2.0 ]));
   Alcotest.(check int) "two fragments" 2 (List.length (Lsdb.lookup db ~origin:5))
 
 let test_lsdb_purge () =
-  let db = Lsdb.create ~node:0 in
+  let db = Lsdb.create () in
   ignore (Lsdb.insert db ~now:0.0 (Lsa.make ~origin:1 ~seq:1 [ entry 0 0 1.0 ]));
   ignore (Lsdb.insert db ~now:50.0 (Lsa.make ~origin:2 ~seq:1 [ entry 0 0 1.0 ]));
   Alcotest.(check int) "one expired" 1 (Lsdb.purge db ~now:60.0 ~max_age:30.0);
   Alcotest.(check int) "one left" 1 (List.length (Lsdb.entries db))
 
 let test_lsdb_graph_reconstruction () =
-  let db = Lsdb.create ~node:0 in
+  let db = Lsdb.create () in
   (* Both endpoints advertise the same wifi link with different
      estimates; one also advertises a plc link. *)
   ignore (Lsdb.insert db ~now:0.0 (Lsa.make ~origin:0 ~seq:1 [ entry 1 0 10.0 ]));
@@ -100,7 +100,7 @@ let test_lsdb_graph_reconstruction () =
   check_float ~eps:1e-6 "averaged estimate" 12.0 (Multigraph.capacity g wifi)
 
 let test_lsdb_graph_ignores_garbage () =
-  let db = Lsdb.create ~node:0 in
+  let db = Lsdb.create () in
   ignore
     (Lsdb.insert db ~now:0.0
        (Lsa.make ~origin:0 ~seq:1
@@ -115,7 +115,7 @@ let line_neighbors n u =
 
 let test_flood_line_convergence () =
   let n = 8 in
-  let dbs = Array.init n (fun node -> Lsdb.create ~node) in
+  let dbs = Array.init n (fun _ -> Lsdb.create ()) in
   let lsa = Lsa.make ~origin:0 ~seq:1 [ entry 1 0 10.0 ] in
   let stats =
     Lsdb.Flood.propagate ~neighbors:(line_neighbors n) ~dbs ~from:0 lsa
@@ -138,7 +138,7 @@ let test_flood_does_not_cross_partition () =
   let neighbors u =
     List.filter (fun v -> v >= 0 && v < n && v / 3 = u / 3) [ u - 1; u + 1 ]
   in
-  let dbs = Array.init n (fun node -> Lsdb.create ~node) in
+  let dbs = Array.init n (fun _ -> Lsdb.create ()) in
   let lsa = Lsa.make ~origin:0 ~seq:1 [ entry 1 0 10.0 ] in
   ignore (Lsdb.Flood.propagate ~neighbors ~dbs ~from:0 lsa);
   Alcotest.(check int) "reached own side" 1 (List.length (Lsdb.lookup dbs.(2) ~origin:0));
@@ -149,7 +149,7 @@ let test_flood_does_not_cross_partition () =
    route re-discovery leans on) --- *)
 
 let test_insert_out_of_order_race () =
-  let db = Lsdb.create ~node:0 in
+  let db = Lsdb.create () in
   let v k c = Lsa.make ~origin:4 ~seq:k [ entry 1 0 c ] in
   Alcotest.(check bool) "seq 3 installs" true
     (Lsdb.insert db ~now:0.0 (v 3 30.0) = `Installed);
@@ -187,7 +187,7 @@ let test_flood_duplicate_suppression_across_interfaces () =
   let n = 8 in
   let doubled u = line_neighbors n u @ line_neighbors n u in
   let flood neighbors =
-    let dbs = Array.init n (fun node -> Lsdb.create ~node) in
+    let dbs = Array.init n (fun _ -> Lsdb.create ()) in
     let lsa = Lsa.make ~origin:0 ~seq:1 [ entry 1 0 10.0 ] in
     let stats = Lsdb.Flood.propagate ~neighbors ~dbs ~from:0 lsa in
     (dbs, stats)

@@ -87,9 +87,9 @@ let replay_golden name () =
   let golden =
     read_file (Filename.concat golden_dir ("scenario_" ^ name ^ ".json"))
   in
-  Alcotest.(check string)
+  Golden.check
     (name ^ " scorecard replays byte-for-byte")
-    (String.trim golden) (scorecard_string spec)
+    ~golden:(String.trim golden) (scorecard_string spec)
 
 (* The scorecard decoder is its encoder's inverse: every golden
    reprints byte for byte from what it decodes to, and an explicit
@@ -102,9 +102,9 @@ let test_goldens_decode () =
       match Result.bind (Obs.Json.parse golden) Scenario.of_json with
       | Error e -> Alcotest.failf "%s: %s" path e
       | Ok sc ->
-        Alcotest.(check string)
+        Golden.check
           (name ^ " to_json (of_json j) = j")
-          golden
+          ~golden
           (Obs.Json.to_string (Scenario.to_json sc));
         (match sc.Scenario.spec.Scenario.churn with
         | Scenario.Plan p ->

@@ -959,9 +959,9 @@ let test_bad_fault_schedules_rejected () =
       false
     with Invalid_argument _ -> true
   in
-  let run ?loss_events ?ctrl_events () =
-    Engine.run ?loss_events ?ctrl_events (Rng.create 1) g dom ~flows:[ flow ]
-      ~duration:1.0
+  let run ?link_events ?loss_events ?ctrl_events () =
+    Engine.run ?link_events ?loss_events ?ctrl_events (Rng.create 1) g dom
+      ~flows:[ flow ] ~duration:1.0
   in
   Alcotest.(check bool) "negative loss time" true
     (bad (fun () -> run ~loss_events:[ (-1.0, 0, 0.5) ] ()));
@@ -974,7 +974,16 @@ let test_bad_fault_schedules_rejected () =
   Alcotest.(check bool) "ctrl prob out of range" true
     (bad (fun () -> run ~ctrl_events:[ (0.5, 1.5, 0.0) ] ()));
   Alcotest.(check bool) "negative ctrl delay" true
-    (bad (fun () -> run ~ctrl_events:[ (0.5, 0.0, -0.1) ] ()))
+    (bad (fun () -> run ~ctrl_events:[ (0.5, 0.0, -0.1) ] ()));
+  (* A NaN capacity is neither a dead link (<= 0) nor a finite
+     airtime; an infinite one has zero airtime. *)
+  List.iter
+    (fun c ->
+      Alcotest.(check bool) (Printf.sprintf "link capacity %g" c) true
+        (bad (fun () -> run ~link_events:[ (0.5, 0, c) ] ())))
+    [ Float.nan; Float.infinity; Float.neg_infinity ];
+  Alcotest.(check bool) "negative link capacity clamps to a dead link" false
+    (bad (fun () -> run ~link_events:[ (0.5, 0, -1.0) ] ()))
 
 (* ---------- runtime invariant checker ---------- *)
 
