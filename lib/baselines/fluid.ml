@@ -48,7 +48,3 @@ let goodput g dom ~offered =
        (fun r (_, x) ->
          Array.fold_left (fun rate l -> rate *. scale.(l)) (Float.max 0.0 x) hops.(r))
        routes)
-
-let link_airtime g dom ~offered =
-  let scale, demand, _, _ = compute g dom ~offered in
-  Array.mapi (fun l dem -> dem *. Float.min 1.0 scale.(l)) demand

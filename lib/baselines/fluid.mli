@@ -18,11 +18,3 @@ val goodput :
 (** Delivered end-to-end rate of each (route, offered rate) pair, in
     order. The fixed-point loop runs 50 iterations; convergence is
     typically reached within ~10. Offered rates must be [>= 0]. *)
-
-val link_airtime :
-  Multigraph.t ->
-  Domain.t ->
-  offered:(Paths.t * float) list ->
-  float array
-(** The airtime fraction each link ends up using under the same
-    dynamics (diagnostic; also used by tests). *)

@@ -1,14 +1,14 @@
 type t = {
   mutable alpha : float;
-  adaptive : bool;
   mutable prev : float option;        (* last rate sample *)
   mutable prev_diff : float;          (* last non-zero increment *)
   mutable last_amplitude : float;     (* amplitude of the last swing *)
   mutable oscillations : int;         (* consecutive non-decreasing swings *)
 }
 
+let base = 0.02
+
 let initial ~single_path ~longest_route_hops =
-  let base = 0.02 in
   if longest_route_hops <= 1 then base *. 4.0
   else if single_path || longest_route_hops = 2 then base *. 2.0
   else base
@@ -16,17 +16,6 @@ let initial ~single_path ~longest_route_hops =
 let create ~single_path ~longest_route_hops =
   {
     alpha = initial ~single_path ~longest_route_hops;
-    adaptive = true;
-    prev = None;
-    prev_diff = 0.0;
-    last_amplitude = 0.0;
-    oscillations = 0;
-  }
-
-let fixed alpha =
-  {
-    alpha;
-    adaptive = false;
     prev = None;
     prev_diff = 0.0;
     last_amplitude = 0.0;
@@ -36,26 +25,24 @@ let fixed alpha =
 let current t = t.alpha
 
 let observe t rate =
-  if t.adaptive then begin
-    match t.prev with
-    | None -> t.prev <- Some rate
-    | Some prev ->
-      let diff = rate -. prev in
-      t.prev <- Some rate;
-      if Float.abs diff > 1e-9 then begin
-        let sign_flip = t.prev_diff *. diff < 0.0 in
-        if sign_flip then begin
-          let amplitude = Float.abs diff in
-          if amplitude >= t.last_amplitude -. 1e-12 then
-            t.oscillations <- t.oscillations + 1
-          else t.oscillations <- 0;
-          t.last_amplitude <- amplitude;
-          if t.oscillations >= 6 then begin
-            t.alpha <- t.alpha /. 2.0;
-            t.oscillations <- 0;
-            t.last_amplitude <- 0.0
-          end
-        end;
-        t.prev_diff <- diff
-      end
-  end
+  match t.prev with
+  | None -> t.prev <- Some rate
+  | Some prev ->
+    let diff = rate -. prev in
+    t.prev <- Some rate;
+    if Float.abs diff > 1e-9 then begin
+      let sign_flip = t.prev_diff *. diff < 0.0 in
+      if sign_flip then begin
+        let amplitude = Float.abs diff in
+        if amplitude >= t.last_amplitude -. 1e-12 then
+          t.oscillations <- t.oscillations + 1
+        else t.oscillations <- 0;
+        t.last_amplitude <- amplitude;
+        if t.oscillations >= 6 then begin
+          t.alpha <- t.alpha /. 2.0;
+          t.oscillations <- 0;
+          t.last_amplitude <- 0.0
+        end
+      end;
+      t.prev_diff <- diff
+    end

@@ -14,6 +14,11 @@
 type t
 (** Mutable per-controller step-size state. *)
 
+val base : float
+(** The paper's step size, 0.02: where the heuristic starts, the
+    constant step of the fluid solvers ({!Multi_cc}, {!Single_cc}) and
+    the step of the packet engine's dual update. *)
+
 val initial : single_path:bool -> longest_route_hops:int -> float
 (** The initial α from the route-shape rule above. *)
 
@@ -26,7 +31,3 @@ val current : t -> float
 val observe : t -> float -> unit
 (** Feed the current aggregate rate (one sample per slot); may halve
     α when the oscillation rule triggers. *)
-
-val fixed : float -> t
-(** A state that never adapts (for ablations and the simulation
-    experiments, which use a constant α). *)

@@ -1,6 +1,18 @@
+(* The two §4.3 updates, written once for this solver and for the
+   packet engine's per-ACK controller ([@inline]: the slot loop below
+   keeps its floats unboxed). *)
+let[@inline] update_rate ~a ~gain ~u' ~q ~x ~x_bar r =
+  let inner = Float.max 0.0 (x_bar.(r) +. (gain *. (u' -. q))) in
+  x.(r) <- ((1.0 -. a) *. x.(r)) +. (a *. inner)
+
+let[@inline] update_average ~a ~x ~x_bar =
+  for r = 0 to Array.length x - 1 do
+    x_bar.(r) <- ((1.0 -. a) *. x_bar.(r)) +. (a *. x.(r))
+  done
+
 let solve_tracked ?(gain = 50.0) ?(slots = 2000) ?stop_tol ?x_init ~on_slot
     (problem : Problem.t) =
-  let alpha = Alpha.fixed 0.02 in
+  let a = Alpha.base in
   let n_routes = Problem.n_routes problem in
   let x =
     match x_init with
@@ -17,23 +29,16 @@ let solve_tracked ?(gain = 50.0) ?(slots = 2000) ?stop_tol ?x_init ~on_slot
   let stopped = ref None in
   let t = ref 0 in
   while !t < slots && !stopped = None do
-    let a = Alpha.current alpha in
     Price.step price ~x ~alpha:a;
     let q = Price.route_costs price in
     let flow_rate = Problem.flow_rates problem x in
     for r = 0 to n_routes - 1 do
       let f = problem.Problem.flow_of.(r) in
-      let inner =
-        Float.max 0.0 (x_bar.(r) +. (gain *. (u' flow_rate.(f) -. q.(r))))
-      in
-      x.(r) <- ((1.0 -. a) *. x.(r)) +. (a *. inner)
+      update_rate ~a ~gain ~u':(u' flow_rate.(f)) ~q:q.(r) ~x ~x_bar r
     done;
-    for r = 0 to n_routes - 1 do
-      x_bar.(r) <- ((1.0 -. a) *. x_bar.(r)) +. (a *. x.(r))
-    done;
+    update_average ~a ~x ~x_bar;
     let flow_rates = Problem.flow_rates problem x in
     trace.(!t) <- flow_rates;
-    Alpha.observe alpha (Array.fold_left ( +. ) 0.0 flow_rates);
     on_slot !t x;
     (* Optional early stop: no flow rate moved by more than the
        tolerance over the last 200 slots. *)

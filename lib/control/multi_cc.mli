@@ -16,6 +16,25 @@
     flow's own rates, [x̄_r], and the [q_r] echoed by the destination
     in the 100 ms acknowledgements. *)
 
+val update_rate :
+  a:float ->
+  gain:float ->
+  u':float ->
+  q:float ->
+  x:float array ->
+  x_bar:float array ->
+  int ->
+  unit
+(** [update_rate ~a ~gain ~u' ~q ~x ~x_bar r] is the first update above
+    for route [r], with the proximal weight [gain] (see {!solve}):
+    [x.(r) <- (1-a) x.(r) + a [x_bar.(r) + gain (u' - q)]+], where [u']
+    is the marginal utility of the route's flow and [q] the route's
+    price. The packet engine applies it to each route an ACK reports. *)
+
+val update_average : a:float -> x:float array -> x_bar:float array -> unit
+(** The second update, over every route:
+    [x_bar.(r) <- (1-a) x_bar.(r) + a x.(r)]. *)
+
 val solve :
   ?gain:float ->
   ?slots:int ->
@@ -25,7 +44,7 @@ val solve :
   Cc_result.t
 (** Run for [slots] iterations (default 2000) from [x_init] (default
     all-zero), γ = 0, x̄ = x_init, with the paper's fixed step size
-    α = 0.02 and utility {!Utility.proportional_fair}. Works for any
+    α = {!Alpha.base} and utility {!Utility.proportional_fair}. Works for any
     mix of single- and multi-route flows (a single-route flow recovers
     near-single-path behaviour).
 

@@ -10,7 +10,7 @@
 
 val solve : ?slots:int -> Problem.t -> Cc_result.t
 (** Run the controller for [slots] iterations (default 2000) from
-    x = 0, γ = 0, with the fixed paper step size α = 0.02. The primal
+    x = 0, γ = 0, with the fixed paper step size α = {!Alpha.base}. The primal
     iterate is capped at 1000 Mbps — U'^-1 explodes while prices are
     still zero in the first slots. Requires every flow of the problem
     to have exactly one route. *)

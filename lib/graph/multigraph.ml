@@ -125,9 +125,6 @@ let flat t = t.flat
 let out_links t u = t.out_of.(u)
 let in_links t u = t.in_of.(u)
 
-let out_links_tech t u k =
-  List.filter (fun l -> t.links.(l).tech = k) t.out_of.(u)
-
 let with_capacities t caps =
   if Array.length caps <> Array.length t.caps then
     invalid_arg "Multigraph.with_capacities: length mismatch";

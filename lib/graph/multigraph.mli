@@ -83,8 +83,6 @@ val out_links : t -> int -> int list
 val in_links : t -> int -> int list
 (** Ids of links entering a node. *)
 
-val out_links_tech : t -> int -> int -> int list
-(** [out_links_tech g u k]: ids of links leaving [u] with technology [k]. *)
 
 val with_capacities : t -> float array -> t
 (** A view of the same structure with a different capacity vector

@@ -48,8 +48,6 @@ let is_loopless g t =
 
 let techs g t = List.map (fun l -> (Multigraph.link g l).Multigraph.tech) t.links
 
-let equal a b = a.links = b.links
-
 let mem_link t l = List.mem l t.links
 
 let pp g ppf t =

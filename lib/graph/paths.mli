@@ -31,9 +31,6 @@ val is_loopless : Multigraph.t -> t -> bool
 val techs : Multigraph.t -> t -> int list
 (** Technology of each hop, in order. *)
 
-val equal : t -> t -> bool
-(** Structural equality on the hop list. *)
-
 val mem_link : t -> int -> bool
 (** [true] iff the path uses the given link id. *)
 

@@ -813,12 +813,6 @@ module Flight = struct
     t.clock <- t.own;
     t.sink <- None
 
-  let clear t =
-    t.next <- 0;
-    t.total <- 0;
-    Array.fill t.tag 0 t.cap (-1);
-    Array.fill t.boxed 0 t.cap None
-
   (* Tags follow the order of [Trace.kinds] ([Trace.tag]). *)
   let k_enqueue = 0
   let k_grant = 1

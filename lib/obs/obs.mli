@@ -350,8 +350,6 @@ module Flight : sig
   (** Events ever written; the ring retains the last
       [min recorded capacity]. *)
 
-  val clear : t -> unit
-
   val attach : t -> clock:float array -> Trace.sink option -> unit
   (** Attach a run: its clock cell, whose slot 0 stamps every row a
       flat writer records from now on, and the sink ([Some s]) that

@@ -39,17 +39,3 @@ let reset t ~now ~capacity =
   t.last_obs <- now
 
 let estimate t = t.est
-
-let mcs_index_of_capacity cap =
-  let best = ref 0 and bestd = ref infinity in
-  Array.iteri
-    (fun i r ->
-      let d = Float.abs (r -. cap) in
-      if d < !bestd then begin
-        bestd := d;
-        best := i
-      end)
-    Capacity.mcs_steps;
-  !best
-
-let ble_of_capacity cap = Float.max 0.0 cap

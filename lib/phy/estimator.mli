@@ -50,12 +50,3 @@ val relative_error : mode -> float
 val reaction_time : mode -> float
 (** Exponential tracking time constant (s): a few seconds when
     probing, ~0.1 s under traffic (the 100 ms ACK period). *)
-
-val mcs_index_of_capacity : float -> int
-(** The 802.11n MCS ladder index whose rate is closest to the given
-    capacity — what a real implementation would read from the frame
-    header. *)
-
-val ble_of_capacity : float -> float
-(** HomePlug-style bit-loading estimate: the raw capacity in Mbit/s
-    (BLE maps linearly onto achievable rate). *)

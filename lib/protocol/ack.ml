@@ -12,8 +12,6 @@ type t = {
   reports : route_report list;
 }
 
-let period = 0.1
-
 type collector = {
   flow : int;
   qr : float array;

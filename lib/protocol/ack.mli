@@ -22,9 +22,6 @@ type t = {
   reports : route_report list;  (** one per route of the flow *)
 }
 
-val period : float
-(** 0.1 s — the paper's 100 ms ACK interval. *)
-
 type collector
 (** Destination-side accumulator for one flow. *)
 

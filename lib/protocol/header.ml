@@ -66,5 +66,3 @@ let decode b =
       end)
     entries;
   { seq; qr; route = Array.sub entries 0 !len }
-
-let equal a b = a.seq = b.seq && a.qr = b.qr && a.route = b.route

@@ -47,6 +47,3 @@ val decode : bytes -> t
 (** Parse a 20-byte header. Raises [Invalid_argument] on wrong length
     or a route with a non-zero entry after a zero entry (malformed
     padding). *)
-
-val equal : t -> t -> bool
-(** Field-wise equality (q_r compared exactly). *)

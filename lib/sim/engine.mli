@@ -29,17 +29,33 @@
     window and the estimated capacities, exchanges the per-technology
     aggregates with its interference neighborhood (the paper's
     broadcast packets; modeled as instantaneous overhearing), and
-    updates the dual variables γ_l (step 0.02). Sources apply the
-    proximal multipath update on each ACK (gain 50, proportional-fair
-    utility, step size from the Section 6.1 {!Alpha} heuristic). Link
-    capacities, and hence prices, are known only through
-    {!Estimator}s (precise under traffic, coarser when probing).
+    updates the dual variables γ_l (step {!Alpha.base}). Sources
+    apply the proximal multipath update of {!Multi_cc.update_rate}
+    and {!Multi_cc.update_average} on each ACK (gain 50,
+    proportional-fair utility, step size from the Section 6.1
+    {!Alpha} heuristic). Link capacities, and hence prices, are known
+    only through {!Estimator}s (precise under traffic, coarser when
+    probing).
 
     {b Transports.} UDP (rate-driven by the controller, or fixed
     rates without CC) and the Reno TCP of {!Tcp} (window-driven, with
     the controller enforcing its allocation through a source token
-    bucket that holds above-rate segments until tokens accrue, and
-    optional destination-side delay equalization). *)
+    bucket of {!Invariants.bucket_depth} that holds above-rate
+    segments until tokens accrue, and optional destination-side delay
+    equalization).
+
+    {b Structure.} A run is one explicit state record, built by a
+    bootstrap function (validation, the seeded [Rng.split]s, the
+    per-run interference views and forwarding plans, the first
+    events), then one dispatch loop over the timing wheel's
+    int-encoded events, then the assembly of the {!result}. The
+    handlers are top-level functions over that record, grouped in the
+    layers above: [Mac] (grant, on-air, domain-idle, shared buffers),
+    [Datapath] (inject, per-hop price stamp, forward, deliver,
+    reorder), [Transport] (UDP pacing, TCP), [Control] (tick,
+    per-ACK update, dead-route policies) and [Faults] (capacity, loss
+    and control-plane changes). A profiler, when given, brackets the
+    same loop. *)
 
 type transport =
   | Udp
@@ -326,7 +342,10 @@ val run :
     targets of {!Fault.compile} — build plans there rather than by
     hand.
 
-    Raises [Invalid_argument] on malformed specs (negative times,
-    route/rate length mismatch, routes longer than the 6-hop header
-    limit, out-of-range link/loss events, NaN or infinite link-event
-    capacities, probabilities outside [0,1], negative delays). *)
+    Raises [Invalid_argument] on malformed specs (a [start_time] that
+    is negative or not finite, a [stop_time] that is not finite or
+    earlier than the flow's [start_time], event times that are negative
+    or not finite, route/rate length mismatch, routes longer than the
+    6-hop header limit, out-of-range link/loss events, NaN or infinite
+    link-event capacities, probabilities outside [0,1], negative
+    delays). *)

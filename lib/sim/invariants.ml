@@ -222,6 +222,9 @@ let check_step t ~now view =
 
 (* ---------- per-window checks ---------- *)
 
+let bucket_depth ~frame_bytes cell =
+  cell.(0) <- Float.max (8.0 *. float_of_int frame_bytes) (cell.(0) *. 0.25)
+
 let on_tick t ~now view =
   (* Attribute every queued / on-air frame to its flow and reconcile
      with the ledger: this is the check a skipped or misattributed
@@ -244,8 +247,7 @@ let on_tick t ~now view =
              counts.(fid) ledger a.injected a.delivered a.dropped);
       (* Paced injection: the source may not beat the controller's
          allocation. Slack: two frames of pacing granularity, plus the
-         token-bucket depth for policed TCP (max of 8 frames and a
-         quarter-second of the allocation, mirroring the engine). *)
+         depth of the engine's token bucket for policed TCP. *)
       (match a.pacing with
       | Unpoliced -> ()
       | Paced | Token_bucket ->
@@ -255,8 +257,9 @@ let on_tick t ~now view =
           let frames = 2.0 *. float_of_int t.frame_bytes in
           match a.pacing with
           | Token_bucket ->
-            frames
-            +. Float.max (8.0 *. float_of_int t.frame_bytes) (rate_bytes *. 0.25)
+            let depth = [| rate_bytes |] in
+            bucket_depth ~frame_bytes:t.frame_bytes depth;
+            frames +. depth.(0)
           | Paced | Unpoliced -> frames
         in
         let sent = float_of_int (a.injected_window * t.frame_bytes) in

@@ -75,6 +75,16 @@ val env_enabled : unit -> bool
 val configure : t -> queue_limit:int -> frame_bytes:int -> control_period:float -> unit
 (** Static simulation parameters; call once before the first hook. *)
 
+val bucket_depth : frame_bytes:int -> float array -> unit
+(** The depth of the token bucket that polices a flow: a quarter-second
+    of its allocation, at least 8 frames, so ack-clocked TCP bursts are
+    not punished when the average rate respects the allocation.
+    [bucket_depth ~frame_bytes cell] replaces the allocation in
+    [cell.(0)], in bytes/s, by the depth in bytes (a cell, so the
+    engine's per-segment refill boxes no float). The engine's bucket
+    and the [Token_bucket] slack of the paced-injection check both read
+    it. *)
+
 val register_flow : t -> flow:int -> pacing:pacing -> rate:float -> unit
 (** Declare a flow (ids must be registered in increasing dense order)
     with its pacing discipline and initial total route rate. *)

@@ -94,16 +94,6 @@ let create ?(capacity = 16) () =
 let is_empty t = t.size = 0
 let size t = t.size
 
-let clear t =
-  Array.fill t.counts 0 n_buckets 0;
-  t.cursor <- 0;
-  t.next_seq <- 0;
-  t.size <- 0;
-  t.wheel_count <- 0;
-  t.c_valid <- false;
-  Pqueue.clear t.overflow;
-  t.ov_min.(0) <- infinity
-
 let[@inline] horizon t = float_of_int (t.cursor + n_buckets) *. width
 
 (* Append (prio, seq, v) to the bucket for [prio] (clamped to the
@@ -210,11 +200,6 @@ let find_min t =
   t.c_idx <- !best;
   t.c_prio.(0) <- !bp;
   t.c_seq <- !bs
-
-let top_prio t =
-  if t.size = 0 then invalid_arg "Wheel.top_prio: empty";
-  if not t.c_valid then find_min t;
-  t.c_prio.(0)
 
 let top t =
   if t.size = 0 then invalid_arg "Wheel.top: empty";

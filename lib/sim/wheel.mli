@@ -43,22 +43,16 @@ val pop : 'a t -> (float * 'a) option
 
 val peek : 'a t -> (float * 'a) option
 
-val top_prio : 'a t -> float
-(** Priority of the minimum element. It builds no option or pair,
-    but the float reaches a caller in another module boxed (modules
-    are compiled separately, so the call is not inlined): a hot loop
-    reads {!min_prio_cell} instead.
-    @raise Invalid_argument on an empty wheel. *)
-
 val top : 'a t -> 'a
 (** Minimum element itself, without removing it.
     @raise Invalid_argument on an empty wheel. *)
 
 val min_prio_cell : 'a t -> float array
 (** The wheel's one-slot cell holding the minimum's priority, the
-    same array for the wheel's whole life. After {!top} or {!top_prio}
-    it holds the value {!top_prio} returns, until the next {!push},
-    {!drop}, {!drop_push} or {!clear}; reading it is a plain load. *)
+    same array for the wheel's whole life. After {!top} it holds the
+    minimum's priority, until the next {!push}, {!drop} or
+    {!drop_push}; reading it is a plain load (a float returned across
+    modules, compiled separately, would be boxed). *)
 
 val drop : 'a t -> unit
 (** Remove the minimum element (allocation-free {!pop}).
@@ -68,6 +62,3 @@ val drop_push : 'a t -> 'a -> unit
 (** [drop] the minimum then [push] (priority from {!push_prio_cell})
     with a fresh sequence number, or plain [push] on an empty wheel —
     same observable behaviour as {!Pqueue.drop_push}. *)
-
-val clear : 'a t -> unit
-(** Drop all elements, retaining bucket capacity. *)

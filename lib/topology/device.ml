@@ -73,8 +73,3 @@ let originates specs node =
   match List.find_opt (fun s -> s.node = node) specs with
   | Some { cls = Relay; _ } -> false
   | _ -> true
-
-let relay_nodes specs =
-  List.filter_map
-    (fun s -> match s.cls with Relay -> Some s.node | _ -> None)
-    specs

@@ -57,6 +57,3 @@ val apply : Builder.instance -> spec list -> Builder.instance
 val originates : spec list -> int -> bool
 (** [false] iff the node is declared [Relay]. Nodes without a spec
     originate traffic. *)
-
-val relay_nodes : spec list -> int list
-(** Ids declared [Relay], in spec order. *)

@@ -2,10 +2,6 @@ let mean = function
   | [] -> 0.0
   | xs -> List.fold_left ( +. ) 0.0 xs /. float_of_int (List.length xs)
 
-let mean_arr arr =
-  if Array.length arr = 0 then 0.0
-  else Array.fold_left ( +. ) 0.0 arr /. float_of_int (Array.length arr)
-
 let variance xs =
   match xs with
   | [] | [ _ ] -> 0.0
@@ -73,18 +69,7 @@ module Ecdf = struct
 
   let eval t x = float_of_int (count_le t x) /. float_of_int (size t)
 
-  let inverse t q =
-    let n = size t in
-    let q = Float.max 0.0 (Float.min 1.0 q) in
-    let k = int_of_float (ceil (q *. float_of_int n)) in
-    let k = if k <= 0 then 1 else if k > n then n else k in
-    t.sorted.(k - 1)
-
   let support t = (t.sorted.(0), t.sorted.(size t - 1))
-
-  let points t =
-    let n = size t in
-    List.init n (fun i -> (t.sorted.(i), float_of_int (i + 1) /. float_of_int n))
 end
 
 let fraction_below xs x =

@@ -8,14 +8,8 @@
 val mean : float list -> float
 (** Arithmetic mean; 0 on the empty list. *)
 
-val mean_arr : float array -> float
-(** Arithmetic mean of an array; 0 on the empty array. *)
-
 val stddev : float list -> float
 (** Population standard deviation; 0 on lists shorter than 2. *)
-
-val variance : float list -> float
-(** Population variance; 0 on lists shorter than 2. *)
 
 val minimum : float list -> float
 (** Smallest element. Raises [Invalid_argument] on the empty list. *)
@@ -40,19 +34,8 @@ module Ecdf : sig
   val eval : t -> float -> float
   (** [eval t x] is the fraction of sample points [<= x]. *)
 
-  val inverse : t -> float -> float
-  (** [inverse t q] with [q] in [0,1]: the smallest sample value [v]
-      with [eval t v >= q]. *)
-
   val support : t -> float * float
   (** Smallest and largest sample values. *)
-
-  val size : t -> int
-  (** Number of sample points. *)
-
-  val points : t -> (float * float) list
-  (** The staircase as sorted [(value, cumulative fraction)] pairs,
-      one pair per sample point. *)
 end
 
 val fraction_below : float list -> float -> float

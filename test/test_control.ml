@@ -195,13 +195,6 @@ let test_alpha_stable_rate_keeps_alpha () =
   done;
   check_float "unchanged" a0 (Alpha.current a)
 
-let test_alpha_fixed_never_adapts () =
-  let a = Alpha.fixed 0.05 in
-  for i = 1 to 50 do
-    Alpha.observe a (if i mod 2 = 0 then 0.0 else 100.0)
-  done;
-  check_float "still 0.05" 0.05 (Alpha.current a)
-
 (* --- Controllers --- *)
 
 let test_single_cc_one_link () =
@@ -380,7 +373,6 @@ let () =
           Alcotest.test_case "halves on oscillation" `Quick
             test_alpha_halves_on_oscillation;
           Alcotest.test_case "stable keeps alpha" `Quick test_alpha_stable_rate_keeps_alpha;
-          Alcotest.test_case "fixed never adapts" `Quick test_alpha_fixed_never_adapts;
         ] );
       ( "single-cc",
         [

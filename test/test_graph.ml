@@ -62,8 +62,6 @@ let test_adjacency () =
   Alcotest.(check (list int)) "out of a" [ 0; 4 ] (Multigraph.out_links g 0);
   Alcotest.(check (list int)) "out of b" [ 1; 2; 5 ] (Multigraph.out_links g 1);
   Alcotest.(check (list int)) "in of c" [ 2 ] (Multigraph.in_links g 2);
-  Alcotest.(check (list int)) "wifi out of b" [ 1; 2 ] (Multigraph.out_links_tech g 1 0);
-  Alcotest.(check (list int)) "plc out of b" [ 5 ] (Multigraph.out_links_tech g 1 1);
   Alcotest.(check (list int)) "a->b links" [ 0; 4 ] (Multigraph.find_links g ~src:0 ~dst:1)
 
 let test_with_capacities () =
@@ -250,7 +248,7 @@ let test_yen_k1_matches_dijkstra () =
   let yen = Yen.k_shortest g ~src:0 ~dst:2 ~k:1 in
   match (yen, Dijkstra.shortest_path g ~src:0 ~dst:2) with
   | [ (p, c) ], Some (p', c') ->
-    Alcotest.(check bool) "same path" true (Paths.equal p p');
+    Alcotest.(check bool) "same path" true (p = p');
     check_float "same cost" c' c
   | _ -> Alcotest.fail "expected exactly one path"
 

@@ -96,7 +96,9 @@ let test_lsdb_graph_reconstruction () =
   let g = Lsdb.graph db ~n_nodes:2 ~n_techs:2 in
   Alcotest.(check int) "two physical edges" 4 (Multigraph.num_links g);
   (* The doubly-advertised link is averaged. *)
-  let wifi = List.hd (Multigraph.out_links_tech g 0 0) in
+  let wifi =
+    List.find (fun l -> (Multigraph.link g l).Multigraph.tech = 0) (Multigraph.out_links g 0)
+  in
   check_float ~eps:1e-6 "averaged estimate" 12.0 (Multigraph.capacity g wifi)
 
 let test_lsdb_graph_ignores_garbage () =

@@ -128,17 +128,6 @@ let test_estimator_modes () =
     (Estimator.reaction_time Estimator.Probing
     > Estimator.reaction_time Estimator.Active_traffic)
 
-let test_mcs_index () =
-  Alcotest.(check int) "zero" 0 (Estimator.mcs_index_of_capacity 0.0);
-  Alcotest.(check int) "top" (Array.length Capacity.mcs_steps - 1)
-    (Estimator.mcs_index_of_capacity 100.0);
-  let idx = Estimator.mcs_index_of_capacity 40.0 in
-  check_float ~eps:13.0 "close to 40" 40.0 Capacity.mcs_steps.(idx)
-
-let test_ble () =
-  check_float "identity" 73.5 (Estimator.ble_of_capacity 73.5);
-  check_float "clamped at 0" 0.0 (Estimator.ble_of_capacity (-3.0))
-
 let prop_estimator_nonnegative =
   QCheck.Test.make ~name:"estimates stay nonnegative" ~count:100
     QCheck.(pair (int_bound 10000) (float_range 0.0 100.0))
@@ -177,8 +166,6 @@ let () =
           Alcotest.test_case "converges" `Quick test_estimator_converges;
           Alcotest.test_case "probing slower" `Quick test_estimator_probing_slower;
           Alcotest.test_case "modes" `Quick test_estimator_modes;
-          Alcotest.test_case "mcs index" `Quick test_mcs_index;
-          Alcotest.test_case "ble" `Quick test_ble;
           QCheck_alcotest.to_alcotest prop_estimator_nonnegative;
         ] );
     ]

@@ -72,7 +72,7 @@ let test_header_size () = Alcotest.(check int) "20 bytes" 20 Header.size
 let test_header_roundtrip () =
   let h = Header.make ~seq:123456789 ~qr:1.5 ~route:[| 10; 20; 30 |] in
   let h' = Header.decode (Header.encode h) in
-  Alcotest.(check bool) "roundtrip" true (Header.equal h h');
+  Alcotest.(check bool) "roundtrip" true (h = h');
   Alcotest.(check int) "encoded length" Header.size (Bytes.length (Header.encode h))
 
 let test_header_qr_resolution () =
@@ -255,12 +255,11 @@ let test_ack_collector () =
   | _ -> Alcotest.fail "expected two reports");
   (* Window counters reset; state persists. *)
   let ack2 = Ack.emit c ~now:1.1 in
-  (match ack2.Ack.reports with
+  match ack2.Ack.reports with
   | [ r0; _ ] ->
     Alcotest.(check int) "window reset" 0 r0.Ack.bytes;
     check_float "qr persists" 0.6 r0.Ack.qr
-  | _ -> Alcotest.fail "expected two reports");
-  check_float "period" 0.1 Ack.period
+  | _ -> Alcotest.fail "expected two reports"
 
 let () =
   Alcotest.run "protocol"

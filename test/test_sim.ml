@@ -28,6 +28,12 @@ let saturated_flow g dom ~src ~dst =
     stop_time = None;
   }
 
+(* Byte pin of a run: every field of the result but the wall-clock
+   [perf] goes into the digest. *)
+let md5_result r =
+  Digest.to_hex
+    (Digest.string (Marshal.to_string (Engine.strip_perf r) [ Marshal.No_sharing ]))
+
 let goodput_of res i =
   float_of_int res.Engine.flows.(i).Engine.received_bytes
   *. 8e-6 /. res.Engine.duration
@@ -282,7 +288,9 @@ let test_empirical_poisson_pacing () =
   Alcotest.(check bool) "same mean rate" true
     (Float.abs (gp cbr -. gp poisson) /. gp cbr < 0.05);
   Alcotest.(check bool) "poisson run deterministic" true
-    (poisson = run Workload.Poisson_paced)
+    (poisson = run Workload.Poisson_paced);
+  Alcotest.(check string) "poisson run bytes" "d0685b3e89037882e4ccff9344c1028d"
+    (md5_result poisson)
 
 let test_empirical_validation () =
   let g = Multigraph.create ~n_nodes:2 ~n_techs:1 ~edges:[ (0, 1, 0, 20.0) ] in
@@ -856,17 +864,17 @@ let test_static_stricter_than_dt () =
             };
       }
     in
-    let res =
-      Engine.run ~config (Rng.create 8) g dom
-        ~flows:[ one_link_flow g ~rate:50.0 ]
-        ~duration:5.0
-    in
-    res.Engine.buffer_peak_bytes
+    Engine.run ~config (Rng.create 8) g dom
+      ~flows:[ one_link_flow g ~rate:50.0 ]
+      ~duration:5.0
   in
-  let static = run Engine.Static in
-  let dt = run (Engine.Dynamic_threshold 4.0) in
+  let static_run = run Engine.Static in
+  let static = static_run.Engine.buffer_peak_bytes in
+  let dt = (run (Engine.Dynamic_threshold 4.0)).Engine.buffer_peak_bytes in
   Alcotest.(check bool) "static caps at the partition" true (static <= 4 * fb);
-  Alcotest.(check bool) "DT can exceed the static share" true (dt > static)
+  Alcotest.(check bool) "DT can exceed the static share" true (dt > static);
+  Alcotest.(check string) "static run bytes" "7a3a6db8e26038cd860d65559c3a45be"
+    (md5_result static_run)
 
 let test_ctrl_faults_survivable () =
   (* A total ACK blackout early in the run: the controller stalls but
@@ -983,7 +991,38 @@ let test_bad_fault_schedules_rejected () =
         (bad (fun () -> run ~link_events:[ (0.5, 0, c) ] ())))
     [ Float.nan; Float.infinity; Float.neg_infinity ];
   Alcotest.(check bool) "negative link capacity clamps to a dead link" false
-    (bad (fun () -> run ~link_events:[ (0.5, 0, -1.0) ] ()))
+    (bad (fun () -> run ~link_events:[ (0.5, 0, -1.0) ] ()));
+  (* A NaN time passes every [t < 0.0] test: such an event or stop was
+     silently never applied, and such a flow never started. *)
+  List.iter
+    (fun t ->
+      let name kind = Printf.sprintf "%s event at time %g" kind t in
+      Alcotest.(check bool) (name "link") true
+        (bad (fun () -> run ~link_events:[ (t, 0, 0.0) ] ()));
+      Alcotest.(check bool) (name "loss") true
+        (bad (fun () -> run ~loss_events:[ (t, 0, 0.5) ] ()));
+      Alcotest.(check bool) (name "ctrl") true
+        (bad (fun () -> run ~ctrl_events:[ (t, 0.5, 0.0) ] ())))
+    [ Float.nan; Float.infinity; Float.neg_infinity ];
+  let run_flow spec =
+    Engine.run (Rng.create 1) g dom ~flows:[ spec ] ~duration:1.0
+  in
+  List.iter
+    (fun (name, spec) ->
+      Alcotest.(check bool) name true (bad (fun () -> run_flow spec)))
+    [
+      ("nan start_time", { flow with Engine.start_time = Float.nan });
+      ("negative start_time", { flow with Engine.start_time = -1.0 });
+      ("infinite start_time", { flow with Engine.start_time = Float.infinity });
+      ("nan stop_time", { flow with Engine.stop_time = Some Float.nan });
+      ("negative stop_time", { flow with Engine.stop_time = Some (-1.0) });
+      ("infinite stop_time", { flow with Engine.stop_time = Some Float.infinity });
+      ( "stop_time before start_time",
+        { flow with Engine.start_time = 0.5; stop_time = Some 0.25 } );
+    ];
+  Alcotest.(check bool) "stop_time at start_time accepted" false
+    (bad (fun () ->
+         run_flow { flow with Engine.start_time = 0.5; stop_time = Some 0.5 }))
 
 (* ---------- runtime invariant checker ---------- *)
 

@@ -91,7 +91,7 @@ let test_rng_split_uncorrelated () =
   let ys = Array.init n (fun _ -> Rng.float b) in
   let zs = Array.init n (fun _ -> Rng.float c) in
   let corr xs ys =
-    let mx = Stats.mean_arr xs and my = Stats.mean_arr ys in
+    let mx = Stats.mean (Array.to_list xs) and my = Stats.mean (Array.to_list ys) in
     let num = ref 0.0 and dx = ref 0.0 and dy = ref 0.0 in
     Array.iteri
       (fun i x ->
@@ -183,7 +183,6 @@ let test_stats_degenerate () =
      a run produces no (or one) data point. *)
   let raises f = match f () with _ -> false | exception Invalid_argument _ -> true in
   check_float "singleton stddev" 0.0 (Stats.stddev [ 4.2 ]);
-  check_float "singleton variance" 0.0 (Stats.variance [ 4.2 ]);
   check_float "singleton median" 4.2 (Stats.median [ 4.2 ]);
   check_float "singleton p0" 4.2 (Stats.percentile [ 4.2 ] 0.0);
   check_float "singleton p100" 4.2 (Stats.percentile [ 4.2 ] 100.0);
@@ -205,11 +204,9 @@ let test_ecdf_singleton () =
   check_float "below" 0.0 (Stats.Ecdf.eval e 2.0);
   check_float "at" 1.0 (Stats.Ecdf.eval e 2.5);
   check_float "above" 1.0 (Stats.Ecdf.eval e 3.0);
-  check_float "inverse" 2.5 (Stats.Ecdf.inverse e 0.5);
   let lo, hi = Stats.Ecdf.support e in
   check_float "support lo" 2.5 lo;
-  check_float "support hi" 2.5 hi;
-  Alcotest.(check int) "size" 1 (Stats.Ecdf.size e)
+  check_float "support hi" 2.5 hi
 
 let test_ecdf () =
   let e = Stats.Ecdf.of_list [ 1.0; 2.0; 3.0; 4.0 ] in
@@ -217,13 +214,9 @@ let test_ecdf () =
   check_float "at 2" 0.5 (Stats.Ecdf.eval e 2.0);
   check_float "mid" 0.5 (Stats.Ecdf.eval e 2.5);
   check_float "above" 1.0 (Stats.Ecdf.eval e 10.0);
-  check_float "inverse 0.5" 2.0 (Stats.Ecdf.inverse e 0.5);
-  check_float "inverse 1.0" 4.0 (Stats.Ecdf.inverse e 1.0);
-  Alcotest.(check int) "size" 4 (Stats.Ecdf.size e);
   let lo, hi = Stats.Ecdf.support e in
   check_float "lo" 1.0 lo;
-  check_float "hi" 4.0 hi;
-  Alcotest.(check int) "points" 4 (List.length (Stats.Ecdf.points e))
+  check_float "hi" 4.0 hi
 
 let prop_ecdf_monotone =
   QCheck.Test.make ~name:"ecdf is monotone and ends at 1" ~count:200
@@ -410,13 +403,7 @@ let prop_pqueue_pop_push_equiv =
 (* --- Units --- *)
 
 let test_units () =
-  check_float "mbps->Bps" 1.25e6 (Units.mbps_to_bytes_per_s 10.0);
-  check_float "roundtrip" 10.0 (Units.bytes_per_s_to_mbps (Units.mbps_to_bytes_per_s 10.0));
-  check_float "bytes->mbit" 8.0 (Units.bytes_to_mbit 1e6);
-  check_float "mbit->bytes" 1e6 (Units.mbit_to_bytes 8.0);
-  check_float "tx time" 0.001 (Units.tx_time ~capacity_mbps:8.0 ~bytes:1000);
-  Alcotest.(check int) "kib" 2048 (Units.kib 2);
-  Alcotest.(check int) "mib" 1048576 (Units.mib 1)
+  check_float "tx time" 0.001 (Units.tx_time ~capacity_mbps:8.0 ~bytes:1000)
 
 (* --- Table --- *)
 

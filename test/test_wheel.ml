@@ -55,26 +55,19 @@ let test_empty_ops () =
   Alcotest.(check bool) "is_empty" true (Wheel.is_empty w);
   Alcotest.(check bool) "pop" true (Wheel.pop w = None);
   Alcotest.(check bool) "peek" true (Wheel.peek w = None);
-  Alcotest.check_raises "top_prio" (Invalid_argument "Wheel.top_prio: empty")
-    (fun () -> ignore (Wheel.top_prio w));
   Alcotest.check_raises "drop" (Invalid_argument "Wheel.drop: empty") (fun () ->
       Wheel.drop w);
   (* drop_push on empty degenerates to push, like the heap. *)
   drop_push w 1.0 42;
-  Alcotest.(check bool) "after drop_push" true (Wheel.pop w = Some (1.0, 42));
-  push w 2.0 7;
-  Wheel.clear w;
-  Alcotest.(check int) "cleared" 0 (Wheel.size w)
+  Alcotest.(check bool) "after drop_push" true (Wheel.pop w = Some (1.0, 42))
 
 let test_top_matches_pop () =
   let w = Wheel.create () in
   List.iter (fun p -> push w p (int_of_float (p *. 1000.0))) [ 0.3; 0.1; 0.2 ];
-  check_float "top_prio" 0.1 (Wheel.top_prio w);
   Alcotest.(check int) "top" 100 (Wheel.top w);
   let cell = Wheel.min_prio_cell w in
   check_float "cell after top" 0.1 cell.(0);
   Wheel.drop w;
-  check_float "next top_prio" 0.2 (Wheel.top_prio w);
   Alcotest.(check int) "next top" 200 (Wheel.top w);
   check_float "cell after next top" 0.2 cell.(0)
 

@@ -16,6 +16,9 @@ is a reader. It prints the number of exported values, the values no
 other file reads and the values only test/ reads, and exits 1 when a
 value outside EXCEPTIONS is read by no other file (or when a reference
 could not be resolved, so the index would be incomplete).
+
+Last it prints lib/'s code lines: the non-blank lines of
+`lib/**/*.ml` and `lib/**/*.mli` that hold something outside comments.
 """
 
 import glob
@@ -39,32 +42,44 @@ EXT_REF = re.compile(r"^  ext_ref (.*)$")
 IDENT = re.compile(rb"[A-Za-z_][A-Za-z0-9_']*")
 
 
+def blank_comments(data):
+    """`data` with every byte of every comment turned into a space,
+    newlines kept, so offsets do not move. Comments nest, and string
+    literals are skipped inside and outside them, as the OCaml lexer
+    reads them."""
+    out = bytearray(data)
+    i, n, depth = 0, len(data), 0
+    while i < n:
+        opens = data.startswith(b"(*", i)
+        closes = depth > 0 and data.startswith(b"*)", i)
+        if opens or closes:
+            j = i + 2
+        elif data[i : i + 1] == b'"':
+            j = skip_string(data, i)
+        elif depth == 0 and data.startswith(b"'\"'", i):
+            j = i + 3
+        else:
+            j = i + 1
+        if depth > 0 or opens:
+            out[i:j] = bytes(b if b == 10 else 32 for b in data[i:j])
+        depth += opens - closes
+        i = j
+    return bytes(out)
+
+
 def mli_vals(path):
     """The `val`s of one interface: [(byte offset, qualified name)].
 
-    A small scanner over the bytes: comments (nested) and string
+    A small scanner over the bytes with the comments blanked: string
     literals are skipped, `module X : sig ... end` nests the names.
     Offsets are byte offsets, as the compiler counts them (the
     interfaces hold UTF-8 such as Σ and γ)."""
-    data = open(path, "rb").read()
+    data = blank_comments(open(path, "rb").read())
     top = os.path.splitext(os.path.basename(path))[0].capitalize()
     vals, stack, pending = [], [top], None
-    i, n, depth = 0, len(data), 0
+    i, n = 0, len(data)
     while i < n:
         c = data[i : i + 1]
-        if data.startswith(b"(*", i):
-            depth += 1
-            i += 2
-            continue
-        if depth > 0:
-            if data.startswith(b"*)", i):
-                depth -= 1
-                i += 2
-            elif c == b'"':
-                i = skip_string(data, i)
-            else:
-                i += 1
-            continue
         if c == b'"':
             i = skip_string(data, i)
             continue
@@ -98,6 +113,12 @@ def mli_vals(path):
             vals.append((i, ".".join(stack + [name])))
         i = m.end()
     return vals
+
+
+def code_lines(path):
+    """Non-blank lines of one source file outside comments."""
+    data = blank_comments(open(path, "rb").read())
+    return sum(1 for line in data.split(b"\n") if line.strip())
 
 
 def skip_string(data, i):
@@ -179,6 +200,9 @@ def main():
     print(f"referenced only by tests: {len(test_only)}")
     for name in test_only:
         print(f"  {name}")
+    ml = sum(code_lines(p) for p in glob.glob("lib/**/*.ml", recursive=True))
+    mli = sum(code_lines(p) for p in mlis)
+    print(f"lib code lines: {ml + mli} ({ml} in .ml, {mli} in .mli)")
     failed = False
     for ref in sorted(unresolved):
         print(f"exports: unresolved reference {ref}", file=sys.stderr)
