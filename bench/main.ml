@@ -457,7 +457,7 @@ let write_sim_bench () =
     in
     let reps = bench_reps in
     let events = ref 0 and bytes = ref 0 and peak_q = ref 0 in
-    let trace_events = ref 0 and sampled_events = ref 0 in
+    let trace_events = ref 0 in
     let ring = Obs.Flight.create () in
     let buffered_events = ref 0 in
     (* Counters and the allocation probe come from one dedicated pass:
@@ -488,19 +488,6 @@ let write_sim_bench () =
       ignore (one ~trace:sink i);
       trace_events := !trace_events + count ()
     done;
-    (* Sampled tracing at the load-sweep setting (1 in 16): the
-       acceptance bar is <2% over the untraced run, which requires the
-       engine to skip event construction for sampled-out offers. *)
-    let elapsed_sampled =
-      timed_config (fun i ->
-          let sink, _ = Obs.Trace.counter () in
-          ignore (one ~trace:(Obs.Trace.sampled ~every:16 sink) i))
-    in
-    for i = 1 to reps do
-      let sink, count = Obs.Trace.counter () in
-      ignore (one ~trace:(Obs.Trace.sampled ~every:16 sink) i);
-      sampled_events := !sampled_events + count ()
-    done;
     (* The always-on flight recorder's cost: scalar ring stores on
        every event. *)
     let elapsed_flight = timed_config (fun i -> ignore (one ~flight:ring i)) in
@@ -529,7 +516,6 @@ let write_sim_bench () =
        noise, so clamp at zero rather than publish an impossibility. *)
     let overhead_of inst = Float.max 0.0 ((inst /. elapsed -. 1.0) *. 100.0) in
     let overhead_pct = overhead_of elapsed_traced in
-    let overhead_sampled_pct = overhead_of elapsed_sampled in
     let flight_overhead_pct = overhead_of elapsed_flight in
     let prof_events_n = Obs.Prof.events prof in
     let prof_ns =
@@ -550,30 +536,38 @@ let write_sim_bench () =
     let cores = Stdlib.Domain.recommended_domain_count () in
     (* Chaos runs stress the fault schedules on top of the engine: the
        testbed scenario with a generated moderate plan per seed,
-       dispatched through Chaos.sweep (sequential unless EMPOWER_JOBS
-       is set — CPU time keeps the timing honest either way). *)
+       dispatched through Scenario.run_all (sequential unless
+       EMPOWER_JOBS is set — CPU time keeps the timing honest either
+       way). Each scorecard runs the unobserved fault-free twin too,
+       and the timing includes it; the events counted are the churn
+       run's. *)
+    let chaos_specs ?intensity ?recovery () =
+      List.init reps (fun i -> Chaos.spec ?intensity ?recovery ~duration:4.0 ~seed:(i + 1) ())
+    in
     let chaos_events = ref 0 and chaos_faults = ref 0 in
     let t2 = Sys.time () in
     List.iter
-      (fun rep ->
-        chaos_events := !chaos_events + rep.Chaos.result.Engine.events_processed;
-        chaos_faults := !chaos_faults + rep.Chaos.fault_events)
-      (Chaos.sweep ~duration:4.0 (List.init reps (fun i -> i + 1)));
+      (fun (sc : Scenario.scorecard) ->
+        chaos_events := !chaos_events + sc.Scenario.events_processed;
+        chaos_faults := !chaos_faults + sc.Scenario.fault_events)
+      (Scenario.run_all (chaos_specs ()));
     let elapsed_chaos = Float.max 1e-9 (Sys.time () -. t2) in
     let chaos_events_s = float_of_int !chaos_events /. elapsed_chaos in
     (* The self-healing headline numbers: a pinned full-severance run
        (every route of the flow down at once) with recovery on. The
        detection latency and the bounded recovery time land in the
        JSON so regressions in the recovery path show up per-commit. *)
-    let sever = Chaos.run ~intensity:Fault.Gen.Severing ~recovery:true ~seed:13 ~duration:12.0 () in
-    let sever_flow = List.hd sever.Chaos.flows in
+    let sever =
+      Scenario.run
+        (Chaos.spec ~intensity:Fault.Gen.Severing ~recovery:true ~seed:13 ~duration:12.0 ())
+    in
+    let sever_flow = List.hd sever.Scenario.flows in
     let t3 = Sys.time () in
     let sever_events = ref 0 in
     List.iter
-      (fun rep ->
-        sever_events := !sever_events + rep.Chaos.result.Engine.events_processed)
-      (Chaos.sweep ~intensity:Fault.Gen.Severing ~recovery:true ~duration:4.0
-         (List.init reps (fun i -> i + 1)));
+      (fun (sc : Scenario.scorecard) ->
+        sever_events := !sever_events + sc.Scenario.events_processed)
+      (Scenario.run_all (chaos_specs ~intensity:Fault.Gen.Severing ~recovery:true ()));
     let elapsed_sever = Float.max 1e-9 (Sys.time () -. t3) in
     let sever_events_s = float_of_int !sever_events /. elapsed_sever in
     (* Steady-churn probe: the shipped flapping-churn scenario,
@@ -706,8 +700,6 @@ let write_sim_bench () =
       \  \"events_per_s_traced\": %.0f,\n\
       \  \"trace_events_per_run\": %d,\n\
       \  \"trace_overhead_pct\": %.1f,\n\
-      \  \"trace_overhead_sampled_pct\": %.1f,\n\
-      \  \"trace_events_sampled_per_run\": %d,\n\
       \  \"flight_overhead_pct\": %.1f,\n\
       \  \"buffered_events_per_s\": %.0f,\n\
       \  \"prof_events\": %d,\n\
@@ -738,12 +730,11 @@ let write_sim_bench () =
       (elapsed *. 1e9 /. float_of_int (max 1 !events))
       (minor_words /. float_of_int (max 1 !events))
       frames_s !peak_q events_s_traced
-      (!trace_events / reps) overhead_pct overhead_sampled_pct
-      (!sampled_events / reps) flight_overhead_pct buffered_events_s
+      (!trace_events / reps) overhead_pct flight_overhead_pct buffered_events_s
       prof_events_n prof_ns
       prof_words prof_shares chaos_events_s
-      (!chaos_faults / reps) sever_events_s sever_flow.Chaos.detect_s
-      sever_flow.Chaos.recovery_s sever_flow.Chaos.goodput_mbps
+      (!chaos_faults / reps) sever_events_s sever_flow.Scenario.detect_s
+      sever_flow.Scenario.recovery_s sever_flow.Scenario.goodput_mbps
       churn_spec.Scenario.name churn_spec.Scenario.seed
       churn_spec.Scenario.duration churn_events_s
       churn_card.Scenario.route_deaths
@@ -760,8 +751,8 @@ let write_sim_bench () =
     close_out oc;
     Printf.printf
       "BENCH_sim.json: %.2f runs/s, %.0f events/s (%.1f ns, %.2f minor words \
-       per event), %.0f frames/s, trace overhead %.1f%% (sampled 1/16 \
-       %.1f%%, flight %.1f%%), chaos %.0f events/s, severance detect %.3f s \
+       per event), %.0f frames/s, trace overhead %.1f%% (flight %.1f%%), \
+       chaos %.0f events/s, severance detect %.3f s \
        / recovery %.3f s, churn scenario %.0f events/s (min availability \
        %.3f, SLO met: %b), %d-core 4-job speedup %s (identical: %b), \
        loadsweep achieved %s in %.1f s\n\
@@ -769,8 +760,8 @@ let write_sim_bench () =
       runs_s events_s
       (elapsed *. 1e9 /. float_of_int (max 1 !events))
       (minor_words /. float_of_int (max 1 !events))
-      frames_s overhead_pct overhead_sampled_pct flight_overhead_pct
-      chaos_events_s sever_flow.Chaos.detect_s sever_flow.Chaos.recovery_s
+      frames_s overhead_pct flight_overhead_pct
+      chaos_events_s sever_flow.Scenario.detect_s sever_flow.Scenario.recovery_s
       churn_events_s churn_card.Scenario.min_availability_measured
       churn_card.Scenario.slo_met
       cores

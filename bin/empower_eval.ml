@@ -383,8 +383,8 @@ let report_cmd =
     let doc =
       "Artifact to report on: a JSONL trace (trace/chaos --out, or a \
        flight-recorder dump), a loadsweep figure (loadsweep --json), a \
-       profile (profile --json) or a scenario scorecard (scenario --json). \
-       The shape is auto-detected."
+       profile (profile --json) or a scenario scorecard (scenario --json or \
+       chaos --json). The shape is auto-detected."
     in
     Arg.(required & pos 0 (some string) None & info [] ~docv:"FILE" ~doc)
   in
@@ -477,30 +477,25 @@ let chaos_cmd =
         Option.map (fun path -> Obs.Flight.create ~dump_path:path ()) flight
       in
       with_obs ?jobs ~json ~metrics ~progress (fun e ->
-          let report =
+          let spec = Chaos.spec ~intensity ~recovery ~duration ~seed () in
+          let sc =
             match out with
-            | None -> Chaos.run ?flight:ring ~intensity ~recovery ~duration ~seed ()
+            | None -> Scenario.run ?flight:ring spec
             | Some path ->
               let oc = open_out path in
-              let report =
+              let sc, result =
                 Fun.protect
                   ~finally:(fun () -> close_out_noerr oc)
                   (fun () ->
-                    Chaos.run ~trace:(Obs.Trace.to_channel oc) ?flight:ring
-                      ~intensity ~recovery ~duration ~seed ())
+                    Scenario.run_with_result ~trace:(Obs.Trace.to_channel oc)
+                      ?flight:ring spec)
               in
-              let outcome =
-                {
-                  Tracing.scenario = "chaos";
-                  result = report.Chaos.result;
-                  duration;
-                }
-              in
+              let outcome = { Tracing.scenario = "chaos"; result; duration } in
               let summary = validate_trace ~what:"chaos trace" outcome path in
               if not json then
                 Printf.printf "chaos: %d events -> %s (cross-check OK)\n"
                   summary.Obs.Summary.events path;
-              report
+              sc
           in
           (match ring with
           | None -> ()
@@ -509,8 +504,8 @@ let chaos_cmd =
                pre-fault baseline. Only then is the ring worth keeping. *)
             let regression =
               List.exists
-                (fun (f : Chaos.flow_report) -> f.Chaos.recovery_s < 0.0)
-                report.Chaos.flows
+                (fun (f : Scenario.flow_score) -> f.Scenario.recovery_s < 0.0)
+                sc.Scenario.flows
             in
             if regression then begin
               let path, n = dump_flight ring in
@@ -523,15 +518,17 @@ let chaos_cmd =
               Printf.eprintf
                 "[flight] no regression; ring discarded (%d events recorded)\n"
                 (Obs.Flight.recorded ring));
-          e.emit report Chaos.print Chaos.to_json)
+          e.emit sc Scenario.print Scenario.to_json)
   in
   Cmd.v
     (Cmd.info "chaos"
        ~doc:
          "Run a seeded, reproducible fault-injection scenario (random fault \
-          plan against the testbed flow) and report goodput dip and recovery \
-          metrics. --sever runs the full-severance profile with the \
-          self-healing recovery subsystem; --no-recovery turns it back off.")
+          plan against the testbed flow) and print its degradation scorecard \
+          (the 'scenario' figure with --json, which $(b,empower_eval report) \
+          renders): goodput dip and recovery against a fault-free twin run. \
+          --sever runs the full-severance profile with the self-healing \
+          recovery subsystem; --no-recovery turns it back off.")
     Term.(
       const run $ seed_arg 7 $ intensity_arg $ sever_arg $ no_recovery_arg
       $ duration_arg $ out_arg $ flight_arg $ json_arg $ metrics_arg $ progress_arg $ jobs_arg)

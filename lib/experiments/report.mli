@@ -21,17 +21,15 @@
       [empower_eval profile --json], read by
       {!Obs.Prof.document_of_json}): the subsystem hotspot table;
     - a {b scenario scorecard} ([{"figure":"scenario",...}] from
-      [empower_eval scenario --json], read by {!Scenario.of_json}):
+      [empower_eval scenario --json] or [empower_eval chaos --json],
+      read by {!Scenario.of_json}):
       the degradation scorecard — per-flow availability against the
       fault-free baseline, time below SLO, per-churn-event dip and
       recovery, and the recovery-subsystem counters, with the
       scenario's own SLO verdict.
 
-    Accuracy: a trace report inherits the trace's own accuracy — full
-    traces replay the engine's accounting exactly (see
-    {!Tracing.cross_check}); sampled traces carry the
-    {!Obs.Trace.sampled} contract (counts scale by the period; p99
-    within 10% relative with >= 1000 retained deliveries). *)
+    Accuracy: a trace report replays the engine's accounting exactly
+    (see {!Tracing.cross_check}). *)
 
 type flow_slo = {
   stats : Obs.Summary.flow_stats;

@@ -29,30 +29,3 @@ let goodput_stats (fr : Engine.flow_result) ~last_seconds ~duration =
       fr.Engine.goodput_series
   in
   (Stats.mean xs, Stats.stddev xs)
-
-(* The private recorder reads only the kinds its caller reads back; a
-   caller's sink and the process-global registry (--metrics) still see
-   every event. *)
-let with_recorder ?trace ~kinds ~domain_of ~duration run =
-  let reg = Obs.Metrics.create () in
-  let recorder = Obs.Recorder.create ~domain_of reg in
-  let global =
-    match Obs.Runtime.metrics () with
-    | Some greg -> Some (Obs.Recorder.create ~domain_of greg)
-    | None -> None
-  in
-  let sink =
-    let s = Obs.Recorder.sink ~kinds recorder in
-    let s =
-      match global with
-      | Some r -> Obs.Trace.tee s (Obs.Recorder.sink r)
-      | None -> s
-    in
-    match trace with Some user -> Obs.Trace.tee s user | None -> s
-  in
-  let result = run sink in
-  Obs.Recorder.flush recorder ~now:duration;
-  (match global with
-  | Some r -> Obs.Recorder.flush r ~now:duration
-  | None -> ());
-  (result, reg)

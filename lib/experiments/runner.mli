@@ -29,19 +29,3 @@ val goodput_stats :
   Engine.flow_result -> last_seconds:int -> duration:float -> float * float
 (** Mean and standard deviation of the per-second goodput over the
     final [last_seconds] of the run. *)
-
-val with_recorder :
-  ?trace:Obs.Trace.sink ->
-  kinds:string list ->
-  domain_of:(int -> int array) ->
-  duration:float ->
-  (Obs.Trace.sink -> 'a) ->
-  'a * Obs.Metrics.t
-(** [with_recorder ?trace ~kinds ~domain_of ~duration run] calls
-    [run sink] with a sink that feeds a private {!Obs.Recorder}
-    reading only [kinds] (see {!Obs.Trace.of_fn}), the recorder of the
-    process-global registry when one is installed ([--metrics]) and
-    [trace]; those two read every kind they were built for, and each
-    sink applies its own sampling. Both recorders are flushed at
-    [duration]; the private registry is returned beside [run]'s
-    result. *)

@@ -245,7 +245,7 @@ let kinds =
    counts against availability. *)
 let measured pts = List.filter (fun (t, _) -> t > warmup) pts
 
-let run ?trace ?flight spec =
+let run_with_result ?trace ?flight spec =
   let inst0 = instance spec in
   (match Device.validate inst0 spec.devices with
   | Ok () -> ()
@@ -317,23 +317,33 @@ let run ?trace ?flight spec =
     }
   in
   let dom = net.Empower.dom in
-  let domain_of = Domain.domain dom in
   (* Fault-free baseline: unobserved, no fault schedules. *)
   let result_b =
     Engine.run ~config ~trace:Obs.Trace.none m_base net.Empower.g dom
       ~flows:flow_specs ~duration:spec.duration
   in
   (* Churn run: the private recorder computes the scorecard's
-     counters. *)
-  let result, reg =
-    Runner.with_recorder ?trace ~kinds ~domain_of ~duration:spec.duration
-      (fun sink ->
-        Engine.run ~config ~trace:sink ?flight
-          ~link_events:compiled.Fault.link_events
-          ~loss_events:compiled.Fault.loss_events
-          ~ctrl_events:compiled.Fault.ctrl_events m_churn net.Empower.g dom
-          ~flows:flow_specs ~duration:spec.duration)
+     counters, beside the --metrics registry's recorder and the
+     caller's sink. *)
+  let reg = Obs.Metrics.create () in
+  let recorder = Obs.Recorder.create reg in
+  let global =
+    Option.map (Obs.Recorder.create ~domain_of:(Domain.domain dom)) (Obs.Runtime.metrics ())
   in
+  let sink =
+    let s = Obs.Recorder.sink ~kinds recorder in
+    let s =
+      match global with Some r -> Obs.Trace.tee s (Obs.Recorder.sink r) | None -> s
+    in
+    match trace with Some user -> Obs.Trace.tee s user | None -> s
+  in
+  let result =
+    Engine.run ~config ~trace:sink ?flight ~link_events:compiled.Fault.link_events
+      ~loss_events:compiled.Fault.loss_events ~ctrl_events:compiled.Fault.ctrl_events
+      m_churn net.Empower.g dom ~flows:flow_specs ~duration:spec.duration
+  in
+  Obs.Recorder.flush recorder ~now:spec.duration;
+  Option.iter (fun r -> Obs.Recorder.flush r ~now:spec.duration) global;
   let gauge name = Obs.Metrics.Gauge.value (Obs.Metrics.gauge reg name) in
   let counter name = Obs.Metrics.Counter.value (Obs.Metrics.counter reg name) in
   let fault_span =
@@ -440,19 +450,22 @@ let run ?trace ?flight spec =
   let min_availability_measured =
     List.fold_left (fun acc f -> Float.min acc f.availability) 1.0 flows
   in
-  {
-    spec;
-    plan;
-    fault_events = counter "fault.events";
-    queue_drops = result.Engine.queue_drops;
-    events_processed = result.Engine.events_processed;
-    route_deaths = counter "recovery.route_deaths";
-    probes = counter "recovery.probes";
-    flows;
-    events;
-    min_availability_measured;
-    slo_met = min_availability_measured >= spec.slo.min_availability;
-  }
+  ( {
+      spec;
+      plan;
+      fault_events = counter "fault.events";
+      queue_drops = result.Engine.queue_drops;
+      events_processed = result.Engine.events_processed;
+      route_deaths = counter "recovery.route_deaths";
+      probes = counter "recovery.probes";
+      flows;
+      events;
+      min_availability_measured;
+      slo_met = min_availability_measured >= spec.slo.min_availability;
+    },
+    result )
+
+let run ?trace ?flight spec = fst (run_with_result ?trace ?flight spec)
 
 let run_all ?jobs specs = Exec.map ?jobs (fun spec -> run spec) specs
 
@@ -636,7 +649,13 @@ let print ?(out = stdout) sc =
          outage %.3f s, %d reroutes\n"
         f.flow f.src f.dst f.baseline_mbps f.goodput_mbps
         (100.0 *. f.availability) f.below_slo_s f.route_deaths
-        f.route_restores f.outage_s f.reroutes)
+        f.route_restores f.outage_s f.reroutes;
+      p "  dip %.3f Mbit/s deep / %.3f Mbit·s, recovery %s%s\n" f.dip_depth
+        f.dip_area
+        (if f.recovery_s < 0.0 then "never"
+         else Printf.sprintf "%.3f s" f.recovery_s)
+        (if f.detect_s > 0.0 then Printf.sprintf ", detected in %.3f s" f.detect_s
+         else ""))
     sc.flows;
   if sc.events <> [] then begin
     p "%-16s %8s %8s %10s %10s\n" "event" "at" "clear" "dip_mbps" "recover_s";

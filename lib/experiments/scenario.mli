@@ -12,7 +12,9 @@
     recovery rows into a {!scorecard}: per-flow availability against
     the fault-free baseline, time below SLO, recovery counters and a
     per-churn-event dip/recovery table. Scenario files live under
-    [scenarios/] and are exercised by [empower_eval scenario].
+    [scenarios/] and are exercised by [empower_eval scenario]; the
+    seeded chaos runs of [empower_eval chaos] are specs too
+    ({!Chaos.spec}), so every fault run is scored here.
 
     {2 Determinism}
 
@@ -147,11 +149,21 @@ type scorecard = {
 val run : ?trace:Obs.Trace.sink -> ?flight:Obs.Flight.t -> spec -> scorecard
 (** Execute the scenario. The baseline run is internal: [trace],
     [flight] and the process-global metrics registry observe only
-    the churn run. Raises [Invalid_argument] on a spec that fails
+    the churn run. An embedded plan runs as {!Fault.normalize}
+    orders it. Raises [Invalid_argument] on a spec that fails
     deep validation: device specs {!Device.validate}, flow endpoints
     out of range or equal, a relay-class endpoint, no route between
     a flow's endpoints, or an embedded plan {!Fault.validate}
     rejects. *)
+
+val run_with_result :
+  ?trace:Obs.Trace.sink ->
+  ?flight:Obs.Flight.t ->
+  spec ->
+  scorecard * Engine.result
+(** {!run}, with the churn run's engine result beside the scorecard:
+    the accounting a trace recorded through [trace] must reproduce
+    ({!Tracing.cross_check}). *)
 
 val run_all : ?jobs:int -> spec list -> scorecard list
 (** {!run} every spec via {!Exec.map}: results in list order,

@@ -666,18 +666,10 @@ module Trace = struct
       Buffer.output_buffer oc buf
 
   (* A sink carries the set of kinds it reads, as a bit mask over
-     [tag], and its own deterministic sampling state: [every] = 1
-     delivers every offer it reads, [sampled] multiplies periods. An
-     offer of a kind outside the mask is skipped before sampling sees
-     it. The [accept]/[push] split exists so hot emitters can skip
-     even constructing the event record for offers the sink will
-     discard; [emit] is the fused convenience for cold paths. *)
-  type sink = {
-    reads : int;
-    every : int;
-    mutable countdown : int;  (* 0 => the next offer is delivered *)
-    push_fn : event -> unit;
-  }
+     [tag]: an offer of a kind outside the mask is skipped, so an
+     emitter that tests the mask first never builds a record the sink
+     would discard. *)
+  type sink = { reads : int; push_fn : event -> unit }
 
   let all_kinds = (1 lsl List.length kinds) - 1
 
@@ -691,40 +683,15 @@ module Trace = struct
 
   let of_fn ?kinds f =
     let reads = match kinds with None -> all_kinds | Some ks -> mask_of_kinds ks in
-    { reads; every = 1; countdown = 0; push_fn = f }
+    { reads; push_fn = f }
 
-  let none = { reads = 0; every = 1; countdown = 0; push_fn = ignore }
+  let none = { reads = 0; push_fn = ignore }
   let reads s = List.filteri (fun i _ -> s.reads land (1 lsl i) <> 0) kinds
   let reads_tag s k = s.reads land (1 lsl k) <> 0
-
-  let accept s =
-    s.every = 1
-    ||
-    if s.countdown = 0 then begin
-      s.countdown <- s.every - 1;
-      true
-    end
-    else begin
-      s.countdown <- s.countdown - 1;
-      false
-    end
-
-  let push s ev = s.push_fn ev
-  let emit s ev = if reads_tag s (tag ev) && accept s then s.push_fn ev
-
-  let sampled ~every s =
-    if every < 1 then invalid_arg "Obs.Trace.sampled: every must be >= 1";
-    { s with every = every * s.every; countdown = 0 }
-
-  let sample_period s = s.every
+  let emit s ev = if reads_tag s (tag ev) then s.push_fn ev
 
   let tee a b =
-    {
-      reads = a.reads lor b.reads;
-      every = 1;
-      countdown = 0;
-      push_fn = (fun ev -> emit a ev; emit b ev);
-    }
+    { reads = a.reads lor b.reads; push_fn = (fun ev -> emit a ev; emit b ev) }
 
   let to_channel oc = of_fn (line_writer oc)
 
@@ -746,7 +713,7 @@ end
    period) box an event into the [boxed] column. The ring is also the
    engine's only emission point: each stored row is offered to the
    attached trace sink, which gets an event record rebuilt from the
-   row only for the offers its sampling accepts. *)
+   row only for the kinds it reads. *)
 module Flight = struct
   let default_capacity = 65536
   let default_dump_path = "empower-flight-dump.jsonl"
@@ -930,12 +897,10 @@ module Flight = struct
     i
 
   (* The row's tag is tested against the kinds the sink reads before
-     anything else, and each read row costs one [accept], so the sink
-     samples exactly as if the events were offered to it directly. *)
+     the event record is rebuilt. *)
   let offer t i =
     match t.sink with
-    | Some s when Trace.reads_tag s t.tag.(i) && Trace.accept s ->
-      Trace.push s (event_of_row t i)
+    | Some s when Trace.reads_tag s t.tag.(i) -> s.Trace.push_fn (event_of_row t i)
     | _ -> ()
 
   let enqueue t ~link ~flow ~seq ~bytes ~qlen =
@@ -1648,6 +1613,7 @@ module Recorder = struct
     link_air : window_sums;                   (* airtime in current window *)
     link_qlen : (int, int ref) Hashtbl.t;     (* last observed queue length *)
     flow_bits : window_sums;                  (* delivered bits in window *)
+    mutable delivered : bool array;           (* by flow id: any delivery yet *)
     flow_rates : (int, float array) Hashtbl.t;
     mutable gamma_prev : float array;         (* per link: last γ, 0 before any *)
     mutable tick_t : float;                   (* time of current price tick *)
@@ -1687,6 +1653,7 @@ module Recorder = struct
       link_air = sums ();
       link_qlen = Hashtbl.create 32;
       flow_bits = sums ();
+      delivered = [||];
       flow_rates = Hashtbl.create 8;
       gamma_prev = [||];
       tick_t = -1.0;
@@ -1723,6 +1690,20 @@ module Recorder = struct
 
   let sorted_keys tbl = Hashtbl.fold (fun k _ acc -> k :: acc) tbl [] |> List.sort compare
 
+  let goodput r f = Metrics.series r.reg (Printf.sprintf "flow.%d.goodput" f)
+
+  (* A goodput series starts at the first window: a flow's first
+     delivery writes a 0 Mbit/s point for every window already closed,
+     at the ends [flush_window] stamped them with. *)
+  let first_delivery r f =
+    if f >= Array.length r.delivered then r.delivered <- grow_bools r.delivered (f + 1);
+    r.delivered.(f) <- true;
+    let w_end = ref window in
+    while !w_end <= r.window_start do
+      Metrics.Series.add (goodput r f) !w_end 0.0;
+      w_end := !w_end +. window
+    done
+
   let flush_window r =
     let w_end = r.window_start +. window in
     (* Per-link airtime utilisation, and I_l busy fraction (the left
@@ -1753,14 +1734,14 @@ module Recorder = struct
           w_end
           (float_of_int !(Hashtbl.find r.link_qlen l)))
       (sorted_keys r.link_qlen);
-    (* Per-flow delivered Mbit/s over the window. *)
-    sums_iter
-      (fun f bits ->
-        Metrics.Series.add
-          (Metrics.series r.reg (Printf.sprintf "flow.%d.goodput" f))
-          w_end
-          (bits /. 1e6 /. window))
-      r.flow_bits;
+    (* Per-flow delivered Mbit/s over the window, for every flow that
+       has delivered: a silent second is a 0 Mbit/s point. *)
+    Array.iteri
+      (fun f delivered ->
+        if delivered then
+          Metrics.Series.add (goodput r f) w_end
+            (sums_get r.flow_bits f /. 1e6 /. window))
+      r.delivered;
     sums_reset r.link_air;
     sums_reset r.flow_bits;
     r.window_start <- w_end
@@ -1821,6 +1802,8 @@ module Recorder = struct
            flow)
         delay;
       see_flow r flow;
+      if flow >= Array.length r.delivered || not r.delivered.(flow) then
+        first_delivery r flow;
       sums_add r.flow_bits flow (8.0 *. float_of_int bytes)
     | Trace.Price_update { t; link; gamma; _ } ->
       if t <> r.tick_t then begin
@@ -1977,10 +1960,7 @@ module Recorder = struct
       Array.iteri
         (fun f seen ->
           if seen then begin
-            let pts =
-              Metrics.Series.points
-                (Metrics.series r.reg (Printf.sprintf "flow.%d.goodput" f))
-            in
+            let pts = Metrics.Series.points (goodput r f) in
             match
               degradation ~fault_first:r.fault_first
                 ~fault_last:r.fault_last pts
@@ -2013,11 +1993,7 @@ module Recorder = struct
               now (air /. partial))
           r.link_air;
         sums_iter
-          (fun f bits ->
-            Metrics.Series.add
-              (Metrics.series r.reg (Printf.sprintf "flow.%d.goodput" f))
-              now
-              (bits /. 1e6 /. partial))
+          (fun f bits -> Metrics.Series.add (goodput r f) now (bits /. 1e6 /. partial))
           r.flow_bits;
         sums_reset r.link_air;
         sums_reset r.flow_bits

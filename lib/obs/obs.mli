@@ -229,10 +229,8 @@ module Trace : sig
 
   (** A consumer of events. Emission never fails upward: sinks are
       observation only. Every sink names the event kinds it reads (all
-      of them unless built with [?kinds]) and carries a deterministic
-      sampling period (1 unless built by {!sampled}). An offer of a
-      kind the sink does not read is skipped before sampling sees it:
-      the sink neither receives it nor counts it. *)
+      of them unless built with [?kinds]); an offer of a kind the sink
+      does not read is skipped. *)
   type sink
 
   val of_fn : ?kinds:string list -> (event -> unit) -> sink
@@ -252,53 +250,11 @@ module Trace : sig
       {!kinds} for a sink built without [?kinds]. *)
 
   val emit : sink -> event -> unit
-  (** Offer one event: delivered iff the sink reads its kind and the
-      sink's sampling accepts it (always, for an unsampled sink). *)
-
-  val accept : sink -> bool
-  (** Advance the sink's sampling decision by one offer of a kind it
-      reads and return whether that offer would be delivered. Hot
-      emitters that know the sink reads the kind use
-      [if accept s then push s ev], so the event record itself is
-      never built for discarded offers; [emit s ev] checks the kind
-      first and is otherwise the same. Each offer must use exactly one
-      [accept] (or one [emit]) — mixing both for the same event
-      double-advances the sampler. *)
-
-  val push : sink -> event -> unit
-  (** Deliver unconditionally — only after [accept] returned [true]. *)
-
-  val sampled : every:int -> sink -> sink
-  (** [sampled ~every s] delivers offers [1, every+1, 2*every+1, ...]
-      to [s] and discards the rest — systematic 1-in-[every] sampling
-      driven by a plain counter, so it is deterministic, consumes no
-      randomness, and composes multiplicatively
-      ([sampled ~every:a (sampled ~every:b s)] keeps 1 in [a*b]). Only
-      offers of kinds [s] reads are counted, so a sink restricted to a
-      few kinds samples among those kinds alone.
-
-      {b Accuracy contract.} Counts scale by the period: a counter fed
-      through the sink sees [ceil (offered / every)] events exactly,
-      [offered] counting the offers of kinds it reads.
-      Distribution statistics (delay / FCT quantiles replayed by
-      {!Summary}) are the exact order statistics of the 1-in-[every]
-      systematic subsample; because the engine interleaves event kinds
-      on a fine time scale, the subsample behaves like a uniform
-      sample of each kind. The repo pins the resulting error at p99
-      within 10% relative of the full-trace value on the reference
-      scenarios whenever the subsample retains at least 1000
-      deliveries (verified by [test/test_obs.ml] and surfaced as
-      [trace_overhead_sampled_pct] in BENCH_sim.json); below that,
-      widen the sample before trusting tail quantiles.
-      Raises [Invalid_argument] if [every < 1]. *)
-
-  val sample_period : sink -> int
-  (** The effective period ([1] for unsampled sinks). *)
+  (** Offer one event: delivered iff the sink reads its kind. *)
 
   val tee : sink -> sink -> sink
   (** Reads the kinds either side reads. Each offer goes to both
-      sinks, left first, and each side takes only the kinds it reads,
-      applying its own sampling to those. *)
+      sinks, left first, and each side takes only the kinds it reads. *)
 
   val to_channel : out_channel -> sink
   (** Writes one JSONL line per event. The caller owns the channel
@@ -326,11 +282,10 @@ end
     {!Trace.Ack}, a few per control period). Every writer, after
     storing its row, offers it to the sink attached with {!attach}:
     the row's tag is tested against the kinds the sink reads
-    ({!Trace.reads}) first, the sink's {!Trace.accept} runs once per
-    row of a kind it reads, and the event record is rebuilt from the
-    row only when the sink takes it. The ring thus records every
-    event whatever the sink's kinds and sampling, and its contents
-    are the tail of what an unsampled sink of every kind received.
+    ({!Trace.reads}) first, and the event record is rebuilt from the
+    row only when the sink reads its kind. The ring thus records every
+    event whatever the sink's kinds, and its contents are the tail of
+    what a sink of every kind received.
 
     {!Engine.run} accepts a recorder via [?flight] or creates one
     itself when the [EMPOWER_FLIGHT] environment variable is set, and
@@ -628,10 +583,13 @@ end
       constraint (2) (needs [~domain_of]);
     - ["flow.<f>.delay"] — exact-count streaming histogram of one-way
       delivery delays; ["flow.<f>.goodput"] — delivered Mbit/s per
-      window (series; a window in which the flow delivered nothing
-      has no point); ["flow.<f>.rate"] — controller total rate at
-      each update (series); ["flow.<f>.rate_delta"] — absolute rate
-      movement per update (series);
+      window (series; once the flow has delivered, every whole-second
+      window from the first has a point, 0 for a window in which it
+      delivered nothing, as in the engine's own goodput bins; the
+      partial window {!Recorder.flush} closes has a point only when
+      the flow delivered in it); ["flow.<f>.rate"] — controller total
+      rate at each update (series); ["flow.<f>.rate_delta"] — absolute
+      rate movement per update (series);
     - ["ctrl.price_delta"] — max |Δγ| per control tick (series);
       ["ctrl.gamma_max"] — running max γ (gauge);
     - fault / degradation metrics (populated when the trace carries

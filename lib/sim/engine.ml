@@ -2043,6 +2043,10 @@ let flow_result s ~duration f =
 let run ?(config = default_config) ?invariants ?trace ?flight ?prof
     ?(link_events = []) ?(loss_events = []) ?(ctrl_events = []) rng g dom
     ~flows ~duration =
+  (* An infinite horizon never ends (the control tick re-arms itself
+     forever), and a NaN or negative one would end before any event. *)
+  if (not (Float.is_finite duration)) || duration < 0.0 then
+    invalid_arg "Engine.run: duration must be finite and nonnegative";
   let s =
     bootstrap ~config ~invariants ~trace ~flight ~link_events ~loss_events
       ~ctrl_events rng g dom flows

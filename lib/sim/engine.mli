@@ -297,11 +297,9 @@ val run :
     (a one-slot stand-in when only a sink is given), which offers
     every row to the sink for the duration of the run: the ring sees
     every event, the sink sees the rows of the kinds it reads
-    ({!Obs.Trace.reads}) that its sampling ({!Obs.Trace.sampled})
-    accepts, with one {!Obs.Trace.accept} per row it reads and, except
-    for the two array-carrying kinds (rate updates and ACKs), the
-    event record built only for accepted offers; a ring dump is
-    therefore the tail of an unsampled full sink's trace. Sinks and
+    ({!Obs.Trace.reads}) and, except for the two array-carrying kinds
+    (rate updates and ACKs), the event record is built only for those
+    rows; a ring dump is therefore the tail of a full sink's trace. Sinks and
     rings only observe: they consume no randomness and mutate no
     engine state, so results are bit-identical with and without them.
     With no ring and no sink that reads some kind ({!Obs.Trace.none}
@@ -342,10 +340,11 @@ val run :
     targets of {!Fault.compile} — build plans there rather than by
     hand.
 
-    Raises [Invalid_argument] on malformed specs (a [start_time] that
-    is negative or not finite, a [stop_time] that is not finite or
-    earlier than the flow's [start_time], event times that are negative
-    or not finite, route/rate length mismatch, routes longer than the
-    6-hop header limit, out-of-range link/loss events, NaN or infinite
-    link-event capacities, probabilities outside [0,1], negative
-    delays). *)
+    Raises [Invalid_argument] on a [duration] that is negative or not
+    finite (a [duration] of 0 is an empty run) and on malformed specs
+    (a [start_time] that is negative or not finite, a [stop_time] that
+    is not finite or earlier than the flow's [start_time], event times
+    that are negative or not finite, route/rate length mismatch,
+    routes longer than the 6-hop header limit, out-of-range link/loss
+    events, NaN or infinite link-event capacities, probabilities
+    outside [0,1], negative delays). *)

@@ -43,7 +43,7 @@ let trace_lines () =
       (events ())
 
 let fault_plans () =
-  let g = (Chaos.network ()).Empower.g in
+  let g = Chaos.graph () in
   List.map
     (fun intensity ->
       Fault.encode (Fault.Gen.plan ~intensity (Rng.create 7) g ~duration:30.0))

@@ -1161,12 +1161,14 @@ let prop_huge_pool_matches_legacy =
 
 (* Scenario.run scores its flows from the engine's whole-second goodput
    bins ([flow_result.goodput_series]). A recorder bins the trace's
-   deliveries too, but writes no point for a second in which a flow
-   delivers nothing; apart from those empty seconds the two series
-   agree bit for bit at whole-second durations. Seeded
-   testbed runs, 1-2 flows, a Fault.Gen plan of every non-churn
-   intensity (Severing crashes a flow's destination, so whole seconds
-   go empty), recovery on for odd seeds. *)
+   deliveries too: once a flow has delivered, it writes a point for
+   every whole second from the first, 0 Mbit/s for a second in which
+   the flow delivered nothing, and a flow that never delivers has no
+   series. At whole-second durations the two series of a delivering
+   flow agree bit for bit. Seeded testbed runs, 1-2 flows, a Fault.Gen
+   plan of every non-churn intensity (Severing crashes a flow's
+   destination, so whole seconds go empty), recovery on for odd
+   seeds. *)
 
 let binned_case seed =
   let net = Lazy.force testbed_net in
@@ -1216,29 +1218,32 @@ let same_bits (t, v) (t', v') =
   Int64.equal (Int64.bits_of_float t) (Int64.bits_of_float t')
   && Int64.equal (Int64.bits_of_float v) (Int64.bits_of_float v')
 
+let delivers engine = List.exists (fun (_, v) -> v <> 0.0) engine
+
 let prop_engine_bins_match_recorder =
   QCheck.Test.make ~count:40
-    ~name:"engine goodput bins minus empty seconds = recorder series, bit for bit"
+    ~name:"engine goodput bins = recorder series of each delivering flow, bit for bit"
     seed_gen (fun seed ->
       Array.iteri
         (fun fid (engine, recorded) ->
-          let nonzero = List.filter (fun (_, v) -> v <> 0.0) engine in
+          let expected = if delivers engine then engine else [] in
           if
             not
-              (List.length nonzero = List.length recorded
-              && List.for_all2 same_bits nonzero recorded)
+              (List.length expected = List.length recorded
+              && List.for_all2 same_bits expected recorded)
           then
             QCheck.Test.fail_reportf
-              "seed %d flow %d: engine bins (%d, %d non-empty) differ from the \
+              "seed %d flow %d: engine bins (%d, delivering: %b) differ from the \
                recorder's %d points"
-              seed fid (List.length engine) (List.length nonzero)
+              seed fid (List.length engine) (delivers engine)
               (List.length recorded))
         (binned_case seed);
       true)
 
 let prop_binned_cases_have_empty_seconds =
-  (* The property above must see the bins it discards: a severing case
-     whose flow delivers nothing for a whole second. *)
+  (* The property above must see a silent second the recorder has to
+     write as a 0 Mbit/s point: a severing case whose flow delivers,
+     then delivers nothing for a whole second. *)
   QCheck.Test.make ~count:1
     ~name:"binned cases include seconds in which a flow delivers nothing"
     QCheck.unit
@@ -1246,7 +1251,8 @@ let prop_binned_cases_have_empty_seconds =
       List.exists
         (fun seed ->
           Array.exists
-            (fun (engine, _) -> List.exists (fun (_, v) -> v = 0.0) engine)
+            (fun (engine, _) ->
+              delivers engine && List.exists (fun (_, v) -> v = 0.0) engine)
             (binned_case seed))
         (List.init 10 (fun k -> (4 * k) + 3)))
 

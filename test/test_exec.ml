@@ -159,14 +159,11 @@ let test_chaos_sweep_identical_checked () =
      runs, with every run audited (EMPOWER_CHECK=1). This test mutates
      the environment, so it runs last. *)
   Unix.putenv "EMPOWER_CHECK" "1";
-  let seeds = [ 3; 7; 11 ] in
-  let seq =
-    List.map (fun seed -> Chaos.run ~seed ~duration:4.0 ()) seeds
-  in
-  let par = Chaos.sweep ~duration:4.0 ~jobs:3 seeds in
-  Alcotest.(check string) "chaos sweep byte-identical under EMPOWER_CHECK"
-    (Obs.Json.to_string (Chaos.sweep_json seq))
-    (Obs.Json.to_string (Chaos.sweep_json par))
+  let specs = List.map (fun seed -> Chaos.spec ~seed ~duration:4.0 ()) [ 3; 7; 11 ] in
+  let render = List.map (fun sc -> Obs.Json.to_string (Scenario.to_json sc)) in
+  Alcotest.(check (list string)) "chaos sweep byte-identical under EMPOWER_CHECK"
+    (render (List.map Scenario.run specs))
+    (render (Scenario.run_all ~jobs:3 specs))
 
 let () =
   Alcotest.run "exec"

@@ -482,110 +482,6 @@ let test_of_file_strict () =
   expect_error ~needle:":1:" [ {|{"ev":"warp","t":0}|} ];
   expect_error ~needle:":2:" [ valid_line; "" ]
 
-(* ---------- sampled tracing ---------- *)
-
-let test_sampled_systematic () =
-  let ev i = Obs.Trace.Price_reset { t = float_of_int i; link = i } in
-  (* 1-in-every systematic: offers 1, every+1, 2*every+1, ... kept. *)
-  let sink, got = Obs.Trace.collector () in
-  let s = Obs.Trace.sampled ~every:3 sink in
-  Alcotest.(check int) "period" 3 (Obs.Trace.sample_period s);
-  for i = 1 to 10 do
-    Obs.Trace.emit s (ev i)
-  done;
-  let kept =
-    List.map
-      (function Obs.Trace.Price_reset { link; _ } -> link | _ -> -1)
-      (got ())
-  in
-  Alcotest.(check (list int)) "offers 1,4,7,10 kept" [ 1; 4; 7; 10 ] kept;
-  (* Count contract: ceil(offered / every), here ceil(10/3) = 4. *)
-  Alcotest.(check int) "ceil(10/3)" 4 (List.length kept);
-  (* Stacking composes multiplicatively and stays systematic. *)
-  let sink2, got2 = Obs.Trace.collector () in
-  let s2 = Obs.Trace.sampled ~every:2 (Obs.Trace.sampled ~every:3 sink2) in
-  Alcotest.(check int) "periods multiply" 6 (Obs.Trace.sample_period s2);
-  for i = 1 to 12 do
-    (* The accept/push split the engine's hot sites use. *)
-    if Obs.Trace.accept s2 then Obs.Trace.push s2 (ev i)
-  done;
-  let kept2 =
-    List.map
-      (function Obs.Trace.Price_reset { link; _ } -> link | _ -> -1)
-      (got2 ())
-  in
-  Alcotest.(check (list int)) "offers 1,7 kept" [ 1; 7 ] kept2;
-  match Obs.Trace.sampled ~every:0 sink with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "every:0 must be rejected"
-
-let test_sampled_accuracy () =
-  (* The documented accuracy contract at the BENCH setting (every:16):
-     the sampled replay's delivery count scales by the period and its
-     p99 delay stays within 10% relative of the full trace's exact
-     order statistic. Also: sampling must not perturb the run. *)
-  let sc = fig4_scenario () in
-  let full_sink, full_got = Obs.Trace.collector () in
-  let o = sc.Tracing.exec ~trace:full_sink () in
-  let full = Obs.Summary.of_events ~duration:o.Tracing.duration (full_got ()) in
-  let samp_sink, samp_got = Obs.Trace.collector () in
-  let o2 = sc.Tracing.exec ~trace:(Obs.Trace.sampled ~every:16 samp_sink) () in
-  if Engine.strip_perf o.Tracing.result <> Engine.strip_perf o2.Tracing.result
-  then Alcotest.fail "sampled sink perturbed the simulation";
-  let sampled =
-    Obs.Summary.of_events ~duration:o2.Tracing.duration (samp_got ())
-  in
-  let n_full = List.length (full_got ()) and n_samp = List.length (samp_got ()) in
-  Alcotest.(check int) "event count = ceil(offered/16)"
-    ((n_full + 15) / 16) n_samp;
-  (match (Obs.Summary.flow_stats full 0, Obs.Summary.flow_stats sampled 0) with
-  | Some ff, Some fs ->
-    Alcotest.(check bool) "subsample is non-trivial" true
-      (fs.Obs.Summary.delivered_frames >= 100);
-    let rel =
-      Float.abs (fs.Obs.Summary.p99_delay -. ff.Obs.Summary.p99_delay)
-      /. ff.Obs.Summary.p99_delay
-    in
-    if rel > 0.10 then
-      Alcotest.failf "sampled p99 off by %.2f%% (full %.6g, sampled %.6g)"
-        (100.0 *. rel) ff.Obs.Summary.p99_delay fs.Obs.Summary.p99_delay
-  | _ -> Alcotest.fail "flow 0 missing from a summary");
-  (* The contract's nominal regime — >= 1000 retained deliveries — on
-     a deterministic stream with a long delay tail. The subsample's
-     p99 is an exact order statistic of a systematic 1-in-16 pick, so
-     it must land within 10% relative of the full stream's p99. *)
-  let delay_of i =
-    let u = float_of_int ((i * 2654435761) land 0xFFFF) /. 65536.0 in
-    0.01 /. (1.0 -. (0.999 *. u))
-  in
-  let offered = 32_000 in
-  let synth every =
-    let sink, got = Obs.Trace.collector () in
-    let s = if every = 1 then sink else Obs.Trace.sampled ~every sink in
-    for i = 1 to offered do
-      Obs.Trace.emit s
-        (Obs.Trace.Delivery
-           { t = float_of_int i *. 1e-3; flow = 0; seq = i; bytes = 1500;
-             delay = delay_of i })
-    done;
-    Obs.Summary.of_events ~duration:40.0 (got ())
-  in
-  let all = synth 1 and sub = synth 16 in
-  match (Obs.Summary.flow_stats all 0, Obs.Summary.flow_stats sub 0) with
-  | Some fa, Some fs ->
-    Alcotest.(check int) "retained = offered/16" (offered / 16)
-      fs.Obs.Summary.delivered_frames;
-    Alcotest.(check bool) "contract regime reached" true
-      (fs.Obs.Summary.delivered_frames >= 1000);
-    let rel =
-      Float.abs (fs.Obs.Summary.p99_delay -. fa.Obs.Summary.p99_delay)
-      /. fa.Obs.Summary.p99_delay
-    in
-    if rel > 0.10 then
-      Alcotest.failf "synthetic sampled p99 off by %.2f%% (full %.6g, sampled %.6g)"
-        (100.0 *. rel) fa.Obs.Summary.p99_delay fs.Obs.Summary.p99_delay
-  | _ -> Alcotest.fail "flow 0 missing from a synthetic summary"
-
 (* ---------- flight recorder ---------- *)
 
 let rec last_n n xs =
@@ -670,8 +566,8 @@ let test_flight_invariant_dump () =
 (* The engine writes each event once, into the flight ring, which
    offers every row to the run's sink. These pin that contract: the
    bytes of the reference traces and of a forced flight dump, the ring
-   as the tail of the sink's stream, sampling applied to the sink
-   only, and no leak from a reused ring into an earlier run's sink. *)
+   as the tail of the sink's stream, and no leak from a reused ring
+   into an earlier run's sink. *)
 
 let md5_of_file write =
   let path = Filename.temp_file "empower_stream" ".jsonl" in
@@ -762,7 +658,9 @@ let test_stream_recovery_resets () =
   let chaos intensity =
     md5_of_file (fun path ->
         traced_to path (fun sink ->
-            ignore (Chaos.run ~trace:sink ~intensity ~recovery:true ~seed:13 ())))
+            ignore
+              (Scenario.run ~trace:sink
+                 (Chaos.spec ~intensity ~recovery:true ~seed:13 ()))))
   in
   Alcotest.(check string) "severing recovery trace" "7b95cdad64914026d1c6a21da70acd62"
     (chaos Fault.Gen.Severing);
@@ -849,8 +747,8 @@ let test_stream_flight_digest () =
     md5_of_file (fun path ->
         let ring = Obs.Flight.create ~dump_path:path () in
         ignore
-          (Chaos.run ~flight:ring ~intensity:Fault.Gen.Severing ~recovery:false
-             ~seed:13 ());
+          (Scenario.run ~flight:ring
+             (Chaos.spec ~intensity:Fault.Gen.Severing ~recovery:false ~seed:13 ()));
         match Obs.Flight.dump ring with
         | Ok (_, n) -> Alcotest.(check int) "full ring dumped" 65536 n
         | Error m -> Alcotest.failf "dump: %s" m)
@@ -874,19 +772,6 @@ let test_stream_ring_is_tail () =
     (Obs.Flight.recorded ring);
   if Obs.Flight.events ring <> last_n cap all then
     Alcotest.fail "ring is not the tail of the sink's stream"
-
-let test_stream_sampling_sink_only () =
-  let n =
-    let sink, count = Obs.Trace.counter () in
-    stream_run ~trace:sink ();
-    count ()
-  in
-  let ring = Obs.Flight.create () in
-  let sink, count = Obs.Trace.counter () in
-  stream_run ~trace:(Obs.Trace.sampled ~every:16 sink) ~flight:ring ();
-  Alcotest.(check int) "ring records the unsampled count" n
-    (Obs.Flight.recorded ring);
-  Alcotest.(check int) "sink sees ceil (n/16)" ((n + 15) / 16) (count ())
 
 let test_stream_reused_ring_detached () =
   let ring = Obs.Flight.create ~capacity:64 () in
@@ -968,20 +853,6 @@ let test_kinds_tee () =
       Obs.Flight.attach fl ~clock:(Array.make 1 0.0) (Some s);
       List.iter (Obs.Flight.event fl) all_event_variants)
 
-let test_kinds_sampling () =
-  (* Sampling counts only the offers a sink reads: 1 in 3 deliveries,
-     whatever else is interleaved. *)
-  let part, got = Obs.Trace.collector ~kinds:[ "delivery" ] () in
-  let s = Obs.Trace.sampled ~every:3 part in
-  for i = 1 to 10 do
-    Obs.Trace.emit s (Obs.Trace.Price_reset { t = float_of_int i; link = i });
-    Obs.Trace.emit s
-      (Obs.Trace.Delivery { t = float_of_int i; flow = 0; seq = i; bytes = 1500; delay = 0.0 });
-    Obs.Trace.emit s (Obs.Trace.Link_event { t = float_of_int i; link = i; capacity = 1.0 })
-  done;
-  Alcotest.(check (list int)) "deliveries 1,4,7,10 kept" [ 1; 4; 7; 10 ]
-    (List.map (function Obs.Trace.Delivery { seq; _ } -> seq | _ -> -1) (got ()))
-
 let test_kinds_none_unobserved () =
   (* Obs.Trace.none leaves a run unobserved, and as an explicit sink it
      keeps the ambient --metrics recorder off. *)
@@ -1060,12 +931,6 @@ let () =
             test_json_error_offsets;
           Alcotest.test_case "accessors" `Quick test_json_accessors;
         ] );
-      ( "sampling",
-        [
-          Alcotest.test_case "systematic 1-in-N" `Quick test_sampled_systematic;
-          Alcotest.test_case "p99 within contract at every:16" `Slow
-            test_sampled_accuracy;
-        ] );
       ( "flight",
         [
           Alcotest.test_case "ring fidelity across all kinds" `Quick
@@ -1089,8 +954,6 @@ let () =
             test_stream_twin_reset;
           Alcotest.test_case "ring is the tail of the sink" `Quick
             test_stream_ring_is_tail;
-          Alcotest.test_case "sampling applies to the sink only" `Quick
-            test_stream_sampling_sink_only;
           Alcotest.test_case "reused ring feeds no earlier sink" `Quick
             test_stream_reused_ring_detached;
           Alcotest.test_case "armed ring allocates under a word per row" `Quick
@@ -1102,8 +965,6 @@ let () =
           Alcotest.test_case "ring feeds a restricted sink its subsequence" `Slow
             test_kinds_ring_subsequence;
           Alcotest.test_case "tee gives each side its own kinds" `Quick test_kinds_tee;
-          Alcotest.test_case "sampling counts only read kinds" `Quick
-            test_kinds_sampling;
           Alcotest.test_case "none leaves the run and --metrics unobserved" `Quick
             test_kinds_none_unobserved;
         ] );

@@ -1,10 +1,11 @@
 (* Pins the run report (lib/experiments/report.ml) of every artifact
-   kind it reads: the loadsweep golden, the four scenario goldens, a
-   traced mini run and a hand-written profile document. Both renderings
-   — the text report and the ["report"] JSON figure — are pinned by
-   MD5, so a decoder or renderer change that moves a single byte of
-   valid-input output fails here. The JSON carries the input path, so
-   every input sits at a fixed relative path. *)
+   kind it reads: the loadsweep golden, the four chaos and four
+   scenario scorecard goldens, a traced mini run and a hand-written
+   profile document. Both renderings — the text report and the
+   ["report"] JSON figure — are pinned by MD5, so a decoder or renderer
+   change that moves a single byte of valid-input output fails here.
+   The JSON carries the input path, so every input sits at a fixed
+   relative path. *)
 
 let md5 s = Digest.to_hex (Digest.string s)
 
@@ -53,6 +54,14 @@ let profile_doc =
 
 let pinned =
   [
+    ( "golden/chaos_seed_11.json",
+      "94658813a0824e758b9f996d83a6a1de", "8e7eeaf3eafccf01344e22583c5fa5a5" );
+    ( "golden/chaos_seed_3.json",
+      "b3a4f1115761fd0db531f4d1a8066cc5", "6da62686a8b28038d0cdbe15e7b209e0" );
+    ( "golden/chaos_seed_7.json",
+      "9cbc45b941db8e8d249c50b8e735886f", "f479585e978ff8eb0a53ef4312c2e261" );
+    ( "golden/chaos_sever_seed13.json",
+      "4f9f74b6687cb61af3f62246868f77a7", "2d9975a10785c0f53e54832845e7b7bf" );
     ( "golden/loadsweep_seed17.json",
       "a0ec077539ab2d93ed04432f0695e2d1", "a16dbab73149ff80f2db4f7d651db655" );
     ( "golden/scenario_capacity-drift.json",

@@ -1004,6 +1004,16 @@ let test_bad_fault_schedules_rejected () =
       Alcotest.(check bool) (name "ctrl") true
         (bad (fun () -> run ~ctrl_events:[ (t, 0.5, 0.0) ] ())))
     [ Float.nan; Float.infinity; Float.neg_infinity ];
+  (* A NaN or negative horizon returned an empty result without error.
+     An infinite one is rejected by the same test, but not run here: a
+     run that accepted it would never return. *)
+  let run_for duration = Engine.run (Rng.create 1) g dom ~flows:[ flow ] ~duration in
+  List.iter
+    (fun d ->
+      Alcotest.(check bool) (Printf.sprintf "duration %g" d) true
+        (bad (fun () -> run_for d)))
+    [ Float.nan; -1.0; Float.neg_infinity ];
+  Alcotest.(check bool) "duration 0 is an empty run" false (bad (fun () -> run_for 0.0));
   let run_flow spec =
     Engine.run (Rng.create 1) g dom ~flows:[ spec ] ~duration:1.0
   in
